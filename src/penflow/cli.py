@@ -543,11 +543,7 @@ def _run_optimize(rc):
     if rc.cost_kind == TRACKING:
         target_fn = rc.level_function(rc.target_shapes, signed_distance=False)
         g_target = LevelField.interpolate(mesh, target_fn)
-        target_cfg = AssemblyConfig(
-            nu=rc.assembly.nu, eps=rc.assembly.eps,
-            smoothing=rc.assembly.smoothing, divergence_form=PLAIN_B,
-            body_force=rc.assembly.body_force, traction=rc.assembly.traction,
-            traction_label=rc.assembly.traction_label)
+        target_cfg = rc.assembly.replace(divergence_form=PLAIN_B)
         target_state, _ = solve_navier_stokes(layout, target_cfg, g_target,
                                               raise_on_failure=True)
         cost = CostSpec(TRACKING, target=target_state.Y)

@@ -9,7 +9,7 @@ penalization.
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError, DegenerateInputError, PenflowError
 from .fem import EXACT_REGION, AssemblyConfig, build_spaces, compute_norm
 from .levelset import LevelField, domain_level_function
 from .mesh import FLUID, DomainSpec, extract_submesh, generate_mesh
@@ -95,19 +95,8 @@ def restrict_state(full_layout, sub_mesh, Y, P=None):
 
 
 def _one_point(mesh, sub, base, eps):
-    cfg = base.config
-    point_cfg = AssemblyConfig(
-        nu=cfg.nu, eps=eps, smoothing=cfg.smoothing,
-        quadrature_order=cfg.quadrature_order,
-        divergence_form=cfg.divergence_form, traction=cfg.traction,
-        traction_label=cfg.traction_label, body_force=cfg.body_force,
-        uniform_smoothing=cfg.uniform_smoothing, pin_pressure=cfg.pin_pressure)
-    ref_cfg = AssemblyConfig(
-        nu=cfg.nu, eps=0.0, smoothing=cfg.smoothing,
-        quadrature_order=cfg.quadrature_order,
-        divergence_form=cfg.divergence_form, traction=cfg.traction,
-        traction_label=cfg.traction_label, body_force=cfg.body_force,
-        uniform_smoothing=cfg.uniform_smoothing, pin_pressure=cfg.pin_pressure)
+    point_cfg = base.config.replace(eps=eps)
+    ref_cfg = base.config.replace(eps=0.0)
 
     ref, _, ref_report = solve_reference_flux_constrained(
         sub, ref_cfg, dirichlet=base.dirichlet, raise_on_failure=True)
@@ -139,34 +128,33 @@ def run_sweep(kind, values, base: SweepBase):
 
     kind "epsilon": values are penalization parameters, one shared
     conforming mesh.  kind "mesh": values are target mesh sizes, eps fixed
-    from base.config.  Nonconvergence raises with the offending value named.
+    from base.config.  A PenflowError from a point's solves propagates as
+    the same exception (a NonconvergenceError keeps its Newton report) with
+    the point prefixed to its message, e.g. "sweep point h=0.05: ...".
     """
     if kind not in (EPSILON_SWEEP, MESH_SWEEP):
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
     values = list(values)
     if not values:
         raise ConfigurationError("sweep needs at least one value")
-    records = []
     if kind == EPSILON_SWEEP:
         mesh = generate_mesh(base.domain_spec, conform_to_obstacles=True)
         sub = extract_submesh(mesh, FLUID)
-        for eps in values:
-            try:
-                rec, _ = _one_point(mesh, sub, base, float(eps))
-            except Exception as exc:
-                raise type(exc)(f"sweep point epsilon={eps}: {exc}") from exc
-            records.append(rec)
-    else:
-        eps = base.config.eps
-        for h in values:
-            spec = base.domain_spec.with_mesh_size(float(h))
+    records = []
+    for value in values:
+        if kind == EPSILON_SWEEP:
+            name, eps = "epsilon", float(value)
+        else:
+            name, eps = "h", base.config.eps
+            spec = base.domain_spec.with_mesh_size(float(value))
             mesh = generate_mesh(spec, conform_to_obstacles=True)
             sub = extract_submesh(mesh, FLUID)
-            try:
-                rec, _ = _one_point(mesh, sub, base, eps)
-            except Exception as exc:
-                raise type(exc)(f"sweep point h={h}: {exc}") from exc
-            records.append(rec)
+        try:
+            rec, _ = _one_point(mesh, sub, base, eps)
+        except PenflowError as exc:
+            exc.args = (f"sweep point {name}={value}: {exc}",) + exc.args[1:]
+            raise
+        records.append(rec)
     return records
 
 

@@ -103,27 +103,7 @@ class SpaceLayout:
         mesh = self.mesh
         lam, wts = triangle_rule(key)
         p = mesh.vertices[mesh.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        area = 0.5 * det
-        # gradients of the barycentric hats
-        g0 = np.stack([(p[:, 1, 1] - p[:, 2, 1]), (p[:, 2, 0] - p[:, 1, 0])], axis=1)
-        g1 = np.stack([(p[:, 2, 1] - p[:, 0, 1]), (p[:, 0, 0] - p[:, 2, 0])], axis=1)
-        g2 = np.stack([(p[:, 0, 1] - p[:, 1, 1]), (p[:, 1, 0] - p[:, 0, 0])], axis=1)
-        gl = np.stack([g0, g1, g2], axis=1) / det[:, None, None]  # (T,3,2)
-
-        nq = len(wts)
-        bub = 27.0 * lam[:, 0] * lam[:, 1] * lam[:, 2]  # (nq,)
-        vals = np.empty((nq, 4))
-        vals[:, :3] = lam
-        vals[:, 3] = bub
-        # bubble gradient varies over the triangle
-        fac = np.stack([lam[:, 1] * lam[:, 2], lam[:, 0] * lam[:, 2],
-                        lam[:, 0] * lam[:, 1]], axis=1)  # (nq,3)
-        grads = np.empty((self.T, nq, 4, 2))
-        grads[:, :, :3, :] = gl[:, None, :, :]
-        grads[:, :, 3, :] = 27.0 * np.einsum("qk,tkd->tqd", fac, gl)
+        area, gl, vals, grads = _element_geometry(p, lam)
         xq = np.einsum("qk,tkd->tqd", lam, p)  # physical quadrature points
         geom = {
             "lam": lam, "weights": wts, "area": area, "hat_grads": gl,
@@ -131,6 +111,35 @@ class SpaceLayout:
         }
         self._geom[key] = geom
         return geom
+
+
+def _element_geometry(p, lam):
+    """Per-triangle data of the P1+bubble element at barycentric points lam.
+
+    p holds the (T, 3, 2) triangle corners.  Returns the areas (T,), hat
+    gradients (T, 3, 2), basis values (nq, 4) and basis gradients
+    (T, nq, 4, 2); the bubble is the fourth basis function.
+    """
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    # gradients of the barycentric hats
+    g0 = np.stack([(p[:, 1, 1] - p[:, 2, 1]), (p[:, 2, 0] - p[:, 1, 0])], axis=1)
+    g1 = np.stack([(p[:, 2, 1] - p[:, 0, 1]), (p[:, 0, 0] - p[:, 2, 0])], axis=1)
+    g2 = np.stack([(p[:, 0, 1] - p[:, 1, 1]), (p[:, 1, 0] - p[:, 0, 0])], axis=1)
+    gl = np.stack([g0, g1, g2], axis=1) / det[:, None, None]  # (T,3,2)
+
+    nq = len(lam)
+    vals = np.empty((nq, 4))
+    vals[:, :3] = lam
+    vals[:, 3] = 27.0 * lam[:, 0] * lam[:, 1] * lam[:, 2]
+    # bubble gradient varies over the triangle
+    fac = np.stack([lam[:, 1] * lam[:, 2], lam[:, 0] * lam[:, 2],
+                    lam[:, 0] * lam[:, 1]], axis=1)  # (nq,3)
+    grads = np.empty((len(p), nq, 4, 2))
+    grads[:, :, :3, :] = gl[:, None, :, :]
+    grads[:, :, 3, :] = 27.0 * np.einsum("qk,tkd->tqd", fac, gl)
+    return 0.5 * det, gl, vals, grads
 
 
 def build_spaces(mesh, dirichlet_labels=("Gamma2", "Gamma3", "Gamma4")) -> SpaceLayout:
@@ -180,6 +189,10 @@ class AssemblyConfig:
         self.body_force = body_force
         self.uniform_smoothing = bool(uniform_smoothing)
         self.pin_pressure = bool(pin_pressure)
+
+    def replace(self, **changes):
+        """Validated copy with the given fields changed."""
+        return AssemblyConfig(**{**vars(self), **changes})
 
     def smoothing_for(self, mesh):
         if self.smoothing is not None:
@@ -428,25 +441,7 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
 
     lam, w = triangle_rule(7)
     tris = mesh.triangles[tri_idx]
-    p = mesh.vertices[tris]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    area = 0.5 * det
-    g0 = np.stack([(p[:, 1, 1] - p[:, 2, 1]), (p[:, 2, 0] - p[:, 1, 0])], axis=1)
-    g1 = np.stack([(p[:, 2, 1] - p[:, 0, 1]), (p[:, 0, 0] - p[:, 2, 0])], axis=1)
-    g2 = np.stack([(p[:, 0, 1] - p[:, 1, 1]), (p[:, 1, 0] - p[:, 0, 0])], axis=1)
-    gl = np.stack([g0, g1, g2], axis=1) / det[:, None, None]
-    nq = len(w)
-    bub = 27.0 * lam[:, 0] * lam[:, 1] * lam[:, 2]
-    vals = np.empty((nq, 4))
-    vals[:, :3] = lam
-    vals[:, 3] = bub
-    fac = np.stack([lam[:, 1] * lam[:, 2], lam[:, 0] * lam[:, 2],
-                    lam[:, 0] * lam[:, 1]], axis=1)
-    grads = np.empty((len(tri_idx), nq, 4, 2))
-    grads[:, :, :3, :] = gl[:, None, :, :]
-    grads[:, :, 3, :] = 27.0 * np.einsum("qk,tkd->tqd", fac, gl)
+    area, gl, vals, grads = _element_geometry(mesh.vertices[tris], lam)
     wa = w[None, :] * area[:, None]
 
     if arr.size == V:  # scalar P1 field

@@ -8,6 +8,8 @@ a region tag (Fluid or Obstacle).
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import (
@@ -164,50 +166,22 @@ class Mesh:
 
     def boundary_loops(self):
         """Connected components of the boundary graph, as lists of edge indices."""
-        be = self.boundary_edges
-        if len(be) == 0:
+        if len(self.boundary_edges) == 0:
             return []
-        incident = {}
-        for i, (a, b) in enumerate(be):
-            incident.setdefault(int(a), []).append(i)
-            incident.setdefault(int(b), []).append(i)
-        seen = np.zeros(len(be), dtype=bool)
-        loops = []
-        for start in range(len(be)):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for vtx in be[i]:
-                    for j in incident[int(vtx)]:
-                        if not seen[j]:
-                            seen[j] = True
-                            stack.append(j)
-            loops.append(sorted(comp))
-        return loops
+        return _edge_components(self.boundary_edges, self.num_vertices)
 
-    # ---------------------------------------------------------------- misc
-    def _boundary_edge_triangle(self):
-        """For each boundary edge: (adjacent triangle, opposite vertex)."""
-        if "edge_tri" in self._cache:
-            return self._cache["edge_tri"]
-        t = self.triangles
-        pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        opp = np.concatenate([t[:, 2], t[:, 0], t[:, 1]])
-        tri_ids = np.tile(np.arange(len(t)), 3)
-        pairs_sorted = np.sort(pairs, axis=1)
-        lookup = {}
-        for (a, b), o, ti in zip(pairs_sorted, opp, tri_ids):
-            lookup.setdefault((int(a), int(b)), []).append((int(ti), int(o)))
-        info = []
-        for a, b in self.boundary_edges:
-            key = (int(min(a, b)), int(max(a, b)))
-            info.append(lookup[key][0])
-        self._cache["edge_tri"] = info
-        return info
+
+def _edge_components(edges, num_vertices):
+    """Edge sets joined through shared vertices, as sorted index lists.
+
+    Components are ordered by their lowest edge index.
+    """
+    graph = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                          shape=(num_vertices, num_vertices))
+    _, vertex_comp = connected_components(graph, directed=False)
+    comp = vertex_comp[edges[:, 0]]
+    firsts = np.sort(np.unique(comp, return_index=True)[1])
+    return [np.flatnonzero(comp == comp[i]).tolist() for i in firsts]
 
 
 # ===================================================================== spec
@@ -633,27 +607,9 @@ def extract_submesh(mesh: Mesh, region: str) -> Mesh:
 
     # group fresh interface edges into loops and name them deterministically
     if new_edges:
-        incident = {}
-        for i in new_edges:
-            a, b = bdry[i]
-            incident.setdefault(int(a), []).append(i)
-            incident.setdefault(int(b), []).append(i)
-        seen = set()
-        loops = []
-        for start in new_edges:
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for vtx in bdry[i]:
-                    for j in incident[int(vtx)]:
-                        if j not in seen:
-                            seen.add(j)
-                            stack.append(j)
-            loops.append(comp)
+        new_edges = np.array(new_edges)
+        loops = [new_edges[comp] for comp in
+                 _edge_components(bdry[new_edges], len(vertices))]
 
         def loop_key(comp):
             vs = np.unique(bdry[comp].ravel())
@@ -674,6 +630,23 @@ def extract_submesh(mesh: Mesh, region: str) -> Mesh:
 
 
 # ================================================================== flux
+def outward_normals(mesh: Mesh, label: str):
+    """Edges with a label and their outward normals, scaled by edge length.
+
+    Triangles are counterclockwise, so the mesh lies left of a boundary edge
+    exactly when its triangle runs through it in the stored direction.
+    """
+    edges = mesh.edges_with_label(label)
+    t, nv = mesh.triangles, mesh.num_vertices
+    directed = np.concatenate([t[:, 0] * nv + t[:, 1], t[:, 1] * nv + t[:, 2],
+                               t[:, 2] * nv + t[:, 0]])
+    forward = np.isin(edges[:, 0] * nv + edges[:, 1], directed)
+    tvec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    normals = np.column_stack([tvec[:, 1], -tvec[:, 0]])
+    normals[~forward] *= -1.0
+    return edges, normals
+
+
 def boundary_flux(mesh: Mesh, velocity, label: str) -> float:
     """Integral of velocity . outward normal over the edges with a label.
 
@@ -682,22 +655,10 @@ def boundary_flux(mesh: Mesh, velocity, label: str) -> float:
     on edges, so only vertex traces enter the integral.
     """
     vals = _vertex_velocity(mesh, velocity)
-    edges = mesh.edges_with_label(label)
-    which = [i for i, s in enumerate(mesh.boundary_labels) if s == label]
-    info = mesh._boundary_edge_triangle()
-    total = 0.0
-    for (a, b), i in zip(edges, which):
-        _, opp = info[i]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        tvec = pb - pa
-        elen = np.hypot(*tvec)
-        n = np.array([tvec[1], -tvec[0]]) / elen
-        mid = 0.5 * (pa + pb)
-        if np.dot(n, mesh.vertices[opp] - mid) > 0:
-            n = -n
-        # trapezoid rule is exact for the linear trace
-        total += elen * 0.5 * float(np.dot(vals[a] + vals[b], n))
-    return total
+    edges, normals = outward_normals(mesh, label)
+    # trapezoid rule is exact for the linear trace
+    return 0.5 * float(np.sum((vals[edges[:, 0]] + vals[edges[:, 1]])
+                              * normals))
 
 
 def _vertex_velocity(mesh, velocity):

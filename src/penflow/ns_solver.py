@@ -18,6 +18,7 @@ from .errors import NonconvergenceError, SolverError
 from .fem import (AssemblyConfig, SpaceLayout, assemble_bilinear,
                   assemble_load, assemble_trilinear, build_spaces,
                   evaluate_coefficients)
+from .mesh import outward_normals
 
 
 class MixedState:
@@ -87,13 +88,6 @@ def _replace_rows(K, rows):
     return out.tocsc()
 
 
-def _pressure_pin_rows(layout, config, flux_rows):
-    # pin one pressure DOF only when nothing else fixes the pressure level
-    if config.pin_pressure:
-        return np.array([2 * layout.N1], dtype=np.int64)
-    return np.empty(0, dtype=np.int64)
-
-
 class _System:
     """Shared assembly state for one solve: matrices, load, constraint rows."""
 
@@ -107,7 +101,11 @@ class _System:
         self.dir_rows = layout.dirichlet_dofs
         self.flux_rows = [flux_row_vector(layout, lab) for lab in flux_labels]
         self.n_flux = len(self.flux_rows)
-        self.size = 2 * layout.N1 + layout.N2 + self.n_flux
+        # rows replaced by identity: Dirichlet velocities, plus one pressure
+        # DOF when nothing else fixes the pressure level
+        pin = [2 * layout.N1] if config.pin_pressure else []
+        self.fixed_rows = np.concatenate(
+            [layout.dirichlet_dofs, np.array(pin, dtype=np.int64)])
 
     def residual(self, Y, P, L, ydir):
         mom = self.A @ Y + self.B.T @ P - self.F
@@ -122,66 +120,40 @@ class _System:
             parts.append(np.array([r @ Y for r in self.flux_rows]))
         return np.concatenate(parts)
 
-    def jacobian(self, Y):
-        C1, C2 = assemble_trilinear(self.layout, self.config, self.g, Y,
-                                    self.coeffs)
-        blocks = [[self.A + C1 + C2, self.B.T],
-                  [self.B, None]]
+    def matrix(self, velocity_block):
+        """Saddle matrix [[Avel, B^T, R^T], [B, 0, 0], [R, 0, 0]], rows fixed."""
+        blocks = [[velocity_block, self.B.T], [self.B, None]]
         if self.n_flux:
             R = sp.csr_matrix(np.array(self.flux_rows))
             blocks[0].append(R.T)
             blocks[1].append(None)
             blocks.append([R, sp.csr_matrix((self.n_flux, self.layout.N2)),
                            None])
-        K = sp.bmat(blocks, format="csr")
-        rows = self.dir_rows
-        pin = _pressure_pin_rows(self.layout, self.config, self.flux_rows)
-        rows = np.concatenate([rows, pin]) if len(pin) else rows
-        return _replace_rows(K, rows)
+        return _replace_rows(sp.bmat(blocks, format="csr"), self.fixed_rows)
+
+    def jacobian(self, Y):
+        C1, C2 = assemble_trilinear(self.layout, self.config, self.g, Y,
+                                    self.coeffs)
+        return self.matrix(self.A + C1 + C2)
 
 
 def flux_row_vector(layout: SpaceLayout, label: str):
     """Row r with r @ Y = net outward flux of Y through the labeled loop."""
-    mesh = layout.mesh
-    mesh.edges_with_label(label)  # raises on unknown labels
-    info = mesh._boundary_edge_triangle()
+    edges, normals = outward_normals(layout.mesh, label)
     r = np.zeros(2 * layout.N1)
-    for k, (a, b) in enumerate(mesh.boundary_edges):
-        if mesh.boundary_labels[k] != label:
-            continue
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        tvec = pb - pa
-        normal = np.array([tvec[1], -tvec[0]])
-        tri, opp = info[k]
-        mid = 0.5 * (pa + pb)
-        if normal @ (mesh.vertices[opp] - mid) > 0:  # point away from the mesh
-            normal = -normal
-        for c in range(2):
-            r[c * layout.N1 + a] += 0.5 * normal[c]
-            r[c * layout.N1 + b] += 0.5 * normal[c]
+    # trapezoid rule: each end of an edge carries half its scaled normal
+    for c in range(2):
+        for end in range(2):
+            np.add.at(r, c * layout.N1 + edges[:, end], 0.5 * normals[:, c])
     return r
 
 
-def _linear_solve(sysm: _System, ydir, extra=None):
-    """Solve the Stokes-type saddle system of sysm, optional extra velocity block."""
+def _linear_solve(sysm: _System, ydir):
+    """Solve the Stokes-type saddle system of sysm."""
     lay = sysm.layout
-    Avel = sysm.A if extra is None else sysm.A + extra
-    blocks = [[Avel, sysm.B.T], [sysm.B, None]]
-    if sysm.n_flux:
-        R = sp.csr_matrix(np.array(sysm.flux_rows))
-        blocks[0].append(R.T)
-        blocks[1].append(None)
-        blocks.append([R, sp.csr_matrix((sysm.n_flux, lay.N2)), None])
-    K = sp.bmat(blocks, format="csr")
-    rows = lay.dirichlet_dofs
-    pin = _pressure_pin_rows(lay, sysm.config, sysm.flux_rows)
-    if len(pin):
-        rows = np.concatenate([rows, pin])
-    K = _replace_rows(K, rows)
+    K = sysm.matrix(sysm.A)
     rhs = np.concatenate([sysm.F, np.zeros(lay.N2 + sysm.n_flux)])
     rhs[lay.dirichlet_dofs] = ydir
-    if len(pin):
-        rhs[pin] = 0.0
     sol = spla.spsolve(K, rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values")
@@ -219,13 +191,10 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     message = ""
     converged = norms[-1] <= tol
     it = 0
-    pin = _pressure_pin_rows(lay, sysm.config, sysm.flux_rows)
     while not converged and it < max_iter:
         K = sysm.jacobian(Y)
         rhs = -res
-        rhs[lay.dirichlet_dofs] = 0.0  # increments keep Dirichlet data
-        if len(pin):
-            rhs[pin] = 0.0
+        rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
         delta = spla.spsolve(K, rhs)
         if not np.all(np.isfinite(delta)):
             message = "linear solve produced non-finite Newton step"

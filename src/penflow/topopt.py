@@ -15,10 +15,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, SolverError
-from .fem import (AssemblyConfig, SpaceLayout, assemble_bilinear,
-                  assemble_load, assemble_trilinear, evaluate_coefficients)
+from .fem import (AssemblyConfig, SpaceLayout, _velocity_at_quad,
+                  assemble_bilinear, assemble_load, assemble_trilinear,
+                  evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
-from .ns_solver import solve_navier_stokes
+from .ns_solver import _replace_rows, solve_navier_stokes
 
 DISSIPATED_ENERGY = "dissipated-energy"
 TRACKING = "tracking"
@@ -177,21 +178,15 @@ class _Forms:
         geom = layout.geometry(config.quadrature_order)
         self.geom = geom
         self.wa = geom["weights"][None, :] * geom["area"][:, None]
-        N1, V = layout.N1, layout.V
-        yl = np.stack([X.Y[:N1][layout.cell_dofs],
-                       X.Y[N1:][layout.cell_dofs]], axis=2)
-        self.uq = np.einsum("qa,tac->tqc", geom["vals"], yl)
-        self.gu = np.einsum("tqad,tac->tqcd", geom["grads"], yl)
+        self.uq, self.gu = _velocity_at_quad(layout, geom, X.Y)
         self.pq = np.einsum("qk,tk->tq", geom["lam"],
                             X.P[layout.mesh.triangles])
 
-    def momentum_residual(self, X):
+    def constraint(self, X):
+        """C(X): momentum rows (Dirichlet rows replaced), then divergence rows."""
         mom = (self.A @ X.Y + self.C1 @ X.Y + self.B.T @ X.P - self.F)
         mom[self.layout.dirichlet_dofs] = X.Y[self.layout.dirichlet_dofs]
-        return mom
-
-    def divergence_residual(self, X):
-        return self.B @ X.Y
+        return np.concatenate([mom, self.B @ X.Y])
 
     def level_jacobian_blocks(self):
         """(jac13, Bprime): level-field derivatives of momentum and divergence."""
@@ -271,26 +266,14 @@ def constraint_residual(X: OptVector, layout, config) -> np.ndarray:
     Momentum rows carry identity Dirichlet replacement (homogeneous data);
     divergence rows are B(G) Y with the configured divergence form.
     """
-    forms = _Forms(X, layout, config)
-    return np.concatenate([forms.momentum_residual(X),
-                           forms.divergence_residual(X)])
+    return _Forms(X, layout, config).constraint(X)
 
 
 def _jacobian_from_forms(forms, layout):
     jac13, bprime = forms.level_jacobian_blocks()
-    top = sp.hstack([forms.A + forms.C1 + forms.C2, forms.B.T, jac13],
-                    format="csr")
-    bottom = sp.hstack([forms.B,
-                        sp.csr_matrix((layout.N2, layout.N2)), bprime],
-                       format="csr")
-    jac = sp.vstack([top, bottom], format="csr")
-    rows = layout.dirichlet_dofs
-    mask = np.ones(jac.shape[0])
-    mask[rows] = 0.0
-    jac = sp.diags(mask) @ jac
-    jac = jac + sp.coo_matrix(
-        (np.ones(len(rows)), (rows, rows)), shape=jac.shape)
-    return jac.tocsr()
+    jac = sp.bmat([[forms.A + forms.C1 + forms.C2, forms.B.T, jac13],
+                   [forms.B, None, bprime]], format="csr")
+    return _replace_rows(jac, layout.dirichlet_dofs)
 
 
 def constraint_jacobian(X: OptVector, layout, config):
@@ -312,16 +295,20 @@ def cost_and_gradient(X: OptVector, spec: CostSpec, layout, config):
     return value, grad
 
 
-def _penalized_vg_from_forms(forms, X, spec, rho, layout):
-    value, gradY, gradG = forms.cost(spec)
+def _penalized_value(X: OptVector, spec, rho, layout, config):
+    # value-only path for line-search trials: no Jacobian assembly
+    forms = _Forms(X, layout, config)
+    cost = forms.cost(spec)
+    C = forms.constraint(X)
+    return cost[0] + 0.5 * rho * float(C @ C), forms, cost, C
+
+
+def _penalized_gradient(forms, cost, C, rho, layout):
+    _, gradY, gradG = cost
     grad = np.concatenate([gradY, np.zeros(layout.N2), gradG])
-    C = np.concatenate([forms.momentum_residual(X),
-                        forms.divergence_residual(X)])
     if rho > 0:
-        jac = _jacobian_from_forms(forms, layout)
-        grad = grad + rho * (jac.T @ C)
-        value = value + 0.5 * rho * float(C @ C)
-    return value, grad, C
+        grad = grad + rho * (_jacobian_from_forms(forms, layout).T @ C)
+    return grad
 
 
 def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
@@ -329,18 +316,8 @@ def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
     """J_rho = J_h + (rho/2) C^T C and its gradient grad J_h + rho jac^T C."""
     if rho < 0:
         raise ConfigurationError("penalty weight must be nonnegative")
-    forms = _Forms(X, layout, config)
-    value, grad, _ = _penalized_vg_from_forms(forms, X, spec, rho, layout)
-    return value, grad
-
-
-def _penalized_value(X: OptVector, spec, rho, layout, config):
-    # value-only path for line-search trials: no Jacobian assembly
-    forms = _Forms(X, layout, config)
-    value, _, _ = forms.cost(spec)
-    C = np.concatenate([forms.momentum_residual(X),
-                        forms.divergence_residual(X)])
-    return value + 0.5 * rho * float(C @ C), forms, C
+    value, forms, cost, C = _penalized_value(X, spec, rho, layout, config)
+    return value, _penalized_gradient(forms, cost, C, rho, layout)
 
 
 def _frozen_components(layout, opt):
@@ -383,12 +360,11 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             bool(np.all(G[np.unique(mesh.boundary_edges.ravel())] < 0.0)),
             j_h))
 
-    forms0 = _Forms(X, layout, config)
-    j_rho, grad, C0 = _penalized_vg_from_forms(forms0, X, spec, opt.rho,
-                                               layout)
+    j_rho, forms0, cost0, C0 = _penalized_value(X, spec, opt.rho, layout,
+                                                config)
     if not np.isfinite(j_rho):
         raise SolverError("non-finite penalized cost at the initial point")
-    direction = -grad
+    direction = -_penalized_gradient(forms0, cost0, C0, opt.rho, layout)
     direction[frozen] = 0.0
     gnorm_inf = np.abs(direction).max()
     if gnorm_inf == 0.0:
@@ -396,7 +372,7 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
     step = opt.initial_step / gnorm_inf
     base_cap = 10.0 * step
 
-    j_h0, _, _ = forms0.cost(spec)
+    j_h0 = cost0[0]
     history.append(IterateRecord(0, j_h0, j_rho, float(np.abs(C0).max()),
                                  float(np.abs(C0[2 * layout.N1:]).max()),
                                  0.0, True, float(direction @ direction), 0))
@@ -411,8 +387,8 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
         for _ in range(opt.max_backtracks + 1):
             Xn = OptVector.from_vector(layout,
                                        X.as_vector() + trial * direction)
-            j_new, forms_n, C_n = _penalized_value(Xn, spec, opt.rho,
-                                                   layout, config)
+            j_new, forms_n, cost_n, C_n = _penalized_value(
+                Xn, spec, opt.rho, layout, config)
             if np.isfinite(j_new) and \
                     j_new <= j_rho - opt.armijo_c * trial * gn2:
                 accepted = True
@@ -422,33 +398,31 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
         if accepted:
             X = Xn
             delta = abs(j_rho - j_new)
-            j_h, _, _ = forms_n.cost(spec)
             div_inf = float(np.abs(C_n[2 * layout.N1:]).max())
             c_inf = float(np.abs(C_n).max())
-            history.append(IterateRecord(it, j_h, j_new, c_inf, div_inf,
+            history.append(IterateRecord(it, cost_n[0], j_new, c_inf, div_inf,
                                          trial, True, gn2, backtracks))
             if backtracks == 0:
                 step = min(trial * opt.step_growth, base_cap)
             else:
                 step = trial
-            j_rho, grad, _ = _penalized_vg_from_forms(forms_n, X, spec,
-                                                      opt.rho, layout)
-            direction = -grad
+            j_rho = j_new
+            direction = -_penalized_gradient(forms_n, cost_n, C_n,
+                                             opt.rho, layout)
             direction[frozen] = 0.0
             if delta <= opt.plateau_tol * (1.0 + abs(j_rho)):
                 plateau_run += 1
             else:
                 plateau_run = 0
         else:
-            # stall: keep the iterate, shrink the base step, move on
+            # stall: keep the iterate (and the values recorded for it),
+            # shrink the base step, move on
             step *= opt.armijo_factor
-            j_h, _, _ = _Forms(X, layout, config).cost(spec)
-            C_now = constraint_residual(X, layout, config)
-            div_now = float(np.abs(
-                C_now[2 * layout.N1:]).max())
-            history.append(IterateRecord(it, j_h, j_rho,
-                                         float(np.abs(C_now).max()), div_now,
-                                         0.0, False, gn2, backtracks))
+            last = history[-1]
+            history.append(IterateRecord(it, last.j_h, j_rho,
+                                         last.constraint_inf,
+                                         last.divergence_inf, 0.0, False,
+                                         gn2, backtracks))
             plateau_run += 1
 
         if opt.snapshot_every > 0 and it % opt.snapshot_every == 0:

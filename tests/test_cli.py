@@ -125,18 +125,28 @@ def test_bad_value_exits_2(tmp_path, capsys):
     assert "h_mesh" in capsys.readouterr().err
 
 
-def test_nonconvergence_exits_3_with_report(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command, target", [
+    ("solve-penalized", "cli.solve_navier_stokes"),
+    ("solve-reference", "cli.solve_reference_flux_constrained"),
+    ("error-study", "error_study.solve_navier_stokes"),
+    ("error-study", "error_study.solve_reference_flux_constrained"),
+])
+def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
+                                            monkeypatch, capsys):
     report = NewtonReport(False, 7, [1.0, 3.5], "diverged")
 
     def explode(*args, **kwargs):
         raise NonconvergenceError("no convergence", report)
 
-    monkeypatch.setattr(cli, "solve_navier_stokes", explode)
-    cfg = _write(tmp_path, "run.ini", BOX_FLOW)
-    rc = main(["solve-penalized", "--config", cfg,
-               "--out", str(tmp_path / "out")])
+    monkeypatch.setattr(f"penflow.{target}", explode)
+    text = BOX_FLOW.replace("h_mesh = 0.2", "h_mesh = 0.2\n"
+                            "obstacles = disk 0.5 0.5 0.2")
+    cfg = _write(tmp_path, "run.ini", text + "[study]\nvalues = 0.1 0.05\n")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 3
     err = capsys.readouterr().err
+    # a sweep names the failing point
+    assert ("sweep point epsilon=0.1" in err) == (command == "error-study")
     blob = json.loads(err[err.index("{"):])
     assert blob["converged"] is False
     assert blob["iterations"] == 7

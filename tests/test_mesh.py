@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penflow import (DomainSpec, GeometryError, Mesh, MeshInvariantError,
-                     UnknownLabelError, boundary_flux, extract_submesh,
-                     generate_mesh, mesh_from_text, mesh_to_text,
-                     polygon_signed_distance)
+                     UnknownLabelError, boundary_flux, build_spaces,
+                     extract_submesh, generate_mesh, mesh_from_text,
+                     mesh_to_text, polygon_signed_distance)
+from penflow.ns_solver import flux_row_vector
 
 
 def triangle_areas(mesh):
@@ -150,6 +151,38 @@ def test_boundary_flux_of_linear_field_matches_divergence(unit_square_mesh):
     vel = m.vertices.copy()  # v = (x, y), div v = 2
     total = sum(boundary_flux(m, vel, lab) for lab in m.labels())
     assert np.isclose(total, 2.0, atol=1e-12)
+
+
+def _per_edge_flux_terms(mesh, vel, label):
+    """Per-edge fluxes, normals pointing away from the opposite vertex."""
+    terms = []
+    for (a, b), lab in zip(mesh.boundary_edges, mesh.boundary_labels):
+        if lab != label:
+            continue
+        tri = mesh.triangles[np.isin(mesh.triangles, (a, b)).sum(axis=1) == 2][0]
+        opp = tri[~np.isin(tri, (a, b))][0]
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        tvec = pb - pa
+        elen = np.hypot(*tvec)
+        n = np.array([tvec[1], -tvec[0]]) / elen
+        if np.dot(n, mesh.vertices[opp] - 0.5 * (pa + pb)) > 0:
+            n = -n
+        terms.append(elen * 0.5 * float(np.dot(vel[a] + vel[b], n)))
+    return np.array(terms)
+
+
+def test_flux_and_flux_row_match_per_edge_reference(unit_square_mesh,
+                                                    square_disk_conforming,
+                                                    rng):
+    for mesh in (unit_square_mesh, *square_disk_conforming):
+        layout = build_spaces(mesh)
+        Y = rng.standard_normal(2 * layout.N1)
+        vel = np.column_stack([Y[:layout.V], Y[layout.N1:layout.N1 + layout.V]])
+        for label in mesh.labels():
+            terms = _per_edge_flux_terms(mesh, vel, label)
+            tol = 1e-14 * np.abs(terms).sum()
+            assert abs(boundary_flux(mesh, Y, label) - terms.sum()) <= tol
+            assert abs(flux_row_vector(layout, label) @ Y - terms.sum()) <= tol
 
 
 @given(cx=st.floats(-0.3, 0.3), cy=st.floats(-0.3, 0.3),
