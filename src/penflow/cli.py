@@ -62,54 +62,61 @@ _SCHEMA = {
 
 _SEC31_DISKS = "disk 0.5 0.25 0.15; disk 0.75 0.0 0.15"
 
-_PRESET_SECTIONS = {
-    "sec31": {
-        "mesh": {"outer": "flow-cell", "h_mesh": repr(presets.COARSE_MESH_SIZE),
-                 "obstacles": _SEC31_DISKS},
-        "physics": {"nu": "1.0", "traction": "shear"},
-        "regularization": {"eps": "0.025", "divergence_form": "plain"},
-        "level": {"shapes": _SEC31_DISKS, "signed_distance": "true"},
-        "study": {"kind": "epsilon",
-                  "values": " ".join(repr(v) for v in
-                                     presets.EPSILON_SWEEP_VALUES)},
-    },
-    "test1": {
-        "mesh": {"outer": "flow-cell", "h_mesh": "0.05"},
-        "physics": {"nu": "1.0", "traction": "shear"},
-        "regularization": {"eps": "0.01", "divergence_form": "penalized"},
-        "level": {"shapes": "disk -0.2 0.2 0.1; disk -0.2 -0.2 0.1",
-                  "signed_distance": "true"},
-        "cost": {"kind": DISSIPATED_ENERGY},
-        "descent": {"rho": "0.8", "max_iter": "200", "snapshot_every": "25",
-                    "plateau_tol": "0.0"},
-    },
-    "test2": {
-        "mesh": {"outer": "flow-cell", "h_mesh": "0.05"},
-        "physics": {"nu": "1.0", "traction": "shear"},
-        "regularization": {"eps": "0.01", "divergence_form": "penalized"},
-        "level": {"shapes": "disk -0.2 0.2 0.15; disk -0.2 -0.2 0.15",
-                  "signed_distance": "true"},
-        "cost": {"kind": TRACKING,
-                 "target_shapes": "ellipse -0.2 0.0 0.2 0.4"},
-        "descent": {"rho": "0.02", "max_iter": "500", "snapshot_every": "100",
-                    "plateau_tol": "0.0"},
-    },
+_SEC31_SECTIONS = {
+    "mesh": {"outer": "flow-cell", "h_mesh": repr(presets.COARSE_MESH_SIZE),
+             "obstacles": _SEC31_DISKS},
+    "physics": {"nu": "1.0", "traction": "shear"},
+    "regularization": {"eps": "0.025", "divergence_form": "plain"},
+    "level": {"shapes": _SEC31_DISKS, "signed_distance": "true"},
+    "study": {"kind": "epsilon",
+              "values": " ".join(repr(v) for v in
+                                 presets.EPSILON_SWEEP_VALUES)},
 }
+
+
+def _descent_sections(name):
+    """Sections of the test1/test2 descent presets, read from presets."""
+    if name == "test1":
+        problem = presets.test1_problem()
+        disks = zip(presets.TEST1_CENTERS, presets.TEST1_RADII)
+        cost = {"kind": DISSIPATED_ENERGY}
+    else:
+        problem = presets.test2_problem()
+        disks = zip(presets.TEST2_CENTERS, presets.TEST2_RADII)
+        ellipse = presets.TEST2_ELLIPSE_CENTER + presets.TEST2_ELLIPSE_AXES
+        cost = {"kind": TRACKING, "target_shapes":
+                " ".join(["ellipse"] + [repr(v) for v in ellipse])}
+    cfg, opt = problem.config, problem.opt
+    return {
+        "mesh": {"outer": "flow-cell",
+                 "h_mesh": repr(problem.domain_spec.h_mesh)},
+        "physics": {"nu": repr(cfg.nu), "traction": "shear"},
+        "regularization": {"eps": repr(cfg.eps),
+                           "divergence_form": cfg.divergence_form},
+        "level": {"shapes": "; ".join(f"disk {x!r} {y!r} {r!r}"
+                                      for (x, y), r in disks),
+                  "signed_distance": "true"},
+        "cost": cost,
+        "descent": {"rho": repr(opt.rho), "max_iter": str(opt.max_iter),
+                    "snapshot_every": str(opt.snapshot_every),
+                    "plateau_tol": repr(opt.plateau_tol)},
+    }
 
 
 def preset_sections(command, name):
     """Section/key defaults a named preset contributes for a command."""
-    if name not in _PRESET_SECTIONS:
+    if name not in PRESET_NAMES:
         raise ConfigurationError(f"unknown preset {name!r}; "
                                  f"choose from {', '.join(PRESET_NAMES)}")
-    base = copy.deepcopy(_PRESET_SECTIONS[name])
-    if name == "sec31":
-        if command == "solve-reference":
-            base["mesh"]["h_mesh"] = repr(presets.REFERENCE_MESH_SIZE)
-            base["mesh"]["conforming"] = "true"
-            base["regularization"]["eps"] = "0.0"
-        elif command == "error-study":
-            base["mesh"]["h_mesh"] = repr(presets.EPSILON_SWEEP_MESH_SIZE)
+    if name != "sec31":
+        return _descent_sections(name)
+    base = copy.deepcopy(_SEC31_SECTIONS)
+    if command == "solve-reference":
+        base["mesh"]["h_mesh"] = repr(presets.REFERENCE_MESH_SIZE)
+        base["mesh"]["conforming"] = "true"
+        base["regularization"]["eps"] = "0.0"
+    elif command == "error-study":
+        base["mesh"]["h_mesh"] = repr(presets.EPSILON_SWEEP_MESH_SIZE)
     return base
 
 

@@ -7,8 +7,10 @@ on (0, width) and the shifted one on (-width, 0).
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError
+from .mesh import hat_gradients
 
 STANDARD = "standard"
 SHIFTED = "shifted"
@@ -199,9 +201,7 @@ def check_admissibility(g: LevelField, mesh) -> AdmissibilityReport:
     if nonneg.size == 0:
         zero_distance = np.inf
     else:
-        bpts = mesh.vertices[bverts]
-        d = np.min(np.linalg.norm(mesh.vertices[nonneg][:, None, :]
-                                  - bpts[None, :, :], axis=2), axis=1)
+        d, _ = cKDTree(mesh.vertices[bverts]).query(mesh.vertices[nonneg])
         zero_distance = float(np.min(d))
     obstacle_inside = boundary_sign_ok and zero_distance > 0.0
     if not obstacle_inside:
@@ -209,15 +209,9 @@ def check_admissibility(g: LevelField, mesh) -> AdmissibilityReport:
 
     sign_change = np.any(tri_vals > 0.0, axis=1) & np.any(tri_vals < 0.0, axis=1)
     if np.any(sign_change):
-        tris = mesh.triangles[sign_change]
-        p = mesh.vertices[tris]
-        v = tri_vals[sign_change]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        gx = ((v[:, 1] - v[:, 0]) * d2[:, 1] - (v[:, 2] - v[:, 0]) * d1[:, 1]) / det
-        gy = ((v[:, 2] - v[:, 0]) * d1[:, 0] - (v[:, 1] - v[:, 0]) * d2[:, 0]) / det
-        grad_min = float(np.min(np.hypot(gx, gy)))
+        _, gl = hat_gradients(mesh.vertices[mesh.triangles[sign_change]])
+        grad = np.einsum("tk,tkd->td", tri_vals[sign_change], gl)
+        grad_min = float(np.min(np.hypot(grad[:, 0], grad[:, 1])))
     else:
         grad_min = np.inf
 

@@ -184,6 +184,19 @@ def _edge_components(edges, num_vertices):
     return [np.flatnonzero(comp == comp[i]).tolist() for i in firsts]
 
 
+def hat_gradients(p):
+    """Determinants (T,) and barycentric hat gradients (T, 3, 2).
+
+    p holds the (T, 3, 2) triangle corners; the determinant is twice the
+    signed area.
+    """
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    # hat k's gradient is the opposite edge p[k+1] - p[k+2] turned clockwise
+    e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
+    return det, np.stack([e[..., 1], -e[..., 0]], axis=2) / det[:, None, None]
+
+
 # ===================================================================== spec
 class DomainSpec:
     """Geometric description of the domain to mesh.

@@ -5,7 +5,9 @@ stationary Navier-Stokes system with smoothed obstacle penalization, and a
 body-fitted reference solver that enforces zero net flux through each
 obstacle boundary with one Lagrange multiplier per loop.  Dirichlet
 velocity rows are imposed by row replacement; the Neumann side carries the
-traction from the assembly config.
+traction from the assembly config.  Every linear solve condenses the
+per-triangle bubble unknowns out first (their block is 2x2 block-diagonal)
+and factors only the vertex-velocity, pressure and multiplier system.
 """
 
 import time
@@ -17,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .errors import NonconvergenceError, SolverError
 from .fem import (AssemblyConfig, SpaceLayout, assemble_bilinear,
                   assemble_load, assemble_trilinear, build_spaces,
-                  evaluate_coefficients)
+                  convection_vector, evaluate_coefficients)
 from .mesh import outward_normals
 
 
@@ -109,9 +111,7 @@ class _System:
 
     def residual(self, Y, P, L, ydir):
         mom = self.A @ Y + self.B.T @ P - self.F
-        C1, _ = assemble_trilinear(self.layout, self.config, self.g, Y,
-                                   self.coeffs)
-        mom += C1 @ Y
+        mom += convection_vector(self.layout, self.config, self.coeffs, Y)
         for k, r in enumerate(self.flux_rows):
             mom += L[k] * r
         mom[self.dir_rows] = Y[self.dir_rows] - ydir
@@ -136,6 +136,34 @@ class _System:
                                     self.coeffs)
         return self.matrix(self.A + C1 + C2)
 
+    def solve(self, K, rhs):
+        """Solve K x = rhs for a saddle matrix, condensing the bubbles out.
+
+        A bubble couples only to the other-component bubble of its triangle,
+        so the bubble block is inverted per triangle in closed form; one
+        sparse solve of the Schur complement gives the rest, then the bubbles.
+        """
+        lay = self.layout
+        bub = lay.V + np.arange(lay.T)
+        b = np.concatenate([bub, bub + lay.N1])
+        r = np.setdiff1d(np.arange(len(rhs)), b)
+        K = K.tocsr()
+        Kb, Kr = K[b], K[r]
+        Kbb, Kbr = Kb[:, b], Kb[:, r]
+        # per triangle [[xx, xy], [yx, yy]]: the diagonal halves and offset T
+        xx, yy = np.split(Kbb.diagonal(), 2)
+        xy, yx = Kbb.diagonal(lay.T), Kbb.diagonal(-lay.T)
+        det = xx * yy - xy * yx
+        if not np.all(np.isfinite(det) & (det != 0.0)):
+            raise SolverError("singular bubble block in the linear solve")
+        inv = sp.bmat([[sp.diags(yy / det), sp.diags(-xy / det)],
+                       [sp.diags(-yx / det), sp.diags(xx / det)]], "csr")
+        KrbI = Kr[:, b] @ inv
+        x = np.empty(len(rhs))
+        x[r] = spla.spsolve(Kr[:, r] - KrbI @ Kbr, rhs[r] - KrbI @ rhs[b])
+        x[b] = inv @ (rhs[b] - Kbr @ x[r])
+        return x
+
 
 def flux_row_vector(layout: SpaceLayout, label: str):
     """Row r with r @ Y = net outward flux of Y through the labeled loop."""
@@ -151,10 +179,9 @@ def flux_row_vector(layout: SpaceLayout, label: str):
 def _linear_solve(sysm: _System, ydir):
     """Solve the Stokes-type saddle system of sysm."""
     lay = sysm.layout
-    K = sysm.matrix(sysm.A)
     rhs = np.concatenate([sysm.F, np.zeros(lay.N2 + sysm.n_flux)])
     rhs[lay.dirichlet_dofs] = ydir
-    sol = spla.spsolve(K, rhs)
+    sol = sysm.solve(sysm.matrix(sysm.A), rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values")
     m = 2 * lay.N1
@@ -192,10 +219,9 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     converged = norms[-1] <= tol
     it = 0
     while not converged and it < max_iter:
-        K = sysm.jacobian(Y)
         rhs = -res
         rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
-        delta = spla.spsolve(K, rhs)
+        delta = sysm.solve(sysm.jacobian(Y), rhs)
         if not np.all(np.isfinite(delta)):
             message = "linear solve produced non-finite Newton step"
             break

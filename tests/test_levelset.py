@@ -6,6 +6,7 @@ from penflow import (ConfigurationError, LevelField, SHIFTED, STANDARD,
                      SmoothingParams, check_admissibility, compose_disks,
                      compose_ellipses, domain_level_function,
                      smoothed_heaviside, DomainSpec)
+from penflow.presets import TEST1_CENTERS, TEST1_RADII, sec31_level
 
 
 def test_cutoff_hits_exact_values_at_knots():
@@ -129,6 +130,33 @@ def test_admissibility_flags_boundary_sign(unit_square_mesh):
     bad = LevelField(np.ones(unit_square_mesh.num_vertices))
     rep2 = check_admissibility(bad, unit_square_mesh)
     assert not rep2.boundary_sign_ok
+
+
+@pytest.mark.parametrize("level", [
+    sec31_level(),
+    compose_disks(TEST1_CENTERS, TEST1_RADII, signed_distance=True)],
+    ids=["sec31", "test1"])
+def test_admissibility_distances_match_dense_formulas(flow_cell_coarse,
+                                                       level):
+    mesh = flow_cell_coarse
+    vals = LevelField.interpolate(mesh, level).nodal_values
+    rep = check_admissibility(LevelField(vals), mesh)
+    # every nonnegative vertex against every boundary vertex
+    bpts = mesh.vertices[np.unique(mesh.boundary_edges.ravel())]
+    nonneg = mesh.vertices[vals >= 0.0]
+    dist = np.linalg.norm(nonneg[:, None, :] - bpts[None, :, :], axis=2).min()
+    # P1 gradient from corner differences on the sign-changing triangles
+    v = vals[mesh.triangles]
+    change = np.any(v > 0.0, axis=1) & np.any(v < 0.0, axis=1)
+    p, v = mesh.vertices[mesh.triangles[change]], v[change]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    gx = ((v[:, 1] - v[:, 0]) * d2[:, 1] - (v[:, 2] - v[:, 0]) * d1[:, 1]) / det
+    gy = ((v[:, 2] - v[:, 0]) * d1[:, 0] - (v[:, 1] - v[:, 0]) * d2[:, 0]) / det
+    grad_min = np.hypot(gx, gy).min()
+    assert change.any() and dist > 0.0
+    assert abs(rep.zero_distance - dist) <= 1e-14 * dist
+    assert abs(rep.grad_min_near_zero - grad_min) <= 1e-14 * grad_min
 
 
 def test_level_field_rejects_wrong_size(unit_square_mesh):

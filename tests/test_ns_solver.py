@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from penflow import (AssemblyConfig, DomainSpec, LevelField,
-                     NonconvergenceError, PLAIN_B, build_spaces,
+                     NonconvergenceError, PLAIN_B, SolverError, build_spaces,
                      boundary_flux, compose_disks, compute_norm,
                      generate_mesh, residual_max_norm, solve_navier_stokes,
                      solve_reference_flux_constrained, solve_stokes)
-from penflow.presets import shear_traction
+from penflow.fem import (_velocity_at_quad, assemble_trilinear,
+                         convection_vector)
+from penflow.ns_solver import _System
+from penflow.presets import sec31_assembly, sec31_level, shear_traction
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +144,92 @@ def test_driven_cavity_with_pinned_pressure():
     assert np.isfinite(state.P).all()
     # interior swirl driven by the moving lid
     assert compute_norm(mesh, state.Y, kind="L2") > 0.05
+
+
+def _lid(x):
+    x = np.asarray(x)
+    out = np.zeros(x.shape)
+    out[..., 0] = np.where(x[..., 1] > 1.0 - 1e-12, 1.0, 0.0)
+    return out
+
+
+@pytest.fixture(scope="module")
+def sec31_newton(flow_cell_coarse_layout):
+    """The sec31 penalized system and its Jacobian at the Stokes velocity."""
+    lay = flow_cell_coarse_layout
+    g = LevelField.interpolate(lay.mesh, sec31_level())
+    cfg = sec31_assembly()
+    sysm = _System(lay, cfg, g)
+    Y = solve_stokes(lay, cfg, g).Y
+    return sysm, Y, sysm.jacobian(Y)
+
+
+def _reference_system(square_disk_conforming):
+    _, fluid = square_disk_conforming
+    cfg = AssemblyConfig(nu=1.0, eps=0.0, divergence_form=PLAIN_B)
+    sysm = _System(build_spaces(fluid), cfg, None, flux_labels=("Obstacle1",))
+    return sysm, sysm.matrix(sysm.A)
+
+
+def _cavity_system():
+    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2))
+    lay = build_spaces(mesh, dirichlet_labels=("Gamma1", "Gamma2", "Gamma3",
+                                               "Gamma4"))
+    cfg = AssemblyConfig(nu=1.0, eps=0.0, pin_pressure=True)
+    sysm = _System(lay, cfg, None)
+    Y = solve_navier_stokes(lay, cfg, None, dirichlet=_lid)[0].Y
+    return sysm, sysm.jacobian(Y)
+
+
+@pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
+                                  "pinned-cavity"])
+def test_condensed_solve_matches_full_spsolve(case, sec31_newton,
+                                              square_disk_conforming, rng):
+    if case == "sec31-jacobian":
+        sysm, _, K = sec31_newton
+    elif case == "flux-reference":
+        sysm, K = _reference_system(square_disk_conforming)
+    else:
+        sysm, K = _cavity_system()
+    rhs = rng.standard_normal(K.shape[0])
+    want = spla.spsolve(K, rhs)
+    got = sysm.solve(K, rhs)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_bubble_block_stays_per_triangle(sec31_newton):
+    sysm, _, K = sec31_newton
+    lay = sysm.layout
+    bub = lay.V + np.arange(lay.T)
+    b = np.concatenate([bub, bub + lay.N1])
+    # the condensation inverts only the 2x2 block of each triangle
+    assert K.tocsr()[b][:, b].nnz <= 4 * lay.T
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+def test_singular_bubble_block_raises_solver_error(sec31_newton, bad):
+    sysm, _, K = sec31_newton
+    K = K.tolil()
+    k = sysm.layout.V + 7  # x bubble of triangle 7
+    K[k, :] = 0.0
+    K[k, k] = bad
+    with pytest.raises(SolverError, match="bubble"):
+        sysm.solve(K.tocsc(), np.ones(K.shape[0]))
+
+
+def test_convection_vector_matches_matrix_product(sec31_newton):
+    sysm, Y, _ = sec31_newton
+    lay, cfg, g, co = sysm.layout, sysm.config, sysm.g, sysm.coeffs
+    C1, _ = assemble_trilinear(lay, cfg, g, Y, co)
+    got = convection_vector(lay, cfg, co, Y)
+    # bound each entry by the sum of its quadrature terms' magnitudes
+    geom = lay.geometry(cfg.quadrature_order)
+    wa = geom["weights"][None, :] * geom["area"][:, None] * np.abs(co.conv)
+    uq, gu = _velocity_at_quad(lay, geom, Y)
+    ugu = np.abs(np.einsum("tqd,tqcd->tqc", uq, gu))
+    ugn = np.abs(np.einsum("tqd,tqad->tqa", uq, geom["grads"]))
+    loc = (np.einsum("tq,tqc,qb->tcb", wa, ugu, np.abs(geom["vals"]))
+           + np.einsum("tq,tqb,tqc->tcb", wa, ugn, np.abs(uq)))
+    idx = np.arange(2)[None, :, None] * lay.N1 + lay.cell_dofs[:, None, :]
+    scale = np.bincount(idx.ravel(), loc.ravel(), minlength=2 * lay.N1)
+    assert np.all(np.abs(got - C1 @ Y) <= 1e-13 * scale)
