@@ -92,9 +92,6 @@ class SpaceLayout:
             [mesh.triangles, self.V + np.arange(self.T)]).astype(np.int64)
         self._geom = {}
 
-    def velocity_dof(self, component, scalar_index):
-        return component * self.N1 + scalar_index
-
     # geometry and basis caches, keyed by quadrature order
     def geometry(self, order):
         key = 5 if order <= 5 else 7
@@ -268,6 +265,8 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
 
 # --------------------------------------------------------------- assembly
 def _scatter(data, rows, cols, shape):
+    """CSR matrix summing data at (rows, cols), both broadcast to data."""
+    rows, cols = (np.broadcast_to(i, data.shape) for i in (rows, cols))
     m = sp.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
     return m.tocsr()
 
@@ -291,17 +290,14 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     wa = w[None, :] * area[:, None]  # (T,nq)
     kloc = np.einsum("tq,tqad,tqbd->tab", wa * coeffs.visc, grads, grads)
     kloc += np.einsum("tq,qa,qb->tab", wa * coeffs.mass, vals, vals)
-    rows = np.broadcast_to(dofs[:, :, None], kloc.shape)
-    cols = np.broadcast_to(dofs[:, None, :], kloc.shape)
-    a_scalar = _scatter(kloc, rows, cols, (N1, N1))
+    a_scalar = _scatter(kloc, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     A = sp.kron(sp.eye(2, format="csr"), a_scalar, format="csr")
 
     # b(w, q) = -int divc (div w) q ; rows pressure hats, cols velocity DOFs
     bloc = -np.einsum("tq,tqac,qp->tpca", wa * coeffs.divc, grads, geom["lam"])
-    prow = np.broadcast_to(layout.mesh.triangles[:, :, None, None], bloc.shape)
-    ccol = np.broadcast_to(np.arange(2)[None, None, :, None] * N1
-                           + dofs[:, None, None, :], bloc.shape)
-    B = _scatter(bloc, prow, ccol, (N2, 2 * N1))
+    ccol = np.arange(2)[None, None, :, None] * N1 + dofs[:, None, None, :]
+    B = _scatter(bloc, layout.mesh.triangles[:, :, None, None], ccol,
+                 (N2, 2 * N1))
     return A, B
 
 
@@ -309,9 +305,9 @@ def _velocity_at_quad(layout, geom, Y):
     """Velocity values (T,nq,2) and gradients (T,nq,2,2) of a DOF vector."""
     N1 = layout.N1
     yl = np.stack([Y[:N1][layout.cell_dofs], Y[N1:][layout.cell_dofs]], axis=2)
-    uq = np.einsum("qa,tac->tqc", geom["vals"], yl)
-    # gq[t,q,c,d] = d u_c / d x_d
-    gq = np.einsum("tqad,tac->tqcd", geom["grads"], yl)
+    uq = geom["vals"] @ yl
+    # gq[t,q,c,d] = d u_c / d x_d, from (T, q, d, a) @ (T, 1, a, c)
+    gq = np.swapaxes(np.swapaxes(geom["grads"], 2, 3) @ yl[:, None], 2, 3)
     return uq, gq
 
 
@@ -338,9 +334,7 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     udotg = np.einsum("tqc,tqac->tqa", uq, grads)
     P = np.einsum("tq,tqa,qb->tba", wa, udotg, vals, optimize=True)
     loc1 = 0.5 * (P - P.transpose(0, 2, 1))
-    rows = np.broadcast_to(dofs[:, :, None], loc1.shape)
-    cols = np.broadcast_to(dofs[:, None, :], loc1.shape)
-    c1_scalar = _scatter(loc1, rows, cols, (N1, N1))
+    c1_scalar = _scatter(loc1, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     C1 = sp.kron(sp.eye(2, format="csr"), c1_scalar, format="csr")
 
     # E1[t,ci,b,cj,a] = int conv Na (d u_ci / d x_cj) Nb
@@ -348,12 +342,8 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     # E2[t,ci,b,cj,a] = int conv Na (grad Nb)_cj u_ci
     E2 = np.einsum("tq,tqc,qa,tqbj->tbcaj", wa, uq, vals, grads, optimize=True)
     loc2 = 0.5 * (E1 - E2)  # (T, b, ci, a, cj)
-    rowc = np.broadcast_to(
-        (np.arange(2)[None, None, :, None, None] * N1 + dofs[:, :, None, None, None]),
-        loc2.shape)
-    colc = np.broadcast_to(
-        (np.arange(2)[None, None, None, None, :] * N1 + dofs[:, None, None, :, None]),
-        loc2.shape)
+    rowc = np.arange(2)[None, None, :, None, None] * N1 + dofs[:, :, None, None, None]
+    colc = np.arange(2)[None, None, None, None, :] * N1 + dofs[:, None, None, :, None]
     C2 = _scatter(loc2, rowc, colc, (2 * N1, 2 * N1))
     return C1, C2
 

@@ -139,17 +139,25 @@ class Mesh:
 
         if len(be) == 0:
             return
-        # each boundary edge belongs to exactly one triangle
-        all_e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        all_e.sort(axis=1)
-        uniq, counts = np.unique(all_e, axis=0, return_counts=True)
-        count_of = {(int(a), int(b)): int(c) for (a, b), c in zip(uniq, counts)}
-        for a, b in be:
-            key = (int(min(a, b)), int(max(a, b)))
-            c = count_of.get(key, 0)
-            if c != 1:
-                raise MeshInvariantError(
-                    f"boundary edge {key} belongs to {c} triangles, expected 1")
+        if be.min() < 0 or be.max() >= len(v):
+            raise MeshInvariantError("boundary edge index out of range")
+        # each boundary edge belongs to exactly one triangle; an undirected
+        # edge (a, b), a < b, is encoded as the integer a V + b
+        all_e = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
+                        axis=1)
+        keys, counts = np.unique(all_e[:, 0] * len(v) + all_e[:, 1],
+                                 return_counts=True)
+        bs = np.sort(be, axis=1)
+        bkeys = bs[:, 0] * len(v) + bs[:, 1]
+        pos = np.searchsorted(keys, bkeys)  # len(keys) when past the end
+        found = np.append(keys, -1)[pos] == bkeys
+        bcount = np.where(found, np.append(counts, 0)[pos], 0)
+        bad = np.flatnonzero(bcount != 1)
+        if bad.size:
+            i = bad[0]
+            key = (int(bs[i, 0]), int(bs[i, 1]))
+            raise MeshInvariantError(f"boundary edge {key} belongs to "
+                                     f"{int(bcount[i])} triangles, expected 1")
 
         # closed loops: every boundary vertex has exactly two incident boundary edges
         deg = np.bincount(be.ravel(), minlength=len(v))

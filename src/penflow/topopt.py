@@ -2,12 +2,14 @@
 
 The optimization unknown is the concatenated vector X = (Y, P, G):
 velocity and pressure DOFs together with the nodal level field describing
-the obstacle.  The flow equations enter as an equality constraint C(X) = 0
-whose full Jacobian (including level-field sensitivities of every
-coefficient) is assembled analytically; the driver minimizes the
-quadratic-penalty functional J_rho = J_h + (rho/2) C^T C by projected
-steepest descent with Armijo backtracking.  The flow system is solved by
-Newton only once, to initialize (Y, P) at the starting geometry.
+the obstacle.  The flow equations enter as an equality constraint C(X) = 0.
+optimize minimizes the quadratic-penalty functional
+J_rho = J_h + (rho/2) C^T C by projected steepest descent with Armijo
+backtracking.  Its values and gradients are matrix-free: C and the action
+jac C^T C (including level-field sensitivities of every coefficient) are
+summed per element from quadrature-point data, so no sparse matrix is
+assembled after the Newton solve that initializes (Y, P) at the starting
+geometry.  The assembled Jacobian serves only constraint_jacobian.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, SolverError
-from .fem import (AssemblyConfig, SpaceLayout, _velocity_at_quad,
+from .fem import (AssemblyConfig, SpaceLayout, _scatter, _velocity_at_quad,
                   assemble_bilinear, assemble_load, assemble_trilinear,
                   evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
@@ -164,29 +166,97 @@ def obstacle_component_count(mesh, G) -> int:
 
 # ------------------------------------------------------------- assembly
 class _Forms:
-    """All matrices, vectors and local data shared by C, jac C and costs."""
+    """Quadrature-point data shared by C, its adjoint action and the costs."""
 
     def __init__(self, X: OptVector, layout, config):
         self.layout = layout
         self.config = config
-        g = LevelField(X.G)
-        self.coeffs = evaluate_coefficients(layout, config, g)
-        self.A, self.B = assemble_bilinear(layout, config, g, self.coeffs)
-        self.C1, self.C2 = assemble_trilinear(layout, config, g, X.Y,
-                                              self.coeffs)
-        self.F = assemble_load(layout, config, g, self.coeffs)
+        self.Y = X.Y
+        self.g = LevelField(X.G)
+        self.coeffs = evaluate_coefficients(layout, config, self.g)
         geom = layout.geometry(config.quadrature_order)
         self.geom = geom
         self.wa = geom["weights"][None, :] * geom["area"][:, None]
         self.uq, self.gu = _velocity_at_quad(layout, geom, X.Y)
         self.pq = np.einsum("qk,tk->tq", geom["lam"],
                             X.P[layout.mesh.triangles])
+        self.divu = self.gu[:, :, 0, 0] + self.gu[:, :, 1, 1]
+        self.conv1 = np.einsum("tqd,tqcd->tqc", self.uq, self.gu)  # (u.grad)u
 
-    def constraint(self, X):
-        """C(X): momentum rows (Dirichlet rows replaced), then divergence rows."""
-        mom = (self.A @ X.Y + self.C1 @ X.Y + self.B.T @ X.P - self.F)
-        mom[self.layout.dirichlet_dofs] = X.Y[self.layout.dirichlet_dofs]
-        return np.concatenate([mom, self.B @ X.Y])
+    def _velocity_rows(self, val=None, grad=None):
+        """sum_q wa (val_c N_a + grad_cd d_d N_a) for every velocity DOF (c, a)."""
+        lay, geom, wa = self.layout, self.geom, self.wa[..., None]
+        # batched products (T, c, q) @ (q, a) and (T, c, qd) @ (T, qd, a)
+        loc = np.zeros((lay.T, 2, 4))
+        if val is not None:
+            loc += np.swapaxes(wa * val, 1, 2) @ geom["vals"]
+        if grad is not None:
+            g = (wa[..., None] * grad).transpose(0, 2, 1, 3)
+            loc += g.reshape(lay.T, 2, -1) @ geom["grads"].transpose(
+                0, 1, 3, 2).reshape(lay.T, -1, 4)
+        idx = np.arange(2)[None, :, None] * lay.N1 + lay.cell_dofs[:, None, :]
+        return np.bincount(idx.ravel(), loc.ravel(), minlength=2 * lay.N1)
+
+    def _hat_rows(self, s):
+        """sum_q wa s lam_j for every P1 DOF j."""
+        loc = (self.wa * s) @ self.geom["lam"]
+        return np.bincount(self.layout.mesh.triangles.ravel(), loc.ravel(),
+                           minlength=self.layout.V)
+
+    def constraint(self):
+        """C(X): momentum rows (Dirichlet rows replaced), then divergence rows.
+
+        Momentum tested with N_a e_c is visc grad u : grad N_a + mass u N_a
+        + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a - F.
+        """
+        lay, co, uq = self.layout, self.coeffs, self.uq
+        val = co.mass[..., None] * uq + 0.5 * co.conv[..., None] * self.conv1
+        grad = (co.visc[..., None, None] * self.gu
+                - 0.5 * co.conv[..., None, None] * uq[..., :, None]
+                * uq[..., None, :]
+                - (co.divc * self.pq)[..., None, None] * np.eye(2))
+        mom = self._velocity_rows(val, grad) - assemble_load(
+            lay, self.config, self.g, co)
+        dirs = lay.dirichlet_dofs
+        mom[dirs] = self.Y[dirs]
+        return np.concatenate([mom, self._hat_rows(-co.divc * self.divu)])
+
+    def adjoint(self, c):
+        """jac C^T c without assembling jac C.
+
+        w is the momentum part of c with its Dirichlet rows zeroed, q the
+        divergence part read as a P1 field; each block is the derivative of
+        w . momentum + q . divergence in its unknown.
+        """
+        lay, co, geom = self.layout, self.coeffs, self.geom
+        uq, gu = self.uq, self.gu
+        dirs, m = lay.dirichlet_dofs, 2 * lay.N1
+        w = c[:m].copy()
+        w[dirs] = 0.0
+        wq, gw = _velocity_at_quad(lay, geom, w)
+        qq = np.einsum("qk,tk->tq", geom["lam"], c[m:][lay.mesh.triangles])
+        divw = gw[:, :, 0, 0] + gw[:, :, 1, 1]
+        ugw = np.einsum("tqd,tqcd->tqc", uq, gw)  # (u.grad)w
+
+        val = co.mass[..., None] * wq + 0.5 * co.conv[..., None] * (
+            np.einsum("tqic,tqi->tqc", gu, wq)
+            - np.einsum("tqic,tqi->tqc", gw, uq) - ugw)
+        grad = (co.visc[..., None, None] * gw
+                + 0.5 * co.conv[..., None, None] * wq[..., :, None]
+                * uq[..., None, :]
+                - (co.divc * qq)[..., None, None] * np.eye(2))
+        gy = self._velocity_rows(val, grad)
+        gy[dirs] += c[dirs]
+
+        s = (co.dvisc * np.einsum("tqcd,tqcd->tq", gu, gw)
+             + co.dmass * np.sum(uq * wq, axis=2)
+             + 0.5 * co.dconv * np.sum(self.conv1 * wq - ugw * uq, axis=2)
+             - co.ddivc * (self.pq * divw + qq * self.divu))
+        if self.config.body_force is not None:
+            fq = np.asarray(self.config.body_force(geom["xq"]), dtype=float)
+            s -= co.dloadc * np.einsum("tqc,tqc->tq", fq, wq)
+        return np.concatenate([gy, self._hat_rows(-co.divc * divw),
+                               self._hat_rows(s)])
 
     def level_jacobian_blocks(self):
         """(jac13, Bprime): level-field derivatives of momentum and divergence."""
@@ -197,8 +267,7 @@ class _Forms:
         # momentum block, local shape (T, comp, basis, hat)
         loc = np.einsum("tq,tqcd,tqad,qj->tcaj", wa * co.dvisc, gu, grads, lam)
         loc += np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dmass, uq, vals, lam)
-        conv1 = np.einsum("tqd,tqcd->tqc", uq, gu)  # (y . grad) y
-        loc += 0.5 * np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dconv, conv1,
+        loc += 0.5 * np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dconv, self.conv1,
                                vals, lam)
         udotg = np.einsum("tqd,tqad->tqa", uq, grads)
         loc -= 0.5 * np.einsum("tq,tqa,tqc,qj->tcaj", wa * co.dconv, udotg,
@@ -209,55 +278,31 @@ class _Forms:
             loc -= np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dloadc, fq,
                              vals, lam)
 
-        N1 = lay.N1
-        rows = (np.arange(2)[None, :, None, None] * N1
+        tri = lay.mesh.triangles
+        rows = (np.arange(2)[None, :, None, None] * lay.N1
                 + lay.cell_dofs[:, None, :, None])
-        cols = lay.mesh.triangles[:, None, None, :]
-        rows = np.broadcast_to(rows, loc.shape)
-        cols = np.broadcast_to(cols, loc.shape)
-        jac13 = sp.coo_matrix((loc.ravel(), (rows.ravel(), cols.ravel())),
-                              shape=(2 * N1, lay.N3)).tocsr()
+        jac13 = _scatter(loc, rows, tri[:, None, None, :], (2 * lay.N1, lay.N3))
 
-        divy = gu[:, :, 0, 0] + gu[:, :, 1, 1]
-        locb = -np.einsum("tq,qp,qj->tpj", wa * co.ddivc * divy, lam, lam)
-        prow = np.broadcast_to(lay.mesh.triangles[:, :, None], locb.shape)
-        pcol = np.broadcast_to(lay.mesh.triangles[:, None, :], locb.shape)
-        bprime = sp.coo_matrix((locb.ravel(), (prow.ravel(), pcol.ravel())),
-                               shape=(lay.N2, lay.N3)).tocsr()
+        locb = -np.einsum("tq,qp,qj->tpj", wa * co.ddivc * self.divu, lam, lam)
+        bprime = _scatter(locb, tri[:, :, None], tri[:, None, :],
+                          (lay.N2, lay.N3))
         return jac13, bprime
 
     def cost(self, spec: CostSpec):
         """(J_h, dJ/dY, dJ/dG) with the configured smoothed cutoff."""
-        lay, co, geom = self.layout, self.coeffs, self.geom
-        wa = self.wa
+        lay, loadc = self.layout, self.coeffs.loadc
         if spec.kind == DISSIPATED_ENERGY:
             e = 0.5 * (self.gu + np.swapaxes(self.gu, 2, 3))
             dens = np.einsum("tqcd,tqcd->tq", e, e)
-            gY = 2.0 * np.einsum("tq,tqcd,tqad->tca", wa * co.loadc, e,
-                                 geom["grads"])
+            gradY = self._velocity_rows(grad=2.0 * loadc[..., None, None] * e)
         else:
-            V, N1, T = lay.V, lay.N1, lay.T
-            yd = spec.target
-            if yd.shape != (2 * N1,):
+            if spec.target.shape != (2 * lay.N1,):
                 raise ConfigurationError("target field does not match layout")
-            ydl = np.stack([yd[:N1][lay.cell_dofs],
-                            yd[N1:][lay.cell_dofs]], axis=2)
-            ydq = np.einsum("qa,tac->tqc", geom["vals"], ydl)
-            diff = self.uq - ydq
+            diff = self.uq - _velocity_at_quad(lay, self.geom, spec.target)[0]
             dens = np.einsum("tqc,tqc->tq", diff, diff)
-            gY = 2.0 * np.einsum("tq,tqc,qa->tca", wa * co.loadc, diff,
-                                 geom["vals"])
-        value = float(np.sum(wa * co.loadc * dens))
-
-        gradY = np.zeros(2 * lay.N1)
-        idx = (np.arange(2)[None, :, None] * lay.N1
-               + lay.cell_dofs[:, None, :])
-        np.add.at(gradY, idx.ravel(), gY.ravel())
-
-        gradG = np.zeros(lay.N3)
-        gG = np.einsum("tq,qj->tj", wa * co.dloadc * dens, geom["lam"])
-        np.add.at(gradG, lay.mesh.triangles.ravel(), gG.ravel())
-        return value, gradY, gradG
+            gradY = self._velocity_rows(val=2.0 * loadc[..., None] * diff)
+        value = float(np.sum(self.wa * loadc * dens))
+        return value, gradY, self._hat_rows(self.coeffs.dloadc * dens)
 
 
 def constraint_residual(X: OptVector, layout, config) -> np.ndarray:
@@ -266,14 +311,7 @@ def constraint_residual(X: OptVector, layout, config) -> np.ndarray:
     Momentum rows carry identity Dirichlet replacement (homogeneous data);
     divergence rows are B(G) Y with the configured divergence form.
     """
-    return _Forms(X, layout, config).constraint(X)
-
-
-def _jacobian_from_forms(forms, layout):
-    jac13, bprime = forms.level_jacobian_blocks()
-    jac = sp.bmat([[forms.A + forms.C1 + forms.C2, forms.B.T, jac13],
-                   [forms.B, None, bprime]], format="csr")
-    return _replace_rows(jac, layout.dirichlet_dofs)
+    return _Forms(X, layout, config).constraint()
 
 
 def constraint_jacobian(X: OptVector, layout, config):
@@ -281,10 +319,16 @@ def constraint_jacobian(X: OptVector, layout, config):
 
     Velocity block A + C1 + C2, pressure block B^T, level block from the
     Heaviside chain rule through every coefficient.  Dirichlet rows are
-    identity in their velocity column and zero elsewhere.
+    identity in their velocity column and zero elsewhere.  The descent
+    never builds it; it applies its transpose with _Forms.adjoint.
     """
     forms = _Forms(X, layout, config)
-    return _jacobian_from_forms(forms, layout)
+    A, B = assemble_bilinear(layout, config, forms.g, forms.coeffs)
+    C1, C2 = assemble_trilinear(layout, config, forms.g, X.Y, forms.coeffs)
+    jac13, bprime = forms.level_jacobian_blocks()
+    jac = sp.bmat([[A + C1 + C2, B.T, jac13], [B, None, bprime]],
+                  format="csr")
+    return _replace_rows(jac, layout.dirichlet_dofs)
 
 
 def cost_and_gradient(X: OptVector, spec: CostSpec, layout, config):
@@ -299,7 +343,7 @@ def _penalized_value(X: OptVector, spec, rho, layout, config):
     # value-only path for line-search trials: no Jacobian assembly
     forms = _Forms(X, layout, config)
     cost = forms.cost(spec)
-    C = forms.constraint(X)
+    C = forms.constraint()
     return cost[0] + 0.5 * rho * float(C @ C), forms, cost, C
 
 
@@ -307,7 +351,7 @@ def _penalized_gradient(forms, cost, C, rho, layout):
     _, gradY, gradG = cost
     grad = np.concatenate([gradY, np.zeros(layout.N2), gradG])
     if rho > 0:
-        grad = grad + rho * (_jacobian_from_forms(forms, layout).T @ C)
+        grad = grad + rho * forms.adjoint(C)
     return grad
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +57,31 @@ def test_mesh_validation_rejects_flipped_triangle(unit_square_mesh):
         Mesh(unit_square_mesh.vertices, tri,
              unit_square_mesh.boundary_edges,
              unit_square_mesh.boundary_labels)
+
+
+def _corner(m, x, y):
+    return int(np.argmin(np.hypot(m.vertices[:, 0] - x, m.vertices[:, 1] - y)))
+
+
+@pytest.mark.parametrize("case", ["interior", "missing", "out-of-range"])
+def test_mesh_validation_names_bad_boundary_edge(unit_square_mesh, case):
+    m = unit_square_mesh
+    be = m.boundary_edges.copy()
+    if case == "interior":
+        on_boundary = {tuple(e) for e in np.sort(be, axis=1).tolist()}
+        bad = next(e for e in map(tuple, m.edges().tolist())
+                   if e not in on_boundary)
+        want = f"boundary edge {bad} belongs to 2 triangles, expected 1"
+    elif case == "missing":
+        # opposite corners of the square never share a triangle
+        bad = tuple(sorted((_corner(m, 0, 0), _corner(m, 1, 1))))
+        want = f"boundary edge {bad} belongs to 0 triangles, expected 1"
+    else:
+        bad = (0, m.num_vertices)
+        want = "boundary edge index out of range"
+    be[3] = bad[::-1]
+    with pytest.raises(MeshInvariantError, match=re.escape(want)):
+        Mesh(m.vertices, m.triangles, be, m.boundary_labels)
 
 
 def test_domain_spec_rejects_bad_rectangle():

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import penflow.topopt
 from penflow import (AssemblyConfig, ConfigurationError, CostSpec,
                      DISSIPATED_ENERGY, DomainSpec, IterateRecord, LevelField,
-                     OptConfig, OptVector, PENALIZED_B, TRACKING,
+                     OptConfig, OptVector, PENALIZED_B, PLAIN_B, TRACKING,
                      build_spaces, compose_disks, constraint_jacobian,
                      constraint_residual, cost_and_gradient, generate_mesh,
                      history_to_csv, obstacle_component_count, optimize,
                      penalized_value_and_gradient, solve_navier_stokes,
                      SolverError)
+from penflow import presets
+from penflow.fem import (assemble_bilinear, assemble_load,
+                         assemble_trilinear)
 from penflow.presets import shear_traction
 
 
@@ -37,9 +41,9 @@ def fd_setting():
     return lay, cfg
 
 
-def _random_admissible(lay, cfg, rng):
+def _random_admissible(lay, cfg, rng, level=None):
     mesh = lay.mesh
-    g0 = compose_disks([(0.5, 0.5)], [0.25], signed_distance=True)
+    g0 = level or compose_disks([(0.5, 0.5)], [0.25], signed_distance=True)
     G = g0(mesh.vertices) + 0.05 * rng.standard_normal(lay.N3)
     boundary = np.unique(mesh.boundary_edges.ravel())
     G[boundary] = -np.abs(G[boundary]) - 0.05
@@ -97,6 +101,71 @@ def test_penalized_gradient_matches_central_differences(fd_setting, rng,
             OptVector.from_vector(lay, xm), spec, rho, lay, cfg)
         fd = (vp - vm) / (2.0 * h)
         assert abs(fd - grad[i]) < 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.fixture(scope="module", params=["penalized", "plain", "test1"])
+def equivalence_setting(request, fd_setting):
+    """(layout, config, level) on which the matrix-free paths are checked."""
+    lay, cfg = fd_setting
+    if request.param == "penalized":
+        return lay, cfg, None
+    if request.param == "plain":
+        return lay, cfg.replace(divergence_form=PLAIN_B), None
+    problem = presets.test1_problem(h_mesh=0.08)
+    lay = build_spaces(generate_mesh(problem.domain_spec))
+    return lay, problem.config, problem.initial_level
+
+
+def _assembled_constraint(X, lay, cfg):
+    g = X.level_field()
+    A, B = assemble_bilinear(lay, cfg, g)
+    C1, _ = assemble_trilinear(lay, cfg, g, X.Y)
+    mom = A @ X.Y + C1 @ X.Y + B.T @ X.P - assemble_load(lay, cfg, g)
+    mom[lay.dirichlet_dofs] = X.Y[lay.dirichlet_dofs]
+    return np.concatenate([mom, B @ X.Y])
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_matrix_free_constraint_matches_assembled_forms(equivalence_setting,
+                                                        rng):
+    lay, cfg, level = equivalence_setting
+    X = _random_admissible(lay, cfg, rng, level)
+    C = constraint_residual(X, lay, cfg)
+    assert _relative_gap(C, _assembled_constraint(X, lay, cfg)) < 1e-12
+
+
+def test_adjoint_matches_assembled_jacobian_transpose(equivalence_setting,
+                                                      rng):
+    lay, cfg, level = equivalence_setting
+    X = _random_admissible(lay, cfg, rng, level)
+    J = constraint_jacobian(X, lay, cfg)
+    c = rng.standard_normal(lay.M)
+    adjoint = penflow.topopt._Forms(X, lay, cfg).adjoint(c)
+    assert _relative_gap(adjoint, J.T @ c) < 1e-12
+    # the penalized gradient carries rho jac^T C on top of grad J_h
+    spec, rho = CostSpec(DISSIPATED_ENERGY), 0.8
+    _, plain = penalized_value_and_gradient(X, spec, 0.0, lay, cfg)
+    _, penalized = penalized_value_and_gradient(X, spec, rho, lay, cfg)
+    want = rho * (J.T @ constraint_residual(X, lay, cfg))
+    assert _relative_gap(penalized - plain, want) < 1e-12
+
+
+def test_descent_values_assemble_no_matrix(fd_setting, rng, monkeypatch):
+    lay, cfg = fd_setting
+    X = _random_admissible(lay, cfg, rng)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the descent must not assemble a matrix")
+
+    for name in ("assemble_bilinear", "assemble_trilinear"):
+        monkeypatch.setattr(penflow.topopt, name, forbidden)
+    assert np.all(np.isfinite(constraint_residual(X, lay, cfg)))
+    value, grad = penalized_value_and_gradient(X, CostSpec(DISSIPATED_ENERGY),
+                                               0.8, lay, cfg)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 def test_dissipated_energy_of_linear_shear_is_exact(fd_setting):
