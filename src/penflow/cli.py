@@ -35,7 +35,8 @@ from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
 from .levelset import LevelField, SmoothingParams, domain_level_function
 from .mesh import (DomainSpec, boundary_flux, extract_submesh,
                    generate_mesh, mesh_to_text)
-from .ns_solver import solve_navier_stokes, solve_reference_flux_constrained
+from .ns_solver import (MixedState, solve_navier_stokes,
+                        solve_reference_flux_constrained)
 from .topopt import (CostSpec, OptConfig, DISSIPATED_ENERGY, TRACKING,
                      history_to_csv, optimize)
 
@@ -124,11 +125,13 @@ def _read_config_file(path):
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                        inline_comment_prefixes=("#",))
     parser.optionxform = str
-    with open(path, "r") as fh:
-        try:
+    try:
+        with open(path, "r") as fh:
             parser.read_file(fh, source=path)
-        except configparser.Error as exc:
-            raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
+    except OSError as exc:
+        raise OSError(f"cannot read config: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     sections = {}
     for sec in parser.sections():
         sections[sec] = dict(parser.items(sec))
@@ -453,27 +456,20 @@ class RunConfig:
         return domain_level_function(probe, signed_distance=signed_distance)
 
 
-def _velocity_vertex_field(layout, Y):
-    V, N1 = layout.V, layout.N1
-    return np.stack([Y[:V], Y[N1:N1 + V]], axis=1)
-
-
-def _flow_artifacts(rc, mesh, layout, state, report, extra_rows,
-                    level_values=None):
+def _flow_artifacts(rc, mesh, state, report, extra_rows, level_values=None):
     names = []
     scalars = {"pressure": state.P}
     if level_values is not None:
         scalars["level"] = level_values
+    vel = state.velocity_vertices
     write_vtk(os.path.join(rc.out_dir, "fields.vtk"), mesh, scalars,
-              {"velocity": _velocity_vertex_field(layout, state.Y)},
-              title="penflow flow fields")
+              {"velocity": vel}, title="penflow flow fields")
     names.append("fields.vtk")
 
     atomic_write_text(os.path.join(rc.out_dir, "mesh.txt"),
                       mesh_to_text(mesh))
     names.append("mesh.txt")
 
-    vel = _velocity_vertex_field(layout, state.Y)
     rows = [(f"flux_{label}", boundary_flux(mesh, vel, label))
             for label in mesh.labels()]
     rows.append(("divergence_l2", compute_norm(mesh, state.Y, kind="DivL2")))
@@ -497,8 +493,7 @@ def _run_solve_penalized(rc):
         level_values = g.nodal_values
     state, report = solve_navier_stokes(layout, rc.assembly, g,
                                         raise_on_failure=True)
-    return _flow_artifacts(rc, mesh, layout, state, report, [],
-                           level_values)
+    return _flow_artifacts(rc, mesh, state, report, [], level_values)
 
 
 def _run_solve_reference(rc):
@@ -508,7 +503,7 @@ def _run_solve_reference(rc):
         fluid, rc.assembly, raise_on_failure=True)
     extra = [(f"multiplier_{label}", value)
              for label, value in sorted(multipliers.items())]
-    return _flow_artifacts(rc, fluid, state.layout, state, report, extra)
+    return _flow_artifacts(rc, fluid, state, report, extra)
 
 
 def _run_error_study(rc):
@@ -572,7 +567,8 @@ def _run_optimize(rc):
         names.extend([stem + ".csv", stem + ".vtk"])
     write_vtk(os.path.join(rc.out_dir, "state.vtk"), mesh,
               {"pressure": final.P, "level": final.G},
-              {"velocity": _velocity_vertex_field(layout, final.Y)},
+              {"velocity": MixedState(layout, final.Y,
+                                      final.P).velocity_vertices},
               title="penflow final state")
     first, last = history[0], history[-1]
     decrease = 0.0
@@ -640,17 +636,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         rc = RunConfig.from_args(args)
-    except FileNotFoundError as exc:
-        print(f"penflow: cannot read config: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"penflow: I/O error: {exc}", file=sys.stderr)
-        return 4
-    except (ConfigurationError, GeometryError) as exc:
-        print(f"penflow: config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         names = run(args.command, rc)
     except NonconvergenceError as exc:
         print(f"penflow: solver failed: {exc}", file=sys.stderr)

@@ -301,13 +301,13 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     return A, B
 
 
-def _velocity_at_quad(layout, geom, Y):
-    """Velocity values (T,nq,2) and gradients (T,nq,2,2) of a DOF vector."""
-    N1 = layout.N1
-    yl = np.stack([Y[:N1][layout.cell_dofs], Y[N1:][layout.cell_dofs]], axis=2)
-    uq = geom["vals"] @ yl
+def _velocity_at_quad(vals, grads, cell_dofs, Y):
+    """Values (T,nq,2), gradients (T,nq,2,2) of Y on the cell_dofs triangles."""
+    N1 = len(Y) // 2
+    yl = np.stack([Y[:N1][cell_dofs], Y[N1:][cell_dofs]], axis=2)
+    uq = vals @ yl
     # gq[t,q,c,d] = d u_c / d x_d, from (T, q, d, a) @ (T, 1, a, c)
-    gq = np.swapaxes(np.swapaxes(geom["grads"], 2, 3) @ yl[:, None], 2, 3)
+    gq = np.swapaxes(np.swapaxes(grads, 2, 3) @ yl[:, None], 2, 3)
     return uq, gq
 
 
@@ -328,7 +328,7 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     N1 = layout.N1
     wa = w[None, :] * area[:, None] * coeffs.conv
 
-    uq, gu = _velocity_at_quad(layout, geom, Y)
+    uq, gu = _velocity_at_quad(vals, grads, dofs, Y)
 
     # P[t,b,a] = int conv (u . grad Na) Nb ; component-diagonal part
     udotg = np.einsum("tqc,tqac->tqa", uq, grads)
@@ -356,7 +356,7 @@ def convection_vector(layout: SpaceLayout, config: AssemblyConfig,
     """
     geom = layout.geometry(config.quadrature_order)
     wa = geom["weights"][None, :] * geom["area"][:, None] * coeffs.conv
-    uq, gu = _velocity_at_quad(layout, geom, Y)
+    uq, gu = _velocity_at_quad(geom["vals"], geom["grads"], layout.cell_dofs, Y)
     conv1 = np.einsum("tqd,tqcd->tqc", uq, gu)  # (u . grad) u
     udotg = np.einsum("tqd,tqad->tqa", uq, geom["grads"])  # u . grad Nb
     loc = 0.5 * (np.einsum("tq,tqc,qb->tcb", wa, conv1, geom["vals"])
@@ -367,41 +367,36 @@ def convection_vector(layout: SpaceLayout, config: AssemblyConfig,
 
 def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
                   coeffs: CoeffData = None):
-    """Assemble the load vector: smoothed body force plus Neumann traction."""
-    if coeffs is None:
-        coeffs = evaluate_coefficients(layout, config, g)
-    geom = layout.geometry(config.quadrature_order)
-    w, area = geom["weights"], geom["area"]
-    N1 = layout.N1
+    """Assemble the load vector: smoothed body force plus Neumann traction.
+
+    The traction part does not depend on g; without a body force neither
+    g nor coeffs is used.
+    """
+    mesh, N1 = layout.mesh, layout.N1
     F = np.zeros(2 * N1)
-
     if config.body_force is not None:
+        if coeffs is None:
+            coeffs = evaluate_coefficients(layout, config, g)
+        geom = layout.geometry(config.quadrature_order)
         fq = np.asarray(config.body_force(geom["xq"]), dtype=float)
-        wa = w[None, :] * area[:, None] * coeffs.loadc
+        wa = geom["weights"][None, :] * geom["area"][:, None] * coeffs.loadc
         floc = np.einsum("tq,tqc,qa->tca", wa, fq, geom["vals"])
-        idx = (np.arange(2)[None, :, None] * N1
-               + layout.cell_dofs[:, None, :])
-        np.add.at(F, idx.ravel(), floc.ravel())
-
-    if config.traction is not None:
-        mesh = layout.mesh
-        labels = set(s for s in mesh.boundary_labels)
-        if config.traction_label in labels:
-            edges = mesh.edges_with_label(config.traction_label)
-            pa = mesh.vertices[edges[:, 0]]
-            pb = mesh.vertices[edges[:, 1]]
-            elen = np.hypot(*(pb - pa).T)
-            tg, twg = _EDGE_RULE
-            s = 0.5 * (tg + 1.0)
-            ws = 0.5 * twg
-            for k in range(len(s)):
-                x = pa + s[k] * (pb - pa)
-                psi = np.asarray(config.traction(x), dtype=float)
-                coefa = ws[k] * elen * (1.0 - s[k])
-                coefb = ws[k] * elen * s[k]
-                for c in range(2):
-                    np.add.at(F, c * N1 + edges[:, 0], coefa * psi[:, c])
-                    np.add.at(F, c * N1 + edges[:, 1], coefb * psi[:, c])
+        idx = np.arange(2)[None, :, None] * N1 + layout.cell_dofs[:, None, :]
+        F += np.bincount(idx.ravel(), floc.ravel(), minlength=len(F))
+    if config.traction is not None and config.traction_label in mesh.labels():
+        edges = mesh.edges_with_label(config.traction_label)
+        pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+        elen = np.hypot(*(pb - pa).T)
+        s, ws = 0.5 * (_EDGE_RULE[0] + 1.0), 0.5 * _EDGE_RULE[1]
+        # psi[k, c, e] at Gauss point k; each end gets its hat's share
+        psi = np.stack([np.asarray(config.traction(pa + sk * (pb - pa)),
+                                   dtype=float).T for sk in s])
+        ends = np.stack([1.0 - s, s], axis=1)[:, :, None]
+        data = ((ws[:, None] * elen)[:, None, :] * ends)[:, None] \
+            * psi[:, :, None, :]  # (k, c, end, e)
+        idx = np.arange(2)[:, None, None] * N1 + edges.T[None]
+        F += np.bincount(np.broadcast_to(idx, data.shape).ravel(),
+                         data.ravel(), minlength=len(F))
     return F
 
 
@@ -456,14 +451,11 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
 
     if arr.size != 2 * (V + T):
         raise ConfigurationError("field length matches neither space")
-    N1 = V + T
-    cell_dofs = np.column_stack([tris, V + tri_idx])
-    yl = np.stack([arr[:N1][cell_dofs], arr[N1:][cell_dofs]], axis=2)
+    uq, gq = _velocity_at_quad(vals, grads,
+                               np.column_stack([tris, V + tri_idx]), arr)
     if kind in ("L2", "H1"):
-        uq = np.einsum("qa,tac->tqc", vals, yl)
         l2sq = float(np.sum(wa * np.einsum("tqc,tqc->tq", uq, uq)))
     if kind in ("H1seminorm", "H1", "DivL2"):
-        gq = np.einsum("tqad,tac->tqcd", grads, yl)
         if kind == "DivL2":
             div = gq[:, :, 0, 0] + gq[:, :, 1, 1]
             return np.sqrt(float(np.sum(wa * div ** 2)))

@@ -177,7 +177,10 @@ class _Forms:
         geom = layout.geometry(config.quadrature_order)
         self.geom = geom
         self.wa = geom["weights"][None, :] * geom["area"][:, None]
-        self.uq, self.gu = _velocity_at_quad(layout, geom, X.Y)
+        self.uq, self.gu = _velocity_at_quad(geom["vals"], geom["grads"],
+                                             layout.cell_dofs, X.Y)
+        self.fq = None if config.body_force is None else np.asarray(
+            config.body_force(geom["xq"]), dtype=float)
         self.pq = np.einsum("qk,tk->tq", geom["lam"],
                             X.P[layout.mesh.triangles])
         self.divu = self.gu[:, :, 0, 0] + self.gu[:, :, 1, 1]
@@ -203,20 +206,22 @@ class _Forms:
         return np.bincount(self.layout.mesh.triangles.ravel(), loc.ravel(),
                            minlength=self.layout.V)
 
-    def constraint(self):
+    def constraint(self, traction):
         """C(X): momentum rows (Dirichlet rows replaced), then divergence rows.
 
         Momentum tested with N_a e_c is visc grad u : grad N_a + mass u N_a
-        + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a - F.
+        + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a
+        - loadc f N_a, minus the traction load (the level-free part of F).
         """
         lay, co, uq = self.layout, self.coeffs, self.uq
         val = co.mass[..., None] * uq + 0.5 * co.conv[..., None] * self.conv1
+        if self.fq is not None:
+            val -= co.loadc[..., None] * self.fq
         grad = (co.visc[..., None, None] * self.gu
                 - 0.5 * co.conv[..., None, None] * uq[..., :, None]
                 * uq[..., None, :]
                 - (co.divc * self.pq)[..., None, None] * np.eye(2))
-        mom = self._velocity_rows(val, grad) - assemble_load(
-            lay, self.config, self.g, co)
+        mom = self._velocity_rows(val, grad) - traction
         dirs = lay.dirichlet_dofs
         mom[dirs] = self.Y[dirs]
         return np.concatenate([mom, self._hat_rows(-co.divc * self.divu)])
@@ -233,7 +238,7 @@ class _Forms:
         dirs, m = lay.dirichlet_dofs, 2 * lay.N1
         w = c[:m].copy()
         w[dirs] = 0.0
-        wq, gw = _velocity_at_quad(lay, geom, w)
+        wq, gw = _velocity_at_quad(geom["vals"], geom["grads"], lay.cell_dofs, w)
         qq = np.einsum("qk,tk->tq", geom["lam"], c[m:][lay.mesh.triangles])
         divw = gw[:, :, 0, 0] + gw[:, :, 1, 1]
         ugw = np.einsum("tqd,tqcd->tqc", uq, gw)  # (u.grad)w
@@ -252,9 +257,8 @@ class _Forms:
              + co.dmass * np.sum(uq * wq, axis=2)
              + 0.5 * co.dconv * np.sum(self.conv1 * wq - ugw * uq, axis=2)
              - co.ddivc * (self.pq * divw + qq * self.divu))
-        if self.config.body_force is not None:
-            fq = np.asarray(self.config.body_force(geom["xq"]), dtype=float)
-            s -= co.dloadc * np.einsum("tqc,tqc->tq", fq, wq)
+        if self.fq is not None:
+            s -= co.dloadc * np.einsum("tqc,tqc->tq", self.fq, wq)
         return np.concatenate([gy, self._hat_rows(-co.divc * divw),
                                self._hat_rows(s)])
 
@@ -273,9 +277,8 @@ class _Forms:
         loc -= 0.5 * np.einsum("tq,tqa,tqc,qj->tcaj", wa * co.dconv, udotg,
                                uq, lam)
         loc -= np.einsum("tq,tqac,qj->tcaj", wa * co.ddivc * pq, grads, lam)
-        if self.config.body_force is not None:
-            fq = np.asarray(self.config.body_force(geom["xq"]), dtype=float)
-            loc -= np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dloadc, fq,
+        if self.fq is not None:
+            loc -= np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dloadc, self.fq,
                              vals, lam)
 
         tri = lay.mesh.triangles
@@ -298,7 +301,9 @@ class _Forms:
         else:
             if spec.target.shape != (2 * lay.N1,):
                 raise ConfigurationError("target field does not match layout")
-            diff = self.uq - _velocity_at_quad(lay, self.geom, spec.target)[0]
+            diff = self.uq - _velocity_at_quad(
+                self.geom["vals"], self.geom["grads"], lay.cell_dofs,
+                spec.target)[0]
             dens = np.einsum("tqc,tqc->tq", diff, diff)
             gradY = self._velocity_rows(val=2.0 * loadc[..., None] * diff)
         value = float(np.sum(self.wa * loadc * dens))
@@ -311,7 +316,7 @@ def constraint_residual(X: OptVector, layout, config) -> np.ndarray:
     Momentum rows carry identity Dirichlet replacement (homogeneous data);
     divergence rows are B(G) Y with the configured divergence form.
     """
-    return _Forms(X, layout, config).constraint()
+    return _Forms(X, layout, config).constraint(_traction(layout, config))
 
 
 def constraint_jacobian(X: OptVector, layout, config):
@@ -339,11 +344,16 @@ def cost_and_gradient(X: OptVector, spec: CostSpec, layout, config):
     return value, grad
 
 
-def _penalized_value(X: OptVector, spec, rho, layout, config):
+def _traction(layout, config):
+    """The load without its body force, which no level field changes."""
+    return assemble_load(layout, config.replace(body_force=None), None)
+
+
+def _penalized_value(X: OptVector, spec, rho, layout, config, traction):
     # value-only path for line-search trials: no Jacobian assembly
     forms = _Forms(X, layout, config)
     cost = forms.cost(spec)
-    C = forms.constraint()
+    C = forms.constraint(traction)
     return cost[0] + 0.5 * rho * float(C @ C), forms, cost, C
 
 
@@ -360,7 +370,8 @@ def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
     """J_rho = J_h + (rho/2) C^T C and its gradient grad J_h + rho jac^T C."""
     if rho < 0:
         raise ConfigurationError("penalty weight must be nonnegative")
-    value, forms, cost, C = _penalized_value(X, spec, rho, layout, config)
+    value, forms, cost, C = _penalized_value(X, spec, rho, layout, config,
+                                             _traction(layout, config))
     return value, _penalized_gradient(forms, cost, C, rho, layout)
 
 
@@ -404,8 +415,9 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             bool(np.all(G[np.unique(mesh.boundary_edges.ravel())] < 0.0)),
             j_h))
 
+    traction = _traction(layout, config)  # fixed for the whole descent
     j_rho, forms0, cost0, C0 = _penalized_value(X, spec, opt.rho, layout,
-                                                config)
+                                                config, traction)
     if not np.isfinite(j_rho):
         raise SolverError("non-finite penalized cost at the initial point")
     direction = -_penalized_gradient(forms0, cost0, C0, opt.rho, layout)
@@ -432,7 +444,7 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             Xn = OptVector.from_vector(layout,
                                        X.as_vector() + trial * direction)
             j_new, forms_n, cost_n, C_n = _penalized_value(
-                Xn, spec, opt.rho, layout, config)
+                Xn, spec, opt.rho, layout, config, traction)
             if np.isfinite(j_new) and \
                     j_new <= j_rho - opt.armijo_c * trial * gn2:
                 accepted = True

@@ -14,7 +14,8 @@ import penflow.cli as cli
 from penflow.artifacts import MANIFEST_NAME, verify_manifest
 from penflow.cli import (_parse_monomials, _parse_shapes, _polynomial_field,
                          main, preset_sections)
-from penflow.errors import ConfigurationError, NonconvergenceError
+from penflow.errors import (ConfigurationError, GenerationError,
+                            NonconvergenceError)
 from penflow.ns_solver import NewtonReport
 
 
@@ -151,6 +152,45 @@ def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
     assert blob["converged"] is False
     assert blob["iterations"] == 7
     assert blob["residual_norms"] == [1.0, 3.5]
+
+
+# outcome of each failure class: (exit code, text on stderr)
+_FAILURES = {
+    # a GeometryError while the config is parsed ...
+    "obstacle-touches-boundary": (2, "strictly inside the outer boundary"),
+    # ... and one from the mesh generator
+    "obstacles-overlap": (2, "obstacles 1 and 2 overlap"),
+    "generation-error": (2, "cannot recover required edges"),
+    "undecodable-config": (2, "cannot parse"),
+    "unwritable-out": (4, "I/O error"),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("failure", list(_FAILURES))
+def test_failure_maps_to_exit_code(failure, command, tmp_path, monkeypatch,
+                                   capsys):
+    obstacles = {"obstacle-touches-boundary": "disk 0.85 0.5 0.2",
+                 "obstacles-overlap": "disk 0.4 0.5 0.15; disk 0.6 0.5 0.15"}
+    text = BOX_FLOW.replace(
+        "h_mesh = 0.2", "h_mesh = 0.2\nobstacles = "
+        + obstacles.get(failure, "disk 0.5 0.5 0.2"))
+    text += "[study]\nvalues = 0.1 0.05\n[descent]\nrho = 0.5\nmax_iter = 1\n"
+    cfg = _write(tmp_path, "run.ini", text)
+    out = tmp_path / "out"
+    if failure == "generation-error":
+        def fail(*args, **kwargs):
+            raise GenerationError("cannot recover required edges [(0, 1)]")
+        monkeypatch.setattr("penflow.mesh._conforming_delaunay", fail)
+    elif failure == "undecodable-config":
+        (tmp_path / "run.ini").write_bytes(text.encode() + b"# \xff\n")
+    elif failure == "unwritable-out":
+        out.write_text("a file, not a directory")
+        out = out / "sub"
+    code, message = _FAILURES[failure]
+    assert main([command, "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("penflow: ") and message in err
 
 
 # ------------------------------------------------------------- solves

@@ -288,6 +288,65 @@ def test_norm_restricted_to_region(square_disk_conforming):
     assert abs(hole_area - np.pi * 0.04) < 2e-3
 
 
+@pytest.mark.parametrize("kind", ["L2", "H1seminorm", "H1", "DivL2"])
+@pytest.mark.parametrize("region", ["all", "Obstacle", "every-third"])
+def test_velocity_norms_match_einsum_interpolation(kind, region, rng,
+                                                   square_disk_conforming):
+    full, _ = square_disk_conforming
+    V, T = full.num_vertices, full.num_triangles
+    tri_idx = {"all": np.arange(T), "every-third": np.arange(0, T, 3),
+               "Obstacle": full.triangles_in_region("Obstacle")}[region]
+    Y = rng.standard_normal(2 * (V + T))
+    got = compute_norm(full, Y, {"all": None, "Obstacle": "Obstacle"}.get(
+        region, tri_idx), kind)
+    # the plain einsum interpolation the batched products replaced
+    lay = build_spaces(full)
+    geom = lay.geometry(7)
+    wa = geom["weights"][None, :] * geom["area"][tri_idx, None]
+    cells = lay.cell_dofs[tri_idx]
+    yl = np.stack([Y[:V + T][cells], Y[V + T:][cells]], axis=2)
+    uq = np.einsum("qa,tac->tqc", geom["vals"], yl)
+    gq = np.einsum("tqad,tac->tqcd", geom["grads"][tri_idx], yl)
+    div = gq[:, :, 0, 0] + gq[:, :, 1, 1]
+    l2sq = np.sum(wa * np.einsum("tqc,tqc->tq", uq, uq))
+    h1sq = np.sum(wa * np.einsum("tqcd,tqcd->tq", gq, gq))
+    want = {"L2": l2sq, "H1seminorm": h1sq, "H1": l2sq + h1sq,
+            "DivL2": np.sum(wa * div ** 2)}[kind] ** 0.5
+    assert abs(got - want) <= 1e-14 * want
+
+
+def test_load_matches_per_edge_scatter(flow_cell_coarse_layout):
+    lay = flow_cell_coarse_layout
+    mesh = lay.mesh
+    g = LevelField.interpolate(mesh, compose_disks([(0.5, 0.25)], [0.15]))
+
+    def force(x):
+        return np.stack([np.sin(3.0 * x[..., 0]), x[..., 1] ** 2], axis=-1)
+
+    cfg = AssemblyConfig(traction=force, body_force=force)
+    # reference: the body force per element, the traction per edge and point
+    geom = lay.geometry(cfg.quadrature_order)
+    co = evaluate_coefficients(lay, cfg, g)
+    wa = geom["weights"][None, :] * geom["area"][:, None] * co.loadc
+    floc = np.einsum("tq,tqc,qa->tca", wa, force(geom["xq"]), geom["vals"])
+    want = np.zeros(2 * lay.N1)
+    idx = np.arange(2)[None, :, None] * lay.N1 + lay.cell_dofs[:, None, :]
+    np.add.at(want, idx.ravel(), floc.ravel())
+    edges = mesh.edges_with_label(cfg.traction_label)
+    pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    elen = np.hypot(*(pb - pa).T)
+    t, tw = np.polynomial.legendre.leggauss(3)
+    for s, ws in zip(0.5 * (t + 1.0), 0.5 * tw):
+        psi = force(pa + s * (pb - pa))
+        for c in range(2):
+            np.add.at(want, c * lay.N1 + edges[:, 0],
+                      ws * elen * (1.0 - s) * psi[:, c])
+            np.add.at(want, c * lay.N1 + edges[:, 1],
+                      ws * elen * s * psi[:, c])
+    got = assemble_load(lay, cfg, g)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_assembly_config_validation():
     with pytest.raises(ConfigurationError):
         AssemblyConfig(nu=0.0)

@@ -181,20 +181,37 @@ def _cavity_system():
     return sysm, sysm.jacobian(Y)
 
 
+def _small_eps_system(layout, eps):
+    """The sec31 Jacobian at a converged Newton state with a small eps."""
+    g = LevelField.interpolate(layout.mesh, sec31_level())
+    cfg = sec31_assembly(eps=eps)
+    sysm = _System(layout, cfg, g)
+    state, _ = solve_navier_stokes(layout, cfg, g, raise_on_failure=True)
+    return sysm, sysm.jacobian(state.Y)
+
+
 @pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
-                                  "pinned-cavity"])
+                                  "pinned-cavity", "eps=1e-3", "eps=1e-6"])
 def test_condensed_solve_matches_full_spsolve(case, sec31_newton,
+                                              flow_cell_coarse_layout,
                                               square_disk_conforming, rng):
     if case == "sec31-jacobian":
         sysm, _, K = sec31_newton
     elif case == "flux-reference":
         sysm, K = _reference_system(square_disk_conforming)
-    else:
+    elif case == "pinned-cavity":
         sysm, K = _cavity_system()
+    else:
+        sysm, K = _small_eps_system(flow_cell_coarse_layout, float(case[4:]))
     rhs = rng.standard_normal(K.shape[0])
-    want = spla.spsolve(K, rhs)
     got = sysm.solve(K, rhs)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # normwise backward error, which does not grow with cond(K)
+    scale = abs(K).sum(axis=1).max() * np.abs(got).max() + np.abs(rhs).max()
+    assert np.abs(K @ got - rhs).max() <= 1e-14 * scale
+    if not case.startswith("eps="):
+        # small eps makes K ill-conditioned; elsewhere compare forward
+        want = spla.spsolve(K, rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_bubble_block_stays_per_triangle(sec31_newton):
@@ -217,6 +234,16 @@ def test_singular_bubble_block_raises_solver_error(sec31_newton, bad):
         sysm.solve(K.tocsc(), np.ones(K.shape[0]))
 
 
+def test_singular_saddle_system_raises_solver_error(sec31_newton):
+    sysm, _, K = sec31_newton
+    lay = sysm.layout
+    free = np.setdiff1d(np.arange(lay.V), lay.dirichlet_vertices)
+    K = K.tolil()
+    K[free[0], :] = 0.0  # a vertex x-velocity row: the factor is singular
+    with pytest.raises(SolverError, match="singular saddle system"):
+        sysm.solve(K.tocsc(), np.ones(K.shape[0]))
+
+
 def test_convection_vector_matches_matrix_product(sec31_newton):
     sysm, Y, _ = sec31_newton
     lay, cfg, g, co = sysm.layout, sysm.config, sysm.g, sysm.coeffs
@@ -225,7 +252,7 @@ def test_convection_vector_matches_matrix_product(sec31_newton):
     # bound each entry by the sum of its quadrature terms' magnitudes
     geom = lay.geometry(cfg.quadrature_order)
     wa = geom["weights"][None, :] * geom["area"][:, None] * np.abs(co.conv)
-    uq, gu = _velocity_at_quad(lay, geom, Y)
+    uq, gu = _velocity_at_quad(geom["vals"], geom["grads"], lay.cell_dofs, Y)
     ugu = np.abs(np.einsum("tqd,tqcd->tqc", uq, gu))
     ugn = np.abs(np.einsum("tqd,tqad->tqa", uq, geom["grads"]))
     loc = (np.einsum("tq,tqc,qb->tcb", wa, ugu, np.abs(geom["vals"]))
