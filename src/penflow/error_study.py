@@ -4,7 +4,9 @@ Each data point solves both problems on the same obstacle-conforming mesh,
 restricts the penalized solution to the fluid submesh (exact, no
 interpolation), and records relative errors there.  Sweeps vary either the
 penalization parameter on a fixed mesh or the mesh size at fixed
-penalization.
+penalization.  What does not depend on the penalization is computed once
+per mesh: the reference solve (it uses eps 0), its L2, H1-seminorm and
+pressure norms, the full-mesh layout and the obstacle coefficients.
 """
 
 import numpy as np
@@ -80,57 +82,56 @@ def restrict_state(full_layout, sub_mesh, Y, P=None):
     submeshes.  Returns Y_sub or (Y_sub, P_sub).
     """
     pv = sub_mesh.parent_vertex_ids
-    pt = sub_mesh.parent_triangle_ids
-    N1, V = full_layout.N1, full_layout.V
-    Vs, Ts = len(pv), len(pt)
-    N1s = Vs + Ts
-    Ys = np.empty(2 * N1s)
-    for c in range(2):
-        comp = Y[c * N1:(c + 1) * N1]
-        Ys[c * N1s:c * N1s + Vs] = comp[pv]
-        Ys[c * N1s + Vs:(c + 1) * N1s] = comp[V + pt]
+    # per component: the parent vertices, then the parent triangles' bubbles
+    idx = np.concatenate([pv, full_layout.V + sub_mesh.parent_triangle_ids])
+    Ys = np.concatenate([Y[idx], Y[full_layout.N1 + idx]])
     if P is None:
         return Ys
     return Ys, P[pv]
 
 
-def _one_point(mesh, sub, base, eps):
-    point_cfg = base.config.replace(eps=eps)
-    ref_cfg = base.config.replace(eps=0.0)
+class _MeshReference:
+    """The eps-free part of every sweep point on one mesh: fluid submesh,
+    reference solve (eps 0) and its norms, layout, obstacle coefficients."""
 
-    ref, _, ref_report = solve_reference_flux_constrained(
-        sub, ref_cfg, dirichlet=base.dirichlet, raise_on_failure=True)
+    def __init__(self, mesh, base):
+        self.mesh, self.sub = mesh, extract_submesh(mesh, FLUID)
+        self.ref, _, _ = solve_reference_flux_constrained(
+            self.sub, base.config.replace(eps=0.0), dirichlet=base.dirichlet,
+            raise_on_failure=True)
+        ref = self.ref
+        self.norms = [compute_norm(self.sub, v, kind=k) for v, k in (
+            (ref.Y, "L2"), (ref.Y, "H1seminorm"), (ref.P, "L2"))]
+        self.layout = build_spaces(mesh)
+        self.g = EXACT_REGION if base.coefficient_mode == EXACT_REGION else \
+            LevelField.interpolate(mesh,
+                                   domain_level_function(base.domain_spec))
 
-    layout = build_spaces(mesh)
-    if base.coefficient_mode == EXACT_REGION:
-        g = EXACT_REGION
-    else:
-        g = LevelField.interpolate(mesh, domain_level_function(base.domain_spec))
+
+def _one_point(mr: _MeshReference, base, eps):
     state, report = solve_navier_stokes(
-        layout, point_cfg, g, dirichlet=base.dirichlet,
-        raise_on_failure=True)
-
-    Ys, Ps = restrict_state(layout, sub, state.Y, state.P)
+        mr.layout, base.config.replace(eps=eps), mr.g,
+        dirichlet=base.dirichlet, raise_on_failure=True)
+    sub, ref, (ref_l2, ref_h1, ref_p) = mr.sub, mr.ref, mr.norms
+    Ys, Ps = restrict_state(mr.layout, sub, state.Y, state.P)
     dY = Ys - ref.Y
-    ref_l2 = compute_norm(sub, ref.Y, kind="L2")
-    ref_h1 = compute_norm(sub, ref.Y, kind="H1seminorm")
     l2_rel = compute_norm(sub, dY, kind="L2") / ref_l2
     h1_rel = compute_norm(sub, dY, kind="H1seminorm") / ref_h1
     div_omega = compute_norm(sub, Ys, kind="DivL2")
-    ref_p = compute_norm(sub, ref.P, kind="L2")
     p_rel = compute_norm(sub, Ps - ref.P, kind="L2") / ref_p if ref_p > 0 else 0.0
-    return ErrorRecord(eps, mesh.mean_edge_length, l2_rel, h1_rel,
-                       div_omega, report.iterations, p_rel), ref_report
+    return ErrorRecord(eps, mr.mesh.mean_edge_length, l2_rel, h1_rel,
+                       div_omega, report.iterations, p_rel)
 
 
 def run_sweep(kind, values, base: SweepBase):
     """Run an accuracy sweep; one ErrorRecord per value, in input order.
 
-    kind "epsilon": values are penalization parameters, one shared
-    conforming mesh.  kind "mesh": values are target mesh sizes, eps fixed
-    from base.config.  A PenflowError from a point's solves propagates as
-    the same exception (a NonconvergenceError keeps its Newton report) with
-    the point prefixed to its message, e.g. "sweep point h=0.05: ...".
+    kind "epsilon": values are penalization parameters on one shared
+    conforming mesh, whose reference is computed once, at the first point.
+    kind "mesh": values are target mesh sizes, eps fixed from base.config.
+    A PenflowError from a point's solves propagates as the same exception
+    (a NonconvergenceError keeps its Newton report) with the point prefixed
+    to its message, e.g. "sweep point h=0.05: ...".
     """
     if kind not in (EPSILON_SWEEP, MESH_SWEEP):
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
@@ -139,22 +140,20 @@ def run_sweep(kind, values, base: SweepBase):
         raise ConfigurationError("sweep needs at least one value")
     if kind == EPSILON_SWEEP:
         mesh = generate_mesh(base.domain_spec, conform_to_obstacles=True)
-        sub = extract_submesh(mesh, FLUID)
-    records = []
+    records, mr = [], None
     for value in values:
         if kind == EPSILON_SWEEP:
             name, eps = "epsilon", float(value)
         else:
-            name, eps = "h", base.config.eps
+            name, eps, mr = "h", base.config.eps, None
             spec = base.domain_spec.with_mesh_size(float(value))
             mesh = generate_mesh(spec, conform_to_obstacles=True)
-            sub = extract_submesh(mesh, FLUID)
         try:
-            rec, _ = _one_point(mesh, sub, base, eps)
+            mr = mr or _MeshReference(mesh, base)
+            records.append(_one_point(mr, base, eps))
         except PenflowError as exc:
             exc.args = (f"sweep point {name}={value}: {exc}",) + exc.args[1:]
             raise
-        records.append(rec)
     return records
 
 

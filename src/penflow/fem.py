@@ -105,6 +105,7 @@ class SpaceLayout:
         geom = {
             "lam": lam, "weights": wts, "area": area, "hat_grads": gl,
             "vals": vals, "grads": grads, "xq": xq,
+            "wa": wts[None, :] * area[:, None],  # (T, nq) integration weights
         }
         self._geom[key] = geom
         return geom
@@ -282,12 +283,10 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
     geom = layout.geometry(config.quadrature_order)
-    w, area = geom["weights"], geom["area"]
-    vals, grads = geom["vals"], geom["grads"]
+    wa, vals, grads = geom["wa"], geom["vals"], geom["grads"]
     dofs = layout.cell_dofs
     N1, N2 = layout.N1, layout.N2
 
-    wa = w[None, :] * area[:, None]  # (T,nq)
     kloc = np.einsum("tq,tqad,tqbd->tab", wa * coeffs.visc, grads, grads)
     kloc += np.einsum("tq,qa,qb->tab", wa * coeffs.mass, vals, vals)
     a_scalar = _scatter(kloc, dofs[:, :, None], dofs[:, None, :], (N1, N1))
@@ -322,11 +321,10 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
     geom = layout.geometry(config.quadrature_order)
-    w, area = geom["weights"], geom["area"]
     vals, grads = geom["vals"], geom["grads"]
     dofs = layout.cell_dofs
     N1 = layout.N1
-    wa = w[None, :] * area[:, None] * coeffs.conv
+    wa = geom["wa"] * coeffs.conv
 
     uq, gu = _velocity_at_quad(vals, grads, dofs, Y)
 
@@ -348,21 +346,66 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     return C1, C2
 
 
-def convection_vector(layout: SpaceLayout, config: AssemblyConfig,
-                      coeffs: CoeffData, Y):
-    """C1(Y) @ Y of assemble_trilinear as a vector, without C1 or C2.
-
-    Per quadrature point it is 0.5 conv ((u . grad) u_c Nb - (u . grad Nb) u_c).
-    """
-    geom = layout.geometry(config.quadrature_order)
-    wa = geom["weights"][None, :] * geom["area"][:, None] * coeffs.conv
+def _flow_at_quad(layout: SpaceLayout, geom, Y, P):
+    """Velocity values and gradients and the P1 pressure at geom's points."""
     uq, gu = _velocity_at_quad(geom["vals"], geom["grads"], layout.cell_dofs, Y)
-    conv1 = np.einsum("tqd,tqcd->tqc", uq, gu)  # (u . grad) u
-    udotg = np.einsum("tqd,tqad->tqa", uq, geom["grads"])  # u . grad Nb
-    loc = 0.5 * (np.einsum("tq,tqc,qb->tcb", wa, conv1, geom["vals"])
-                 - np.einsum("tq,tqb,tqc->tcb", wa, udotg, uq))
+    pq = np.einsum("qk,tk->tq", geom["lam"], P[layout.mesh.triangles])
+    return uq, gu, pq
+
+
+def _velocity_rows(layout: SpaceLayout, geom, val=None, grad=None):
+    """sum_q wa (val_c N_a + grad_cd d_d N_a) for every velocity DOF (c, a)."""
+    wa = geom["wa"][..., None]
+    # batched products (T, c, q) @ (q, a) and (T, c, qd) @ (T, qd, a)
+    loc = np.zeros((layout.T, 2, 4))
+    if val is not None:
+        loc += np.swapaxes(wa * val, 1, 2) @ geom["vals"]
+    if grad is not None:
+        g = (wa[..., None] * grad).transpose(0, 2, 1, 3)
+        loc += g.reshape(layout.T, 2, -1) @ geom["grads"].transpose(
+            0, 1, 3, 2).reshape(layout.T, -1, 4)
     idx = np.arange(2)[None, :, None] * layout.N1 + layout.cell_dofs[:, None, :]
     return np.bincount(idx.ravel(), loc.ravel(), minlength=2 * layout.N1)
+
+
+def _hat_rows(layout: SpaceLayout, geom, s):
+    """sum_q wa s lam_j for every P1 DOF j."""
+    loc = (geom["wa"] * s) @ geom["lam"]
+    return np.bincount(layout.mesh.triangles.ravel(), loc.ravel(),
+                       minlength=layout.V)
+
+
+def _momentum_integrand(co: CoeffData, uq, gu, pq, fq):
+    """Quadrature-point (val, grad) of the momentum rows, for _velocity_rows.
+
+    Tested with N_a e_c they give visc grad u : grad N_a + mass u N_a
+    + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a, minus
+    loadc f N_a when body force values fq are given.  With the level
+    derivatives in place of the coefficients they give the level derivative.
+    """
+    hc = 0.5 * co.conv[..., None]
+    val = co.mass[..., None] * uq + hc * np.einsum("tqd,tqcd->tqc", uq, gu)
+    if fq is not None:
+        val -= co.loadc[..., None] * fq
+    grad = co.visc[..., None, None] * gu - np.einsum("tqc,tqd->tqcd",
+                                                     hc * uq, uq)
+    dp = co.divc * pq  # the pressure term, on the diagonal
+    grad[..., 0, 0] -= dp
+    grad[..., 1, 1] -= dp
+    return val, grad
+
+
+def _flow_rows(layout: SpaceLayout, geom, coeffs: CoeffData, uq, gu, pq, fq,
+               load):
+    """(A Y + C1(Y) Y + B^T P - load, B Y) summed per element, no matrix.
+
+    The divergence row of hat j is -divc div u lam_j; boundary rows are left
+    to the caller.
+    """
+    divu = gu[:, :, 0, 0] + gu[:, :, 1, 1]
+    return (_velocity_rows(layout, geom,
+                           *_momentum_integrand(coeffs, uq, gu, pq, fq)) - load,
+            _hat_rows(layout, geom, -coeffs.divc * divu))
 
 
 def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
@@ -379,10 +422,7 @@ def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
             coeffs = evaluate_coefficients(layout, config, g)
         geom = layout.geometry(config.quadrature_order)
         fq = np.asarray(config.body_force(geom["xq"]), dtype=float)
-        wa = geom["weights"][None, :] * geom["area"][:, None] * coeffs.loadc
-        floc = np.einsum("tq,tqc,qa->tca", wa, fq, geom["vals"])
-        idx = np.arange(2)[None, :, None] * N1 + layout.cell_dofs[:, None, :]
-        F += np.bincount(idx.ravel(), floc.ravel(), minlength=len(F))
+        F += _velocity_rows(layout, geom, val=coeffs.loadc[..., None] * fq)
     if config.traction is not None and config.traction_label in mesh.labels():
         edges = mesh.edges_with_label(config.traction_label)
         pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]

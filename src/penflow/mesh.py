@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import (
+    ConfigurationError,
     EmptyRegionError,
     GenerationError,
     GeometryError,
@@ -692,9 +693,7 @@ def _vertex_velocity(mesh, velocity):
     n1 = v + t
     if arr.ndim == 1 and arr.size == 2 * n1:
         return np.column_stack([arr[:v], arr[n1:n1 + v]])
-    if arr.ndim == 1 and arr.size == 2 * v:
-        return arr.reshape(v, 2)
-    raise ValueError("velocity shape not understood for this mesh")
+    raise ConfigurationError("velocity shape not understood for this mesh")
 
 
 # ==================================================================== I/O

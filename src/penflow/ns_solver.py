@@ -5,10 +5,13 @@ stationary Navier-Stokes system with smoothed obstacle penalization, and a
 body-fitted reference solver that enforces zero net flux through each
 obstacle boundary with one Lagrange multiplier per loop.  Dirichlet
 velocity rows are imposed by row replacement; the Neumann side carries the
-traction from the assembly config.  Every linear solve condenses the
-per-triangle bubble unknowns out first (their block is 2x2 block-diagonal)
-and factors only the vertex-velocity, pressure and multiplier system.  That
-complement is structurally symmetric, so SuperLU factors it in symmetric mode
+traction from the assembly config.  The Newton residual adds only the
+Dirichlet, flux and multiplier rows to fem._flow_rows, the per-element
+kernel that gives the descent constraint C(X) in topopt too.  Every linear
+solve condenses the per-triangle bubble unknowns out first (their block is
+2x2 block-diagonal) and factors only the vertex-velocity, pressure and
+multiplier system.  That complement is structurally symmetric, so SuperLU
+factors it in symmetric mode
 (minimum-degree ordering of A + A^T, diagonal pivots unless below 1e-3 of
 their column; a larger threshold pivots off the diagonal and multiplies fill).
 """
@@ -20,9 +23,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonconvergenceError, SolverError
-from .fem import (AssemblyConfig, SpaceLayout, assemble_bilinear,
-                  assemble_load, assemble_trilinear, build_spaces,
-                  convection_vector, evaluate_coefficients)
+from .fem import (AssemblyConfig, SpaceLayout, _flow_at_quad, _flow_rows,
+                  assemble_bilinear, assemble_load, assemble_trilinear,
+                  build_spaces, evaluate_coefficients)
 from .mesh import outward_normals
 
 
@@ -101,10 +104,12 @@ class _System:
         self.config = config
         self.g = g
         self.coeffs = evaluate_coefficients(layout, config, g)
+        self.geom = layout.geometry(config.quadrature_order)
         self.A, self.B = assemble_bilinear(layout, config, g, self.coeffs)
         self.F = assemble_load(layout, config, g, self.coeffs)
-        self.dir_rows = layout.dirichlet_dofs
-        self.flux_rows = [flux_row_vector(layout, lab) for lab in flux_labels]
+        self.flux_rows = np.reshape(
+            [flux_row_vector(layout, lab) for lab in flux_labels],
+            (-1, 2 * layout.N1))
         self.n_flux = len(self.flux_rows)
         # rows replaced by identity: Dirichlet velocities, plus one pressure
         # DOF when nothing else fixes the pressure level
@@ -112,22 +117,27 @@ class _System:
         self.fixed_rows = np.concatenate(
             [layout.dirichlet_dofs, np.array(pin, dtype=np.int64)])
 
-    def residual(self, Y, P, L, ydir):
-        mom = self.A @ Y + self.B.T @ P - self.F
-        mom += convection_vector(self.layout, self.config, self.coeffs, Y)
-        for k, r in enumerate(self.flux_rows):
-            mom += L[k] * r
-        mom[self.dir_rows] = Y[self.dir_rows] - ydir
-        parts = [mom, self.B @ Y]
-        if self.n_flux:
-            parts.append(np.array([r @ Y for r in self.flux_rows]))
-        return np.concatenate(parts)
+    def split(self, x):
+        """Velocity, pressure and multiplier parts of a saddle-system vector."""
+        m = 2 * self.layout.N1
+        return np.split(x, [m, m + self.layout.N2])
+
+    def residual(self, x, ydir):
+        # the pressure pin row stays as computed; Newton zeroes it in the step
+        Y, P, L = self.split(x)
+        mom, div = _flow_rows(self.layout, self.geom, self.coeffs,
+                              *_flow_at_quad(self.layout, self.geom, Y, P),
+                              None, self.F)
+        mom += L @ self.flux_rows
+        dirs = self.layout.dirichlet_dofs
+        mom[dirs] = Y[dirs] - ydir
+        return np.concatenate([mom, div, self.flux_rows @ Y])
 
     def matrix(self, velocity_block):
         """Saddle matrix [[Avel, B^T, R^T], [B, 0, 0], [R, 0, 0]], rows fixed."""
         blocks = [[velocity_block, self.B.T], [self.B, None]]
         if self.n_flux:
-            R = sp.csr_matrix(np.array(self.flux_rows))
+            R = sp.csr_matrix(self.flux_rows)
             blocks[0].append(R.T)
             blocks[1].append(None)
             blocks.append([R, sp.csr_matrix((self.n_flux, self.layout.N2)),
@@ -195,8 +205,7 @@ def _linear_solve(sysm: _System, ydir):
     sol = sysm.solve(sysm.matrix(sysm.A), rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values")
-    m = 2 * lay.N1
-    return sol[:m], sol[m:m + lay.N2], sol[m + lay.N2:]
+    return sol
 
 
 def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
@@ -208,7 +217,7 @@ def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
     """
     sysm = _System(layout, config, g, flux_labels)
     ydir = _dirichlet_values(layout, dirichlet)
-    Y, P, _ = _linear_solve(sysm, ydir)
+    Y, P, _ = sysm.split(_linear_solve(sysm, ydir))
     return MixedState(layout, Y, P)
 
 
@@ -219,12 +228,11 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     if tol is None:
         tol = 1e-10 * (1.0 + np.abs(sysm.F).max())
     if initial is None:
-        Y, P, L = _linear_solve(sysm, ydir)
+        x = _linear_solve(sysm, ydir)
     else:
-        Y, P = initial.Y.copy(), initial.P.copy()
-        L = np.zeros(sysm.n_flux)
+        x = np.concatenate([initial.as_vector(), np.zeros(sysm.n_flux)])
 
-    res = sysm.residual(Y, P, L, ydir)
+    res = sysm.residual(x, ydir)
     norms = [float(np.abs(res).max())]
     message = ""
     converged = norms[-1] <= tol
@@ -232,22 +240,17 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     while not converged and it < max_iter:
         rhs = -res
         rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
-        delta = sysm.solve(sysm.jacobian(Y), rhs)
+        delta = sysm.solve(sysm.jacobian(x[:2 * lay.N1]), rhs)
         if not np.all(np.isfinite(delta)):
             message = "linear solve produced non-finite Newton step"
             break
-        dY = delta[:2 * lay.N1]
-        dP = delta[2 * lay.N1:2 * lay.N1 + lay.N2]
-        dL = delta[2 * lay.N1 + lay.N2:]
 
         # backtrack if the full step does not reduce the residual
         step = 1.0
         accepted = False
         for _ in range(9):
-            Yn = Y + step * dY
-            Pn = P + step * dP
-            Ln = L + step * dL
-            res_n = sysm.residual(Yn, Pn, Ln, ydir)
+            xn = x + step * delta
+            res_n = sysm.residual(xn, ydir)
             nn = float(np.abs(res_n).max())
             if np.isfinite(nn) and (nn < norms[-1] or nn <= tol):
                 accepted = True
@@ -256,8 +259,7 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
         if not accepted:
             message = "Newton step rejected by backtracking"
             break
-        Y, P, L = Yn, Pn, Ln
-        res = res_n
+        x, res = xn, res_n
         norms.append(nn)
         it += 1
         converged = nn <= tol
@@ -265,6 +267,7 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     if not converged and not message:
         message = f"residual {norms[-1]:.3e} above tolerance after {it} iterations"
     report = NewtonReport(converged, it, norms, message, runtime)
+    Y, P, L = sysm.split(x)
     return MixedState(lay, Y, P), L, report
 
 
@@ -314,5 +317,5 @@ def residual_max_norm(layout: SpaceLayout, config: AssemblyConfig, g,
     L = np.zeros(sysm.n_flux)
     if multipliers:
         L = np.array([multipliers[lab] for lab in flux_labels], dtype=float)
-    res = sysm.residual(state.Y, state.P, L, ydir)
+    res = sysm.residual(np.concatenate([state.as_vector(), L]), ydir)
     return float(np.abs(res).max())

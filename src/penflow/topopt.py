@@ -9,7 +9,9 @@ backtracking.  Its values and gradients are matrix-free: C and the action
 jac C^T C (including level-field sensitivities of every coefficient) are
 summed per element from quadrature-point data, so no sparse matrix is
 assembled after the Newton solve that initializes (Y, P) at the starting
-geometry.  The assembled Jacobian serves only constraint_jacobian.
+geometry.  C takes its momentum and divergence rows from fem._flow_rows,
+the same kernel that gives the Newton residual in ns_solver.  The assembled
+Jacobian serves only constraint_jacobian.
 """
 
 import numpy as np
@@ -17,9 +19,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, SolverError
-from .fem import (AssemblyConfig, SpaceLayout, _scatter, _velocity_at_quad,
-                  assemble_bilinear, assemble_load, assemble_trilinear,
-                  evaluate_coefficients)
+from .fem import (AssemblyConfig, CoeffData, SpaceLayout, _flow_at_quad,
+                  _flow_rows, _hat_rows, _momentum_integrand, _scatter,
+                  _velocity_at_quad, _velocity_rows, assemble_bilinear,
+                  assemble_load, assemble_trilinear, evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
 from .ns_solver import _replace_rows, solve_navier_stokes
 
@@ -170,61 +173,26 @@ class _Forms:
 
     def __init__(self, X: OptVector, layout, config):
         self.layout = layout
-        self.config = config
         self.Y = X.Y
         self.g = LevelField(X.G)
-        self.coeffs = evaluate_coefficients(layout, config, self.g)
-        geom = layout.geometry(config.quadrature_order)
-        self.geom = geom
-        self.wa = geom["weights"][None, :] * geom["area"][:, None]
-        self.uq, self.gu = _velocity_at_quad(geom["vals"], geom["grads"],
-                                             layout.cell_dofs, X.Y)
+        co = self.coeffs = evaluate_coefficients(layout, config, self.g)
+        # the level derivatives, in the places of the coefficients
+        self.dcoeffs = CoeffData(co.dvisc, co.dmass, co.dconv, co.ddivc,
+                                 co.dloadc)
+        self.geom = layout.geometry(config.quadrature_order)
+        self.uq, self.gu, self.pq = _flow_at_quad(layout, self.geom, X.Y, X.P)
         self.fq = None if config.body_force is None else np.asarray(
-            config.body_force(geom["xq"]), dtype=float)
-        self.pq = np.einsum("qk,tk->tq", geom["lam"],
-                            X.P[layout.mesh.triangles])
+            config.body_force(self.geom["xq"]), dtype=float)
         self.divu = self.gu[:, :, 0, 0] + self.gu[:, :, 1, 1]
-        self.conv1 = np.einsum("tqd,tqcd->tqc", self.uq, self.gu)  # (u.grad)u
-
-    def _velocity_rows(self, val=None, grad=None):
-        """sum_q wa (val_c N_a + grad_cd d_d N_a) for every velocity DOF (c, a)."""
-        lay, geom, wa = self.layout, self.geom, self.wa[..., None]
-        # batched products (T, c, q) @ (q, a) and (T, c, qd) @ (T, qd, a)
-        loc = np.zeros((lay.T, 2, 4))
-        if val is not None:
-            loc += np.swapaxes(wa * val, 1, 2) @ geom["vals"]
-        if grad is not None:
-            g = (wa[..., None] * grad).transpose(0, 2, 1, 3)
-            loc += g.reshape(lay.T, 2, -1) @ geom["grads"].transpose(
-                0, 1, 3, 2).reshape(lay.T, -1, 4)
-        idx = np.arange(2)[None, :, None] * lay.N1 + lay.cell_dofs[:, None, :]
-        return np.bincount(idx.ravel(), loc.ravel(), minlength=2 * lay.N1)
-
-    def _hat_rows(self, s):
-        """sum_q wa s lam_j for every P1 DOF j."""
-        loc = (self.wa * s) @ self.geom["lam"]
-        return np.bincount(self.layout.mesh.triangles.ravel(), loc.ravel(),
-                           minlength=self.layout.V)
 
     def constraint(self, traction):
-        """C(X): momentum rows (Dirichlet rows replaced), then divergence rows.
-
-        Momentum tested with N_a e_c is visc grad u : grad N_a + mass u N_a
-        + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a
-        - loadc f N_a, minus the traction load (the level-free part of F).
-        """
-        lay, co, uq = self.layout, self.coeffs, self.uq
-        val = co.mass[..., None] * uq + 0.5 * co.conv[..., None] * self.conv1
-        if self.fq is not None:
-            val -= co.loadc[..., None] * self.fq
-        grad = (co.visc[..., None, None] * self.gu
-                - 0.5 * co.conv[..., None, None] * uq[..., :, None]
-                * uq[..., None, :]
-                - (co.divc * self.pq)[..., None, None] * np.eye(2))
-        mom = self._velocity_rows(val, grad) - traction
-        dirs = lay.dirichlet_dofs
+        """C(X) from the Newton residual's kernel: momentum rows minus the
+        traction (Dirichlet rows replaced), then the divergence rows."""
+        mom, div = _flow_rows(self.layout, self.geom, self.coeffs, self.uq,
+                              self.gu, self.pq, self.fq, traction)
+        dirs = self.layout.dirichlet_dofs
         mom[dirs] = self.Y[dirs]
-        return np.concatenate([mom, self._hat_rows(-co.divc * self.divu)])
+        return np.concatenate([mom, div])
 
     def adjoint(self, c):
         """jac C^T c without assembling jac C.
@@ -238,8 +206,7 @@ class _Forms:
         dirs, m = lay.dirichlet_dofs, 2 * lay.N1
         w = c[:m].copy()
         w[dirs] = 0.0
-        wq, gw = _velocity_at_quad(geom["vals"], geom["grads"], lay.cell_dofs, w)
-        qq = np.einsum("qk,tk->tq", geom["lam"], c[m:][lay.mesh.triangles])
+        wq, gw, qq = _flow_at_quad(lay, geom, w, c[m:])
         divw = gw[:, :, 0, 0] + gw[:, :, 1, 1]
         ugw = np.einsum("tqd,tqcd->tqc", uq, gw)  # (u.grad)w
 
@@ -250,36 +217,27 @@ class _Forms:
                 + 0.5 * co.conv[..., None, None] * wq[..., :, None]
                 * uq[..., None, :]
                 - (co.divc * qq)[..., None, None] * np.eye(2))
-        gy = self._velocity_rows(val, grad)
+        gy = _velocity_rows(lay, geom, val, grad)
         gy[dirs] += c[dirs]
 
-        s = (co.dvisc * np.einsum("tqcd,tqcd->tq", gu, gw)
-             + co.dmass * np.sum(uq * wq, axis=2)
-             + 0.5 * co.dconv * np.sum(self.conv1 * wq - ugw * uq, axis=2)
-             - co.ddivc * (self.pq * divw + qq * self.divu))
-        if self.fq is not None:
-            s -= co.dloadc * np.einsum("tqc,tqc->tq", self.fq, wq)
-        return np.concatenate([gy, self._hat_rows(-co.divc * divw),
-                               self._hat_rows(s)])
+        # level block: the momentum rows' level derivative tested with w
+        dval, dgrad = _momentum_integrand(self.dcoeffs, uq, gu, self.pq,
+                                          self.fq)
+        s = (np.einsum("tqc,tqc->tq", dval, wq)
+             + np.einsum("tqcd,tqcd->tq", dgrad, gw) - co.ddivc * qq * self.divu)
+        return np.concatenate([gy, _hat_rows(lay, geom, -co.divc * divw),
+                               _hat_rows(lay, geom, s)])
 
     def level_jacobian_blocks(self):
         """(jac13, Bprime): level-field derivatives of momentum and divergence."""
         lay, geom, co = self.layout, self.geom, self.coeffs
         lam, vals, grads = geom["lam"], geom["vals"], geom["grads"]
-        wa, uq, gu, pq = self.wa, self.uq, self.gu, self.pq
+        wa, uq, gu, pq = geom["wa"], self.uq, self.gu, self.pq
 
         # momentum block, local shape (T, comp, basis, hat)
-        loc = np.einsum("tq,tqcd,tqad,qj->tcaj", wa * co.dvisc, gu, grads, lam)
-        loc += np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dmass, uq, vals, lam)
-        loc += 0.5 * np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dconv, self.conv1,
-                               vals, lam)
-        udotg = np.einsum("tqd,tqad->tqa", uq, grads)
-        loc -= 0.5 * np.einsum("tq,tqa,tqc,qj->tcaj", wa * co.dconv, udotg,
-                               uq, lam)
-        loc -= np.einsum("tq,tqac,qj->tcaj", wa * co.ddivc * pq, grads, lam)
-        if self.fq is not None:
-            loc -= np.einsum("tq,tqc,qa,qj->tcaj", wa * co.dloadc, self.fq,
-                             vals, lam)
+        val, grad = _momentum_integrand(self.dcoeffs, uq, gu, pq, self.fq)
+        loc = np.einsum("tq,tqc,qa,qj->tcaj", wa, val, vals, lam)
+        loc += np.einsum("tq,tqcd,tqad,qj->tcaj", wa, grad, grads, lam)
 
         tri = lay.mesh.triangles
         rows = (np.arange(2)[None, :, None, None] * lay.N1
@@ -293,21 +251,21 @@ class _Forms:
 
     def cost(self, spec: CostSpec):
         """(J_h, dJ/dY, dJ/dG) with the configured smoothed cutoff."""
-        lay, loadc = self.layout, self.coeffs.loadc
+        lay, geom, loadc = self.layout, self.geom, self.coeffs.loadc
         if spec.kind == DISSIPATED_ENERGY:
             e = 0.5 * (self.gu + np.swapaxes(self.gu, 2, 3))
             dens = np.einsum("tqcd,tqcd->tq", e, e)
-            gradY = self._velocity_rows(grad=2.0 * loadc[..., None, None] * e)
+            gradY = _velocity_rows(lay, geom,
+                                   grad=2.0 * loadc[..., None, None] * e)
         else:
             if spec.target.shape != (2 * lay.N1,):
                 raise ConfigurationError("target field does not match layout")
             diff = self.uq - _velocity_at_quad(
-                self.geom["vals"], self.geom["grads"], lay.cell_dofs,
-                spec.target)[0]
+                geom["vals"], geom["grads"], lay.cell_dofs, spec.target)[0]
             dens = np.einsum("tqc,tqc->tq", diff, diff)
-            gradY = self._velocity_rows(val=2.0 * loadc[..., None] * diff)
-        value = float(np.sum(self.wa * loadc * dens))
-        return value, gradY, self._hat_rows(self.coeffs.dloadc * dens)
+            gradY = _velocity_rows(lay, geom, val=2.0 * loadc[..., None] * diff)
+        value = float(np.sum(geom["wa"] * loadc * dens))
+        return value, gradY, _hat_rows(lay, geom, self.coeffs.dloadc * dens)
 
 
 def constraint_residual(X: OptVector, layout, config) -> np.ndarray:

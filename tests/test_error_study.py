@@ -7,6 +7,7 @@ from penflow import (AssemblyConfig, ConfigurationError, DegenerateInputError,
                      DomainSpec, EPSILON_SWEEP, ErrorRecord, MESH_SWEEP,
                      PLAIN_B, SweepBase, build_spaces, records_to_csv,
                      regression_slope, restrict_state, run_sweep)
+from penflow import error_study
 
 
 def _pull(x):
@@ -90,6 +91,21 @@ def test_epsilon_sweep_errors_shrink(sweep_base):
     assert all(r.div_norm_omega > 0 for r in records)
     pts = [(math.log10(r.epsilon), math.log10(r.l2_rel)) for r in records]
     assert regression_slope(pts) > 0.3
+
+
+def test_epsilon_sweep_solves_the_reference_once(sweep_base, monkeypatch):
+    calls = []
+    solve = error_study.solve_reference_flux_constrained
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(error_study, "solve_reference_flux_constrained",
+                        counted)
+    records = run_sweep(EPSILON_SWEEP, (0.5, 0.1, 0.02), sweep_base)
+    assert len(records) == 3
+    assert len(calls) == 1
 
 
 def test_mesh_sweep_errors_shrink(sweep_base):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from penflow import (DomainSpec, GeometryError, Mesh, MeshInvariantError,
-                     UnknownLabelError, boundary_flux, build_spaces,
-                     extract_submesh, generate_mesh, mesh_from_text,
-                     mesh_to_text, polygon_signed_distance)
+from penflow import (ConfigurationError, DomainSpec, GeometryError, Mesh,
+                     MeshInvariantError, UnknownLabelError, boundary_flux,
+                     build_spaces, extract_submesh, generate_mesh,
+                     mesh_from_text, mesh_to_text, polygon_signed_distance)
 from penflow.ns_solver import flux_row_vector
 
 
@@ -178,6 +178,16 @@ def test_boundary_flux_of_linear_field_matches_divergence(unit_square_mesh):
     vel = m.vertices.copy()  # v = (x, y), div v = 2
     total = sum(boundary_flux(m, vel, lab) for lab in m.labels())
     assert np.isclose(total, 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", ["interleaved", "three-columns"])
+def test_boundary_flux_rejects_unknown_velocity_shapes(unit_square_mesh, shape):
+    m = unit_square_mesh
+    # a flat vector of length 2V is not a velocity DOF vector
+    vel = np.ones(2 * m.num_vertices) if shape == "interleaved" \
+        else np.ones((m.num_vertices, 3))
+    with pytest.raises(ConfigurationError, match="velocity shape"):
+        boundary_flux(m, vel, "Gamma1")
 
 
 def _per_edge_flux_terms(mesh, vel, label):

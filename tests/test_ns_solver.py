@@ -7,8 +7,7 @@ from penflow import (AssemblyConfig, DomainSpec, LevelField,
                      boundary_flux, compose_disks, compute_norm,
                      generate_mesh, residual_max_norm, solve_navier_stokes,
                      solve_reference_flux_constrained, solve_stokes)
-from penflow.fem import (_velocity_at_quad, assemble_trilinear,
-                         convection_vector)
+from penflow.fem import assemble_trilinear
 from penflow.ns_solver import _System
 from penflow.presets import sec31_assembly, sec31_level, shear_traction
 
@@ -244,19 +243,29 @@ def test_singular_saddle_system_raises_solver_error(sec31_newton):
         sysm.solve(K.tocsc(), np.ones(K.shape[0]))
 
 
-def test_convection_vector_matches_matrix_product(sec31_newton):
-    sysm, Y, _ = sec31_newton
-    lay, cfg, g, co = sysm.layout, sysm.config, sysm.g, sysm.coeffs
-    C1, _ = assemble_trilinear(lay, cfg, g, Y, co)
-    got = convection_vector(lay, cfg, co, Y)
-    # bound each entry by the sum of its quadrature terms' magnitudes
-    geom = lay.geometry(cfg.quadrature_order)
-    wa = geom["weights"][None, :] * geom["area"][:, None] * np.abs(co.conv)
-    uq, gu = _velocity_at_quad(geom["vals"], geom["grads"], lay.cell_dofs, Y)
-    ugu = np.abs(np.einsum("tqd,tqcd->tqc", uq, gu))
-    ugn = np.abs(np.einsum("tqd,tqad->tqa", uq, geom["grads"]))
-    loc = (np.einsum("tq,tqc,qb->tcb", wa, ugu, np.abs(geom["vals"]))
-           + np.einsum("tq,tqb,tqc->tcb", wa, ugn, np.abs(uq)))
-    idx = np.arange(2)[None, :, None] * lay.N1 + lay.cell_dofs[:, None, :]
-    scale = np.bincount(idx.ravel(), loc.ravel(), minlength=2 * lay.N1)
-    assert np.all(np.abs(got - C1 @ Y) <= 1e-13 * scale)
+@pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
+                                  "pinned-cavity"])
+def test_newton_residual_matches_assembled_forms(case, sec31_newton,
+                                                 square_disk_conforming, rng):
+    if case == "sec31-jacobian":
+        sysm = sec31_newton[0]
+    elif case == "flux-reference":
+        sysm = _reference_system(square_disk_conforming)[0]
+    else:
+        sysm = _cavity_system()[0]
+    lay = sysm.layout
+    dirs = lay.dirichlet_dofs
+    Y = rng.standard_normal(2 * lay.N1)
+    P = rng.standard_normal(lay.N2)
+    L = rng.standard_normal(sysm.n_flux)
+    ydir = rng.standard_normal(len(dirs))
+    C1, _ = assemble_trilinear(lay, sysm.config, sysm.g, Y, sysm.coeffs)
+    mom = sysm.A @ Y + C1 @ Y + sysm.B.T @ P - sysm.F
+    mom += sum(L[k] * r for k, r in enumerate(sysm.flux_rows))
+    mom[dirs] = Y[dirs] - ydir
+    # the pressure pin row keeps its divergence value
+    want = np.concatenate([mom, sysm.B @ Y,
+                           [r @ Y for r in sysm.flux_rows]])
+    got = sysm.residual(np.concatenate([Y, P, L]), ydir)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
