@@ -30,9 +30,11 @@ def show(records, xattr):
 
 
 def fitted(records, xattr, yattr):
-    pts = [(np.log10(getattr(r, xattr)), np.log10(getattr(r, yattr)))
-           for r in records]
-    return regression_slope(pts)
+    """Least-squares slope and intercept of the log-log points."""
+    pts = np.log10([(getattr(r, xattr), getattr(r, yattr)) for r in records])
+    slope = regression_slope(pts)
+    return {"slope": slope, "intercept": float(np.mean(pts[:, 1])
+                                               - slope * np.mean(pts[:, 0]))}
 
 
 # epsilon sweep on one shared conforming mesh
@@ -41,14 +43,14 @@ base = SweepBase(flow_cell_spec(0.03), sec31_assembly())
 records = run_sweep("epsilon", eps_values, base)
 print("epsilon sweep, h = 0.03:")
 show(records, "epsilon")
-slope_eps = fitted(records, "epsilon", "l2_rel")
-print(f"  L2 slope vs epsilon: {slope_eps:.3f}")
+fit_eps = fitted(records, "epsilon", "l2_rel")
+print(f"  L2 slope vs epsilon: {fit_eps['slope']:.3f}")
 
 write_csv(os.path.join(OUT, "epsilon.csv"),
           ["epsilon", "l2_rel", "h1_rel"],
           [(r.epsilon, r.l2_rel, r.h1_rel) for r in records])
 svg_loglog(os.path.join(OUT, "epsilon.svg"),
-           [{"label": "L2 error", "slope": slope_eps,
+           [{"label": "L2 error", **fit_eps,
              "x": [r.epsilon for r in records],
              "y": [r.l2_rel for r in records]}],
            xlabel="epsilon", ylabel="relative error",
@@ -60,15 +62,15 @@ base = SweepBase(flow_cell_spec(sizes[0]), sec31_assembly(eps=0.025))
 records = run_sweep("mesh", sizes, base)
 print("mesh sweep, eps = 0.025:")
 show(records, "mesh_size")
-slope_l2 = fitted(records, "mesh_size", "l2_rel")
-slope_h1 = fitted(records, "mesh_size", "h1_rel")
-print(f"  slopes vs h: L2 {slope_l2:.3f}, H1 {slope_h1:.3f}")
+fit_l2 = fitted(records, "mesh_size", "l2_rel")
+fit_h1 = fitted(records, "mesh_size", "h1_rel")
+print(f"  slopes vs h: L2 {fit_l2['slope']:.3f}, H1 {fit_h1['slope']:.3f}")
 
 svg_loglog(os.path.join(OUT, "mesh.svg"),
-           [{"label": "L2 error", "slope": slope_l2,
+           [{"label": "L2 error", **fit_l2,
              "x": [r.mesh_size for r in records],
              "y": [r.l2_rel for r in records]},
-            {"label": "H1 error", "slope": slope_h1,
+            {"label": "H1 error", **fit_h1,
              "x": [r.mesh_size for r in records],
              "y": [r.h1_rel for r in records]}],
            xlabel="h", ylabel="relative error", title="mesh refinement")

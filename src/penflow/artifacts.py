@@ -38,7 +38,7 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def write_csv(path, header, rows):
+def csv_text(header, rows) -> str:
     """CSV with a header row, '.' decimals and ',' separators."""
     lines = [",".join(header)]
     width = len(header)
@@ -53,7 +53,11 @@ def write_csv(path, header, rows):
                                          "or newlines")
             cells.append(cell)
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header, rows):
+    atomic_write_text(path, csv_text(header, rows))
 
 
 def vtk_text(mesh, point_scalars=None, point_vectors=None,
@@ -106,10 +110,9 @@ def level_csv_text(mesh, values) -> str:
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.num_vertices,):
         raise ConfigurationError("level values must have one entry per vertex")
-    lines = ["vertex,x1,x2,g"]
-    for i, ((x, y), g) in enumerate(zip(mesh.vertices, values)):
-        lines.append(f"{i},{_fmt(x)},{_fmt(y)},{_fmt(g)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["vertex", "x1", "x2", "g"],
+                    [(i, x, y, g) for i, ((x, y), g)
+                     in enumerate(zip(mesh.vertices, values))])
 
 
 def _log_ticks(lo, hi):
@@ -124,7 +127,7 @@ def svg_loglog(path, series, xlabel, ylabel, title):
     """Log-log scatter/line plot with optional fitted lines, plain SVG.
 
     `series` is a sequence of dicts with keys "label", "x", "y" and
-    optionally "slope"/"intercept" describing a fitted power law
+    optionally "slope" and "intercept", a fitted power law
     log10(y) = slope*log10(x) + intercept to draw dashed and annotate.
     """
     W, H = 640, 480
@@ -194,13 +197,7 @@ def svg_loglog(path, series, xlabel, ylabel, title):
                      f'fill="{color}"/>')
         label = s["label"]
         if s.get("slope") is not None:
-            slope = float(s["slope"])
-            if "intercept" in s:
-                inter = float(s["intercept"])
-            else:
-                # least-squares line through the data at the given slope
-                inter = (sum(b for _, b in pts)
-                         - slope * sum(a for a, _ in pts)) / len(pts)
+            slope, inter = float(s["slope"]), float(s["intercept"])
             fa, fb = pts[0][0], pts[-1][0]
             e.append(f'<line x1="{px(fa):.2f}" y1="{py(slope * fa + inter):.2f}" '
                      f'x2="{px(fb):.2f}" y2="{py(slope * fb + inter):.2f}" '

@@ -61,18 +61,35 @@ _SCHEMA = {
     "output": {"dir"},
 }
 
-_SEC31_DISKS = "disk 0.5 0.25 0.15; disk 0.75 0.0 0.15"
+def _disk_shapes(disks):
+    """Shape text of ((x, y), r) disks, as [level] shapes and [mesh] read it."""
+    return "; ".join(f"disk {x!r} {y!r} {r!r}" for (x, y), r in disks)
 
-_SEC31_SECTIONS = {
-    "mesh": {"outer": "flow-cell", "h_mesh": repr(presets.COARSE_MESH_SIZE),
-             "obstacles": _SEC31_DISKS},
-    "physics": {"nu": "1.0", "traction": "shear"},
-    "regularization": {"eps": "0.025", "divergence_form": "plain"},
-    "level": {"shapes": _SEC31_DISKS, "signed_distance": "true"},
-    "study": {"kind": "epsilon",
-              "values": " ".join(repr(v) for v in
-                                 presets.EPSILON_SWEEP_VALUES)},
-}
+
+def _flow_sections(spec, cfg, disks):
+    """Mesh, physics, regularization and level sections of a preset."""
+    return {
+        "mesh": {"outer": "flow-cell", "h_mesh": repr(spec.h_mesh)},
+        "physics": {"nu": repr(cfg.nu), "traction": "shear"},
+        "regularization": {"eps": repr(cfg.eps),
+                           "divergence_form": cfg.divergence_form},
+        "level": {"shapes": _disk_shapes(disks), "signed_distance": "true"},
+    }
+
+
+def _sec31_sections(command):
+    """Sections of the sec31 flow presets, read from presets."""
+    flow = {"solve-reference": presets.sec31_reference,
+            "error-study": presets.epsilon_sweep}.get(
+                command, presets.sec31_penalized)()
+    disks = [(c, r) for _, c, r in presets.SEC31_OBSTACLES]
+    sections = _flow_sections(flow.domain_spec, flow.config, disks)
+    sections["mesh"]["obstacles"] = sections["level"]["shapes"]
+    if command == "solve-reference":
+        sections["mesh"]["conforming"] = "true"
+    sections["study"] = {"kind": "epsilon", "values": " ".join(
+        repr(v) for v in presets.EPSILON_SWEEP_VALUES)}
+    return sections
 
 
 def _descent_sections(name):
@@ -87,21 +104,14 @@ def _descent_sections(name):
         ellipse = presets.TEST2_ELLIPSE_CENTER + presets.TEST2_ELLIPSE_AXES
         cost = {"kind": TRACKING, "target_shapes":
                 " ".join(["ellipse"] + [repr(v) for v in ellipse])}
-    cfg, opt = problem.config, problem.opt
-    return {
-        "mesh": {"outer": "flow-cell",
-                 "h_mesh": repr(problem.domain_spec.h_mesh)},
-        "physics": {"nu": repr(cfg.nu), "traction": "shear"},
-        "regularization": {"eps": repr(cfg.eps),
-                           "divergence_form": cfg.divergence_form},
-        "level": {"shapes": "; ".join(f"disk {x!r} {y!r} {r!r}"
-                                      for (x, y), r in disks),
-                  "signed_distance": "true"},
-        "cost": cost,
-        "descent": {"rho": repr(opt.rho), "max_iter": str(opt.max_iter),
-                    "snapshot_every": str(opt.snapshot_every),
-                    "plateau_tol": repr(opt.plateau_tol)},
-    }
+    opt = problem.opt
+    sections = _flow_sections(problem.domain_spec, problem.config, disks)
+    sections["cost"] = cost
+    sections["descent"] = {
+        "rho": repr(opt.rho), "max_iter": str(opt.max_iter),
+        "snapshot_every": str(opt.snapshot_every),
+        "plateau_tol": repr(opt.plateau_tol)}
+    return sections
 
 
 def preset_sections(command, name):
@@ -111,14 +121,7 @@ def preset_sections(command, name):
                                  f"choose from {', '.join(PRESET_NAMES)}")
     if name != "sec31":
         return _descent_sections(name)
-    base = copy.deepcopy(_SEC31_SECTIONS)
-    if command == "solve-reference":
-        base["mesh"]["h_mesh"] = repr(presets.REFERENCE_MESH_SIZE)
-        base["mesh"]["conforming"] = "true"
-        base["regularization"]["eps"] = "0.0"
-    elif command == "error-study":
-        base["mesh"]["h_mesh"] = repr(presets.EPSILON_SWEEP_MESH_SIZE)
-    return base
+    return _sec31_sections(command)
 
 
 def _read_config_file(path):
@@ -627,8 +630,6 @@ def build_parser():
                        help="artifact directory (default from config)")
         p.add_argument("--preset", choices=PRESET_NAMES,
                        help="named experiment defaults")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; no randomness is used")
     return parser
 
 

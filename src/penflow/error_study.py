@@ -11,6 +11,7 @@ pressure norms, the full-mesh layout and the obstacle coefficients.
 
 import numpy as np
 
+from .artifacts import csv_text
 from .errors import ConfigurationError, DegenerateInputError, PenflowError
 from .fem import EXACT_REGION, AssemblyConfig, build_spaces, compute_norm
 from .levelset import LevelField, domain_level_function
@@ -175,9 +176,5 @@ def records_to_csv(records) -> str:
             "newton_iters"]
     if any(r.p_l2_rel is not None for r in records):
         cols.append("p_l2_rel")
-    lines = [",".join(cols)]
-    for r in records:
-        d = r.as_dict()
-        lines.append(",".join(repr(d[c]) if isinstance(d[c], float)
-                              else str(d[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    dicts = [r.as_dict() for r in records]
+    return csv_text(cols, [[d[c] for c in cols] for d in dicts])

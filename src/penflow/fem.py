@@ -105,6 +105,8 @@ class SpaceLayout:
         geom = {
             "lam": lam, "weights": wts, "area": area, "hat_grads": gl,
             "vals": vals, "grads": grads, "xq": xq,
+            # grads as (T, nq * 2, 4) rows, the right factor of _velocity_rows
+            "grad_rows": grads.transpose(0, 1, 3, 2).reshape(len(p), -1, 4),
             "wa": wts[None, :] * area[:, None],  # (T, nq) integration weights
         }
         self._geom[key] = geom
@@ -362,8 +364,7 @@ def _velocity_rows(layout: SpaceLayout, geom, val=None, grad=None):
         loc += np.swapaxes(wa * val, 1, 2) @ geom["vals"]
     if grad is not None:
         g = (wa[..., None] * grad).transpose(0, 2, 1, 3)
-        loc += g.reshape(layout.T, 2, -1) @ geom["grads"].transpose(
-            0, 1, 3, 2).reshape(layout.T, -1, 4)
+        loc += g.reshape(layout.T, 2, -1) @ geom["grad_rows"]
     idx = np.arange(2)[None, :, None] * layout.N1 + layout.cell_dofs[:, None, :]
     return np.bincount(idx.ravel(), loc.ravel(), minlength=2 * layout.N1)
 

@@ -5,6 +5,10 @@ boundary labels are Gamma1 (left), Gamma2 (bottom), Gamma3 (right side,
 polygonized arc for the flow cell), Gamma4 (top); internal obstacle loops
 are labeled Obstacle1, Obstacle2, ...  Triangles of conforming meshes carry
 a region tag (Fluid or Obstacle).
+
+Every edge computation works on one integer table: the undirected edge
+(a, b), a < b, of a mesh with nv vertices is the int64 key a * nv + b, so
+sorted keys list the edges in lexicographic order.
 """
 
 import numpy as np
@@ -71,11 +75,7 @@ class Mesh:
 
     def edges(self):
         """All unique undirected edges as a sorted (n, 2) array."""
-        e = np.vstack([self.triangles[:, [0, 1]],
-                       self.triangles[:, [1, 2]],
-                       self.triangles[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
+        return _edge_table(self.triangles, self.num_vertices)[0]
 
     @property
     def mean_edge_length(self):
@@ -142,23 +142,17 @@ class Mesh:
             return
         if be.min() < 0 or be.max() >= len(v):
             raise MeshInvariantError("boundary edge index out of range")
-        # each boundary edge belongs to exactly one triangle; an undirected
-        # edge (a, b), a < b, is encoded as the integer a V + b
-        all_e = np.sort(np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]),
-                        axis=1)
-        keys, counts = np.unique(all_e[:, 0] * len(v) + all_e[:, 1],
-                                 return_counts=True)
-        bs = np.sort(be, axis=1)
-        bkeys = bs[:, 0] * len(v) + bs[:, 1]
-        pos = np.searchsorted(keys, bkeys)  # len(keys) when past the end
-        found = np.append(keys, -1)[pos] == bkeys
-        bcount = np.where(found, np.append(counts, 0)[pos], 0)
+        # each boundary edge belongs to exactly one triangle
+        keys, counts = np.unique(_side_keys(t, len(v)), return_counts=True)
+        bkeys = _edge_keys(be, len(v))
+        pos = _lookup(keys, bkeys)
+        bcount = np.where(pos >= 0, counts[pos], 0)
         bad = np.flatnonzero(bcount != 1)
         if bad.size:
             i = bad[0]
-            key = (int(bs[i, 0]), int(bs[i, 1]))
-            raise MeshInvariantError(f"boundary edge {key} belongs to "
-                                     f"{int(bcount[i])} triangles, expected 1")
+            raise MeshInvariantError(
+                f"boundary edge {divmod(int(bkeys[i]), len(v))} belongs to "
+                f"{int(bcount[i])} triangles, expected 1")
 
         # closed loops: every boundary vertex has exactly two incident boundary edges
         deg = np.bincount(be.ravel(), minlength=len(v))
@@ -180,17 +174,56 @@ class Mesh:
         return _edge_components(self.boundary_edges, self.num_vertices)
 
 
+def _graph_components(num_nodes, edges):
+    """Component label of every node of the graph with (E, 2) node pairs."""
+    graph = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                          shape=(num_nodes, num_nodes))
+    return connected_components(graph, directed=False)[1]
+
+
 def _edge_components(edges, num_vertices):
     """Edge sets joined through shared vertices, as sorted index lists.
 
     Components are ordered by their lowest edge index.
     """
-    graph = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                          shape=(num_vertices, num_vertices))
-    _, vertex_comp = connected_components(graph, directed=False)
-    comp = vertex_comp[edges[:, 0]]
+    comp = _graph_components(num_vertices, edges)[edges[:, 0]]
     firsts = np.sort(np.unique(comp, return_index=True)[1])
     return [np.flatnonzero(comp == comp[i]).tolist() for i in firsts]
+
+
+# =============================================================== edge table
+def _edge_keys(pairs, nv):
+    """Keys of the undirected edges in the (..., 2) array pairs."""
+    e = np.asarray(pairs, dtype=np.int64)  # int32 a * nv wraps past nv 46,341
+    a, b = e[..., 0], e[..., 1]
+    return np.minimum(a, b) * nv + np.maximum(a, b)
+
+
+def _side_keys(triangles, nv):
+    """Keys of sides 01, 12 and 20; entry s*T + t is side s of triangle t."""
+    t = np.asarray(triangles).T
+    return _edge_keys(np.stack([t, np.roll(t, -1, axis=0)], axis=-1),
+                      nv).ravel()
+
+
+def _edge_table(triangles, nv):
+    """Sorted unique (n, 2) edges of the triangles, and their counts."""
+    keys, counts = np.unique(_side_keys(triangles, nv), return_counts=True)
+    return np.column_stack(np.divmod(keys, nv)), counts
+
+
+def _lookup(keys, query):
+    """Position of each query key in the sorted keys, -1 where absent."""
+    pos = np.searchsorted(keys, query)  # len(keys) past the end
+    return np.where(np.append(keys, -1)[pos] == query, pos, -1)
+
+
+def _inherit_labels(edges, known, known_labels, nv):
+    """Label of the known edge matching each edge, None where none does."""
+    kk = _edge_keys(known, nv)
+    order = np.argsort(kk)
+    pos = _lookup(kk[order], _edge_keys(edges, nv))
+    return [known_labels[order[i]] if i >= 0 else None for i in pos]
 
 
 def hat_gradients(p):
@@ -315,7 +348,11 @@ class DomainSpec:
                     raise GeometryError("polygon obstacle needs at least 3 points")
                 if _polygon_area(pts) < 0:
                     pts = pts[::-1]
-                polys.append(pts)
+                # sides split to h like the curves, so that no side's
+                # diametral disk holds another fixed vertex
+                polys.append(np.vstack([
+                    _subdivide(a, b, h)[:-1]
+                    for a, b in zip(pts, np.roll(pts, -1, axis=0))]))
         return polys
 
 
@@ -372,18 +409,14 @@ def generate_mesh(spec: DomainSpec, conform_to_obstacles=False) -> Mesh:
     the final Delaunay pass.  Required boundary and interface edges are
     repaired by removing free points from their diametral disks.
     """
-    h = spec.h_mesh
-    chains = spec.outer_chains()
-
-    ring_pts, required, labels_of = _assemble_outer_ring(chains)
+    ring_pts, required, ring_labels = _assemble_outer_ring(spec.outer_chains())
     nouter = len(ring_pts)
 
-    polys = spec.obstacle_polygons() if conform_to_obstacles else []
     all_polys = spec.obstacle_polygons()
     _check_obstacles(spec, all_polys)
 
     fixed = [ring_pts]
-    for poly in polys:
+    for poly in all_polys if conform_to_obstacles else []:
         base = sum(len(f) for f in fixed)
         m = len(poly)
         fixed.append(poly)
@@ -396,26 +429,20 @@ def generate_mesh(spec: DomainSpec, conform_to_obstacles=False) -> Mesh:
 
     points = _relax(points, nfix, spec)
 
+    required = np.array(required, dtype=np.int64)
     tri, points = _conforming_delaunay(points, nfix, required, spec)
-
-    mesh = _finalize(points, tri, spec, required[:nouter], labels_of,
-                     all_polys if conform_to_obstacles else None)
-    return mesh
+    return _finalize(points, tri, required[:nouter], ring_labels,
+                     required[nouter:] if conform_to_obstacles else None)
 
 
 def _assemble_outer_ring(chains):
-    ring = []
-    labels_of = {}
+    ring, labels = [], []
     for label, pts in chains:
-        start = len(ring)
-        seg = pts[:-1]  # closing point of each chain is the next chain's start
-        ring.extend(seg.tolist())
-        for k in range(len(pts) - 1):
-            labels_of[start + k] = label
-    ring_pts = np.asarray(ring)
-    n = len(ring_pts)
+        ring.extend(pts[:-1].tolist())  # a chain's last point starts the next
+        labels.extend([label] * (len(pts) - 1))
+    n = len(ring)
     required = [(k, (k + 1) % n) for k in range(n)]
-    return ring_pts, required, labels_of
+    return np.asarray(ring), required, labels
 
 
 def _check_obstacles(spec, polys):
@@ -460,20 +487,16 @@ def _relax(points, nfix, spec, maxiter=90, fscale=1.2, deltat=0.2):
     for _ in range(maxiter):
         if pold is None or np.max(np.hypot(*(p - pold).T)) > 0.1 * h:
             pold = p.copy()
-            tri = Delaunay(p)
-            simplices = _interior_simplices(tri, p, spec)
-            e = np.vstack([simplices[:, [0, 1]], simplices[:, [1, 2]],
-                           simplices[:, [2, 0]]])
-            e.sort(axis=1)
-            bars = np.unique(e, axis=0)
+            bars, _ = _edge_table(_interior_simplices(p, spec), len(p))
         vec = p[bars[:, 0]] - p[bars[:, 1]]
         length = np.hypot(vec[:, 0], vec[:, 1])
         l0 = fscale * np.sqrt(np.sum(length ** 2) / len(bars))
         f = np.maximum(l0 - length, 0.0)
         fvec = (f / np.maximum(length, 1e-30))[:, None] * vec
-        force = np.zeros_like(p)
-        np.add.at(force, bars[:, 0], fvec)
-        np.add.at(force, bars[:, 1], -fvec)
+        # np.add.at's order: fvec at bars[:, 0], then -fvec at bars[:, 1]
+        force = np.column_stack([
+            np.bincount(bars.T.ravel(), np.r_[fvec[:, c], -fvec[:, c]],
+                        minlength=len(p)) for c in (0, 1)])
         force[:nfix] = 0.0
         p += deltat * force
         # pull escaped free points back inside
@@ -507,25 +530,18 @@ def _project_inside(pts, spec, target):
     return pts
 
 
-def _interior_simplices(tri, p, spec):
-    cent = p[tri.simplices].mean(axis=1)
-    keep = spec.outer_sdf(cent) < -1e-3 * spec.h_mesh
-    return tri.simplices[keep]
+def _interior_simplices(p, spec):
+    s = Delaunay(p).simplices
+    return s[spec.outer_sdf(p[s].mean(axis=1)) < -1e-3 * spec.h_mesh]
 
 
 def _conforming_delaunay(points, nfix, required, spec, max_rounds=8):
     p = points
     for _ in range(max_rounds):
-        tri = Delaunay(p)
-        simplices = _interior_simplices(tri, p, spec)
-        present = set()
-        e = np.vstack([simplices[:, [0, 1]], simplices[:, [1, 2]],
-                       simplices[:, [2, 0]]])
-        e.sort(axis=1)
-        for a, b in np.unique(e, axis=0):
-            present.add((int(a), int(b)))
-        missing = [(a, b) for a, b in required
-                   if (min(a, b), max(a, b)) not in present]
+        simplices = _interior_simplices(p, spec)
+        present = np.isin(_edge_keys(required, len(p)),
+                          _side_keys(simplices, len(p)))
+        missing = [tuple(e) for e in required[~present].tolist()]
         if not missing:
             return simplices, p
         # free points inside the diametral disk of a missing edge block it
@@ -542,7 +558,8 @@ def _conforming_delaunay(points, nfix, required, spec, max_rounds=8):
     raise GenerationError("conformity repair did not terminate")
 
 
-def _finalize(points, simplices, spec, outer_required, labels_of, polys):
+def _finalize(points, simplices, outer_required, ring_labels, cut):
+    """Mesh of a triangulation; obstacle edges cut its regions unless None."""
     # orient counterclockwise
     p = points[simplices]
     cross = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
@@ -560,33 +577,28 @@ def _finalize(points, simplices, spec, outer_required, labels_of, polys):
     vertices = points[used]
     triangles = remap[simplices]
 
-    label_lookup = {}
-    for (a, b) in outer_required:
-        na, nb = remap[a], remap[b]
-        key = (int(min(na, nb)), int(max(na, nb)))
-        label_lookup[key] = labels_of[a]
-
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                   triangles[:, [2, 0]]])
-    e.sort(axis=1)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
-    bdry = uniq[counts == 1]
-    labels = []
-    for a, b in bdry:
-        key = (int(a), int(b))
-        if key not in label_lookup:
-            raise GenerationError("unlabeled boundary edge produced")
-        labels.append(label_lookup[key])
-
-    region = None
-    if polys is not None:
-        cent = vertices[triangles].mean(axis=1)
-        inside = np.zeros(len(triangles), dtype=bool)
-        for poly in polys:
-            inside |= polygon_signed_distance(cent, poly) < 0.0
-        region = [OBSTACLE if flag else FLUID for flag in inside]
-
+    edges, counts = _edge_table(triangles, len(vertices))
+    bdry = edges[counts == 1]
+    labels = _inherit_labels(bdry, remap[outer_required], ring_labels,
+                             len(vertices))
+    if None in labels:
+        raise GenerationError("unlabeled boundary edge produced")
+    region = None if cut is None else _region_tags(triangles, len(vertices),
+                                                   remap[cut])
     return Mesh(vertices, triangles, bdry, labels, region)
+
+
+def _region_tags(triangles, nv, cut):
+    """Fluid for triangles joined to a boundary edge without crossing cut."""
+    T = len(triangles)
+    edge, side_edge, counts = np.unique(
+        _side_keys(triangles, nv), return_inverse=True, return_counts=True)
+    open_side = ~np.isin(edge, _edge_keys(cut, nv))[side_edge]
+    # nodes: the triangles, then the edges; a triangle links to its uncut sides
+    links = np.column_stack([np.arange(3 * T) % T, T + side_edge])[open_side]
+    comp = _graph_components(T + len(edge), links)
+    fluid = np.isin(comp[:T], comp[T + np.flatnonzero(counts == 1)])
+    return np.where(fluid, FLUID, OBSTACLE).tolist()
 
 
 # ================================================================ submesh
@@ -606,26 +618,13 @@ def extract_submesh(mesh: Mesh, region: str) -> Mesh:
     vertices = mesh.vertices[used]
     triangles = remap[tris]
 
-    inherited = {}
-    for (a, b), label in zip(mesh.boundary_edges, mesh.boundary_labels):
-        na, nb = remap[a], remap[b]
-        if na >= 0 and nb >= 0:
-            inherited[(int(min(na, nb)), int(max(na, nb)))] = label
-
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                   triangles[:, [2, 0]]])
-    e.sort(axis=1)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
-    bdry = uniq[counts == 1]
-
-    new_edges = []
-    labels = [None] * len(bdry)
-    for i, (a, b) in enumerate(bdry):
-        key = (int(a), int(b))
-        if key in inherited:
-            labels[i] = inherited[key]
-        else:
-            new_edges.append(i)
+    edges, counts = _edge_table(triangles, len(vertices))
+    bdry = edges[counts == 1]
+    known = np.flatnonzero(np.all(remap[mesh.boundary_edges] >= 0, axis=1))
+    labels = _inherit_labels(bdry, remap[mesh.boundary_edges[known]],
+                             [mesh.boundary_labels[i] for i in known],
+                             len(vertices))
+    new_edges = [i for i, s in enumerate(labels) if s is None]
 
     # group fresh interface edges into loops and name them deterministically
     if new_edges:
@@ -660,8 +659,7 @@ def outward_normals(mesh: Mesh, label: str):
     """
     edges = mesh.edges_with_label(label)
     t, nv = mesh.triangles, mesh.num_vertices
-    directed = np.concatenate([t[:, 0] * nv + t[:, 1], t[:, 1] * nv + t[:, 2],
-                               t[:, 2] * nv + t[:, 0]])
+    directed = t * nv + np.roll(t, -1, axis=1)
     forward = np.isin(edges[:, 0] * nv + edges[:, 1], directed)
     tvec = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
     normals = np.column_stack([tvec[:, 1], -tvec[:, 0]])

@@ -16,14 +16,15 @@ Jacobian serves only constraint_jacobian.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
+from .artifacts import csv_text
 from .errors import ConfigurationError, SolverError
 from .fem import (AssemblyConfig, CoeffData, SpaceLayout, _flow_at_quad,
                   _flow_rows, _hat_rows, _momentum_integrand, _scatter,
                   _velocity_at_quad, _velocity_rows, assemble_bilinear,
                   assemble_load, assemble_trilinear, evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
+from .mesh import _graph_components
 from .ns_solver import _replace_rows, solve_navier_stokes
 
 DISSIPATED_ENERGY = "dissipated-energy"
@@ -153,18 +154,10 @@ class Snapshot:
 def obstacle_component_count(mesh, G) -> int:
     """Number of connected pieces of the nonnegative level region."""
     pos = np.asarray(G) >= 0.0
-    idx = np.nonzero(pos)[0]
-    if idx.size == 0:
-        return 0
-    renum = -np.ones(mesh.num_vertices, dtype=np.int64)
-    renum[idx] = np.arange(idx.size)
     edges = mesh.edges()
-    keep = pos[edges[:, 0]] & pos[edges[:, 1]]
-    e = renum[edges[keep]]
-    graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
-                          shape=(idx.size, idx.size))
-    n, _ = connected_components(graph, directed=False)
-    return int(n)
+    comp = _graph_components(mesh.num_vertices,
+                             edges[pos[edges[:, 0]] & pos[edges[:, 1]]])
+    return int(np.unique(comp[pos]).size)
 
 
 # ------------------------------------------------------------- assembly
@@ -454,12 +447,5 @@ def history_to_csv(history) -> str:
     """Serialize descent records as CSV (one row per iteration)."""
     cols = ["iteration", "j_h", "j_rho", "constraint_inf", "divergence_inf",
             "step", "accepted", "grad_norm2", "backtracks"]
-    lines = [",".join(cols)]
-    for r in history:
-        d = r.as_dict()
-        parts = []
-        for c in cols:
-            v = d[c]
-            parts.append(repr(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
+    dicts = [r.as_dict() for r in history]
+    return csv_text(cols, [[d[c] for c in cols] for d in dicts])

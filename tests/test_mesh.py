@@ -8,7 +8,14 @@ from penflow import (ConfigurationError, DomainSpec, GeometryError, Mesh,
                      MeshInvariantError, UnknownLabelError, boundary_flux,
                      build_spaces, extract_submesh, generate_mesh,
                      mesh_from_text, mesh_to_text, polygon_signed_distance)
+from penflow.mesh import _side_keys
 from penflow.ns_solver import flux_row_vector
+from penflow.presets import (SEC31_OBSTACLES, TEST1_CENTERS, TEST1_RADII,
+                             flow_cell_spec)
+
+DISK = (("disk", (0.5, 0.5), 0.2),)
+PENTAGON = (("polygon", ((0.3, -0.25), (0.6, -0.25), (0.6, 0.25),
+                         (0.45, 0.05), (0.3, 0.25))),)
 
 
 def triangle_areas(mesh):
@@ -239,14 +246,17 @@ def test_polygon_signed_distance_tracks_square(cx, cy, px, py):
         assert np.isclose(d, -inside, atol=1e-9)
 
 
-@pytest.mark.parametrize("h", [0.3, 0.18])
-def test_generated_meshes_have_sound_connectivity(h):
-    m = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=h))
+@pytest.mark.parametrize("h, obstacles", [(0.3, ()), (0.18, ()), (0.1, DISK)],
+                         ids=["0.3", "0.18", "conforming"])
+def test_generated_meshes_have_sound_connectivity(h, obstacles):
+    m = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=h,
+                                 obstacles=obstacles),
+                      conform_to_obstacles=bool(obstacles))
     # every boundary edge appears in exactly one triangle
     edge_count = {}
     for tri in m.triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
+            key = (int(min(a, b)), int(max(a, b)))
             edge_count[key] = edge_count.get(key, 0) + 1
     for a, b in m.boundary_edges:
         assert edge_count[(min(a, b), max(a, b))] == 1
@@ -254,3 +264,38 @@ def test_generated_meshes_have_sound_connectivity(h):
     boundary = [k for k, c in edge_count.items() if c == 1]
     assert len(boundary) == len(m.boundary_edges)
     assert len(interior) + len(boundary) == len(edge_count)
+    assert m.edges().tolist() == [list(k) for k in sorted(edge_count)]
+
+
+def test_edge_keys_do_not_wrap_on_int32_indices():
+    # Delaunay returns int32 simplices; a * nv overflows int32 here
+    tri = np.array([[59_998, 60_000, 59_999], [3, 60_000, 59_998]],
+                   dtype=np.int32)
+    nv = 60_001
+    want = [min(a, b) * nv + max(a, b)
+            for s in range(3) for a, b in ((int(t[s]), int(t[(s + 1) % 3]))
+                                           for t in tri)]
+    assert _side_keys(tri, nv).tolist() == want
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.1, obstacles=DISK),
+    DomainSpec(outer=(0.0, 0.0, 2.0, 1.0), h_mesh=0.1,
+               obstacles=(("disk", (1.5, 0.5), 0.15),
+                          ("disk", (0.5, 0.5), 0.15))),
+    flow_cell_spec(0.08, SEC31_OBSTACLES),
+    flow_cell_spec(0.05, tuple(("disk", c, r)
+                               for c, r in zip(TEST1_CENTERS, TEST1_RADII))),
+    flow_cell_spec(0.1, PENTAGON),
+], ids=["square-disk", "two-disks", "sec31", "test1", "pentagon"])
+def test_region_tags_match_centroid_polygon_test(spec):
+    m = generate_mesh(spec, conform_to_obstacles=True)
+    # reference rule: a centroid inside any obstacle polygon is Obstacle
+    cent = m.vertices[m.triangles].mean(axis=1)
+    inside = np.zeros(m.num_triangles, dtype=bool)
+    for poly in spec.obstacle_polygons():
+        inside |= polygon_signed_distance(cent, poly) < 0.0
+    assert list(m.triangle_region) == ["Obstacle" if f else "Fluid"
+                                       for f in inside]
+    fluid = extract_submesh(m, "Fluid")
+    assert len(fluid.boundary_loops()) == 1 + len(spec.obstacles)
