@@ -26,8 +26,7 @@ from . import presets
 from .artifacts import (MANIFEST_NAME, atomic_write_text, level_csv_text,
                         svg_loglog, write_csv, write_manifest, write_vtk)
 from .errors import (ConfigurationError, GeometryError, GenerationError,
-                     NonconvergenceError, PenflowError, SolverError,
-                     UnknownLabelError)
+                     NonconvergenceError, SolverError, UnknownLabelError)
 from .error_study import (EPSILON_SWEEP, MESH_SWEEP, SweepBase,
                           records_to_csv, regression_slope, run_sweep)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,

@@ -23,10 +23,15 @@ MESH_SWEEP = "mesh"
 
 
 class ErrorRecord:
-    """One sweep point: parameters, relative errors on the fluid region."""
+    """One sweep point: parameters, relative errors on the fluid region.
+
+    report and reference_report keep the NewtonReport of the penalized and
+    of the reference solve; neither is serialized.
+    """
 
     def __init__(self, epsilon, mesh_size, l2_rel, h1_rel, div_norm_omega,
-                 newton_iters, p_l2_rel=None):
+                 newton_iters, p_l2_rel=None, report=None,
+                 reference_report=None):
         self.epsilon = float(epsilon)
         self.mesh_size = float(mesh_size)
         self.l2_rel = float(l2_rel)
@@ -34,6 +39,7 @@ class ErrorRecord:
         self.div_norm_omega = float(div_norm_omega)
         self.newton_iters = int(newton_iters)
         self.p_l2_rel = None if p_l2_rel is None else float(p_l2_rel)
+        self.report, self.reference_report = report, reference_report
         for v in (self.l2_rel, self.h1_rel, self.div_norm_omega):
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError("error record values must be finite and >= 0")
@@ -93,11 +99,12 @@ def restrict_state(full_layout, sub_mesh, Y, P=None):
 
 class _MeshReference:
     """The eps-free part of every sweep point on one mesh: fluid submesh,
-    reference solve (eps 0) and its norms, layout, obstacle coefficients."""
+    reference solve (eps 0), its report and norms, layout, obstacle
+    coefficients."""
 
     def __init__(self, mesh, base):
         self.mesh, self.sub = mesh, extract_submesh(mesh, FLUID)
-        self.ref, _, _ = solve_reference_flux_constrained(
+        self.ref, _, self.report = solve_reference_flux_constrained(
             self.sub, base.config.replace(eps=0.0), dirichlet=base.dirichlet,
             raise_on_failure=True)
         ref = self.ref
@@ -121,7 +128,7 @@ def _one_point(mr: _MeshReference, base, eps):
     div_omega = compute_norm(sub, Ys, kind="DivL2")
     p_rel = compute_norm(sub, Ps - ref.P, kind="L2") / ref_p if ref_p > 0 else 0.0
     return ErrorRecord(eps, mr.mesh.mean_edge_length, l2_rel, h1_rel,
-                       div_omega, report.iterations, p_rel)
+                       div_omega, report.iterations, p_rel, report, mr.report)
 
 
 def run_sweep(kind, values, base: SweepBase):

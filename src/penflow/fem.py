@@ -91,6 +91,7 @@ class SpaceLayout:
         self.cell_dofs = np.column_stack(
             [mesh.triangles, self.V + np.arange(self.T)]).astype(np.int64)
         self._geom = {}
+        self._patterns = {}  # condensed saddle patterns, filled by ns_solver
 
     # geometry and basis caches, keyed by quadrature order
     def geometry(self, order):
@@ -451,7 +452,8 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
     field: flat velocity DOF vector of length 2(V+T), a (V, 2) vertex vector
     field, or a scalar P1 vector of length V.  region: None for the whole
     mesh, a region tag string, or an array of triangle indices.  The
-    quadrature is exact for the piecewise-polynomial integrands.
+    quadrature is exact for the piecewise-polynomial integrands; the
+    whole-mesh geometry is computed once per mesh.
     """
     if kind not in _NORM_KINDS:
         raise ConfigurationError(f"unknown norm kind {kind!r}")
@@ -472,10 +474,15 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
     if arr.ndim != 1:
         raise ConfigurationError("field shape not understood")
 
-    lam, w = triangle_rule(7)
-    tris = mesh.triangles[tri_idx]
-    area, gl, vals, grads = _element_geometry(mesh.vertices[tris], lam)
-    wa = w[None, :] * area[:, None]
+    geo = mesh._cache.get("norm_geometry") if region is None else None
+    if geo is None:
+        lam, w = triangle_rule(7)
+        tris = mesh.triangles[tri_idx]
+        area, gl, vals, grads = _element_geometry(mesh.vertices[tris], lam)
+        geo = lam, tris, area, gl, vals, grads, w[None, :] * area[:, None]
+        if region is None:
+            mesh._cache["norm_geometry"] = geo
+    lam, tris, area, gl, vals, grads, wa = geo
     l2sq = h1sq = 0.0  # a norm leaves out the part it does not use
 
     if arr.size == V:  # scalar P1 field

@@ -4,18 +4,27 @@ Three entry points: a Stokes solve (linear), a Newton iteration for the
 stationary Navier-Stokes system with smoothed obstacle penalization, and a
 body-fitted reference solver that enforces zero net flux through each
 obstacle boundary with one Lagrange multiplier per loop.  Dirichlet
-velocity rows are imposed by row replacement; the Neumann side carries the
-traction from the assembly config.  The Newton residual adds only the
-Dirichlet, flux and multiplier rows to fem._flow_rows, the per-element
-kernel that gives the descent constraint C(X) in topopt too.  Every linear
-solve condenses the per-triangle bubble unknowns out first (their block is
-2x2 block-diagonal) and factors only the vertex-velocity, pressure and
-multiplier system.  That complement is structurally symmetric, so SuperLU
-factors it in symmetric mode
-(minimum-degree ordering of A + A^T, diagonal pivots unless below 1e-3 of
-their column; a larger threshold pivots off the diagonal and multiplies fill).
+velocity rows are identity rows; the Neumann side carries the traction
+from the assembly config.  The Newton residual adds only the Dirichlet,
+flux and multiplier rows to fem._flow_rows, the per-element kernel that
+gives the descent constraint C(X) in topopt too.
+
+Linear solves never assemble the global matrix.  Each triangle's 11x11
+Jacobian block (u_x, u_y and p at its vertices, then its two bubbles) adds
+the convection at the current velocity to viscous, mass and divergence
+parts computed once per solve.  A bubble couples only to its own triangle,
+so the 2x2 bubble block is eliminated in closed form and the 9x9
+complements are scattered with one bincount into a CSR pattern fixed per
+layout: vertex pairs on the diagonal and along edges, identity rows for
+fixed DOFs, the flux multipliers as a border.  SuperLU factors that
+complement in symmetric mode (minimum-degree ordering of A + A^T, diagonal
+pivots unless below 1e-3 of their column; a larger threshold pivots off
+the diagonal and multiplies fill), and the bubbles follow per element.
+fem.assemble_bilinear and fem.assemble_trilinear assemble the same forms
+globally; they are the tested reference and serve topopt.constraint_jacobian.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -24,8 +33,10 @@ import scipy.sparse.linalg as spla
 
 from .errors import NonconvergenceError, SolverError
 from .fem import (AssemblyConfig, SpaceLayout, _flow_at_quad, _flow_rows,
-                  assemble_bilinear, assemble_load, assemble_trilinear,
-                  build_spaces, evaluate_coefficients)
+                  _velocity_at_quad, assemble_load, build_spaces,
+                  evaluate_coefficients)
+# not used here; the benchmark's layer trace wraps them under these names
+from .fem import assemble_bilinear, assemble_trilinear  # noqa: F401
 from .mesh import outward_normals
 
 
@@ -56,15 +67,20 @@ class MixedState:
 
 
 class NewtonReport:
-    """Convergence record of one Newton run."""
+    """Convergence record of one Newton run.
+
+    fill lists the L+U nonzeros of each factorization, the Stokes start's
+    first when there is one.
+    """
 
     def __init__(self, converged, iterations, residual_norms, message="",
-                 runtime=0.0):
+                 runtime=0.0, fill=()):
         self.converged = bool(converged)
         self.iterations = int(iterations)
         self.residual_norms = list(residual_norms)
         self.message = message
         self.runtime = float(runtime)
+        self.fill = list(fill)
 
     @property
     def final_residual(self):
@@ -84,20 +100,80 @@ def _dirichlet_values(layout, dirichlet):
     return np.concatenate([vals[:, 0], vals[:, 1]])
 
 
-def _replace_rows(K, rows):
-    """Zero the given rows of K and put a unit diagonal there."""
-    n = K.shape[0]
-    mask = np.ones(n)
-    mask[rows] = 0.0
-    out = sp.diags(mask) @ K
-    if len(rows):
-        out = out + sp.coo_matrix(
-            (np.ones(len(rows)), (rows, rows)), shape=K.shape)
-    return out.tocsc()
+def _convection(geom, coeffs, cell_dofs, Y):
+    """C1 + C2 of assemble_trilinear at Y per element, (T, c, a, c', b):
+    velocity component c tested with basis a, against c' with basis b."""
+    vals, grads = geom["vals"], geom["grads"]
+    uq, gu = _velocity_at_quad(vals, grads, cell_dofs, Y)
+    wc = geom["wa"] * coeffs.conv
+    T, nq = wc.shape
+    # e1[t, c, c', a, b] = int conv (d u_c / d x_c') N_a N_b
+    e1 = np.swapaxes((wc[..., None, None] * gu).reshape(T, nq, 4), 1, 2) \
+        @ (vals[:, :, None] * vals[:, None]).reshape(nq, 16)
+    # e2[t, c, a, b, c'] = int conv u_c N_a d_c' N_b
+    wu = ((wc[..., None] * uq)[..., None] * vals[:, None]).reshape(T, nq, 8)
+    e2 = (np.swapaxes(wu, 1, 2) @ grads.reshape(T, nq, 8)).reshape(
+        T, 2, 4, 4, 2)
+    vel = e1.reshape(T, 2, 2, 4, 4).transpose(0, 1, 3, 2, 4) \
+        - e2.transpose(0, 1, 3, 4, 2)
+    # int conv (u . grad N_b) N_a, skew-symmetrized, in both components
+    P = e2[:, 0, :, :, 0] + e2[:, 1, :, :, 1]
+    P -= np.swapaxes(P, 1, 2)
+    vel[:, 0, :, 0] += P
+    vel[:, 1, :, 1] += P
+    return 0.5 * vel
+
+
+class _Pattern:
+    """Fixed CSR pattern of the condensed matrix on u_x, u_y and p at the
+    vertices (3V), then one multiplier per row of R (m, 2V).
+
+    Vertices couple in 3x3 blocks on the diagonal and along edges, R's
+    nonzeros border the matrix, and a fixed row keeps only its diagonal,
+    where its other entries land.  slots gives the data position of each
+    entry of the (T, 9, 9) element complements, border that of R's entries.
+    """
+
+    def __init__(self, layout, fixed, R):
+        V, n, e = layout.V, 3 * layout.V, layout.mesh.edges()
+        self.n, self.fixed = n + len(R), fixed
+        is_fixed = np.isin(np.arange(self.n), fixed)
+
+        def keys(rows, cols):
+            return rows * self.n + np.where(is_fixed[rows], rows, cols)
+
+        pairs = np.sort(np.concatenate([e @ [V, 1], e @ [1, V],
+                                        np.arange(V) * (V + 1)]))
+        c = np.arange(3)[:, None, None]
+        # block entry (c, c', k): component c at pair k's first vertex
+        # against component c' at its second
+        blocks = keys(c * V + pairs // V,
+                      np.swapaxes(c, 0, 1) * V + pairs % V).ravel()
+        bk, bj = np.nonzero(R)
+        border = np.concatenate([keys(bj, n + bk), keys(n + bk, bj)])
+        uniq = np.sort(np.concatenate([blocks, border]))
+        uniq = uniq[np.append(True, uniq[1:] != uniq[:-1])]
+        self.indptr = np.searchsorted(
+            uniq // self.n, np.arange(self.n + 1)).astype(np.int32)
+        self.indices = (uniq % self.n).astype(np.int32)
+        self.diag = self.indptr[fixed]
+        self.border, self.values = np.searchsorted(uniq, border), \
+            np.tile(R[bk, bj], 2)
+        tri = layout.mesh.triangles
+        self.loc = np.hstack([tri, tri + V, tri + 2 * V])  # element rows
+        k = np.searchsorted(pairs, tri[:, :, None] * V + tri[:, None])
+        # int32 halves the largest array the pattern keeps
+        self.slots = np.searchsorted(uniq, blocks)[
+            np.arange(9).reshape(1, 3, 1, 3, 1) * len(pairs)
+            + k[:, None, :, None]].astype(np.int32)
 
 
 class _System:
-    """Shared assembly state for one solve: matrices, load, constraint rows."""
+    """Shared state for one solve: coefficients, load, constraint rows.
+
+    Linear solves take element blocks (T, 11, 11), the local Jacobian on
+    u_x, u_y and p at the three vertices, then the u_x and u_y bubbles.
+    """
 
     def __init__(self, layout, config, g, flux_labels=()):
         self.layout = layout
@@ -105,8 +181,8 @@ class _System:
         self.g = g
         self.coeffs = evaluate_coefficients(layout, config, g)
         self.geom = layout.geometry(config.quadrature_order)
-        self.A, self.B = assemble_bilinear(layout, config, g, self.coeffs)
         self.F = assemble_load(layout, config, g, self.coeffs)
+        self.flux_labels = tuple(flux_labels)
         self.flux_rows = np.reshape(
             [flux_row_vector(layout, lab) for lab in flux_labels],
             (-1, 2 * layout.N1))
@@ -116,6 +192,7 @@ class _System:
         pin = [2 * layout.N1] if config.pin_pressure else []
         self.fixed_rows = np.concatenate(
             [layout.dirichlet_dofs, np.array(pin, dtype=np.int64)])
+        self.fill = []  # L+U nonzeros of each factor
 
     def split(self, x):
         """Velocity, pressure and multiplier parts of a saddle-system vector."""
@@ -133,59 +210,99 @@ class _System:
         mom[dirs] = Y[dirs] - ydir
         return np.concatenate([mom, div, self.flux_rows @ Y])
 
-    def matrix(self, velocity_block):
-        """Saddle matrix [[Avel, B^T, R^T], [B, 0, 0], [R, 0, 0]], rows fixed."""
-        blocks = [[velocity_block, self.B.T], [self.B, None]]
-        if self.n_flux:
-            R = sp.csr_matrix(self.flux_rows)
-            blocks[0].append(R.T)
-            blocks[1].append(None)
-            blocks.append([R, sp.csr_matrix((self.n_flux, self.layout.N2)),
-                           None])
-        return _replace_rows(sp.bmat(blocks, format="csr"), self.fixed_rows)
+    @functools.cached_property
+    def _stokes_parts(self):
+        """Viscous plus mass block of one component (T, 4, 4) and divergence
+        rows -int divc (d_c N_a) lam_p (T, p, c, a); Y does not enter."""
+        geom, co, rows = self.geom, self.coeffs, self.geom["grad_rows"]
+        wa, vals = geom["wa"], geom["vals"]
+        k = np.swapaxes(rows * np.repeat(wa * co.visc, 2, axis=1)[..., None],
+                        1, 2) @ rows
+        k += np.swapaxes((wa * co.mass)[..., None] * vals, 1, 2) @ vals
+        b = -np.swapaxes((wa * co.divc)[..., None] * geom["lam"], 1, 2) \
+            @ geom["grads"].reshape(len(k), -1, 8)
+        return k, b.reshape(-1, 3, 4, 2).transpose(0, 1, 3, 2)
 
-    def jacobian(self, Y):
-        C1, C2 = assemble_trilinear(self.layout, self.config, self.g, Y,
-                                    self.coeffs)
-        return self.matrix(self.A + C1 + C2)
+    def element_blocks(self, Y=None):
+        """Element Jacobian blocks at velocity Y; the Stokes blocks for None."""
+        k, b = self._stokes_parts
+        T = len(k)
+        vel = np.zeros((T, 2, 4, 2, 4)) if Y is None else \
+            _convection(self.geom, self.coeffs, self.layout.cell_dofs, Y)
+        vel[:, 0, :, 0] += k
+        vel[:, 1, :, 1] += k
+        # vertex DOF (c, a < 3) of vel sits at 3c + a, bubble c at 9 + c
+        K = np.zeros((T, 11, 11))
+        K[:, :6, :6].reshape(T, 2, 3, 2, 3, copy=False)[...] = \
+            vel[:, :, :3, :, :3]
+        K[:, :6, 9:].reshape(T, 2, 3, 2, copy=False)[...] = vel[..., :3, :, 3]
+        K[:, 9:, :6].reshape(T, 2, 2, 3, copy=False)[...] = vel[:, :, 3, :, :3]
+        K[:, 9:, 9:] = vel[:, :, 3, :, 3]
+        K[:, 6:9, :6] = b[..., :3].reshape(T, 3, 6)
+        K[:, 6:9, 9:] = b[..., 3]
+        K[:, :, 6:9] = np.swapaxes(K[:, 6:9], 1, 2)
+        return K
 
-    def solve(self, K, rhs):
-        """Solve K x = rhs for a saddle matrix, condensing the bubbles out.
+    @functools.cached_property
+    def _pattern(self):
+        lay, pin = self.layout, self.config.pin_pressure
+        if (pin, self.flux_labels) not in lay._patterns:
+            dv, V, R = lay.dirichlet_vertices, lay.V, self.flux_rows
+            fixed = np.concatenate([dv, dv + V, [2 * V] if pin else []])
+            lay._patterns[pin, self.flux_labels] = _Pattern(
+                lay, fixed.astype(np.int64),
+                np.hstack([R[:, :V], R[:, lay.N1:lay.N1 + V]]))
+        return lay._patterns[pin, self.flux_labels]
 
-        A bubble couples only to the other-component bubble of its triangle,
-        so the bubble block is inverted per triangle in closed form; one
-        sparse solve of the Schur complement gives the rest, then the bubbles.
-        """
-        lay = self.layout
-        bub = lay.V + np.arange(lay.T)
-        b = np.concatenate([bub, bub + lay.N1])
-        r = np.setdiff1d(np.arange(len(rhs)), b)
-        K = K.tocsr()
-        Kb, Kr = K[b], K[r]
-        Kbb, Kbr = Kb[:, b], Kb[:, r]
-        # per triangle [[xx, xy], [yx, yy]]: the diagonal halves and offset T
-        xx, yy = np.split(Kbb.diagonal(), 2)
-        xy, yx = Kbb.diagonal(lay.T), Kbb.diagonal(-lay.T)
+    def condense(self, K):
+        """The condensed saddle matrix of element blocks K, as CSR, with
+        each inverse bubble block (T, 2, 2) and its product with the bubble
+        rows (T, 2, 9)."""
+        xx, xy, yx, yy = K[:, 9, 9], K[:, 9, 10], K[:, 10, 9], K[:, 10, 10]
         det = xx * yy - xy * yx
         if not np.all(np.isfinite(det) & (det != 0.0)):
             raise SolverError("singular bubble block in the linear solve")
-        inv = sp.bmat([[sp.diags(yy / det), sp.diags(-xy / det)],
-                       [sp.diags(-yx / det), sp.diags(xx / det)]], "csr")
-        KrbI = Kr[:, b] @ inv
-        x = np.empty(len(rhs))
+        inv = np.stack([yy, -xy, -yx, xx], axis=1).reshape(-1, 2, 2) \
+            / det[:, None, None]
+        W = inv @ K[:, 9:, :9]
+        pat = self._pattern
+        data = np.bincount(pat.slots.ravel(),
+                           (K[:, :9, :9] - K[:, :9, 9:] @ W).ravel(),
+                           minlength=len(pat.indices))
+        data[pat.border] = pat.values
+        data[pat.diag] = 1.0
+        return (sp.csr_matrix((data, pat.indices, pat.indptr),
+                              shape=(pat.n, pat.n)), inv, W)
+
+    def solve(self, K, rhs):
+        """Solve the saddle system of element blocks K, fixed rows identity.
+
+        A bubble couples only to its own triangle, so each 2x2 bubble block
+        is inverted in closed form; one sparse solve of the complement gives
+        the vertex unknowns and multipliers, then the bubbles follow.
+        """
+        V, N1, pat = self.layout.V, self.layout.N1, self._pattern
+        S, inv, W = self.condense(K)
+        zb = inv @ np.column_stack([rhs[V:N1], rhs[N1 + V:2 * N1]])[..., None]
+        corr = np.bincount(pat.loc.ravel(), (K[:, :9, 9:] @ zb).ravel(),
+                           minlength=pat.n)
+        corr[pat.fixed] = 0.0  # identity rows keep their right-hand side
         # symmetric pattern, nonzero diagonal on velocity and pressure rows:
         # minimum degree on A + A^T and diagonal pivots (1e-2 would pivot off
         # the diagonal and raise the fill 20-fold, 0.64M to 12.4M at h=0.03);
         # the transpose of the CSR complement is CSC without a copy
         try:
-            lu = spla.splu((Kr[:, r] - KrbI @ Kbr).T,
-                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3,
+            lu = spla.splu(S.T, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=1e-3,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"singular saddle system: {exc}") from exc
-        x[r] = lu.solve(rhs[r] - KrbI @ rhs[b], trans="T")
-        x[b] = inv @ (rhs[b] - Kbr @ x[r])
-        return x
+        self.fill.append(lu.nnz)
+        xr = lu.solve(np.concatenate([rhs[:V], rhs[N1:N1 + V], rhs[2 * N1:]])
+                      - corr, trans="T")
+        xb = (zb - W @ xr[pat.loc][..., None])[..., 0]
+        return np.concatenate([xr[:V], xb[:, 0], xr[V:2 * V], xb[:, 1],
+                               xr[2 * V:]])
 
 
 def flux_row_vector(layout: SpaceLayout, label: str):
@@ -202,7 +319,7 @@ def _linear_solve(sysm: _System, ydir):
     lay = sysm.layout
     rhs = np.concatenate([sysm.F, np.zeros(lay.N2 + sysm.n_flux)])
     rhs[lay.dirichlet_dofs] = ydir
-    sol = sysm.solve(sysm.matrix(sysm.A), rhs)
+    sol = sysm.solve(sysm.element_blocks(), rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values")
     return sol
@@ -240,7 +357,7 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     while not converged and it < max_iter:
         rhs = -res
         rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
-        delta = sysm.solve(sysm.jacobian(x[:2 * lay.N1]), rhs)
+        delta = sysm.solve(sysm.element_blocks(x[:2 * lay.N1]), rhs)
         if not np.all(np.isfinite(delta)):
             message = "linear solve produced non-finite Newton step"
             break
@@ -266,7 +383,7 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     runtime = time.perf_counter() - t0
     if not converged and not message:
         message = f"residual {norms[-1]:.3e} above tolerance after {it} iterations"
-    report = NewtonReport(converged, it, norms, message, runtime)
+    report = NewtonReport(converged, it, norms, message, runtime, sysm.fill)
     Y, P, L = sysm.split(x)
     return MixedState(lay, Y, P), L, report
 

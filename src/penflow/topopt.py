@@ -19,13 +19,13 @@ import scipy.sparse as sp
 
 from .artifacts import csv_text
 from .errors import ConfigurationError, SolverError
-from .fem import (AssemblyConfig, CoeffData, SpaceLayout, _flow_at_quad,
-                  _flow_rows, _hat_rows, _momentum_integrand, _scatter,
-                  _velocity_at_quad, _velocity_rows, assemble_bilinear,
-                  assemble_load, assemble_trilinear, evaluate_coefficients)
+from .fem import (CoeffData, SpaceLayout, _flow_at_quad, _flow_rows,
+                  _hat_rows, _momentum_integrand, _scatter, _velocity_at_quad,
+                  _velocity_rows, assemble_bilinear, assemble_load,
+                  assemble_trilinear, evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
 from .mesh import _graph_components
-from .ns_solver import _replace_rows, solve_navier_stokes
+from .ns_solver import solve_navier_stokes
 
 DISSIPATED_ENERGY = "dissipated-energy"
 TRACKING = "tracking"
@@ -284,7 +284,10 @@ def constraint_jacobian(X: OptVector, layout, config):
     jac13, bprime = forms.level_jacobian_blocks()
     jac = sp.bmat([[A + C1 + C2, B.T, jac13], [B, None, bprime]],
                   format="csr")
-    return _replace_rows(jac, layout.dirichlet_dofs)
+    keep = np.ones(jac.shape[0])
+    keep[layout.dirichlet_dofs] = 0.0
+    return (sp.diags(keep) @ jac
+            + sp.diags(1.0 - keep, shape=jac.shape)).tocsc()
 
 
 def cost_and_gradient(X: OptVector, spec: CostSpec, layout, config):

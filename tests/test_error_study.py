@@ -108,6 +108,31 @@ def test_epsilon_sweep_solves_the_reference_once(sweep_base, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind, values", [(EPSILON_SWEEP, (0.5, 0.1)),
+                                          (MESH_SWEEP, (0.14, 0.1))])
+def test_sweep_records_keep_both_newton_reports(kind, values, sweep_base,
+                                                monkeypatch):
+    reports = []
+    solve = error_study.solve_reference_flux_constrained
+
+    def kept(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        reports.append(out[2])
+        return out
+
+    monkeypatch.setattr(error_study, "solve_reference_flux_constrained", kept)
+    records = run_sweep(kind, values, sweep_base)
+    for i, rec in enumerate(records):
+        assert rec.report.converged
+        assert rec.report.iterations == rec.newton_iters
+        assert len(rec.report.fill) == rec.newton_iters + 1
+        # an epsilon sweep shares one reference solve, a mesh sweep has one
+        # per mesh
+        ref = reports[0 if kind == EPSILON_SWEEP else i]
+        assert rec.reference_report is ref and ref.converged
+        assert "report" not in rec.as_dict()
+
+
 def test_mesh_sweep_errors_shrink(sweep_base):
     records = run_sweep(MESH_SWEEP, (0.14, 0.07), sweep_base)
     assert records[1].l2_rel < records[0].l2_rel

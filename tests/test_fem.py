@@ -10,6 +10,7 @@ from penflow import (AssemblyConfig, ConfigurationError, DomainSpec,
                      evaluate_coefficients, generate_mesh,
                      matrix_to_coordinate_text, smoothed_heaviside,
                      triangle_rule)
+from penflow import fem
 
 
 def exact_barycentric_integral(p, q, r, area):
@@ -313,6 +314,25 @@ def test_velocity_norms_match_einsum_interpolation(kind, region, rng,
     want = {"L2": l2sq, "H1seminorm": h1sq, "H1": l2sq + h1sq,
             "DivL2": np.sum(wa * div ** 2)}[kind] ** 0.5
     assert abs(got - want) <= 1e-14 * want
+
+
+def test_whole_mesh_norm_geometry_is_computed_once(monkeypatch, rng):
+    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
+    V, T = mesh.num_vertices, mesh.num_triangles
+    fields = [rng.standard_normal(2 * (V + T)), rng.standard_normal(V)]
+    kinds = [("L2", "H1seminorm", "H1", "DivL2"), ("L2", "H1seminorm", "H1")]
+    # every triangle as an index array: the geometry computed per call
+    want = [compute_norm(mesh, f, np.arange(T), k)
+            for f, ks in zip(fields, kinds) for k in ks]
+    calls = []
+    geometry = fem._element_geometry
+    monkeypatch.setattr(fem, "_element_geometry",
+                        lambda *a: calls.append(1) or geometry(*a))
+    for _ in range(2):
+        got = [compute_norm(mesh, f, None, k)
+               for f, ks in zip(fields, kinds) for k in ks]
+        assert got == want  # bitwise
+    assert len(calls) == 1
 
 
 def test_load_matches_per_edge_scatter(flow_cell_coarse_layout):

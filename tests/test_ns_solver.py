@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from penflow import (AssemblyConfig, DomainSpec, LevelField,
@@ -7,9 +8,16 @@ from penflow import (AssemblyConfig, DomainSpec, LevelField,
                      boundary_flux, compose_disks, compute_norm,
                      generate_mesh, residual_max_norm, solve_navier_stokes,
                      solve_reference_flux_constrained, solve_stokes)
-from penflow.fem import assemble_trilinear
+from penflow.fem import assemble_bilinear, assemble_trilinear
 from penflow.ns_solver import _System
 from penflow.presets import sec31_assembly, sec31_level, shear_traction
+
+
+def _pull(x):
+    x = np.asarray(x)
+    out = np.zeros(x.shape)
+    out[..., 0] = 10.0 * x[..., 1]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -84,13 +92,7 @@ def test_nonconvergence_reports_and_raises(small_flow):
 def test_reference_solver_annihilates_obstacle_flux(square_disk_conforming):
     _, fluid = square_disk_conforming
 
-    def pull(x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape)
-        out[..., 0] = 10.0 * x[..., 1]
-        return out
-
-    cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=pull,
+    cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=_pull,
                          divergence_form=PLAIN_B)
     state, multipliers, report = solve_reference_flux_constrained(
         fluid, cfg, raise_on_failure=True)
@@ -106,13 +108,7 @@ def test_reference_solver_annihilates_obstacle_flux(square_disk_conforming):
 def test_reference_residual_includes_multiplier_rows(square_disk_conforming):
     _, fluid = square_disk_conforming
 
-    def pull(x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape)
-        out[..., 0] = 10.0 * x[..., 1]
-        return out
-
-    cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=pull,
+    cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=_pull,
                          divergence_form=PLAIN_B)
     lay = build_spaces(fluid)
     state, multipliers, report = solve_reference_flux_constrained(
@@ -152,22 +148,64 @@ def _lid(x):
     return out
 
 
+def _saddle_matrix(sysm, Y):
+    """The full saddle matrix from the public assemblers, rows replaced.
+
+    [[A + C1(Y) + C2(Y), B^T, R^T], [B, 0, 0], [R, 0, 0]] (no C for Y None)
+    with every fixed row an identity row.
+    """
+    lay = sysm.layout
+    A, B = assemble_bilinear(lay, sysm.config, sysm.g, sysm.coeffs)
+    if Y is not None:
+        C1, C2 = assemble_trilinear(lay, sysm.config, sysm.g, Y, sysm.coeffs)
+        A = A + C1 + C2
+    blocks = [[A, B.T], [B, None]]
+    if sysm.n_flux:
+        R = sp.csr_matrix(sysm.flux_rows)
+        blocks[0].append(R.T)
+        blocks[1].append(None)
+        blocks.append([R, sp.csr_matrix((sysm.n_flux, lay.N2)), None])
+    K = sp.bmat(blocks, format="csr")
+    keep = np.ones(K.shape[0])
+    keep[sysm.fixed_rows] = 0.0
+    return (sp.diags(keep) @ K + sp.diags(1.0 - keep)).tocsr()
+
+
+def _schur_complement(sysm, K):
+    """Kr[:, r] - Kr[:, b] Kbb^-1 Kbr for the bubble DOFs b of K.
+
+    Kbb couples the x and y bubble of each triangle only, offset T.
+    """
+    T, V, N1 = sysm.layout.T, sysm.layout.V, sysm.layout.N1
+    b = np.concatenate([V + np.arange(T), N1 + V + np.arange(T)])
+    r = np.setdiff1d(np.arange(K.shape[0]), b)
+    Kb, Kr = K[b], K[r]
+    Kbb = Kb[:, b]
+    xx, yy = np.split(Kbb.diagonal(), 2)
+    blocks = np.stack([xx, Kbb.diagonal(T), Kbb.diagonal(-T), yy], axis=1)
+    inv = np.linalg.inv(blocks.reshape(-1, 2, 2)).reshape(-1, 4).T
+    inv = sp.bmat([[sp.diags(inv[0]), sp.diags(inv[1])],
+                   [sp.diags(inv[2]), sp.diags(inv[3])]], format="csr")
+    return (Kr[:, r] - Kr[:, b] @ inv @ Kb[:, r]).tocsr()
+
+
 @pytest.fixture(scope="module")
 def sec31_newton(flow_cell_coarse_layout):
-    """The sec31 penalized system and its Jacobian at the Stokes velocity."""
+    """The sec31 penalized system and the Stokes velocity."""
     lay = flow_cell_coarse_layout
     g = LevelField.interpolate(lay.mesh, sec31_level())
     cfg = sec31_assembly()
-    sysm = _System(lay, cfg, g)
-    Y = solve_stokes(lay, cfg, g).Y
-    return sysm, Y, sysm.jacobian(Y)
+    return _System(lay, cfg, g), solve_stokes(lay, cfg, g).Y
 
 
 def _reference_system(square_disk_conforming):
+    """The flux-constrained reference system and its Stokes velocity."""
     _, fluid = square_disk_conforming
-    cfg = AssemblyConfig(nu=1.0, eps=0.0, divergence_form=PLAIN_B)
-    sysm = _System(build_spaces(fluid), cfg, None, flux_labels=("Obstacle1",))
-    return sysm, sysm.matrix(sysm.A)
+    cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=_pull,
+                         divergence_form=PLAIN_B)
+    lay = build_spaces(fluid)
+    return (_System(lay, cfg, None, flux_labels=("Obstacle1",)),
+            solve_stokes(lay, cfg, None, flux_labels=("Obstacle1",)).Y)
 
 
 def _cavity_system():
@@ -176,17 +214,25 @@ def _cavity_system():
                                                "Gamma4"))
     cfg = AssemblyConfig(nu=1.0, eps=0.0, pin_pressure=True)
     sysm = _System(lay, cfg, None)
-    Y = solve_navier_stokes(lay, cfg, None, dirichlet=_lid)[0].Y
-    return sysm, sysm.jacobian(Y)
+    return sysm, solve_navier_stokes(lay, cfg, None, dirichlet=_lid)[0].Y
 
 
 def _small_eps_system(layout, eps):
-    """The sec31 Jacobian at a converged Newton state with a small eps."""
+    """The sec31 system at a converged Newton state with a small eps."""
     g = LevelField.interpolate(layout.mesh, sec31_level())
     cfg = sec31_assembly(eps=eps)
-    sysm = _System(layout, cfg, g)
     state, _ = solve_navier_stokes(layout, cfg, g, raise_on_failure=True)
-    return sysm, sysm.jacobian(state.Y)
+    return _System(layout, cfg, g), state.Y
+
+
+def _case_system(case, sec31_newton, layout, square_disk_conforming):
+    if case == "sec31-jacobian":
+        return sec31_newton
+    if case == "flux-reference":
+        return _reference_system(square_disk_conforming)
+    if case == "pinned-cavity":
+        return _cavity_system()
+    return _small_eps_system(layout, float(case[4:]))
 
 
 @pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
@@ -194,16 +240,13 @@ def _small_eps_system(layout, eps):
 def test_condensed_solve_matches_full_spsolve(case, sec31_newton,
                                               flow_cell_coarse_layout,
                                               square_disk_conforming, rng):
-    if case == "sec31-jacobian":
-        sysm, _, K = sec31_newton
-    elif case == "flux-reference":
-        sysm, K = _reference_system(square_disk_conforming)
-    elif case == "pinned-cavity":
-        sysm, K = _cavity_system()
-    else:
-        sysm, K = _small_eps_system(flow_cell_coarse_layout, float(case[4:]))
+    sysm, Y = _case_system(case, sec31_newton, flow_cell_coarse_layout,
+                           square_disk_conforming)
+    if case == "flux-reference":
+        Y = None  # the Stokes matrix of the reference solve's start
+    K = _saddle_matrix(sysm, Y)
     rhs = rng.standard_normal(K.shape[0])
-    got = sysm.solve(K, rhs)
+    got = sysm.solve(sysm.element_blocks(Y), rhs)
     # normwise backward error, which does not grow with cond(K)
     scale = abs(K).sum(axis=1).max() * np.abs(got).max() + np.abs(rhs).max()
     assert np.abs(K @ got - rhs).max() <= 1e-14 * scale
@@ -213,34 +256,60 @@ def test_condensed_solve_matches_full_spsolve(case, sec31_newton,
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
+                                  "pinned-cavity"])
+def test_condensed_matrix_matches_schur_complement(case, sec31_newton,
+                                                   flow_cell_coarse_layout,
+                                                   square_disk_conforming):
+    sysm, Y = _case_system(case, sec31_newton, flow_cell_coarse_layout,
+                           square_disk_conforming)
+    want = _schur_complement(sysm, _saddle_matrix(sysm, Y))
+    got = sysm.condense(sysm.element_blocks(Y))[0]
+    assert got.shape == want.shape
+    assert abs(got - want).max() <= 1e-12 * abs(want).max()
+    # the fixed pattern is the complement's: same ordering and fill
+    assert got.nnz == want.nnz
+
+
 def test_bubble_block_stays_per_triangle(sec31_newton):
-    sysm, _, K = sec31_newton
+    sysm, Y = sec31_newton
     lay = sysm.layout
     bub = lay.V + np.arange(lay.T)
     b = np.concatenate([bub, bub + lay.N1])
     # the condensation inverts only the 2x2 block of each triangle
-    assert K.tocsr()[b][:, b].nnz <= 4 * lay.T
+    assert _saddle_matrix(sysm, Y)[b][:, b].nnz <= 4 * lay.T
 
 
 @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
 def test_singular_bubble_block_raises_solver_error(sec31_newton, bad):
-    sysm, _, K = sec31_newton
-    K = K.tolil()
-    k = sysm.layout.V + 7  # x bubble of triangle 7
-    K[k, :] = 0.0
-    K[k, k] = bad
+    sysm, Y = sec31_newton
+    K = sysm.element_blocks(Y)
+    K[7, 9, :] = 0.0  # the x-bubble row of triangle 7
+    K[7, 9, 9] = bad
     with pytest.raises(SolverError, match="bubble"):
-        sysm.solve(K.tocsc(), np.ones(K.shape[0]))
+        sysm.solve(K, np.ones(len(Y) + sysm.layout.N2))
 
 
 def test_singular_saddle_system_raises_solver_error(sec31_newton):
-    sysm, _, K = sec31_newton
+    sysm, Y = sec31_newton
     lay = sysm.layout
     free = np.setdiff1d(np.arange(lay.V), lay.dirichlet_vertices)
-    K = K.tolil()
-    K[free[0], :] = 0.0  # a vertex x-velocity row: the factor is singular
+    K = sysm.element_blocks(Y)
+    # a vertex x-velocity row, zero in every triangle: the factor is singular
+    K[np.nonzero(lay.mesh.triangles == free[0])] = 0.0
     with pytest.raises(SolverError, match="singular saddle system"):
-        sysm.solve(K.tocsc(), np.ones(K.shape[0]))
+        sysm.solve(K, np.ones(len(Y) + lay.N2))
+
+
+def test_newton_report_records_factor_fill(sec31_newton):
+    sysm, _ = sec31_newton
+    _, report = solve_navier_stokes(sysm.layout, sysm.config, sysm.g,
+                                    raise_on_failure=True)
+    # one factor for the Stokes start, then one per Newton step
+    assert len(report.fill) == report.iterations + 1
+    # L+U nonzeros of the assembled complement's factors: 300,396 for the
+    # Stokes start, 303,874 for each Newton step
+    assert 0 < max(report.fill) <= 303_874
 
 
 @pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
@@ -259,13 +328,13 @@ def test_newton_residual_matches_assembled_forms(case, sec31_newton,
     P = rng.standard_normal(lay.N2)
     L = rng.standard_normal(sysm.n_flux)
     ydir = rng.standard_normal(len(dirs))
+    A, B = assemble_bilinear(lay, sysm.config, sysm.g, sysm.coeffs)
     C1, _ = assemble_trilinear(lay, sysm.config, sysm.g, Y, sysm.coeffs)
-    mom = sysm.A @ Y + C1 @ Y + sysm.B.T @ P - sysm.F
+    mom = A @ Y + C1 @ Y + B.T @ P - sysm.F
     mom += sum(L[k] * r for k, r in enumerate(sysm.flux_rows))
     mom[dirs] = Y[dirs] - ydir
     # the pressure pin row keeps its divergence value
-    want = np.concatenate([mom, sysm.B @ Y,
-                           [r @ Y for r in sysm.flux_rows]])
+    want = np.concatenate([mom, B @ Y, [r @ Y for r in sysm.flux_rows]])
     got = sysm.residual(np.concatenate([Y, P, L]), ydir)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
