@@ -26,7 +26,8 @@ class ErrorRecord:
     """One sweep point: parameters, relative errors on the fluid region.
 
     report and reference_report keep the NewtonReport of the penalized and
-    of the reference solve; neither is serialized.
+    of the reference solve; neither is serialized.  Given a report,
+    newton_iters is its iteration count and the argument is ignored.
     """
 
     def __init__(self, epsilon, mesh_size, l2_rel, h1_rel, div_norm_omega,
@@ -37,12 +38,17 @@ class ErrorRecord:
         self.l2_rel = float(l2_rel)
         self.h1_rel = float(h1_rel)
         self.div_norm_omega = float(div_norm_omega)
-        self.newton_iters = int(newton_iters)
+        self._newton_iters = int(newton_iters) if report is None else None
         self.p_l2_rel = None if p_l2_rel is None else float(p_l2_rel)
         self.report, self.reference_report = report, reference_report
         for v in (self.l2_rel, self.h1_rel, self.div_norm_omega):
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError("error record values must be finite and >= 0")
+
+    @property
+    def newton_iters(self):
+        """Newton iterations of the penalized solve."""
+        return self._newton_iters if self.report is None else self.report.iterations
 
     def as_dict(self):
         d = {"epsilon": self.epsilon, "mesh_size": self.mesh_size,
@@ -128,7 +134,7 @@ def _one_point(mr: _MeshReference, base, eps):
     div_omega = compute_norm(sub, Ys, kind="DivL2")
     p_rel = compute_norm(sub, Ps - ref.P, kind="L2") / ref_p if ref_p > 0 else 0.0
     return ErrorRecord(eps, mr.mesh.mean_edge_length, l2_rel, h1_rel,
-                       div_omega, report.iterations, p_rel, report, mr.report)
+                       div_omega, None, p_rel, report, mr.report)
 
 
 def run_sweep(kind, values, base: SweepBase):

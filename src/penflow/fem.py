@@ -275,6 +275,26 @@ def _scatter(data, rows, cols, shape):
     return m.tocsr()
 
 
+def _component_dofs(layout: SpaceLayout):
+    """(T, c, a): the global DOF of velocity component c at local basis a."""
+    return np.arange(2)[None, :, None] * layout.N1 + layout.cell_dofs[:, None]
+
+
+def _stokes_blocks(geom, coeffs: CoeffData):
+    """Element blocks of assemble_bilinear, by batched products.
+
+    Viscous plus mass block (T, a, b) of either velocity component, and the
+    divergence rows -int divc (d_c N_a) lam_p as (T, p, c, a).
+    """
+    wa, vals, rows = geom["wa"], geom["vals"], geom["grad_rows"]
+    k = np.swapaxes(rows * np.repeat(wa * coeffs.visc, 2, axis=1)[..., None],
+                    1, 2) @ rows
+    k += np.swapaxes((wa * coeffs.mass)[..., None] * vals, 1, 2) @ vals
+    b = -np.swapaxes((wa * coeffs.divc)[..., None] * geom["lam"], 1, 2) \
+        @ geom["grads"].reshape(len(k), -1, 8)
+    return k, b.reshape(-1, 3, 4, 2).transpose(0, 1, 3, 2)
+
+
 def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
                       coeffs: CoeffData = None):
     """Assemble the velocity operator A (2N1 x 2N1) and divergence B (N2 x 2N1).
@@ -285,21 +305,13 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     """
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
-    geom = layout.geometry(config.quadrature_order)
-    wa, vals, grads = geom["wa"], geom["vals"], geom["grads"]
-    dofs = layout.cell_dofs
-    N1, N2 = layout.N1, layout.N2
-
-    kloc = np.einsum("tq,tqad,tqbd->tab", wa * coeffs.visc, grads, grads)
-    kloc += np.einsum("tq,qa,qb->tab", wa * coeffs.mass, vals, vals)
+    kloc, bloc = _stokes_blocks(layout.geometry(config.quadrature_order),
+                                coeffs)
+    dofs, N1 = layout.cell_dofs, layout.N1
     a_scalar = _scatter(kloc, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     A = sp.kron(sp.eye(2, format="csr"), a_scalar, format="csr")
-
-    # b(w, q) = -int divc (div w) q ; rows pressure hats, cols velocity DOFs
-    bloc = -np.einsum("tq,tqac,qp->tpca", wa * coeffs.divc, grads, geom["lam"])
-    ccol = np.arange(2)[None, None, :, None] * N1 + dofs[:, None, None, :]
-    B = _scatter(bloc, layout.mesh.triangles[:, :, None, None], ccol,
-                 (N2, 2 * N1))
+    B = _scatter(bloc, layout.mesh.triangles[:, :, None, None],
+                 _component_dofs(layout)[:, None], (layout.N2, 2 * N1))
     return A, B
 
 
@@ -313,6 +325,31 @@ def _velocity_at_quad(vals, grads, cell_dofs, Y):
     return uq, gq
 
 
+def _convection_blocks(geom, coeffs: CoeffData, cell_dofs, Y):
+    """Element blocks of assemble_trilinear at Y, by batched products.
+
+    C1 of either velocity component (T, a, b), a tested against b, and C2
+    as (T, c, a, c', b), component c tested with basis a against c' with b.
+    """
+    vals, grads = geom["vals"], geom["grads"]
+    uq, gu = _velocity_at_quad(vals, grads, cell_dofs, Y)
+    wc = geom["wa"] * coeffs.conv
+    T, nq = wc.shape
+    # e1[t, c, c', a, b] = int conv (d u_c / d x_c') N_a N_b
+    e1 = np.swapaxes((wc[..., None, None] * gu).reshape(T, nq, 4), 1, 2) \
+        @ (vals[:, :, None] * vals[:, None]).reshape(nq, 16)
+    # e2[t, c, a, b, c'] = int conv u_c N_a d_c' N_b
+    wu = ((wc[..., None] * uq)[..., None] * vals[:, None]).reshape(T, nq, 8)
+    e2 = (np.swapaxes(wu, 1, 2) @ grads.reshape(T, nq, 8)).reshape(
+        T, 2, 4, 4, 2)
+    # int conv (u . grad N_b) N_a, skew-symmetrized
+    c1 = e2[:, 0, :, :, 0] + e2[:, 1, :, :, 1]
+    c1 -= np.swapaxes(c1, 1, 2)
+    c2 = e1.reshape(T, 2, 2, 4, 4).transpose(0, 1, 3, 2, 4) \
+        - e2.transpose(0, 1, 3, 4, 2)
+    return 0.5 * c1, 0.5 * c2
+
+
 def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
                        coeffs: CoeffData = None):
     """Assemble the skew-symmetrized convection matrices at velocity Y.
@@ -323,29 +360,14 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     """
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
-    geom = layout.geometry(config.quadrature_order)
-    vals, grads = geom["vals"], geom["grads"]
-    dofs = layout.cell_dofs
-    N1 = layout.N1
-    wa = geom["wa"] * coeffs.conv
-
-    uq, gu = _velocity_at_quad(vals, grads, dofs, Y)
-
-    # P[t,b,a] = int conv (u . grad Na) Nb ; component-diagonal part
-    udotg = np.einsum("tqc,tqac->tqa", uq, grads)
-    P = np.einsum("tq,tqa,qb->tba", wa, udotg, vals, optimize=True)
-    loc1 = 0.5 * (P - P.transpose(0, 2, 1))
-    c1_scalar = _scatter(loc1, dofs[:, :, None], dofs[:, None, :], (N1, N1))
+    dofs, N1 = layout.cell_dofs, layout.N1
+    c1, c2 = _convection_blocks(layout.geometry(config.quadrature_order),
+                                coeffs, dofs, Y)
+    c1_scalar = _scatter(c1, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     C1 = sp.kron(sp.eye(2, format="csr"), c1_scalar, format="csr")
-
-    # E1[t,ci,b,cj,a] = int conv Na (d u_ci / d x_cj) Nb
-    E1 = np.einsum("tq,tqij,qa,qb->tbiaj", wa, gu, vals, vals, optimize=True)
-    # E2[t,ci,b,cj,a] = int conv Na (grad Nb)_cj u_ci
-    E2 = np.einsum("tq,tqc,qa,tqbj->tbcaj", wa, uq, vals, grads, optimize=True)
-    loc2 = 0.5 * (E1 - E2)  # (T, b, ci, a, cj)
-    rowc = np.arange(2)[None, None, :, None, None] * N1 + dofs[:, :, None, None, None]
-    colc = np.arange(2)[None, None, None, None, :] * N1 + dofs[:, None, None, :, None]
-    C2 = _scatter(loc2, rowc, colc, (2 * N1, 2 * N1))
+    idx = _component_dofs(layout)
+    C2 = _scatter(c2, idx[..., None, None], idx[:, None, None],
+                  (2 * N1, 2 * N1))
     return C1, C2
 
 
@@ -366,8 +388,8 @@ def _velocity_rows(layout: SpaceLayout, geom, val=None, grad=None):
     if grad is not None:
         g = (wa[..., None] * grad).transpose(0, 2, 1, 3)
         loc += g.reshape(layout.T, 2, -1) @ geom["grad_rows"]
-    idx = np.arange(2)[None, :, None] * layout.N1 + layout.cell_dofs[:, None, :]
-    return np.bincount(idx.ravel(), loc.ravel(), minlength=2 * layout.N1)
+    return np.bincount(_component_dofs(layout).ravel(), loc.ravel(),
+                       minlength=2 * layout.N1)
 
 
 def _hat_rows(layout: SpaceLayout, geom, s):

@@ -17,11 +17,10 @@ so the 2x2 bubble block is eliminated in closed form and the 9x9
 complements are scattered with one bincount into a CSR pattern fixed per
 layout: vertex pairs on the diagonal and along edges, identity rows for
 fixed DOFs, the flux multipliers as a border.  SuperLU factors that
-complement in symmetric mode (minimum-degree ordering of A + A^T, diagonal
-pivots unless below 1e-3 of their column; a larger threshold pivots off
-the diagonal and multiplies fill), and the bubbles follow per element.
-fem.assemble_bilinear and fem.assemble_trilinear assemble the same forms
-globally; they are the tested reference and serve topopt.constraint_jacobian.
+complement in symmetric mode, and the bubbles follow per element.  The
+element blocks are fem's kernels, which fem.assemble_bilinear and
+fem.assemble_trilinear scatter into the global matrices that the tests
+check against dense oracles and topopt.constraint_jacobian uses.
 """
 
 import functools
@@ -32,9 +31,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NonconvergenceError, SolverError
-from .fem import (AssemblyConfig, SpaceLayout, _flow_at_quad, _flow_rows,
-                  _velocity_at_quad, assemble_load, build_spaces,
-                  evaluate_coefficients)
+from .fem import (AssemblyConfig, SpaceLayout, _convection_blocks,
+                  _flow_at_quad, _flow_rows, _stokes_blocks, assemble_load,
+                  build_spaces, evaluate_coefficients)
 # not used here; the benchmark's layer trace wraps them under these names
 from .fem import assemble_bilinear, assemble_trilinear  # noqa: F401
 from .mesh import outward_normals
@@ -98,30 +97,6 @@ def _dirichlet_values(layout, dirichlet):
         return np.zeros(2 * len(verts))
     vals = np.asarray(dirichlet(layout.mesh.vertices[verts]), dtype=float)
     return np.concatenate([vals[:, 0], vals[:, 1]])
-
-
-def _convection(geom, coeffs, cell_dofs, Y):
-    """C1 + C2 of assemble_trilinear at Y per element, (T, c, a, c', b):
-    velocity component c tested with basis a, against c' with basis b."""
-    vals, grads = geom["vals"], geom["grads"]
-    uq, gu = _velocity_at_quad(vals, grads, cell_dofs, Y)
-    wc = geom["wa"] * coeffs.conv
-    T, nq = wc.shape
-    # e1[t, c, c', a, b] = int conv (d u_c / d x_c') N_a N_b
-    e1 = np.swapaxes((wc[..., None, None] * gu).reshape(T, nq, 4), 1, 2) \
-        @ (vals[:, :, None] * vals[:, None]).reshape(nq, 16)
-    # e2[t, c, a, b, c'] = int conv u_c N_a d_c' N_b
-    wu = ((wc[..., None] * uq)[..., None] * vals[:, None]).reshape(T, nq, 8)
-    e2 = (np.swapaxes(wu, 1, 2) @ grads.reshape(T, nq, 8)).reshape(
-        T, 2, 4, 4, 2)
-    vel = e1.reshape(T, 2, 2, 4, 4).transpose(0, 1, 3, 2, 4) \
-        - e2.transpose(0, 1, 3, 4, 2)
-    # int conv (u . grad N_b) N_a, skew-symmetrized, in both components
-    P = e2[:, 0, :, :, 0] + e2[:, 1, :, :, 1]
-    P -= np.swapaxes(P, 1, 2)
-    vel[:, 0, :, 0] += P
-    vel[:, 1, :, 1] += P
-    return 0.5 * vel
 
 
 class _Pattern:
@@ -211,40 +186,32 @@ class _System:
         return np.concatenate([mom, div, self.flux_rows @ Y])
 
     @functools.cached_property
-    def _stokes_parts(self):
-        """Viscous plus mass block of one component (T, 4, 4) and divergence
-        rows -int divc (d_c N_a) lam_p (T, p, c, a); Y does not enter."""
-        geom, co, rows = self.geom, self.coeffs, self.geom["grad_rows"]
-        wa, vals = geom["wa"], geom["vals"]
-        k = np.swapaxes(rows * np.repeat(wa * co.visc, 2, axis=1)[..., None],
-                        1, 2) @ rows
-        k += np.swapaxes((wa * co.mass)[..., None] * vals, 1, 2) @ vals
-        b = -np.swapaxes((wa * co.divc)[..., None] * geom["lam"], 1, 2) \
-            @ geom["grads"].reshape(len(k), -1, 8)
-        return k, b.reshape(-1, 3, 4, 2).transpose(0, 1, 3, 2)
+    def _stokes(self):
+        return _stokes_blocks(self.geom, self.coeffs)  # Y does not enter
 
     def element_blocks(self, Y=None):
         """Element Jacobian blocks at velocity Y; the Stokes blocks for None."""
-        k, b = self._stokes_parts
+        k, b = self._stokes
         T = len(k)
-        vel = np.zeros((T, 2, 4, 2, 4)) if Y is None else \
-            _convection(self.geom, self.coeffs, self.layout.cell_dofs, Y)
+        if Y is None:
+            vel = np.zeros((T, 2, 4, 2, 4))
+        else:
+            c1, vel = _convection_blocks(self.geom, self.coeffs,
+                                         self.layout.cell_dofs, Y)
+            k = k + c1
         vel[:, 0, :, 0] += k
         vel[:, 1, :, 1] += k
-        # vertex DOF (c, a < 3) of vel sits at 3c + a, bubble c at 9 + c
         K = np.zeros((T, 11, 11))
-        K[:, :6, :6].reshape(T, 2, 3, 2, 3, copy=False)[...] = \
-            vel[:, :, :3, :, :3]
-        K[:, :6, 9:].reshape(T, 2, 3, 2, copy=False)[...] = vel[..., :3, :, 3]
-        K[:, 9:, :6].reshape(T, 2, 2, 3, copy=False)[...] = vel[:, :, 3, :, :3]
-        K[:, 9:, 9:] = vel[:, :, 3, :, 3]
-        K[:, 6:9, :6] = b[..., :3].reshape(T, 3, 6)
-        K[:, 6:9, 9:] = b[..., 3]
+        # vertex DOF (c, a < 3) of vel sits at 3c + a, bubble c at 9 + c
+        at = np.array([0, 1, 2, 9, 3, 4, 5, 10])
+        K[:, at[:, None], at] = vel.reshape(T, 8, 8)
+        K[:, 6:9, at] = b.reshape(T, 3, 8)
         K[:, :, 6:9] = np.swapaxes(K[:, 6:9], 1, 2)
         return K
 
-    @functools.cached_property
+    @property
     def _pattern(self):
+        """The layout's condensed pattern for this pin and these fluxes."""
         lay, pin = self.layout, self.config.pin_pressure
         if (pin, self.flux_labels) not in lay._patterns:
             dv, V, R = lay.dirichlet_vertices, lay.V, self.flux_rows
@@ -275,12 +242,8 @@ class _System:
                               shape=(pat.n, pat.n)), inv, W)
 
     def solve(self, K, rhs):
-        """Solve the saddle system of element blocks K, fixed rows identity.
-
-        A bubble couples only to its own triangle, so each 2x2 bubble block
-        is inverted in closed form; one sparse solve of the complement gives
-        the vertex unknowns and multipliers, then the bubbles follow.
-        """
+        """Solve the saddle system of element blocks K, fixed rows identity:
+        the condensed system, then the bubbles per element."""
         V, N1, pat = self.layout.V, self.layout.N1, self._pattern
         S, inv, W = self.condense(K)
         zb = inv @ np.column_stack([rhs[V:N1], rhs[N1 + V:2 * N1]])[..., None]

@@ -19,10 +19,10 @@ import scipy.sparse as sp
 
 from .artifacts import csv_text
 from .errors import ConfigurationError, SolverError
-from .fem import (CoeffData, SpaceLayout, _flow_at_quad, _flow_rows,
-                  _hat_rows, _momentum_integrand, _scatter, _velocity_at_quad,
-                  _velocity_rows, assemble_bilinear, assemble_load,
-                  assemble_trilinear, evaluate_coefficients)
+from .fem import (CoeffData, SpaceLayout, _component_dofs, _flow_at_quad,
+                  _flow_rows, _hat_rows, _momentum_integrand, _scatter,
+                  _velocity_at_quad, _velocity_rows, assemble_bilinear,
+                  assemble_load, assemble_trilinear, evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
 from .mesh import _graph_components
 from .ns_solver import solve_navier_stokes
@@ -233,9 +233,8 @@ class _Forms:
         loc += np.einsum("tq,tqcd,tqad,qj->tcaj", wa, grad, grads, lam)
 
         tri = lay.mesh.triangles
-        rows = (np.arange(2)[None, :, None, None] * lay.N1
-                + lay.cell_dofs[:, None, :, None])
-        jac13 = _scatter(loc, rows, tri[:, None, None, :], (2 * lay.N1, lay.N3))
+        jac13 = _scatter(loc, _component_dofs(lay)[..., None],
+                         tri[:, None, None, :], (2 * lay.N1, lay.N3))
 
         locb = -np.einsum("tq,qp,qj->tpj", wa * co.ddivc * self.divu, lam, lam)
         bprime = _scatter(locb, tri[:, :, None], tri[:, None, :],

@@ -112,23 +112,27 @@ def test_epsilon_sweep_solves_the_reference_once(sweep_base, monkeypatch):
                                           (MESH_SWEEP, (0.14, 0.1))])
 def test_sweep_records_keep_both_newton_reports(kind, values, sweep_base,
                                                 monkeypatch):
-    reports = []
-    solve = error_study.solve_reference_flux_constrained
+    reports = {"penalized": [], "reference": []}
 
-    def kept(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        reports.append(out[2])
-        return out
+    def keep(name, solve, at):
+        def kept(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            reports[name].append(out[at])
+            return out
+        return kept
 
-    monkeypatch.setattr(error_study, "solve_reference_flux_constrained", kept)
+    for name, fn, at in (("penalized", "solve_navier_stokes", 1),
+                         ("reference", "solve_reference_flux_constrained", 2)):
+        monkeypatch.setattr(error_study, fn,
+                            keep(name, getattr(error_study, fn), at))
     records = run_sweep(kind, values, sweep_base)
     for i, rec in enumerate(records):
-        assert rec.report.converged
-        assert rec.report.iterations == rec.newton_iters
+        assert rec.report is reports["penalized"][i] and rec.report.converged
+        assert rec.as_dict()["newton_iters"] == rec.report.iterations
         assert len(rec.report.fill) == rec.newton_iters + 1
         # an epsilon sweep shares one reference solve, a mesh sweep has one
         # per mesh
-        ref = reports[0 if kind == EPSILON_SWEEP else i]
+        ref = reports["reference"][0 if kind == EPSILON_SWEEP else i]
         assert rec.reference_report is ref and ref.converged
         assert "report" not in rec.as_dict()
 

@@ -169,6 +169,20 @@ def test_convection_matches_skew_symmetrized_oracle(small_assembly, rng):
         assert abs(got - want) < 1e-11 * max(1.0, abs(want))
 
 
+def test_convection_derivative_block_is_the_linearization(small_assembly,
+                                                           rng):
+    # C1(Y) Y is bilinear in (Y, Y), so its derivative along v is
+    # C1(Y) v + C1(v) Y, and C2(Y) is the second part
+    _, lay, cfg, g, coeffs = small_assembly
+    for _ in range(3):
+        u = rng.standard_normal(2 * lay.N1)
+        v = rng.standard_normal(2 * lay.N1)
+        _, C2 = assemble_trilinear(lay, cfg, g, u, coeffs)
+        want = assemble_trilinear(lay, cfg, g, v, coeffs)[0] @ u
+        got = C2 @ v
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
 def test_convection_form_annihilates_equal_arguments(small_assembly, rng):
     _, lay, cfg, g, coeffs = small_assembly
     scale = 0.0
