@@ -325,14 +325,14 @@ def _velocity_at_quad(vals, grads, cell_dofs, Y):
     return uq, gq
 
 
-def _convection_blocks(geom, coeffs: CoeffData, cell_dofs, Y):
-    """Element blocks of assemble_trilinear at Y, by batched products.
+def _convection_blocks(geom, coeffs: CoeffData, uq, gu):
+    """Element blocks of assemble_trilinear at the velocity with values uq
+    and gradients gu at geom's points, as _velocity_at_quad gives them.
 
     C1 of either velocity component (T, a, b), a tested against b, and C2
     as (T, c, a, c', b), component c tested with basis a against c' with b.
     """
     vals, grads = geom["vals"], geom["grads"]
-    uq, gu = _velocity_at_quad(vals, grads, cell_dofs, Y)
     wc = geom["wa"] * coeffs.conv
     T, nq = wc.shape
     # e1[t, c, c', a, b] = int conv (d u_c / d x_c') N_a N_b
@@ -361,8 +361,9 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
     dofs, N1 = layout.cell_dofs, layout.N1
-    c1, c2 = _convection_blocks(layout.geometry(config.quadrature_order),
-                                coeffs, dofs, Y)
+    geom = layout.geometry(config.quadrature_order)
+    c1, c2 = _convection_blocks(
+        geom, coeffs, *_velocity_at_quad(geom["vals"], geom["grads"], dofs, Y))
     c1_scalar = _scatter(c1, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     C1 = sp.kron(sp.eye(2, format="csr"), c1_scalar, format="csr")
     idx = _component_dofs(layout)

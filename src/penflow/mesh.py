@@ -371,14 +371,27 @@ def _polygon_area(poly):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+_DISTANCE_CHUNK = 2048  # points per block of (points x segments) work
+
+
 def polygon_signed_distance(points, poly):
     """Distance from points to a closed polygon, negative inside.
 
     Args:
         points: (n, 2) query points.
         poly: (m, 2) polygon vertices, first point not repeated.
+
+    Points are taken in blocks of _DISTANCE_CHUNK, so the temporaries stay
+    at (chunk x m); every point's value is the same as unblocked.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.concatenate([_signed_distance_block(p[i:i + _DISTANCE_CHUNK],
+                                                  poly)
+                           for i in range(0, max(len(p), 1),
+                                          _DISTANCE_CHUNK)])
+
+
+def _signed_distance_block(p, poly):
     a = poly
     b = np.roll(poly, -1, axis=0)
     ab = b - a

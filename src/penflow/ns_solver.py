@@ -17,10 +17,17 @@ so the 2x2 bubble block is eliminated in closed form and the 9x9
 complements are scattered with one bincount into a CSR pattern fixed per
 layout: vertex pairs on the diagonal and along edges, identity rows for
 fixed DOFs, the flux multipliers as a border.  SuperLU factors that
-complement in symmetric mode, and the bubbles follow per element.  The
-element blocks are fem's kernels, which fem.assemble_bilinear and
-fem.assemble_trilinear scatter into the global matrices that the tests
-check against dense oracles and topopt.constraint_jacobian uses.
+complement, scaled to a unit diagonal, in symmetric mode, and the bubbles
+follow per element.  The fill-reducing order depends on the pattern alone,
+so it is learned once per pattern: the first factor computes a minimum
+degree order, and the pattern renumbers its own rows and columns by it, so
+that every later complement is assembled already ordered and factored in
+its natural order (splu takes no precomputed order).  The Newton step
+reuses the velocity values at the quadrature points that the residual
+computed at the accepted iterate.  The element blocks are fem's kernels,
+which fem.assemble_bilinear and fem.assemble_trilinear scatter into the
+global matrices that the tests check against dense oracles and
+topopt.constraint_jacobian uses.
 """
 
 import functools
@@ -32,8 +39,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import NonconvergenceError, SolverError
 from .fem import (AssemblyConfig, SpaceLayout, _convection_blocks,
-                  _flow_at_quad, _flow_rows, _stokes_blocks, assemble_load,
-                  build_spaces, evaluate_coefficients)
+                  _flow_at_quad, _flow_rows, _stokes_blocks, _velocity_at_quad,
+                  assemble_load, build_spaces, evaluate_coefficients)
 # not used here; the benchmark's layer trace wraps them under these names
 from .fem import assemble_bilinear, assemble_trilinear  # noqa: F401
 from .mesh import outward_normals
@@ -106,7 +113,10 @@ class _Pattern:
     Vertices couple in 3x3 blocks on the diagonal and along edges, R's
     nonzeros border the matrix, and a fixed row keeps only its diagonal,
     where its other entries land.  slots gives the data position of each
-    entry of the (T, 9, 9) element complements, border that of R's entries.
+    entry of the (T, 9, 9) element complements, border that of R's entries,
+    dslot that of the diagonal of each vertex row (multiplier rows have
+    none).  Once ordered, the pattern holds the matrix with row and column
+    order[k] at k; loc and fixed keep the layout's numbering.
     """
 
     def __init__(self, layout, fixed, R):
@@ -131,7 +141,7 @@ class _Pattern:
         self.indptr = np.searchsorted(
             uniq // self.n, np.arange(self.n + 1)).astype(np.int32)
         self.indices = (uniq % self.n).astype(np.int32)
-        self.diag = self.indptr[fixed]
+        self.dslot = np.searchsorted(uniq, np.arange(n) * (self.n + 1))
         self.border, self.values = np.searchsorted(uniq, border), \
             np.tile(R[bk, bj], 2)
         tri = layout.mesh.triangles
@@ -141,6 +151,28 @@ class _Pattern:
         self.slots = np.searchsorted(uniq, blocks)[
             np.arange(9).reshape(1, 3, 1, 3, 1) * len(pairs)
             + k[:, None, :, None]].astype(np.int32)
+        self.order, self.ordered = np.arange(self.n), False
+
+    def reorder(self, perm_c):
+        """Renumber in place so that row and column i move to perm_c[i].
+
+        perm_c (int64) is SuperLU's column permutation: column i of the
+        factored matrix is column perm_c[i] of its factor.  (Moving row i
+        to argsort(perm_c)[i] instead scrambles the order: on the coarse
+        sec31 mesh the fill rises from 0.30M to 6.2M.)
+        """
+        indptr, indices = self.indptr, self.indices
+        rows = np.repeat(perm_c, np.diff(indptr))
+        src = np.argsort(rows * self.n + perm_c[indices])  # by new position
+        pos = np.empty(len(src), dtype=np.int32)
+        pos[src] = np.arange(len(src))
+        indices[:] = perm_c[indices[src]]
+        self.order[perm_c] = np.arange(self.n)
+        indptr[1:] = np.cumsum(np.diff(indptr)[self.order])
+        self.slots[...] = pos[self.slots]
+        self.dslot[:] = pos[self.dslot]
+        self.border[:] = pos[self.border]
+        self.ordered = True
 
 
 class _System:
@@ -175,29 +207,34 @@ class _System:
         return np.split(x, [m, m + self.layout.N2])
 
     def residual(self, x, ydir):
+        """The residual at x, and the velocity values and gradients at the
+        quadrature points, which element_blocks takes for a step from x."""
         # the pressure pin row stays as computed; Newton zeroes it in the step
         Y, P, L = self.split(x)
-        mom, div = _flow_rows(self.layout, self.geom, self.coeffs,
-                              *_flow_at_quad(self.layout, self.geom, Y, P),
+        uq, gu, pq = _flow_at_quad(self.layout, self.geom, Y, P)
+        mom, div = _flow_rows(self.layout, self.geom, self.coeffs, uq, gu, pq,
                               None, self.F)
         mom += L @ self.flux_rows
         dirs = self.layout.dirichlet_dofs
         mom[dirs] = Y[dirs] - ydir
-        return np.concatenate([mom, div, self.flux_rows @ Y])
+        return np.concatenate([mom, div, self.flux_rows @ Y]), (uq, gu)
 
     @functools.cached_property
     def _stokes(self):
         return _stokes_blocks(self.geom, self.coeffs)  # Y does not enter
 
-    def element_blocks(self, Y=None):
-        """Element Jacobian blocks at velocity Y; the Stokes blocks for None."""
+    def element_blocks(self, Y=None, quad=None):
+        """Element Jacobian blocks at velocity Y, or at its quadrature values
+        quad from residual; the Stokes blocks when neither is given."""
         k, b = self._stokes
         T = len(k)
-        if Y is None:
+        if Y is not None:
+            quad = _velocity_at_quad(self.geom["vals"], self.geom["grads"],
+                                     self.layout.cell_dofs, Y)
+        if quad is None:
             vel = np.zeros((T, 2, 4, 2, 4))
         else:
-            c1, vel = _convection_blocks(self.geom, self.coeffs,
-                                         self.layout.cell_dofs, Y)
+            c1, vel = _convection_blocks(self.geom, self.coeffs, *quad)
             k = k + c1
         vel[:, 0, :, 0] += k
         vel[:, 1, :, 1] += k
@@ -222,9 +259,9 @@ class _System:
         return lay._patterns[pin, self.flux_labels]
 
     def condense(self, K):
-        """The condensed saddle matrix of element blocks K, as CSR, with
-        each inverse bubble block (T, 2, 2) and its product with the bubble
-        rows (T, 2, 9)."""
+        """The condensed saddle matrix of element blocks K, as CSR in the
+        pattern's order, with each inverse bubble block (T, 2, 2) and its
+        product with the bubble rows (T, 2, 9)."""
         xx, xy, yx, yy = K[:, 9, 9], K[:, 9, 10], K[:, 10, 9], K[:, 10, 10]
         det = xx * yy - xy * yx
         if not np.all(np.isfinite(det) & (det != 0.0)):
@@ -237,7 +274,7 @@ class _System:
                            (K[:, :9, :9] - K[:, :9, 9:] @ W).ravel(),
                            minlength=len(pat.indices))
         data[pat.border] = pat.values
-        data[pat.diag] = 1.0
+        data[pat.dslot[pat.fixed]] = 1.0
         return (sp.csr_matrix((data, pat.indices, pat.indptr),
                               shape=(pat.n, pat.n)), inv, W)
 
@@ -250,19 +287,37 @@ class _System:
         corr = np.bincount(pat.loc.ravel(), (K[:, :9, 9:] @ zb).ravel(),
                            minlength=pat.n)
         corr[pat.fixed] = 0.0  # identity rows keep their right-hand side
+        # factor D S D, D = |diag S|^(-1/2) and 1 on a zero diagonal (the
+        # multiplier rows): unscaled, the two zero-diagonal rows of a flux
+        # reference system fail the diagonal pivot test and double the fill
+        d = np.abs(S.data[pat.dslot])
+        s = np.ones(pat.n)
+        s[:len(d)] = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+        s = s[pat.order]
+        S.data *= np.repeat(s, np.diff(S.indptr)) * np.take(s, S.indices)
         # symmetric pattern, nonzero diagonal on velocity and pressure rows:
         # minimum degree on A + A^T and diagonal pivots (1e-2 would pivot off
-        # the diagonal and raise the fill 20-fold, 0.64M to 12.4M at h=0.03);
-        # the transpose of the CSR complement is CSC without a copy
+        # the diagonal and raise the fill 20-fold, 0.64M to 12.4M at h=0.03).
+        # That order depends on the pattern alone, but splu cannot take it
+        # back: so the first factor computes it, the pattern renumbers itself
+        # by it, and every later complement arrives ordered and is factored
+        # in its natural order, with the same fill.  The transpose of the CSR
+        # complement is CSC without a copy.
         try:
-            lu = spla.splu(S.T, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=1e-3,
+            lu = spla.splu(S.T, diag_pivot_thresh=1e-3,
+                           permc_spec="NATURAL" if pat.ordered
+                           else "MMD_AT_PLUS_A",
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"singular saddle system: {exc}") from exc
         self.fill.append(lu.nnz)
-        xr = lu.solve(np.concatenate([rhs[:V], rhs[N1:N1 + V], rhs[2 * N1:]])
-                      - corr, trans="T")
+        b = np.concatenate([rhs[:V], rhs[N1:N1 + V], rhs[2 * N1:]]) - corr
+        xr = np.empty(pat.n)
+        xr[pat.order] = s * lu.solve(s * b[pat.order], trans="T")
+        if not pat.ordered:
+            perm_c = lu.perm_c.astype(np.int64)  # lu.perm_c keeps lu alive
+            del lu  # free the factor before the renumbering's temporaries
+            pat.reorder(perm_c)
         xb = (zb - W @ xr[pat.loc][..., None])[..., 0]
         return np.concatenate([xr[:V], xb[:, 0], xr[V:2 * V], xb[:, 1],
                                xr[2 * V:]])
@@ -312,7 +367,7 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     else:
         x = np.concatenate([initial.as_vector(), np.zeros(sysm.n_flux)])
 
-    res = sysm.residual(x, ydir)
+    res, quad = sysm.residual(x, ydir)
     norms = [float(np.abs(res).max())]
     message = ""
     converged = norms[-1] <= tol
@@ -320,7 +375,10 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     while not converged and it < max_iter:
         rhs = -res
         rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
-        delta = sysm.solve(sysm.element_blocks(x[:2 * lay.N1]), rhs)
+        K = sysm.element_blocks(quad=quad)
+        del quad  # not held through the factor, where memory peaks
+        delta = sysm.solve(K, rhs)
+        del K
         if not np.all(np.isfinite(delta)):
             message = "linear solve produced non-finite Newton step"
             break
@@ -330,7 +388,7 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
         accepted = False
         for _ in range(9):
             xn = x + step * delta
-            res_n = sysm.residual(xn, ydir)
+            res_n, quad = sysm.residual(xn, ydir)
             nn = float(np.abs(res_n).max())
             if np.isfinite(nn) and (nn < norms[-1] or nn <= tol):
                 accepted = True
@@ -397,5 +455,5 @@ def residual_max_norm(layout: SpaceLayout, config: AssemblyConfig, g,
     L = np.zeros(sysm.n_flux)
     if multipliers:
         L = np.array([multipliers[lab] for lab in flux_labels], dtype=float)
-    res = sysm.residual(np.concatenate([state.as_vector(), L]), ydir)
+    res, _ = sysm.residual(np.concatenate([state.as_vector(), L]), ydir)
     return float(np.abs(res).max())

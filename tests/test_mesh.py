@@ -8,6 +8,7 @@ from penflow import (ConfigurationError, DomainSpec, GeometryError, Mesh,
                      MeshInvariantError, UnknownLabelError, boundary_flux,
                      build_spaces, extract_submesh, generate_mesh,
                      mesh_from_text, mesh_to_text, polygon_signed_distance)
+from penflow import mesh as mesh_module
 from penflow.mesh import _side_keys
 from penflow.ns_solver import flux_row_vector
 from penflow.presets import (SEC31_OBSTACLES, TEST1_CENTERS, TEST1_RADII,
@@ -244,6 +245,17 @@ def test_polygon_signed_distance_tracks_square(cx, cy, px, py):
     else:
         inside = min(0.5 - abs(px - cx), 0.5 - abs(py - cy))
         assert np.isclose(d, -inside, atol=1e-9)
+
+
+def test_polygon_signed_distance_chunks_match_one_block(rng, monkeypatch):
+    poly = np.array(PENTAGON[0][1])
+    pts = rng.uniform(0.2, 0.7, (2 * mesh_module._DISTANCE_CHUNK + 77, 2))
+    got = polygon_signed_distance(pts, poly)
+    monkeypatch.setattr(mesh_module, "_DISTANCE_CHUNK", len(pts))
+    want = polygon_signed_distance(pts, poly)
+    assert got.shape == (len(pts),)
+    assert np.array_equal(got, want)
+    assert (got < 0).any() and (got > 0).any()  # both signs occur
 
 
 @pytest.mark.parametrize("h, obstacles", [(0.3, ()), (0.18, ()), (0.1, DISK)],
