@@ -613,6 +613,8 @@ def _serialize_newton_report(report):
         "iterations": report.iterations,
         "residual_norms": list(map(float, report.residual_norms)),
         "message": report.message,
+        "fill": list(map(int, report.fill)),
+        "krylov": list(map(int, report.krylov)),
     }, indent=2)
 
 

@@ -9,25 +9,37 @@ from the assembly config.  The Newton residual adds only the Dirichlet,
 flux and multiplier rows to fem._flow_rows, the per-element kernel that
 gives the descent constraint C(X) in topopt too.
 
-Linear solves never assemble the global matrix.  Each triangle's 11x11
-Jacobian block (u_x, u_y and p at its vertices, then its two bubbles) adds
-the convection at the current velocity to viscous, mass and divergence
-parts computed once per solve.  A bubble couples only to its own triangle,
-so the 2x2 bubble block is eliminated in closed form and the 9x9
-complements are scattered with one bincount into a CSR pattern fixed per
-layout: vertex pairs on the diagonal and along edges, identity rows for
-fixed DOFs, the flux multipliers as a border.  SuperLU factors that
-complement, scaled to a unit diagonal, in symmetric mode, and the bubbles
-follow per element.  The fill-reducing order depends on the pattern alone,
-so it is learned once per pattern: the first factor computes a minimum
-degree order, and the pattern renumbers its own rows and columns by it, so
-that every later complement is assembled already ordered and factored in
-its natural order (splu takes no precomputed order).  The Newton step
-reuses the velocity values at the quadrature points that the residual
+Linear solves never assemble the global matrix.  Each triangle's Jacobian
+block, the velocity block on both components at its vertices and bubble
+plus the divergence rows, adds the convection at the current velocity to
+viscous, mass and divergence parts computed once per solve.  A bubble
+couples only to its own triangle, so the 2x2 bubble block is eliminated in
+closed form and the 9x9 complements on u_x, u_y and p at the vertices are
+scattered with one bincount into a CSR pattern fixed per layout: vertex
+pairs on the diagonal and along edges, identity rows for fixed DOFs, the
+flux multipliers as a border.  The bubbles follow per element.  The Newton
+step reuses the velocity values at the quadrature points that the residual
 computed at the accepted iterate.  The element blocks are fem's kernels,
 which fem.assemble_bilinear and fem.assemble_trilinear scatter into the
 global matrices that the tests check against dense oracles and
 topopt.constraint_jacobian uses.
+
+A Newton solve factors once.  SuperLU factors the first complement, scaled
+to a unit diagonal, in symmetric mode, and the system keeps that factor.
+Every later complement, whose Jacobian differs only in the convection, is
+solved by GMRES preconditioned on the right with the kept factor, from
+zero and without restarts.  The solution is accepted only when its own
+residual meets the normwise backward-error bound _KRYLOV_TOL within
+_KRYLOV_BUDGET iterations (12-14 on every Newton step measured); otherwise
+the complement is factored after all and that factor is kept instead.
+The fill-reducing order depends on the pattern alone, so it is learned
+once per pattern: the first factor computes a minimum degree order, and
+the pattern renumbers its own rows and columns by it, so that every later
+complement is assembled already ordered and factored in its natural order
+(splu takes no precomputed order).  A factor made before the renumbering
+stays in use after it: it keeps the order it was made in, and GMRES maps
+its vectors through that order, so a fresh layout still needs only one
+factor.
 """
 
 import functools
@@ -44,6 +56,11 @@ from .fem import (AssemblyConfig, SpaceLayout, _convection_blocks,
 # not used here; the benchmark's layer trace wraps them under these names
 from .fem import assemble_bilinear, assemble_trilinear  # noqa: F401
 from .mesh import outward_normals
+
+# GMRES on the kept factor: its iteration budget, and the normwise
+# backward error its solution of the equilibrated complement must meet
+_KRYLOV_BUDGET = 30
+_KRYLOV_TOL = 1e-15
 
 
 class MixedState:
@@ -76,17 +93,19 @@ class NewtonReport:
     """Convergence record of one Newton run.
 
     fill lists the L+U nonzeros of each factorization, the Stokes start's
-    first when there is one.
+    first when there is one.  krylov lists the GMRES iterations of each
+    linear solve, the Stokes start's first, and 0 where the solve factored.
     """
 
     def __init__(self, converged, iterations, residual_norms, message="",
-                 runtime=0.0, fill=()):
+                 runtime=0.0, fill=(), krylov=()):
         self.converged = bool(converged)
         self.iterations = int(iterations)
         self.residual_norms = list(residual_norms)
         self.message = message
         self.runtime = float(runtime)
         self.fill = list(fill)
+        self.krylov = list(krylov)
 
     @property
     def final_residual(self):
@@ -178,8 +197,10 @@ class _Pattern:
 class _System:
     """Shared state for one solve: coefficients, load, constraint rows.
 
-    Linear solves take element blocks (T, 11, 11), the local Jacobian on
-    u_x, u_y and p at the three vertices, then the u_x and u_y bubbles.
+    Linear solves take element blocks (vel, b): the velocity block
+    (T, 2, 4, 2, 4), component c with basis function i (the three
+    vertices, then the bubble) against component c' with j, and the
+    divergence rows (T, 3, 2, 4), pressure p against component c with i.
     """
 
     def __init__(self, layout, config, g, flux_labels=()):
@@ -200,6 +221,9 @@ class _System:
         self.fixed_rows = np.concatenate(
             [layout.dirichlet_dofs, np.array(pin, dtype=np.int64)])
         self.fill = []  # L+U nonzeros of each factor
+        self.krylov = []  # GMRES iterations of each solve, 0 if it factored
+        # the last factor: (pattern, its order then, scale, SuperLU factor)
+        self._factor = None
 
     def split(self, x):
         """Velocity, pressure and multiplier parts of a saddle-system vector."""
@@ -224,27 +248,21 @@ class _System:
         return _stokes_blocks(self.geom, self.coeffs)  # Y does not enter
 
     def element_blocks(self, Y=None, quad=None):
-        """Element Jacobian blocks at velocity Y, or at its quadrature values
-        quad from residual; the Stokes blocks when neither is given."""
+        """Element Jacobian blocks (vel, b) at velocity Y, or at its
+        quadrature values quad from residual; the Stokes blocks when neither
+        is given.  b is the same array on every call."""
         k, b = self._stokes
-        T = len(k)
         if Y is not None:
             quad = _velocity_at_quad(self.geom["vals"], self.geom["grads"],
                                      self.layout.cell_dofs, Y)
         if quad is None:
-            vel = np.zeros((T, 2, 4, 2, 4))
+            vel = np.zeros((len(k), 2, 4, 2, 4))
         else:
             c1, vel = _convection_blocks(self.geom, self.coeffs, *quad)
             k = k + c1
         vel[:, 0, :, 0] += k
         vel[:, 1, :, 1] += k
-        K = np.zeros((T, 11, 11))
-        # vertex DOF (c, a < 3) of vel sits at 3c + a, bubble c at 9 + c
-        at = np.array([0, 1, 2, 9, 3, 4, 5, 10])
-        K[:, at[:, None], at] = vel.reshape(T, 8, 8)
-        K[:, 6:9, at] = b.reshape(T, 3, 8)
-        K[:, :, 6:9] = np.swapaxes(K[:, 6:9], 1, 2)
-        return K
+        return vel, b
 
     @property
     def _pattern(self):
@@ -258,35 +276,82 @@ class _System:
                 np.hstack([R[:, :V], R[:, lay.N1:lay.N1 + V]]))
         return lay._patterns[pin, self.flux_labels]
 
-    def condense(self, K):
-        """The condensed saddle matrix of element blocks K, as CSR in the
-        pattern's order, with each inverse bubble block (T, 2, 2) and its
-        product with the bubble rows (T, 2, 9)."""
-        xx, xy, yx, yy = K[:, 9, 9], K[:, 9, 10], K[:, 10, 9], K[:, 10, 10]
+    def condense(self, blocks):
+        """The condensed saddle matrix of element blocks (vel, b), as CSR in
+        the pattern's order, with each inverse bubble block (T, 2, 2), its
+        product with the bubble rows (T, 2, 9) and the vertex rows' bubble
+        columns (T, 9, 2).
+
+        The local vertex DOFs are u_x, u_y and p at the three vertices, in
+        that order; the bubbles are basis 3 of either velocity component.
+        """
+        vel, b = blocks
+        T = len(vel)
+        xx, xy = vel[:, 0, 3, 0, 3], vel[:, 0, 3, 1, 3]
+        yx, yy = vel[:, 1, 3, 0, 3], vel[:, 1, 3, 1, 3]
         det = xx * yy - xy * yx
         if not np.all(np.isfinite(det) & (det != 0.0)):
             raise SolverError("singular bubble block in the linear solve")
         inv = np.stack([yy, -xy, -yx, xx], axis=1).reshape(-1, 2, 2) \
             / det[:, None, None]
-        W = inv @ K[:, 9:, :9]
+        vb = np.concatenate([vel[:, :, :3, :, 3].reshape(T, 6, 2),
+                             b[..., 3]], axis=1)
+        W = inv @ np.concatenate([vel[:, :, 3, :, :3].reshape(T, 2, 6),
+                                  np.swapaxes(b[..., 3], 1, 2)], axis=2)
+        comp = -(vb @ W)
+        bv = b[..., :3].reshape(T, 3, 6)
+        comp[:, :6, :6] += vel[:, :, :3, :, :3].reshape(T, 6, 6)
+        comp[:, 6:, :6] += bv
+        comp[:, :6, 6:] += np.swapaxes(bv, 1, 2)
         pat = self._pattern
-        data = np.bincount(pat.slots.ravel(),
-                           (K[:, :9, :9] - K[:, :9, 9:] @ W).ravel(),
+        data = np.bincount(pat.slots.ravel(), comp.ravel(),
                            minlength=len(pat.indices))
         data[pat.border] = pat.values
         data[pat.dslot[pat.fixed]] = 1.0
         return (sp.csr_matrix((data, pat.indices, pat.indptr),
-                              shape=(pat.n, pat.n)), inv, W)
+                              shape=(pat.n, pat.n)), inv, W, vb)
 
-    def solve(self, K, rhs):
-        """Solve the saddle system of element blocks K, fixed rows identity:
-        the condensed system, then the bubbles per element."""
+    def solve(self, blocks, rhs):
+        """Solve the saddle system of element blocks (vel, b), fixed rows
+        identity: the condensed system, then the bubbles per element."""
         V, N1, pat = self.layout.V, self.layout.N1, self._pattern
-        S, inv, W = self.condense(K)
+        S, inv, W, vb = self.condense(blocks)
         zb = inv @ np.column_stack([rhs[V:N1], rhs[N1 + V:2 * N1]])[..., None]
-        corr = np.bincount(pat.loc.ravel(), (K[:, :9, 9:] @ zb).ravel(),
+        corr = np.bincount(pat.loc.ravel(), (vb @ zb).ravel(),
                            minlength=pat.n)
         corr[pat.fixed] = 0.0  # identity rows keep their right-hand side
+        xr = self._solve_condensed(
+            S, np.concatenate([rhs[:V], rhs[N1:N1 + V], rhs[2 * N1:]]) - corr)
+        xb = (zb - W @ xr[pat.loc][..., None])[..., 0]
+        return np.concatenate([xr[:V], xb[:, 0], xr[V:2 * V], xb[:, 1],
+                               xr[2 * V:]])
+
+    def _solve_condensed(self, S, b):
+        """Solve S x = b, S in the pattern's order, b and x in the layout's:
+        by GMRES on the kept factor when it converges within the budget,
+        else by a new factor, which is kept."""
+        pat, x = self._pattern, np.empty(len(b))
+        b = b[pat.order]
+        if self._factor is not None and self._factor[0] is pat and b.any():
+            _, order, s, lu = self._factor
+            # row ix[k] of S is row k of the factored matrix
+            ix = np.argsort(pat.order)[order]
+            d = np.empty(pat.n)
+            d[ix] = s
+
+            def precondition(r):
+                z = np.empty(pat.n)
+                z[ix] = lu.solve(r[ix], trans="T")
+                return z
+
+            # D S D y = D b, x = D y, scaled as the factored matrix was
+            y, its = _gmres(lambda v: d * (S @ (d * v)), precondition, d * b,
+                            (d * (abs(S) @ d)).max())
+            if y is not None:
+                self.krylov.append(its)
+                x[pat.order] = d * y
+                return x
+        self._factor = None  # never hold two factors
         # factor D S D, D = |diag S|^(-1/2) and 1 on a zero diagonal (the
         # multiplier rows): unscaled, the two zero-diagonal rows of a flux
         # reference system fail the diagonal pivot test and double the fill
@@ -311,16 +376,51 @@ class _System:
         except RuntimeError as exc:
             raise SolverError(f"singular saddle system: {exc}") from exc
         self.fill.append(lu.nnz)
-        b = np.concatenate([rhs[:V], rhs[N1:N1 + V], rhs[2 * N1:]]) - corr
-        xr = np.empty(pat.n)
-        xr[pat.order] = s * lu.solve(s * b[pat.order], trans="T")
+        self.krylov.append(0)
+        x[pat.order] = s * lu.solve(s * b, trans="T")
+        self._factor = (pat, pat.order.copy(), s, lu)
         if not pat.ordered:
-            perm_c = lu.perm_c.astype(np.int64)  # lu.perm_c keeps lu alive
-            del lu  # free the factor before the renumbering's temporaries
-            pat.reorder(perm_c)
-        xb = (zb - W @ xr[pat.loc][..., None])[..., 0]
-        return np.concatenate([xr[:V], xb[:, 0], xr[V:2 * V], xb[:, 1],
-                               xr[2 * V:]])
+            pat.reorder(lu.perm_c.astype(np.int64))
+        return x
+
+
+def _gmres(A, precondition, b, norm_A):
+    """Right-preconditioned GMRES for A(x) = b from zero, without restarts.
+
+    Returns x and the iterations taken once the residual meets the normwise
+    backward-error bound ||b - A x|| <= _KRYLOV_TOL (norm_A ||x|| + ||b||),
+    2-norms of vectors; (None, _KRYLOV_BUDGET) when that does not happen
+    within the budget.  The Arnoldi residual, bounded with ||x|| of the
+    first iterate, stops the iteration; the residual of x itself decides.
+    """
+    m, beta = _KRYLOV_BUDGET, np.linalg.norm(b)
+    Q = np.empty((m + 1, len(b)))  # the Krylov basis
+    H = np.zeros((m + 1, m))
+    Q[0] = b / beta
+    e = np.zeros(m + 1)
+    e[0] = beta
+    for j in range(m):
+        z = precondition(Q[j])
+        w = A(z)
+        for _ in range(2):  # classical Gram-Schmidt, repeated once
+            h = Q[:j + 1] @ w
+            w -= h @ Q[:j + 1]
+            H[:j + 1, j] += h
+        H[j + 1, j] = np.linalg.norm(w)
+        y = np.linalg.lstsq(H[:j + 2, :j + 1], e[:j + 2], rcond=None)[0]
+        if j == 0:  # x = y z here
+            bound = _KRYLOV_TOL * (norm_A * abs(y[0]) * np.linalg.norm(z)
+                                   + beta)
+        if np.linalg.norm(e[:j + 2] - H[:j + 2, :j + 1] @ y) <= bound:
+            x = precondition(y @ Q[:j + 1])
+            if np.linalg.norm(b - A(x)) <= _KRYLOV_TOL * (
+                    norm_A * np.linalg.norm(x) + beta):
+                return x, j + 1
+            break
+        if H[j + 1, j] == 0.0:
+            break
+        Q[j + 1] = w / H[j + 1, j]
+    return None, m
 
 
 def flux_row_vector(layout: SpaceLayout, label: str):
@@ -375,10 +475,10 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     while not converged and it < max_iter:
         rhs = -res
         rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
-        K = sysm.element_blocks(quad=quad)
+        blocks = sysm.element_blocks(quad=quad)
         del quad  # not held through the factor, where memory peaks
-        delta = sysm.solve(K, rhs)
-        del K
+        delta = sysm.solve(blocks, rhs)
+        del blocks
         if not np.all(np.isfinite(delta)):
             message = "linear solve produced non-finite Newton step"
             break
@@ -404,7 +504,8 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
     runtime = time.perf_counter() - t0
     if not converged and not message:
         message = f"residual {norms[-1]:.3e} above tolerance after {it} iterations"
-    report = NewtonReport(converged, it, norms, message, runtime, sysm.fill)
+    report = NewtonReport(converged, it, norms, message, runtime, sysm.fill,
+                          sysm.krylov)
     Y, P, L = sysm.split(x)
     return MixedState(lay, Y, P), L, report
 

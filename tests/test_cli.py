@@ -134,7 +134,8 @@ def test_bad_value_exits_2(tmp_path, capsys):
 ])
 def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
                                             monkeypatch, capsys):
-    report = NewtonReport(False, 7, [1.0, 3.5], "diverged")
+    report = NewtonReport(False, 7, [1.0, 3.5], "diverged",
+                          fill=[300_396, 303_874], krylov=[0, 13, 0, 12])
 
     def explode(*args, **kwargs):
         raise NonconvergenceError("no convergence", report)
@@ -152,6 +153,8 @@ def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
     assert blob["converged"] is False
     assert blob["iterations"] == 7
     assert blob["residual_norms"] == [1.0, 3.5]
+    assert blob["fill"] == [300_396, 303_874]
+    assert blob["krylov"] == [0, 13, 0, 12]
 
 
 # outcome of each failure class: (exit code, text on stderr)

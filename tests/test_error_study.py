@@ -129,11 +129,16 @@ def test_sweep_records_keep_both_newton_reports(kind, values, sweep_base,
     for i, rec in enumerate(records):
         assert rec.report is reports["penalized"][i] and rec.report.converged
         assert rec.as_dict()["newton_iters"] == rec.report.iterations
-        assert len(rec.report.fill) == rec.newton_iters + 1
+        # one linear solve for the Stokes start and one per Newton step;
+        # the start factors, and GMRES on that factor solves the steps
+        assert len(rec.report.krylov) == rec.newton_iters + 1
+        assert rec.report.krylov.count(0) == len(rec.report.fill) == 1
         # an epsilon sweep shares one reference solve, a mesh sweep has one
         # per mesh
         ref = reports["reference"][0 if kind == EPSILON_SWEEP else i]
         assert rec.reference_report is ref and ref.converged
+        # a fresh layout's first factor serves the reference solve too
+        assert len(ref.fill) == 1
         assert "report" not in rec.as_dict()
 
 

@@ -252,10 +252,12 @@ def test_condensed_solve_matches_full_spsolve(case, sec31_newton,
     # small eps makes K ill-conditioned; elsewhere compare forward too
     want = None if case.startswith("eps=") else spla.spsolve(K, rhs)
     sysm.layout._patterns.clear()
-    # the first solve orders the pattern, the second reuses that order
+    # the first solve factors and orders the pattern, the second reuses that
+    # order and solves by GMRES on the kept factor
     for ordered in (False, True):
         assert sysm._pattern.ordered is ordered
         got = sysm.solve(sysm.element_blocks(Y), rhs)
+        assert (sysm.krylov[-1] > 0) is ordered
         # normwise backward error, which does not grow with cond(K)
         scale = abs(K).sum(axis=1).max() * np.abs(got).max() \
             + np.abs(rhs).max()
@@ -295,33 +297,44 @@ def test_bubble_block_stays_per_triangle(sec31_newton):
 @pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
 def test_singular_bubble_block_raises_solver_error(sec31_newton, bad):
     sysm, Y = sec31_newton
-    K = sysm.element_blocks(Y)
-    K[7, 9, :] = 0.0  # the x-bubble row of triangle 7
-    K[7, 9, 9] = bad
+    vel, b = sysm.element_blocks(Y)
+    b = b.copy()  # element_blocks shares b between calls
+    # the x-bubble row of triangle 7 (b also holds its column)
+    vel[7, 0, 3] = 0.0
+    b[7, :, 0, 3] = 0.0
+    vel[7, 0, 3, 0, 3] = bad
     with pytest.raises(SolverError, match="bubble"):
-        sysm.solve(K, np.ones(len(Y) + sysm.layout.N2))
+        sysm.solve((vel, b), np.ones(len(Y) + sysm.layout.N2))
 
 
 def test_singular_saddle_system_raises_solver_error(sec31_newton):
     sysm, Y = sec31_newton
     lay = sysm.layout
     free = np.setdiff1d(np.arange(lay.V), lay.dirichlet_vertices)
-    K = sysm.element_blocks(Y)
-    # a vertex x-velocity row, zero in every triangle: the factor is singular
-    K[np.nonzero(lay.mesh.triangles == free[0])] = 0.0
+    vel, b = sysm.element_blocks(Y)
+    b = b.copy()  # element_blocks shares b between calls
+    # a vertex x-velocity row, zero in every triangle (b also holds its
+    # column): GMRES on a kept factor cannot meet its bound, and the factor
+    # is singular
+    t, a = np.nonzero(lay.mesh.triangles == free[0])
+    vel[t, 0, a] = 0.0
+    b[t, :, 0, a] = 0.0
     with pytest.raises(SolverError, match="singular saddle system"):
-        sysm.solve(K, np.ones(len(Y) + lay.N2))
+        sysm.solve((vel, b), np.ones(len(Y) + lay.N2))
 
 
 def test_newton_report_records_factor_fill(sec31_newton):
     sysm, _ = sec31_newton
     _, report = solve_navier_stokes(sysm.layout, sysm.config, sysm.g,
                                     raise_on_failure=True)
-    # one factor for the Stokes start, then one per Newton step
-    assert len(report.fill) == report.iterations + 1
-    # L+U nonzeros of the assembled complement's factors: 300,396 for the
-    # Stokes start, 303,874 for each Newton step
-    assert 0 < max(report.fill) <= 303_874
+    # one linear solve for the Stokes start, then one per Newton step; the
+    # Stokes start factors, every step solves by GMRES on that factor
+    assert len(report.krylov) == report.iterations + 1
+    assert report.krylov.count(0) == len(report.fill) == 1
+    assert report.krylov[0] == 0
+    # L+U nonzeros of the condensed complement's factor, as when each solve
+    # factored
+    assert report.fill == [303_874]
 
 
 def test_pattern_is_ordered_once(flow_cell_coarse, monkeypatch):
@@ -337,9 +350,11 @@ def test_pattern_is_ordered_once(flow_cell_coarse, monkeypatch):
     for _ in range(2):
         _, report = solve_navier_stokes(lay, sec31_assembly(), g,
                                         raise_on_failure=True)
-        # the fill of a fresh minimum-degree order on every factor
-        assert report.fill == [303_874] * 4
-    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 7
+        # one factor per Newton solve, with the fill of a fresh
+        # minimum-degree order
+        assert report.fill == [303_874]
+        assert len(report.krylov) == report.iterations + 1
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
 
 
 def test_equilibrated_reference_factor_keeps_fill_low():
@@ -381,3 +396,63 @@ def test_newton_residual_matches_assembled_forms(case, sec31_newton,
     got, _ = sysm.residual(np.concatenate([Y, P, L]), ydir)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _newton_system(case, layout, square_disk_conforming):
+    """A fresh system of each kind _newton solves, and its Dirichlet data."""
+    if case == "flux-reference":
+        return _reference_system(square_disk_conforming)[0], None
+    if case == "pinned-cavity":
+        return _cavity_system()[0], _lid
+    eps = 0.025 if case == "sec31" else float(case[4:])
+    g = LevelField.interpolate(layout.mesh, sec31_level())
+    return _System(layout, sec31_assembly(eps=eps), g), None
+
+
+@pytest.mark.parametrize("case", ["sec31", "flux-reference", "pinned-cavity",
+                                  "eps=1e-6"])
+def test_krylov_newton_matches_factoring_every_step(
+        case, flow_cell_coarse_layout, square_disk_conforming, monkeypatch):
+    runs, full = {}, ns_solver._KRYLOV_BUDGET
+    # a budget of 0 factors every linear solve; 2 is too small to converge,
+    # so every solve falls back to a factor
+    for budget in (full, 0, 2):
+        monkeypatch.setattr(ns_solver, "_KRYLOV_BUDGET", budget)
+        sysm, dirichlet = _newton_system(case, flow_cell_coarse_layout,
+                                         square_disk_conforming)
+        state, L, report = ns_solver._newton(sysm, dirichlet, None, None, 20)
+        assert report.converged
+        runs[budget] = np.concatenate([state.as_vector(), L]), report
+    x0, factored = runs.pop(0)
+    assert factored.krylov == [0] * (factored.iterations + 1)
+    for budget, (x, report) in runs.items():
+        assert report.iterations == factored.iterations
+        assert len(report.krylov) == report.iterations + 1
+        assert report.krylov.count(0) == len(report.fill)
+        # each factor has the fill of the factor of the same solve
+        assert report.fill == [f for f, k in zip(factored.fill, report.krylov)
+                               if k == 0]
+        assert np.abs(x - x0).max() <= 1e-12 * np.abs(x0).max()
+    # one factor per Newton solve, unless the budget forbids GMRES
+    assert len(runs[2][1].fill) == factored.iterations + 1
+    assert len(runs[full][1].fill) == 1
+
+
+@pytest.mark.parametrize("case", ["sec31-jacobian", "pinned-cavity",
+                                  "eps=1e-6"])
+def test_krylov_solve_on_the_stokes_factor_matches_full_spsolve(
+        case, sec31_newton, flow_cell_coarse_layout, square_disk_conforming,
+        rng):
+    sysm, Y = _case_system(case, sec31_newton, flow_cell_coarse_layout,
+                           square_disk_conforming)
+    K = _saddle_matrix(sysm, Y)
+    rhs = rng.standard_normal(K.shape[0])
+    sysm.solve(sysm.element_blocks(), rhs)  # keeps the Stokes factor
+    got = sysm.solve(sysm.element_blocks(Y), rhs)
+    assert sysm.krylov[-2] == 0 < sysm.krylov[-1]
+    # the bounds of test_condensed_solve_matches_full_spsolve
+    scale = abs(K).sum(axis=1).max() * np.abs(got).max() + np.abs(rhs).max()
+    assert np.abs(K @ got - rhs).max() <= 1e-14 * scale
+    if not case.startswith("eps="):
+        want = spla.spsolve(K, rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
