@@ -90,6 +90,9 @@ class SpaceLayout:
         # local scalar-velocity DOFs per triangle: three vertices then the bubble
         self.cell_dofs = np.column_stack(
             [mesh.triangles, self.V + np.arange(self.T)]).astype(np.int64)
+        # (T, c, a): the global DOF of velocity component c at local basis a
+        self.component_dofs = np.arange(2)[:, None] * self.N1 \
+            + self.cell_dofs[:, None]
         self._geom = {}
         self._patterns = {}  # condensed saddle patterns, filled by ns_solver
 
@@ -101,13 +104,11 @@ class SpaceLayout:
         mesh = self.mesh
         lam, wts = triangle_rule(key)
         p = mesh.vertices[mesh.triangles]
-        area, gl, vals, grads = _element_geometry(p, lam)
+        area, gl, vals, grads, rows = _element_geometry(p, lam)
         xq = np.einsum("qk,tkd->tqd", lam, p)  # physical quadrature points
         geom = {
             "lam": lam, "weights": wts, "area": area, "hat_grads": gl,
-            "vals": vals, "grads": grads, "xq": xq,
-            # grads as (T, nq * 2, 4) rows, the right factor of _velocity_rows
-            "grad_rows": grads.transpose(0, 1, 3, 2).reshape(len(p), -1, 4),
+            "vals": vals, "grads": grads, "grad_rows": rows, "xq": xq,
             "wa": wts[None, :] * area[:, None],  # (T, nq) integration weights
         }
         self._geom[key] = geom
@@ -118,8 +119,8 @@ def _element_geometry(p, lam):
     """Per-triangle data of the P1+bubble element at barycentric points lam.
 
     p holds the (T, 3, 2) triangle corners.  Returns the areas (T,), hat
-    gradients (T, 3, 2), basis values (nq, 4) and basis gradients
-    (T, nq, 4, 2); the bubble is the fourth basis function.
+    gradients (T, 3, 2), basis values (nq, 4), basis gradients (T, nq, 4, 2)
+    and the (T, nq * 2, 4) rows d_d N_a; the bubble is the fourth function.
     """
     det, gl = hat_gradients(p)
 
@@ -133,7 +134,8 @@ def _element_geometry(p, lam):
     grads = np.empty((len(p), nq, 4, 2))
     grads[:, :, :3, :] = gl[:, None, :, :]
     grads[:, :, 3, :] = 27.0 * np.einsum("qk,tkd->tqd", fac, gl)
-    return 0.5 * det, gl, vals, grads
+    rows = grads.transpose(0, 1, 3, 2).reshape(len(p), -1, 4)
+    return 0.5 * det, gl, vals, grads, rows
 
 
 def build_spaces(mesh, dirichlet_labels=("Gamma2", "Gamma3", "Gamma4")) -> SpaceLayout:
@@ -238,7 +240,7 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
         if len(g) != layout.V:
             raise ConfigurationError("level field does not match the mesh")
         smoothing = config.smoothing_for(layout.mesh)
-        gq = np.einsum("qk,tk->tq", geom["lam"], g.nodal_values[layout.mesh.triangles])
+        gq = g.nodal_values[layout.mesh.triangles] @ geom["lam"].T
         H, dH = smoothed_heaviside(gq, smoothing.with_kind(STANDARD))
         Ht, dHt = smoothed_heaviside(gq, smoothing.with_kind(SHIFTED))
         if config.uniform_smoothing:
@@ -275,11 +277,6 @@ def _scatter(data, rows, cols, shape):
     return m.tocsr()
 
 
-def _component_dofs(layout: SpaceLayout):
-    """(T, c, a): the global DOF of velocity component c at local basis a."""
-    return np.arange(2)[None, :, None] * layout.N1 + layout.cell_dofs[:, None]
-
-
 def _stokes_blocks(geom, coeffs: CoeffData):
     """Element blocks of assemble_bilinear, by batched products.
 
@@ -311,18 +308,16 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     a_scalar = _scatter(kloc, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     A = sp.kron(sp.eye(2, format="csr"), a_scalar, format="csr")
     B = _scatter(bloc, layout.mesh.triangles[:, :, None, None],
-                 _component_dofs(layout)[:, None], (layout.N2, 2 * N1))
+                 layout.component_dofs[:, None], (layout.N2, 2 * N1))
     return A, B
 
 
-def _velocity_at_quad(vals, grads, cell_dofs, Y):
-    """Values (T,nq,2), gradients (T,nq,2,2) of Y on the cell_dofs triangles."""
+def _velocity_at_quad(vals, grad_rows, cell_dofs, Y):
+    """Values (T,nq,2) and gradients gq[t,q,d,c] = d u_c / d x_d of Y on the
+    cell_dofs triangles; the gradients are one product with grad_rows."""
     N1 = len(Y) // 2
     yl = np.stack([Y[:N1][cell_dofs], Y[N1:][cell_dofs]], axis=2)
-    uq = vals @ yl
-    # gq[t,q,c,d] = d u_c / d x_d, from (T, q, d, a) @ (T, 1, a, c)
-    gq = np.swapaxes(np.swapaxes(grads, 2, 3) @ yl[:, None], 2, 3)
-    return uq, gq
+    return vals @ yl, (grad_rows @ yl).reshape(len(yl), -1, 2, 2)
 
 
 def _convection_blocks(geom, coeffs: CoeffData, uq, gu):
@@ -335,7 +330,7 @@ def _convection_blocks(geom, coeffs: CoeffData, uq, gu):
     vals, grads = geom["vals"], geom["grads"]
     wc = geom["wa"] * coeffs.conv
     T, nq = wc.shape
-    # e1[t, c, c', a, b] = int conv (d u_c / d x_c') N_a N_b
+    # e1[t, c', c, a, b] = int conv (d u_c / d x_c') N_a N_b
     e1 = np.swapaxes((wc[..., None, None] * gu).reshape(T, nq, 4), 1, 2) \
         @ (vals[:, :, None] * vals[:, None]).reshape(nq, 16)
     # e2[t, c, a, b, c'] = int conv u_c N_a d_c' N_b
@@ -345,7 +340,7 @@ def _convection_blocks(geom, coeffs: CoeffData, uq, gu):
     # int conv (u . grad N_b) N_a, skew-symmetrized
     c1 = e2[:, 0, :, :, 0] + e2[:, 1, :, :, 1]
     c1 -= np.swapaxes(c1, 1, 2)
-    c2 = e1.reshape(T, 2, 2, 4, 4).transpose(0, 1, 3, 2, 4) \
+    c2 = e1.reshape(T, 2, 2, 4, 4).transpose(0, 2, 3, 1, 4) \
         - e2.transpose(0, 1, 3, 4, 2)
     return 0.5 * c1, 0.5 * c2
 
@@ -362,34 +357,38 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
         coeffs = evaluate_coefficients(layout, config, g)
     dofs, N1 = layout.cell_dofs, layout.N1
     geom = layout.geometry(config.quadrature_order)
-    c1, c2 = _convection_blocks(
-        geom, coeffs, *_velocity_at_quad(geom["vals"], geom["grads"], dofs, Y))
+    quad = _velocity_at_quad(geom["vals"], geom["grad_rows"], dofs, Y)
+    c1, c2 = _convection_blocks(geom, coeffs, *quad)
     c1_scalar = _scatter(c1, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     C1 = sp.kron(sp.eye(2, format="csr"), c1_scalar, format="csr")
-    idx = _component_dofs(layout)
+    idx = layout.component_dofs
     C2 = _scatter(c2, idx[..., None, None], idx[:, None, None],
                   (2 * N1, 2 * N1))
     return C1, C2
 
 
 def _flow_at_quad(layout: SpaceLayout, geom, Y, P):
-    """Velocity values and gradients and the P1 pressure at geom's points."""
-    uq, gu = _velocity_at_quad(geom["vals"], geom["grads"], layout.cell_dofs, Y)
-    pq = np.einsum("qk,tk->tq", geom["lam"], P[layout.mesh.triangles])
-    return uq, gu, pq
+    """(uq, gu, pq, ugu, uu) at geom's points: velocity values and gradients,
+    the P1 pressure, and the coefficient-free (u.grad)u and u (x) u."""
+    uq, gu = _velocity_at_quad(geom["vals"], geom["grad_rows"],
+                               layout.cell_dofs, Y)
+    pq = P[layout.mesh.triangles] @ geom["lam"].T
+    return (uq, gu, pq, np.einsum("tqd,tqdc->tqc", uq, gu),
+            np.einsum("tqc,tqd->tqcd", uq, uq))
 
 
 def _velocity_rows(layout: SpaceLayout, geom, val=None, grad=None):
-    """sum_q wa (val_c N_a + grad_cd d_d N_a) for every velocity DOF (c, a)."""
+    """sum_q wa (val_c N_a + grad_dc d_d N_a) for every velocity DOF (c, a);
+    grad is (T, nq, d, c) like gradients, which meet grad_rows uncopied."""
     wa = geom["wa"][..., None]
     # batched products (T, c, q) @ (q, a) and (T, c, qd) @ (T, qd, a)
-    loc = np.zeros((layout.T, 2, 4))
+    loc = 0.0
     if val is not None:
-        loc += np.swapaxes(wa * val, 1, 2) @ geom["vals"]
+        loc = np.swapaxes(wa * val, 1, 2) @ geom["vals"]
     if grad is not None:
-        g = (wa[..., None] * grad).transpose(0, 2, 1, 3)
-        loc += g.reshape(layout.T, 2, -1) @ geom["grad_rows"]
-    return np.bincount(_component_dofs(layout).ravel(), loc.ravel(),
+        g = (wa[..., None] * grad).reshape(layout.T, -1, 2)
+        loc = loc + np.swapaxes(g, 1, 2) @ geom["grad_rows"]
+    return np.bincount(layout.component_dofs.ravel(), loc.ravel(),
                        minlength=2 * layout.N1)
 
 
@@ -400,36 +399,37 @@ def _hat_rows(layout: SpaceLayout, geom, s):
                        minlength=layout.V)
 
 
-def _momentum_integrand(co: CoeffData, uq, gu, pq, fq):
-    """Quadrature-point (val, grad) of the momentum rows, for _velocity_rows.
+def _momentum_integrand(co: CoeffData, flow, fq):
+    """Quadrature-point (val, grad) of the momentum rows at _flow_at_quad's
+    flow, for _velocity_rows.
 
     Tested with N_a e_c they give visc grad u : grad N_a + mass u N_a
     + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a, minus
     loadc f N_a when body force values fq are given.  With the level
     derivatives in place of the coefficients they give the level derivative.
     """
+    uq, gu, pq, ugu, uu = flow
     hc = 0.5 * co.conv[..., None]
-    val = co.mass[..., None] * uq + hc * np.einsum("tqd,tqcd->tqc", uq, gu)
+    val = co.mass[..., None] * uq + hc * ugu
     if fq is not None:
         val -= co.loadc[..., None] * fq
-    grad = co.visc[..., None, None] * gu - np.einsum("tqc,tqd->tqcd",
-                                                     hc * uq, uq)
+    grad = co.visc[..., None, None] * gu - hc[..., None] * uu
     dp = co.divc * pq  # the pressure term, on the diagonal
     grad[..., 0, 0] -= dp
     grad[..., 1, 1] -= dp
     return val, grad
 
 
-def _flow_rows(layout: SpaceLayout, geom, coeffs: CoeffData, uq, gu, pq, fq,
-               load):
-    """(A Y + C1(Y) Y + B^T P - load, B Y) summed per element, no matrix.
+def _flow_rows(layout: SpaceLayout, geom, coeffs: CoeffData, flow, fq, load):
+    """(A Y + C1(Y) Y + B^T P - load, B Y) summed per element, no matrix,
+    at _flow_at_quad's flow.
 
     The divergence row of hat j is -divc div u lam_j; boundary rows are left
     to the caller.
     """
-    divu = gu[:, :, 0, 0] + gu[:, :, 1, 1]
+    divu = flow[1][:, :, 0, 0] + flow[1][:, :, 1, 1]
     return (_velocity_rows(layout, geom,
-                           *_momentum_integrand(coeffs, uq, gu, pq, fq)) - load,
+                           *_momentum_integrand(coeffs, flow, fq)) - load,
             _hat_rows(layout, geom, -coeffs.divc * divu))
 
 
@@ -501,11 +501,11 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
     if geo is None:
         lam, w = triangle_rule(7)
         tris = mesh.triangles[tri_idx]
-        area, gl, vals, grads = _element_geometry(mesh.vertices[tris], lam)
-        geo = lam, tris, area, gl, vals, grads, w[None, :] * area[:, None]
+        area, gl, vals, _, rows = _element_geometry(mesh.vertices[tris], lam)
+        geo = lam, tris, area, gl, vals, rows, w[None, :] * area[:, None]
         if region is None:
             mesh._cache["norm_geometry"] = geo
-    lam, tris, area, gl, vals, grads, wa = geo
+    lam, tris, area, gl, vals, rows, wa = geo
     l2sq = h1sq = 0.0  # a norm leaves out the part it does not use
 
     if arr.size == V:  # scalar P1 field
@@ -522,7 +522,7 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
 
     if arr.size != 2 * (V + T):
         raise ConfigurationError("field length matches neither space")
-    uq, gq = _velocity_at_quad(vals, grads,
+    uq, gq = _velocity_at_quad(vals, rows,
                                np.column_stack([tris, V + tri_idx]), arr)
     if kind in ("L2", "H1"):
         l2sq = float(np.sum(wa * np.einsum("tqc,tqc->tq", uq, uq)))

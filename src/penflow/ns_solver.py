@@ -48,6 +48,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dtrsv
 
 from .errors import NonconvergenceError, SolverError
 from .fem import (AssemblyConfig, SpaceLayout, _convection_blocks,
@@ -235,13 +236,13 @@ class _System:
         quadrature points, which element_blocks takes for a step from x."""
         # the pressure pin row stays as computed; Newton zeroes it in the step
         Y, P, L = self.split(x)
-        uq, gu, pq = _flow_at_quad(self.layout, self.geom, Y, P)
-        mom, div = _flow_rows(self.layout, self.geom, self.coeffs, uq, gu, pq,
-                              None, self.F)
+        flow = _flow_at_quad(self.layout, self.geom, Y, P)
+        mom, div = _flow_rows(self.layout, self.geom, self.coeffs, flow, None,
+                              self.F)
         mom += L @ self.flux_rows
         dirs = self.layout.dirichlet_dofs
         mom[dirs] = Y[dirs] - ydir
-        return np.concatenate([mom, div, self.flux_rows @ Y]), (uq, gu)
+        return np.concatenate([mom, div, self.flux_rows @ Y]), flow[:2]
 
     @functools.cached_property
     def _stokes(self):
@@ -253,7 +254,7 @@ class _System:
         is given.  b is the same array on every call."""
         k, b = self._stokes
         if Y is not None:
-            quad = _velocity_at_quad(self.geom["vals"], self.geom["grads"],
+            quad = _velocity_at_quad(self.geom["vals"], self.geom["grad_rows"],
                                      self.layout.cell_dofs, Y)
         if quad is None:
             vel = np.zeros((len(k), 2, 4, 2, 4))
@@ -390,36 +391,43 @@ def _gmres(A, precondition, b, norm_A):
     Returns x and the iterations taken once the residual meets the normwise
     backward-error bound ||b - A x|| <= _KRYLOV_TOL (norm_A ||x|| + ||b||),
     2-norms of vectors; (None, _KRYLOV_BUDGET) when that does not happen
-    within the budget.  The Arnoldi residual, bounded with ||x|| of the
-    first iterate, stops the iteration; the residual of x itself decides.
+    within the budget.  Givens rotations keep the Hessenberg matrix upper
+    triangular: the Arnoldi residual |g[j + 1]|, bounded with ||x|| of the
+    first iterate, stops the iteration, and y comes by back-substitution
+    (BLAS, no LAPACK).  The residual of x itself decides.
     """
     m, beta = _KRYLOV_BUDGET, np.linalg.norm(b)
     Q = np.empty((m + 1, len(b)))  # the Krylov basis
-    H = np.zeros((m + 1, m))
-    Q[0] = b / beta
-    e = np.zeros(m + 1)
-    e[0] = beta
+    R = np.zeros((m, m))  # the Hessenberg matrix, rotated to triangular
+    G = np.empty((m, 2, 2))  # the rotations
+    g = np.zeros(m + 1)  # beta e_1, rotated
+    Q[0], g[0] = b / beta, beta
     for j in range(m):
         z = precondition(Q[j])
         w = A(z)
+        h = R[:j + 1, j]
         for _ in range(2):  # classical Gram-Schmidt, repeated once
-            h = Q[:j + 1] @ w
-            w -= h @ Q[:j + 1]
-            H[:j + 1, j] += h
-        H[j + 1, j] = np.linalg.norm(w)
-        y = np.linalg.lstsq(H[:j + 2, :j + 1], e[:j + 2], rcond=None)[0]
-        if j == 0:  # x = y z here
-            bound = _KRYLOV_TOL * (norm_A * abs(y[0]) * np.linalg.norm(z)
+            c = Q[:j + 1] @ w
+            w -= c @ Q[:j + 1]
+            h += c
+        norm_w = np.linalg.norm(w)
+        for i in range(j):  # the earlier rotations, then one zeroing norm_w
+            h[i:i + 2] = G[i] @ h[i:i + 2]
+        r = np.hypot(h[j], norm_w)
+        G[j] = np.array([[h[j], norm_w], [-norm_w, h[j]]]) / r
+        h[j], g[j:j + 2] = r, G[j] @ g[j:j + 2]
+        if j == 0:  # x = y z here, y = g[0] / r
+            bound = _KRYLOV_TOL * (norm_A * abs(g[0] / r) * np.linalg.norm(z)
                                    + beta)
-        if np.linalg.norm(e[:j + 2] - H[:j + 2, :j + 1] @ y) <= bound:
-            x = precondition(y @ Q[:j + 1])
+        if abs(g[j + 1]) <= bound:
+            x = precondition(dtrsv(R[:j + 1, :j + 1], g[:j + 1]) @ Q[:j + 1])
             if np.linalg.norm(b - A(x)) <= _KRYLOV_TOL * (
                     norm_A * np.linalg.norm(x) + beta):
                 return x, j + 1
             break
-        if H[j + 1, j] == 0.0:
+        if norm_w == 0.0:
             break
-        Q[j + 1] = w / H[j + 1, j]
+        Q[j + 1] = w / norm_w
     return None, m
 
 

@@ -10,8 +10,11 @@ jac C^T C (including level-field sensitivities of every coefficient) are
 summed per element from quadrature-point data, so no sparse matrix is
 assembled after the Newton solve that initializes (Y, P) at the starting
 geometry.  C takes its momentum and divergence rows from fem._flow_rows,
-the same kernel that gives the Newton residual in ns_solver.  The assembled
-Jacobian serves only constraint_jacobian.
+the same kernel that gives the Newton residual in ns_solver, and shares
+its coefficient-free products with the adjoint's level block.  Line-search
+trials compute values only, gradients run at accepted points, and a
+tracking target is interpolated once per descent.  The assembled Jacobian
+serves only constraint_jacobian.
 """
 
 import numpy as np
@@ -19,16 +22,18 @@ import scipy.sparse as sp
 
 from .artifacts import csv_text
 from .errors import ConfigurationError, SolverError
-from .fem import (CoeffData, SpaceLayout, _component_dofs, _flow_at_quad,
-                  _flow_rows, _hat_rows, _momentum_integrand, _scatter,
-                  _velocity_at_quad, _velocity_rows, assemble_bilinear,
-                  assemble_load, assemble_trilinear, evaluate_coefficients)
+from .fem import (CoeffData, SpaceLayout, _flow_at_quad, _flow_rows,
+                  _hat_rows, _momentum_integrand, _scatter, _velocity_at_quad,
+                  _velocity_rows, assemble_bilinear, assemble_load,
+                  assemble_trilinear, evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
 from .mesh import _graph_components
 from .ns_solver import solve_navier_stokes
 
 DISSIPATED_ENERGY = "dissipated-energy"
 TRACKING = "tracking"
+_HISTORY_COLUMNS = ("iteration j_h j_rho constraint_inf divergence_inf step "
+                    "accepted grad_norm2 backtracks").split()
 
 
 class OptVector:
@@ -132,11 +137,7 @@ class IterateRecord:
                 raise SolverError("non-finite iterate data")
 
     def as_dict(self):
-        return {"iteration": self.iteration, "j_h": self.j_h,
-                "j_rho": self.j_rho, "constraint_inf": self.constraint_inf,
-                "divergence_inf": self.divergence_inf, "step": self.step,
-                "accepted": self.accepted, "grad_norm2": self.grad_norm2,
-                "backtracks": self.backtracks}
+        return {c: getattr(self, c) for c in _HISTORY_COLUMNS}
 
 
 class Snapshot:
@@ -168,12 +169,10 @@ class _Forms:
         self.layout = layout
         self.Y = X.Y
         self.g = LevelField(X.G)
-        co = self.coeffs = evaluate_coefficients(layout, config, self.g)
-        # the level derivatives, in the places of the coefficients
-        self.dcoeffs = CoeffData(co.dvisc, co.dmass, co.dconv, co.ddivc,
-                                 co.dloadc)
+        self.coeffs = evaluate_coefficients(layout, config, self.g)
         self.geom = layout.geometry(config.quadrature_order)
-        self.uq, self.gu, self.pq = _flow_at_quad(layout, self.geom, X.Y, X.P)
+        self.flow = _flow_at_quad(layout, self.geom, X.Y, X.P)
+        self.uq, self.gu, self.pq, self.ugu, _ = self.flow
         self.fq = None if config.body_force is None else np.asarray(
             config.body_force(self.geom["xq"]), dtype=float)
         self.divu = self.gu[:, :, 0, 0] + self.gu[:, :, 1, 1]
@@ -181,8 +180,8 @@ class _Forms:
     def constraint(self, traction):
         """C(X) from the Newton residual's kernel: momentum rows minus the
         traction (Dirichlet rows replaced), then the divergence rows."""
-        mom, div = _flow_rows(self.layout, self.geom, self.coeffs, self.uq,
-                              self.gu, self.pq, self.fq, traction)
+        mom, div = _flow_rows(self.layout, self.geom, self.coeffs, self.flow,
+                              self.fq, traction)
         dirs = self.layout.dirichlet_dofs
         mom[dirs] = self.Y[dirs]
         return np.concatenate([mom, div])
@@ -192,32 +191,39 @@ class _Forms:
 
         w is the momentum part of c with its Dirichlet rows zeroed, q the
         divergence part read as a P1 field; each block is the derivative of
-        w . momentum + q . divergence in its unknown.
+        w . momentum + q . divergence in its unknown; the level block sums
+        scalar products, C's (u.grad)u . w among them, by level derivatives.
         """
         lay, co, geom = self.layout, self.coeffs, self.geom
         uq, gu = self.uq, self.gu
         dirs, m = lay.dirichlet_dofs, 2 * lay.N1
         w = c[:m].copy()
         w[dirs] = 0.0
-        wq, gw, qq = _flow_at_quad(lay, geom, w, c[m:])
+        wq, gw = _velocity_at_quad(geom["vals"], geom["grad_rows"],
+                                   lay.cell_dofs, w)
+        qq = c[m:][lay.mesh.triangles] @ geom["lam"].T
         divw = gw[:, :, 0, 0] + gw[:, :, 1, 1]
-        ugw = np.einsum("tqd,tqcd->tqc", uq, gw)  # (u.grad)w
+        ugw = np.einsum("tqd,tqdc->tqc", uq, gw)  # (u.grad)w
 
         val = co.mass[..., None] * wq + 0.5 * co.conv[..., None] * (
-            np.einsum("tqic,tqi->tqc", gu, wq)
-            - np.einsum("tqic,tqi->tqc", gw, uq) - ugw)
-        grad = (co.visc[..., None, None] * gw
-                + 0.5 * co.conv[..., None, None] * wq[..., :, None]
-                * uq[..., None, :]
-                - (co.divc * qq)[..., None, None] * np.eye(2))
+            np.einsum("tqci,tqi->tqc", gu, wq)
+            - np.einsum("tqci,tqi->tqc", gw, uq) - ugw)
+        grad = (co.visc[..., None, None] * gw + 0.5 * co.conv[..., None, None]
+                * uq[..., :, None] * wq[..., None, :])
+        grad[..., [0, 1], [0, 1]] -= (co.divc * qq)[..., None]
         gy = _velocity_rows(lay, geom, val, grad)
         gy[dirs] += c[dirs]
 
-        # level block: the momentum rows' level derivative tested with w
-        dval, dgrad = _momentum_integrand(self.dcoeffs, uq, gu, self.pq,
-                                          self.fq)
-        s = (np.einsum("tqc,tqc->tq", dval, wq)
-             + np.einsum("tqcd,tqcd->tq", dgrad, gw) - co.ddivc * qq * self.divu)
+        def dot(a, b):  # of vectors at each point
+            return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+        # level block; u (x) u : grad w is u . (u.grad)w
+        s = (co.dmass * dot(uq, wq)
+             + 0.5 * co.dconv * (dot(self.ugu, wq) - dot(uq, ugw))
+             + co.dvisc * np.einsum("tqdc,tqdc->tq", gu, gw)
+             - co.ddivc * (self.pq * divw + qq * self.divu))
+        if self.fq is not None:
+            s -= co.dloadc * dot(self.fq, wq)
         return np.concatenate([gy, _hat_rows(lay, geom, -co.divc * divw),
                                _hat_rows(lay, geom, s)])
 
@@ -225,15 +231,16 @@ class _Forms:
         """(jac13, Bprime): level-field derivatives of momentum and divergence."""
         lay, geom, co = self.layout, self.geom, self.coeffs
         lam, vals, grads = geom["lam"], geom["vals"], geom["grads"]
-        wa, uq, gu, pq = geom["wa"], self.uq, self.gu, self.pq
+        wa, dco = geom["wa"], CoeffData(co.dvisc, co.dmass, co.dconv,
+                                        co.ddivc, co.dloadc)
 
-        # momentum block, local shape (T, comp, basis, hat)
-        val, grad = _momentum_integrand(self.dcoeffs, uq, gu, pq, self.fq)
+        # momentum block (T, comp, basis, hat) from the level derivatives
+        val, grad = _momentum_integrand(dco, self.flow, self.fq)
         loc = np.einsum("tq,tqc,qa,qj->tcaj", wa, val, vals, lam)
-        loc += np.einsum("tq,tqcd,tqad,qj->tcaj", wa, grad, grads, lam)
+        loc += np.einsum("tq,tqdc,tqad,qj->tcaj", wa, grad, grads, lam)
 
         tri = lay.mesh.triangles
-        jac13 = _scatter(loc, _component_dofs(lay)[..., None],
+        jac13 = _scatter(loc, lay.component_dofs[..., None],
                          tri[:, None, None, :], (2 * lay.N1, lay.N3))
 
         locb = -np.einsum("tq,qp,qj->tpj", wa * co.ddivc * self.divu, lam, lam)
@@ -241,23 +248,34 @@ class _Forms:
                           (lay.N2, lay.N3))
         return jac13, bprime
 
-    def cost(self, spec: CostSpec):
-        """(J_h, dJ/dY, dJ/dG) with the configured smoothed cutoff."""
-        lay, geom, loadc = self.layout, self.geom, self.coeffs.loadc
+    def cost(self, spec: CostSpec, target_q):
+        """J_h with the configured smoothed cutoff, target_q the tracking
+        target at the quadrature points; cost_gradient differentiates it."""
         if spec.kind == DISSIPATED_ENERGY:
-            e = 0.5 * (self.gu + np.swapaxes(self.gu, 2, 3))
-            dens = np.einsum("tqcd,tqcd->tq", e, e)
-            gradY = _velocity_rows(lay, geom,
-                                   grad=2.0 * loadc[..., None, None] * e)
+            self._cost = "grad", 0.5 * (self.gu + self.gu.swapaxes(2, 3))
         else:
-            if spec.target.shape != (2 * lay.N1,):
-                raise ConfigurationError("target field does not match layout")
-            diff = self.uq - _velocity_at_quad(
-                geom["vals"], geom["grads"], lay.cell_dofs, spec.target)[0]
-            dens = np.einsum("tqc,tqc->tq", diff, diff)
-            gradY = _velocity_rows(lay, geom, val=2.0 * loadc[..., None] * diff)
-        value = float(np.sum(geom["wa"] * loadc * dens))
-        return value, gradY, _hat_rows(lay, geom, self.coeffs.dloadc * dens)
+            self._cost = "val", self.uq - target_q
+        e = self._cost[1].reshape(*self.uq.shape[:2], -1)
+        self._dens = np.einsum("tqi,tqi->tq", e, e)
+        return float(np.sum(self.geom["wa"] * self.coeffs.loadc * self._dens))
+
+    def cost_gradient(self):
+        """(dJ/dY, dJ/dG) of the last cost."""
+        lay, geom, co = self.layout, self.geom, self.coeffs
+        kind, e = self._cost
+        rows = 2.0 * co.loadc[(...,) + (None,) * (e.ndim - 2)] * e
+        return (_velocity_rows(lay, geom, **{kind: rows}),
+                _hat_rows(lay, geom, co.dloadc * self._dens))
+
+
+def _target_at_quad(spec: CostSpec, layout, config):
+    """The tracking target's values at the quadrature points, or None."""
+    if spec.kind == TRACKING:
+        if spec.target.shape != (2 * layout.N1,):
+            raise ConfigurationError("target field does not match layout")
+        geom = layout.geometry(config.quadrature_order)
+        return _velocity_at_quad(geom["vals"], geom["grad_rows"],
+                                 layout.cell_dofs, spec.target)[0]
 
 
 def constraint_residual(X: OptVector, layout, config) -> np.ndarray:
@@ -292,9 +310,9 @@ def constraint_jacobian(X: OptVector, layout, config):
 def cost_and_gradient(X: OptVector, spec: CostSpec, layout, config):
     """J_h(X) and its gradient over all N components (pressure block zero)."""
     forms = _Forms(X, layout, config)
-    value, gradY, gradG = forms.cost(spec)
-    grad = np.concatenate([gradY, np.zeros(layout.N2), gradG])
-    return value, grad
+    value = forms.cost(spec, _target_at_quad(spec, layout, config))
+    gradY, gradG = forms.cost_gradient()
+    return value, np.concatenate([gradY, np.zeros(layout.N2), gradG])
 
 
 def _traction(layout, config):
@@ -302,16 +320,16 @@ def _traction(layout, config):
     return assemble_load(layout, config.replace(body_force=None), None)
 
 
-def _penalized_value(X: OptVector, spec, rho, layout, config, traction):
-    # value-only path for line-search trials: no Jacobian assembly
+def _penalized_value(X, spec, rho, layout, config, traction, target_q):
+    """(J_rho, J_h, forms, C) at X: the value alone, for line-search trials."""
     forms = _Forms(X, layout, config)
-    cost = forms.cost(spec)
+    j_h = forms.cost(spec, target_q)
     C = forms.constraint(traction)
-    return cost[0] + 0.5 * rho * float(C @ C), forms, cost, C
+    return j_h + 0.5 * rho * float(C @ C), j_h, forms, C
 
 
-def _penalized_gradient(forms, cost, C, rho, layout):
-    _, gradY, gradG = cost
+def _penalized_gradient(forms, C, rho, layout):
+    gradY, gradG = forms.cost_gradient()
     grad = np.concatenate([gradY, np.zeros(layout.N2), gradG])
     if rho > 0:
         grad = grad + rho * forms.adjoint(C)
@@ -323,9 +341,10 @@ def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
     """J_rho = J_h + (rho/2) C^T C and its gradient grad J_h + rho jac^T C."""
     if rho < 0:
         raise ConfigurationError("penalty weight must be nonnegative")
-    value, forms, cost, C = _penalized_value(X, spec, rho, layout, config,
-                                             _traction(layout, config))
-    return value, _penalized_gradient(forms, cost, C, rho, layout)
+    value, _, forms, C = _penalized_value(
+        X, spec, rho, layout, config, _traction(layout, config),
+        _target_at_quad(spec, layout, config))
+    return value, _penalized_gradient(forms, C, rho, layout)
 
 
 def _frozen_components(layout, opt):
@@ -368,20 +387,16 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             bool(np.all(G[np.unique(mesh.boundary_edges.ravel())] < 0.0)),
             j_h))
 
-    traction = _traction(layout, config)  # fixed for the whole descent
-    j_rho, forms0, cost0, C0 = _penalized_value(X, spec, opt.rho, layout,
-                                                config, traction)
+    fixed = _traction(layout, config), _target_at_quad(spec, layout, config)
+    j_rho, j_h0, forms0, C0 = _penalized_value(X, spec, opt.rho, layout,
+                                               config, *fixed)
     if not np.isfinite(j_rho):
         raise SolverError("non-finite penalized cost at the initial point")
-    direction = -_penalized_gradient(forms0, cost0, C0, opt.rho, layout)
+    direction = -_penalized_gradient(forms0, C0, opt.rho, layout)
     direction[frozen] = 0.0
-    gnorm_inf = np.abs(direction).max()
-    if gnorm_inf == 0.0:
-        gnorm_inf = 1.0
-    step = opt.initial_step / gnorm_inf
+    step = opt.initial_step / (np.abs(direction).max() or 1.0)
     base_cap = 10.0 * step
 
-    j_h0 = cost0[0]
     history.append(IterateRecord(0, j_h0, j_rho, float(np.abs(C0).max()),
                                  float(np.abs(C0[2 * layout.N1:]).max()),
                                  0.0, True, float(direction @ direction), 0))
@@ -396,8 +411,8 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
         for _ in range(opt.max_backtracks + 1):
             Xn = OptVector.from_vector(layout,
                                        X.as_vector() + trial * direction)
-            j_new, forms_n, cost_n, C_n = _penalized_value(
-                Xn, spec, opt.rho, layout, config, traction)
+            j_new, j_h, forms_n, C_n = _penalized_value(
+                Xn, spec, opt.rho, layout, config, *fixed)
             if np.isfinite(j_new) and \
                     j_new <= j_rho - opt.armijo_c * trial * gn2:
                 accepted = True
@@ -409,20 +424,15 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             delta = abs(j_rho - j_new)
             div_inf = float(np.abs(C_n[2 * layout.N1:]).max())
             c_inf = float(np.abs(C_n).max())
-            history.append(IterateRecord(it, cost_n[0], j_new, c_inf, div_inf,
+            history.append(IterateRecord(it, j_h, j_new, c_inf, div_inf,
                                          trial, True, gn2, backtracks))
-            if backtracks == 0:
-                step = min(trial * opt.step_growth, base_cap)
-            else:
-                step = trial
+            step = min(trial * opt.step_growth, base_cap) if backtracks == 0 \
+                else trial
             j_rho = j_new
-            direction = -_penalized_gradient(forms_n, cost_n, C_n,
-                                             opt.rho, layout)
+            direction = -_penalized_gradient(forms_n, C_n, opt.rho, layout)
             direction[frozen] = 0.0
-            if delta <= opt.plateau_tol * (1.0 + abs(j_rho)):
-                plateau_run += 1
-            else:
-                plateau_run = 0
+            small = delta <= opt.plateau_tol * (1.0 + abs(j_rho))
+            plateau_run = plateau_run + 1 if small else 0
         else:
             # stall: keep the iterate (and the values recorded for it),
             # shrink the base step, move on
@@ -439,15 +449,12 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
         if plateau_run >= opt.plateau_steps:
             break
 
-    if not snapshots or snapshots[-1].iteration != history[-1].iteration:
-        take_snapshot(history[-1].iteration if history else 0,
-                      history[-1].j_h if history else j_h0)
+    if snapshots[-1].iteration != history[-1].iteration:
+        take_snapshot(history[-1].iteration, history[-1].j_h)
     return history, X, snapshots
 
 
 def history_to_csv(history) -> str:
     """Serialize descent records as CSV (one row per iteration)."""
-    cols = ["iteration", "j_h", "j_rho", "constraint_inf", "divergence_inf",
-            "step", "accepted", "grad_norm2", "backtracks"]
-    dicts = [r.as_dict() for r in history]
-    return csv_text(cols, [[d[c] for c in cols] for d in dicts])
+    return csv_text(_HISTORY_COLUMNS,
+                    [list(r.as_dict().values()) for r in history])

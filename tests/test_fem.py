@@ -330,6 +330,65 @@ def test_velocity_norms_match_einsum_interpolation(kind, region, rng,
     assert abs(got - want) <= 1e-14 * want
 
 
+def _pointwise_velocity(mesh, Y, tri_idx, lam):
+    """Values (T, nq, 2) and gradients [t, q, d, c] = d u_c / d x_d of Y,
+    one quadrature point at a time from each triangle's barycentric map."""
+    V, T = mesh.num_vertices, mesh.num_triangles
+    vals = np.zeros((len(tri_idx), len(lam), 2))
+    grads = np.zeros((len(tri_idx), len(lam), 2, 2))
+    for i, t in enumerate(tri_idx):
+        tri = mesh.triangles[t]
+        # row k of inv maps (1, x, y) to lam_k
+        inv = np.linalg.inv(np.vstack([np.ones(3), mesh.vertices[tri].T]))
+        dlam = inv[:, 1:]  # (3, 2) barycentric gradients
+        dofs = list(tri) + [V + t]
+        for q, (l0, l1, l2) in enumerate(lam):
+            basis = [l0, l1, l2, 27.0 * l0 * l1 * l2]
+            dbasis = list(dlam) + [27.0 * (dlam[0] * l1 * l2 + l0 * dlam[1]
+                                           * l2 + l0 * l1 * dlam[2])]
+            for a in range(4):
+                for c in range(2):
+                    y = Y[c * (V + T) + dofs[a]]
+                    vals[i, q, c] += basis[a] * y
+                    grads[i, q, :, c] += dbasis[a] * y
+    return vals, grads
+
+
+@pytest.mark.parametrize("order", [5, 7])
+def test_velocity_at_quad_matches_pointwise_loop(order, rng):
+    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
+    lay = build_spaces(mesh)
+    Y = rng.standard_normal(2 * lay.N1)
+    geom = lay.geometry(order)
+    got = fem._velocity_at_quad(geom["vals"], geom["grad_rows"],
+                                lay.cell_dofs, Y)
+    want = _pointwise_velocity(mesh, Y, range(lay.T), geom["lam"])
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("region", [None, "every-other"])
+def test_compute_norm_matches_pointwise_loop(region, rng):
+    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
+    V, T = mesh.num_vertices, mesh.num_triangles
+    tri_idx = np.arange(T) if region is None else np.arange(0, T, 2)
+    Y = rng.standard_normal(2 * (V + T))
+    lam, w = triangle_rule(7)
+    uq, gq = _pointwise_velocity(mesh, Y, tri_idx, lam)
+    p = mesh.vertices[mesh.triangles[tri_idx]]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    wa = w * 0.5 * np.abs(d1[:, :1] * d2[:, 1:] - d1[:, 1:] * d2[:, :1])
+    l2sq = np.sum(wa[..., None] * uq ** 2)
+    h1sq = np.sum(wa[..., None, None] * gq ** 2)
+    div = gq[:, :, 0, 0] + gq[:, :, 1, 1]
+    want = {"L2": l2sq, "H1seminorm": h1sq, "H1": l2sq + h1sq,
+            "DivL2": np.sum(wa * div ** 2)}
+    for kind, value in want.items():
+        got = compute_norm(mesh, Y, None if region is None else tri_idx, kind)
+        assert abs(got - value ** 0.5) <= 1e-14 * value ** 0.5
+
+
 def test_whole_mesh_norm_geometry_is_computed_once(monkeypatch, rng):
     mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
     V, T = mesh.num_vertices, mesh.num_triangles

@@ -269,6 +269,56 @@ def test_descent_decreases_cost_and_respects_frozen_sets():
     assert all(s.boundary_sign_ok for s in snapshots)
 
 
+@pytest.mark.parametrize("kind", [DISSIPATED_ENERGY, TRACKING])
+def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
+                                                         monkeypatch):
+    """Line-search trials evaluate the value alone; the cost gradient and
+    the adjoint run once per accepted point, the target is interpolated
+    once per descent."""
+    mesh = generate_mesh(DomainSpec(outer="flow-cell", h_mesh=0.09))
+    lay = build_spaces(mesh)
+    cfg = AssemblyConfig(nu=1.0, eps=0.01, traction=shear_traction,
+                         divergence_form=PENALIZED_B)
+    g0 = LevelField.interpolate(
+        mesh, compose_disks([(-0.2, 0.2), (-0.2, -0.2)], [0.1, 0.1],
+                            signed_distance=True))
+    target = 0.1 * rng.standard_normal(2 * lay.N1)
+    spec = CostSpec(kind, target=target if kind == TRACKING else None)
+    counts = dict.fromkeys(["values", "gradients", "rows", "target"], 0)
+
+    def count(owner, name, key, when=lambda *a: True):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += bool(when(*args))
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(penflow.topopt, "evaluate_coefficients", "values")
+    count(penflow.topopt._Forms, "cost_gradient", "gradients")
+    for module in (penflow.fem, penflow.topopt):
+        count(module, "_velocity_rows", "rows")
+        count(module, "_velocity_at_quad", "target",
+              lambda *a: np.array_equal(a[-1], target))
+    newton = penflow.topopt.solve_navier_stokes
+
+    def newton_start(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        counts["rows"] = 0  # its residuals use _velocity_rows too
+        return result
+    monkeypatch.setattr(penflow.topopt, "solve_navier_stokes", newton_start)
+    opt = OptConfig(rho=0.8, max_iter=8, plateau_tol=0.0, initial_step=4.0)
+    history, _, _ = optimize(g0, spec, opt, lay, cfg)
+    steps = history[1:]
+    accepted = sum(r.accepted for r in steps)
+    assert sum(r.backtracks for r in steps) > 0 and accepted > 0
+    assert counts["values"] == 1 + sum(r.backtracks + r.accepted
+                                       for r in steps)
+    assert counts["gradients"] == 1 + accepted
+    assert counts["rows"] == counts["values"] + 2 * counts["gradients"]
+    assert counts["target"] == (kind == TRACKING)
+
+
 def test_descent_rejects_inadmissible_start(unit_square_mesh):
     lay = build_spaces(unit_square_mesh)
     cfg = AssemblyConfig(nu=1.0, eps=0.01, traction=_pull)
