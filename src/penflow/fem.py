@@ -5,7 +5,15 @@ per triangle, pressure and level fields use plain P1.  Velocity DOFs are
 component major: component c occupies [c*N1, (c+1)*N1), vertices first,
 then one bubble per triangle.  All coefficient jumps are smoothed per
 quadrature point from the P1-interpolated level field.
+
+Quadrature-point data is component major and C-contiguous too: scalars
+(T, nq), vectors (2, T, nq), gradients (2, 2, T, nq) with [d, c] = d u_c /
+d x_d, so that coefficient products and component sums run over whole
+(T, nq) blocks.  Only _velocity_at_quad and _velocity_rows meet the element
+products, and each transposes once there.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,9 +98,8 @@ class SpaceLayout:
         # local scalar-velocity DOFs per triangle: three vertices then the bubble
         self.cell_dofs = np.column_stack(
             [mesh.triangles, self.V + np.arange(self.T)]).astype(np.int64)
-        # (T, c, a): the global DOF of velocity component c at local basis a
-        self.component_dofs = np.arange(2)[:, None] * self.N1 \
-            + self.cell_dofs[:, None]
+        # (T, a, c): the global DOF of velocity component c at local basis a
+        self.component_dofs = self.cell_dofs[..., None] + np.array([0, self.N1])
         self._geom = {}
         self._patterns = {}  # condensed saddle patterns, filled by ns_solver
 
@@ -197,32 +204,42 @@ class AssemblyConfig:
 
 
 class CoeffData:
-    """Smoothed coefficients (and their level derivatives) per quadrature point."""
+    """Smoothed coefficients per quadrature point, (T, nq) each, from the
+    Heaviside values H (viscous term) and Ht (all others).
 
-    def __init__(self, visc, mass, conv, divc, loadc,
-                 dvisc=None, dmass=None, dconv=None, ddivc=None, dloadc=None):
-        self.visc = visc
-        self.mass = mass
-        self.conv = conv
-        self.divc = divc
-        self.loadc = loadc
-        self.dvisc = dvisc
-        self.dmass = dmass
-        self.dconv = dconv
-        self.ddivc = ddivc
-        self.dloadc = dloadc
+    Every coefficient is affine in H and Ht, so with their level derivatives
+    dH, dHt in place of H, Ht and one = 0 the same formulas give the level
+    derivatives dvisc, dmass, dconv, ddivc and dloadc.  level holds them
+    (level.visc is dvisc, and so on) and is derived on first access, so an
+    evaluation that reads values only never computes them.
+    """
+
+    def __init__(self, config, H, Ht, dH=None, dHt=None, one=1.0):
+        eps = config.eps
+        self.visc = config.nu * (one - H) + eps * Ht
+        self.mass = eps * Ht
+        self.conv = (one - Ht) + eps * Ht
+        self.divc = np.full_like(Ht, one) \
+            if config.divergence_form == PLAIN_B else self.conv
+        self.loadc = one - Ht
+        self.dH, self.dHt, self._config = dH, dHt, config
+
+    @functools.cached_property
+    def level(self):
+        """The level derivatives as a CoeffData, or None without a level."""
+        if self.dH is not None:
+            return CoeffData(self._config, self.dH, self.dHt, one=0.0)
 
 
 def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> CoeffData:
     """Evaluate all form coefficients at the assembly quadrature points.
 
-    g may be a LevelField (smoothed coefficients and their derivatives),
-    the string "exact-region" (sharp indicators from the mesh region tags),
-    or None (no obstacle anywhere).
+    g may be a LevelField (smoothed coefficients and, on demand, their level
+    derivatives), the string "exact-region" (sharp indicators from the mesh
+    region tags), or None (no obstacle anywhere).
     """
     geom = layout.geometry(config.quadrature_order)
     T, nq = layout.T, len(geom["weights"])
-    nu, eps = config.nu, config.eps
 
     if g is None:
         H = Ht = np.zeros((T, nq))
@@ -248,25 +265,7 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
     else:
         raise ConfigurationError("g must be a LevelField, 'exact-region', or None")
 
-    visc = nu * (1.0 - H) + eps * Ht
-    mass = eps * Ht
-    conv = (1.0 - Ht) + eps * Ht
-    loadc = 1.0 - Ht
-    if config.divergence_form == PLAIN_B:
-        divc = np.ones_like(visc)
-    else:
-        divc = (1.0 - Ht) + eps * Ht
-
-    if dH is None:
-        return CoeffData(visc, mass, conv, divc, loadc)
-    dvisc = -nu * dH + eps * dHt
-    dmass = eps * dHt
-    dconv = (eps - 1.0) * dHt
-    dloadc = -dHt
-    ddivc = np.zeros_like(dHt) if config.divergence_form == PLAIN_B \
-        else (eps - 1.0) * dHt
-    return CoeffData(visc, mass, conv, divc, loadc,
-                     dvisc, dmass, dconv, ddivc, dloadc)
+    return CoeffData(config, H, Ht, dH, dHt)
 
 
 # --------------------------------------------------------------- assembly
@@ -308,16 +307,20 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     a_scalar = _scatter(kloc, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     A = sp.kron(sp.eye(2, format="csr"), a_scalar, format="csr")
     B = _scatter(bloc, layout.mesh.triangles[:, :, None, None],
-                 layout.component_dofs[:, None], (layout.N2, 2 * N1))
+                 layout.component_dofs.swapaxes(1, 2)[:, None],
+                 (layout.N2, 2 * N1))
     return A, B
 
 
-def _velocity_at_quad(vals, grad_rows, cell_dofs, Y):
-    """Values (T,nq,2) and gradients gq[t,q,d,c] = d u_c / d x_d of Y on the
-    cell_dofs triangles; the gradients are one product with grad_rows."""
-    N1 = len(Y) // 2
-    yl = np.stack([Y[:N1][cell_dofs], Y[N1:][cell_dofs]], axis=2)
-    return vals @ yl, (grad_rows @ yl).reshape(len(yl), -1, 2, 2)
+def _velocity_at_quad(vals, grad_rows, dofs, Y):
+    """Values (2, T, nq) and gradients (2, 2, T, nq), [d, c] = d u_c / d x_d,
+    of Y on the triangles of dofs, (T, a, c) like SpaceLayout.component_dofs:
+    each one product with the local values (T, a, c), then one contiguous
+    transpose (twice faster than interpolating component major directly)."""
+    yl = Y[dofs]
+    return (np.ascontiguousarray((vals @ yl).transpose(2, 0, 1)),
+            np.ascontiguousarray((grad_rows @ yl).reshape(
+                len(yl), -1, 2, 2).transpose(2, 3, 0, 1)))
 
 
 def _convection_blocks(geom, coeffs: CoeffData, uq, gu):
@@ -330,17 +333,17 @@ def _convection_blocks(geom, coeffs: CoeffData, uq, gu):
     vals, grads = geom["vals"], geom["grads"]
     wc = geom["wa"] * coeffs.conv
     T, nq = wc.shape
-    # e1[t, c', c, a, b] = int conv (d u_c / d x_c') N_a N_b
-    e1 = np.swapaxes((wc[..., None, None] * gu).reshape(T, nq, 4), 1, 2) \
-        @ (vals[:, :, None] * vals[:, None]).reshape(nq, 16)
-    # e2[t, c, a, b, c'] = int conv u_c N_a d_c' N_b
-    wu = ((wc[..., None] * uq)[..., None] * vals[:, None]).reshape(T, nq, 8)
-    e2 = (np.swapaxes(wu, 1, 2) @ grads.reshape(T, nq, 8)).reshape(
+    # e1[c', c, t, a, b] = int conv (d u_c / d x_c') N_a N_b, one product
+    e1 = ((wc * gu).reshape(4 * T, nq)
+          @ (vals[:, :, None] * vals[:, None]).reshape(nq, 16))
+    # e2[t, c, a, b, c'] = int conv u_c N_a d_c' N_b, from wu (T, c, a, q)
+    wu = (wc * uq).transpose(1, 0, 2)[:, :, None] * vals.T
+    e2 = (wu.reshape(T, 8, nq) @ grads.reshape(T, nq, 8)).reshape(
         T, 2, 4, 4, 2)
     # int conv (u . grad N_b) N_a, skew-symmetrized
     c1 = e2[:, 0, :, :, 0] + e2[:, 1, :, :, 1]
     c1 -= np.swapaxes(c1, 1, 2)
-    c2 = e1.reshape(T, 2, 2, 4, 4).transpose(0, 2, 3, 1, 4) \
+    c2 = e1.reshape(2, 2, T, 4, 4).transpose(2, 1, 3, 0, 4) \
         - e2.transpose(0, 1, 3, 4, 2)
     return 0.5 * c1, 0.5 * c2
 
@@ -357,38 +360,40 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
         coeffs = evaluate_coefficients(layout, config, g)
     dofs, N1 = layout.cell_dofs, layout.N1
     geom = layout.geometry(config.quadrature_order)
-    quad = _velocity_at_quad(geom["vals"], geom["grad_rows"], dofs, Y)
+    quad = _velocity_at_quad(geom["vals"], geom["grad_rows"],
+                             layout.component_dofs, Y)
     c1, c2 = _convection_blocks(geom, coeffs, *quad)
     c1_scalar = _scatter(c1, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     C1 = sp.kron(sp.eye(2, format="csr"), c1_scalar, format="csr")
-    idx = layout.component_dofs
+    idx = layout.component_dofs.swapaxes(1, 2)
     C2 = _scatter(c2, idx[..., None, None], idx[:, None, None],
                   (2 * N1, 2 * N1))
     return C1, C2
 
 
 def _flow_at_quad(layout: SpaceLayout, geom, Y, P):
-    """(uq, gu, pq, ugu, uu) at geom's points: velocity values and gradients,
-    the P1 pressure, and the coefficient-free (u.grad)u and u (x) u."""
+    """(uq, gu, pq, ugu, uu) at geom's points: velocity values (2, T, nq)
+    and gradients (2, 2, T, nq), the P1 pressure (T, nq), and the
+    coefficient-free (u.grad)u (2, T, nq) and u (x) u (2, 2, T, nq)."""
     uq, gu = _velocity_at_quad(geom["vals"], geom["grad_rows"],
-                               layout.cell_dofs, Y)
+                               layout.component_dofs, Y)
     pq = P[layout.mesh.triangles] @ geom["lam"].T
-    return (uq, gu, pq, np.einsum("tqd,tqdc->tqc", uq, gu),
-            np.einsum("tqc,tqd->tqcd", uq, uq))
+    return (uq, gu, pq, np.einsum("dtq,dctq->ctq", uq, gu),
+            uq[:, None] * uq)
 
 
 def _velocity_rows(layout: SpaceLayout, geom, val=None, grad=None):
-    """sum_q wa (val_c N_a + grad_dc d_d N_a) for every velocity DOF (c, a);
-    grad is (T, nq, d, c) like gradients, which meet grad_rows uncopied."""
-    wa = geom["wa"][..., None]
-    # batched products (T, c, q) @ (q, a) and (T, c, qd) @ (T, qd, a)
-    loc = 0.0
-    if val is not None:
-        loc = np.swapaxes(wa * val, 1, 2) @ geom["vals"]
-    if grad is not None:
-        g = (wa[..., None] * grad).reshape(layout.T, -1, 2)
-        loc = loc + np.swapaxes(g, 1, 2) @ geom["grad_rows"]
-    return np.bincount(layout.component_dofs.ravel(), loc.ravel(),
+    """sum_q wa (val_c N_a + grad_dc d_d N_a) for every velocity DOF (c, a),
+    val (2, T, nq) and grad (2, 2, T, nq) component major."""
+    wa, T = geom["wa"], layout.T
+    loc = 0.0  # (T, a, c), like component_dofs
+    if val is not None:  # one product (c t, q) @ (q, a)
+        loc = ((wa * val).reshape(2 * T, -1) @ geom["vals"]).reshape(
+            2, T, 4).transpose(1, 2, 0)
+    if grad is not None:  # (T, a, qd) @ (T, qd, c), after one transpose
+        g = np.ascontiguousarray((wa * grad).transpose(2, 3, 0, 1))
+        loc = loc + np.swapaxes(geom["grad_rows"], 1, 2) @ g.reshape(T, -1, 2)
+    return np.bincount(layout.component_dofs.ravel(), np.ravel(loc),
                        minlength=2 * layout.N1)
 
 
@@ -405,18 +410,17 @@ def _momentum_integrand(co: CoeffData, flow, fq):
 
     Tested with N_a e_c they give visc grad u : grad N_a + mass u N_a
     + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a, minus
-    loadc f N_a when body force values fq are given.  With the level
-    derivatives in place of the coefficients they give the level derivative.
+    loadc f N_a when body force values fq (2, T, nq) are given.  With the
+    level derivatives in place of the coefficients they give the level
+    derivative.
     """
     uq, gu, pq, ugu, uu = flow
-    hc = 0.5 * co.conv[..., None]
-    val = co.mass[..., None] * uq + hc * ugu
+    hc = 0.5 * co.conv
+    val = co.mass * uq + hc * ugu
     if fq is not None:
-        val -= co.loadc[..., None] * fq
-    grad = co.visc[..., None, None] * gu - hc[..., None] * uu
-    dp = co.divc * pq  # the pressure term, on the diagonal
-    grad[..., 0, 0] -= dp
-    grad[..., 1, 1] -= dp
+        val -= co.loadc * fq
+    grad = co.visc * gu - hc * uu
+    grad[[0, 1], [0, 1]] -= co.divc * pq  # the pressure term, on the diagonal
     return val, grad
 
 
@@ -427,10 +431,17 @@ def _flow_rows(layout: SpaceLayout, geom, coeffs: CoeffData, flow, fq, load):
     The divergence row of hat j is -divc div u lam_j; boundary rows are left
     to the caller.
     """
-    divu = flow[1][:, :, 0, 0] + flow[1][:, :, 1, 1]
+    divu = flow[1][0, 0] + flow[1][1, 1]
     return (_velocity_rows(layout, geom,
                            *_momentum_integrand(coeffs, flow, fq)) - load,
             _hat_rows(layout, geom, -coeffs.divc * divu))
+
+
+def _body_force_at_quad(layout: SpaceLayout, config: AssemblyConfig):
+    """The body force (2, T, nq) at the quadrature points, or None."""
+    if config.body_force is not None:
+        fq = config.body_force(layout.geometry(config.quadrature_order)["xq"])
+        return np.ascontiguousarray(np.moveaxis(fq, -1, 0), dtype=float)
 
 
 def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
@@ -442,12 +453,12 @@ def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
     """
     mesh, N1 = layout.mesh, layout.N1
     F = np.zeros(2 * N1)
-    if config.body_force is not None:
+    fq = _body_force_at_quad(layout, config)
+    if fq is not None:
         if coeffs is None:
             coeffs = evaluate_coefficients(layout, config, g)
-        geom = layout.geometry(config.quadrature_order)
-        fq = np.asarray(config.body_force(geom["xq"]), dtype=float)
-        F += _velocity_rows(layout, geom, val=coeffs.loadc[..., None] * fq)
+        F += _velocity_rows(layout, layout.geometry(config.quadrature_order),
+                            val=coeffs.loadc * fq)
     if config.traction is not None and config.traction_label in mesh.labels():
         edges = mesh.edges_with_label(config.traction_label)
         pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
@@ -522,15 +533,14 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
 
     if arr.size != 2 * (V + T):
         raise ConfigurationError("field length matches neither space")
-    uq, gq = _velocity_at_quad(vals, rows,
-                               np.column_stack([tris, V + tri_idx]), arr)
+    uq, gq = _velocity_at_quad(vals, rows, np.column_stack(
+        [tris, V + tri_idx])[..., None] + np.array([0, V + T]), arr)
+    if kind == "DivL2":
+        return np.sqrt(float(np.sum(wa * (gq[0, 0] + gq[1, 1]) ** 2)))
     if kind in ("L2", "H1"):
-        l2sq = float(np.sum(wa * np.einsum("tqc,tqc->tq", uq, uq)))
-    if kind in ("H1seminorm", "H1", "DivL2"):
-        if kind == "DivL2":
-            div = gq[:, :, 0, 0] + gq[:, :, 1, 1]
-            return np.sqrt(float(np.sum(wa * div ** 2)))
-        h1sq = float(np.sum(wa * np.einsum("tqcd,tqcd->tq", gq, gq)))
+        l2sq = float(np.sum(wa * uq ** 2))
+    if kind in ("H1seminorm", "H1"):
+        h1sq = float(np.sum(wa * gq ** 2))
     return np.sqrt(l2sq + h1sq)
 
 

@@ -255,7 +255,7 @@ class _System:
         k, b = self._stokes
         if Y is not None:
             quad = _velocity_at_quad(self.geom["vals"], self.geom["grad_rows"],
-                                     self.layout.cell_dofs, Y)
+                                     self.layout.component_dofs, Y)
         if quad is None:
             vel = np.zeros((len(k), 2, 4, 2, 4))
         else:
@@ -362,12 +362,9 @@ class _System:
         s = s[pat.order]
         S.data *= np.repeat(s, np.diff(S.indptr)) * np.take(s, S.indices)
         # symmetric pattern, nonzero diagonal on velocity and pressure rows:
-        # minimum degree on A + A^T and diagonal pivots (1e-2 would pivot off
-        # the diagonal and raise the fill 20-fold, 0.64M to 12.4M at h=0.03).
-        # That order depends on the pattern alone, but splu cannot take it
-        # back: so the first factor computes it, the pattern renumbers itself
-        # by it, and every later complement arrives ordered and is factored
-        # in its natural order, with the same fill.  The transpose of the CSR
+        # minimum degree on A + A^T, once per pattern (module docstring), and
+        # diagonal pivots (1e-2 would pivot off the diagonal and raise the
+        # fill 20-fold, 0.64M to 12.4M at h=0.03).  The transpose of the CSR
         # complement is CSC without a copy.
         try:
             lu = spla.splu(S.T, diag_pivot_thresh=1e-3,

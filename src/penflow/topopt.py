@@ -12,9 +12,9 @@ assembled after the Newton solve that initializes (Y, P) at the starting
 geometry.  C takes its momentum and divergence rows from fem._flow_rows,
 the same kernel that gives the Newton residual in ns_solver, and shares
 its coefficient-free products with the adjoint's level block.  Line-search
-trials compute values only, gradients run at accepted points, and a
-tracking target is interpolated once per descent.  The assembled Jacobian
-serves only constraint_jacobian.
+trials compute values only; level derivatives and gradients run at accepted
+points, and a tracking target and a body force are evaluated once per
+descent.  The assembled Jacobian serves only constraint_jacobian.
 """
 
 import numpy as np
@@ -22,10 +22,10 @@ import scipy.sparse as sp
 
 from .artifacts import csv_text
 from .errors import ConfigurationError, SolverError
-from .fem import (CoeffData, SpaceLayout, _flow_at_quad, _flow_rows,
-                  _hat_rows, _momentum_integrand, _scatter, _velocity_at_quad,
-                  _velocity_rows, assemble_bilinear, assemble_load,
-                  assemble_trilinear, evaluate_coefficients)
+from .fem import (SpaceLayout, _body_force_at_quad, _flow_at_quad,
+                  _flow_rows, _hat_rows, _momentum_integrand, _scatter,
+                  _velocity_at_quad, _velocity_rows, assemble_bilinear,
+                  assemble_load, assemble_trilinear, evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
 from .mesh import _graph_components
 from .ns_solver import solve_navier_stokes
@@ -61,10 +61,6 @@ class OptVector:
 
     def as_vector(self):
         return np.concatenate([self.Y, self.P, self.G])
-
-    def copy(self):
-        return OptVector(self.layout, self.Y.copy(), self.P.copy(),
-                         self.G.copy())
 
     def level_field(self):
         return LevelField(self.G.copy())
@@ -163,9 +159,10 @@ def obstacle_component_count(mesh, G) -> int:
 
 # ------------------------------------------------------------- assembly
 class _Forms:
-    """Quadrature-point data shared by C, its adjoint action and the costs."""
+    """Quadrature-point data shared by C, its adjoint action and the costs,
+    component major as in fem; the body force fq is evaluated when not given."""
 
-    def __init__(self, X: OptVector, layout, config):
+    def __init__(self, X: OptVector, layout, config, fq=None):
         self.layout = layout
         self.Y = X.Y
         self.g = LevelField(X.G)
@@ -173,9 +170,8 @@ class _Forms:
         self.geom = layout.geometry(config.quadrature_order)
         self.flow = _flow_at_quad(layout, self.geom, X.Y, X.P)
         self.uq, self.gu, self.pq, self.ugu, _ = self.flow
-        self.fq = None if config.body_force is None else np.asarray(
-            config.body_force(self.geom["xq"]), dtype=float)
-        self.divu = self.gu[:, :, 0, 0] + self.gu[:, :, 1, 1]
+        self.fq = _body_force_at_quad(layout, config) if fq is None else fq
+        self.divu = self.gu[0, 0] + self.gu[1, 1]
 
     def constraint(self, traction):
         """C(X) from the Newton residual's kernel: momentum rows minus the
@@ -200,50 +196,47 @@ class _Forms:
         w = c[:m].copy()
         w[dirs] = 0.0
         wq, gw = _velocity_at_quad(geom["vals"], geom["grad_rows"],
-                                   lay.cell_dofs, w)
+                                   lay.component_dofs, w)
         qq = c[m:][lay.mesh.triangles] @ geom["lam"].T
-        divw = gw[:, :, 0, 0] + gw[:, :, 1, 1]
-        ugw = np.einsum("tqd,tqdc->tqc", uq, gw)  # (u.grad)w
+        divw = gw[0, 0] + gw[1, 1]
+        ugw = np.einsum("dtq,dctq->ctq", uq, gw)  # (u.grad)w
 
-        val = co.mass[..., None] * wq + 0.5 * co.conv[..., None] * (
-            np.einsum("tqci,tqi->tqc", gu, wq)
-            - np.einsum("tqci,tqi->tqc", gw, uq) - ugw)
-        grad = (co.visc[..., None, None] * gw + 0.5 * co.conv[..., None, None]
-                * uq[..., :, None] * wq[..., None, :])
-        grad[..., [0, 1], [0, 1]] -= (co.divc * qq)[..., None]
+        # [c] sums d_c u_i w_i - d_c w_i u_i over i, then (u.grad)w
+        val = co.mass * wq + 0.5 * co.conv * (
+            np.einsum("citq,itq->ctq", gu, wq)
+            - np.einsum("citq,itq->ctq", gw, uq) - ugw)
+        grad = co.visc * gw + 0.5 * co.conv * (uq[:, None] * wq)
+        grad[[0, 1], [0, 1]] -= co.divc * qq  # the pressure term
         gy = _velocity_rows(lay, geom, val, grad)
         gy[dirs] += c[dirs]
 
-        def dot(a, b):  # of vectors at each point
-            return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-
         # level block; u (x) u : grad w is u . (u.grad)w
-        s = (co.dmass * dot(uq, wq)
-             + 0.5 * co.dconv * (dot(self.ugu, wq) - dot(uq, ugw))
-             + co.dvisc * np.einsum("tqdc,tqdc->tq", gu, gw)
-             - co.ddivc * (self.pq * divw + qq * self.divu))
-        if self.fq is not None:
-            s -= co.dloadc * dot(self.fq, wq)
+        d, ugu, fq = co.level, self.ugu, self.fq
+        s = (d.mass * (uq[0] * wq[0] + uq[1] * wq[1])
+             + 0.5 * d.conv * (ugu[0] * wq[0] + ugu[1] * wq[1]
+                               - uq[0] * ugw[0] - uq[1] * ugw[1])
+             + d.visc * np.einsum("dctq,dctq->tq", gu, gw)
+             - d.divc * (self.pq * divw + qq * self.divu))
+        if fq is not None:
+            s -= d.loadc * (fq[0] * wq[0] + fq[1] * wq[1])
         return np.concatenate([gy, _hat_rows(lay, geom, -co.divc * divw),
                                _hat_rows(lay, geom, s)])
 
     def level_jacobian_blocks(self):
         """(jac13, Bprime): level-field derivatives of momentum and divergence."""
-        lay, geom, co = self.layout, self.geom, self.coeffs
-        lam, vals, grads = geom["lam"], geom["vals"], geom["grads"]
-        wa, dco = geom["wa"], CoeffData(co.dvisc, co.dmass, co.dconv,
-                                        co.ddivc, co.dloadc)
+        lay, geom, dco = self.layout, self.geom, self.coeffs.level
+        wa, lam, vals = geom["wa"], geom["lam"], geom["vals"]
 
-        # momentum block (T, comp, basis, hat) from the level derivatives
+        # momentum block (T, basis, comp, hat) from the level derivatives
         val, grad = _momentum_integrand(dco, self.flow, self.fq)
-        loc = np.einsum("tq,tqc,qa,qj->tcaj", wa, val, vals, lam)
-        loc += np.einsum("tq,tqdc,tqad,qj->tcaj", wa, grad, grads, lam)
+        loc = np.einsum("tq,ctq,qa,qj->tacj", wa, val, vals, lam)
+        loc += np.einsum("tq,dctq,tqad,qj->tacj", wa, grad, geom["grads"], lam)
 
         tri = lay.mesh.triangles
         jac13 = _scatter(loc, lay.component_dofs[..., None],
                          tri[:, None, None, :], (2 * lay.N1, lay.N3))
 
-        locb = -np.einsum("tq,qp,qj->tpj", wa * co.ddivc * self.divu, lam, lam)
+        locb = -np.einsum("tq,qp,qj->tpj", wa * dco.divc * self.divu, lam, lam)
         bprime = _scatter(locb, tri[:, :, None], tri[:, None, :],
                           (lay.N2, lay.N3))
         return jac13, bprime
@@ -252,30 +245,29 @@ class _Forms:
         """J_h with the configured smoothed cutoff, target_q the tracking
         target at the quadrature points; cost_gradient differentiates it."""
         if spec.kind == DISSIPATED_ENERGY:
-            self._cost = "grad", 0.5 * (self.gu + self.gu.swapaxes(2, 3))
+            self._cost = "grad", 0.5 * (self.gu + self.gu.swapaxes(0, 1))
         else:
             self._cost = "val", self.uq - target_q
-        e = self._cost[1].reshape(*self.uq.shape[:2], -1)
-        self._dens = np.einsum("tqi,tqi->tq", e, e)
+        e = self._cost[1].reshape(-1, *self.uq.shape[1:])
+        self._dens = np.einsum("ktq,ktq->tq", e, e)
         return float(np.sum(self.geom["wa"] * self.coeffs.loadc * self._dens))
 
     def cost_gradient(self):
         """(dJ/dY, dJ/dG) of the last cost."""
         lay, geom, co = self.layout, self.geom, self.coeffs
         kind, e = self._cost
-        rows = 2.0 * co.loadc[(...,) + (None,) * (e.ndim - 2)] * e
-        return (_velocity_rows(lay, geom, **{kind: rows}),
-                _hat_rows(lay, geom, co.dloadc * self._dens))
+        return (_velocity_rows(lay, geom, **{kind: 2.0 * co.loadc * e}),
+                _hat_rows(lay, geom, co.level.loadc * self._dens))
 
 
 def _target_at_quad(spec: CostSpec, layout, config):
-    """The tracking target's values at the quadrature points, or None."""
+    """The tracking target (2, T, nq) at the quadrature points, or None."""
     if spec.kind == TRACKING:
         if spec.target.shape != (2 * layout.N1,):
             raise ConfigurationError("target field does not match layout")
         geom = layout.geometry(config.quadrature_order)
         return _velocity_at_quad(geom["vals"], geom["grad_rows"],
-                                 layout.cell_dofs, spec.target)[0]
+                                 layout.component_dofs, spec.target)[0]
 
 
 def constraint_residual(X: OptVector, layout, config) -> np.ndarray:
@@ -320,9 +312,9 @@ def _traction(layout, config):
     return assemble_load(layout, config.replace(body_force=None), None)
 
 
-def _penalized_value(X, spec, rho, layout, config, traction, target_q):
+def _penalized_value(X, spec, rho, layout, config, traction, target_q, fq):
     """(J_rho, J_h, forms, C) at X: the value alone, for line-search trials."""
-    forms = _Forms(X, layout, config)
+    forms = _Forms(X, layout, config, fq)
     j_h = forms.cost(spec, target_q)
     C = forms.constraint(traction)
     return j_h + 0.5 * rho * float(C @ C), j_h, forms, C
@@ -343,7 +335,7 @@ def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
         raise ConfigurationError("penalty weight must be nonnegative")
     value, _, forms, C = _penalized_value(
         X, spec, rho, layout, config, _traction(layout, config),
-        _target_at_quad(spec, layout, config))
+        _target_at_quad(spec, layout, config), None)
     return value, _penalized_gradient(forms, C, rho, layout)
 
 
@@ -387,7 +379,8 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             bool(np.all(G[np.unique(mesh.boundary_edges.ravel())] < 0.0)),
             j_h))
 
-    fixed = _traction(layout, config), _target_at_quad(spec, layout, config)
+    fixed = (_traction(layout, config), _target_at_quad(spec, layout, config),
+             _body_force_at_quad(layout, config))  # no step changes them
     j_rho, j_h0, forms0, C0 = _penalized_value(X, spec, opt.rho, layout,
                                                config, *fixed)
     if not np.isfinite(j_rho):

@@ -331,11 +331,11 @@ def test_velocity_norms_match_einsum_interpolation(kind, region, rng,
 
 
 def _pointwise_velocity(mesh, Y, tri_idx, lam):
-    """Values (T, nq, 2) and gradients [t, q, d, c] = d u_c / d x_d of Y,
+    """Values (2, T, nq) and gradients [d, c, t, q] = d u_c / d x_d of Y,
     one quadrature point at a time from each triangle's barycentric map."""
     V, T = mesh.num_vertices, mesh.num_triangles
-    vals = np.zeros((len(tri_idx), len(lam), 2))
-    grads = np.zeros((len(tri_idx), len(lam), 2, 2))
+    vals = np.zeros((2, len(tri_idx), len(lam)))
+    grads = np.zeros((2, 2, len(tri_idx), len(lam)))
     for i, t in enumerate(tri_idx):
         tri = mesh.triangles[t]
         # row k of inv maps (1, x, y) to lam_k
@@ -349,8 +349,8 @@ def _pointwise_velocity(mesh, Y, tri_idx, lam):
             for a in range(4):
                 for c in range(2):
                     y = Y[c * (V + T) + dofs[a]]
-                    vals[i, q, c] += basis[a] * y
-                    grads[i, q, :, c] += dbasis[a] * y
+                    vals[c, i, q] += basis[a] * y
+                    grads[:, c, i, q] += dbasis[a] * y
     return vals, grads
 
 
@@ -361,11 +361,25 @@ def test_velocity_at_quad_matches_pointwise_loop(order, rng):
     Y = rng.standard_normal(2 * lay.N1)
     geom = lay.geometry(order)
     got = fem._velocity_at_quad(geom["vals"], geom["grad_rows"],
-                                lay.cell_dofs, Y)
+                                lay.component_dofs, Y)
     want = _pointwise_velocity(mesh, Y, range(lay.T), geom["lam"])
     for g, w in zip(got, want):
-        assert g.shape == w.shape
+        assert g.shape == w.shape and g.flags.c_contiguous
         assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+
+def test_flow_at_quad_products_match_pointwise_loop(rng):
+    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
+    lay = build_spaces(mesh)
+    Y = rng.standard_normal(2 * lay.N1)
+    geom = lay.geometry(5)
+    _, _, _, ugu, uu = fem._flow_at_quad(lay, geom, Y, np.zeros(lay.N2))
+    u, g = _pointwise_velocity(mesh, Y, range(lay.T), geom["lam"])
+    # (u.grad)u_c = sum_d u_d d_d u_c, and (u (x) u)_dc = u_d u_c
+    for got, want in ((ugu, u[0] * g[0] + u[1] * g[1]),
+                      (uu, u[:, None] * u[None, :])):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("region", [None, "every-other"])
@@ -379,9 +393,9 @@ def test_compute_norm_matches_pointwise_loop(region, rng):
     p = mesh.vertices[mesh.triangles[tri_idx]]
     d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     wa = w * 0.5 * np.abs(d1[:, :1] * d2[:, 1:] - d1[:, 1:] * d2[:, :1])
-    l2sq = np.sum(wa[..., None] * uq ** 2)
-    h1sq = np.sum(wa[..., None, None] * gq ** 2)
-    div = gq[:, :, 0, 0] + gq[:, :, 1, 1]
+    l2sq = np.sum(wa * uq ** 2)
+    h1sq = np.sum(wa * gq ** 2)
+    div = gq[0, 0] + gq[1, 1]
     want = {"L2": l2sq, "H1seminorm": h1sq, "H1": l2sq + h1sq,
             "DivL2": np.sum(wa * div ** 2)}
     for kind, value in want.items():

@@ -168,6 +168,29 @@ def test_descent_values_assemble_no_matrix(fd_setting, rng, monkeypatch):
     assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
+@pytest.mark.parametrize("kind", [DISSIPATED_ENERGY, TRACKING])
+def test_cost_gradient_in_velocity_matches_central_differences(fd_setting,
+                                                               rng, kind):
+    """J_h is quadratic in Y, so central differences are exact up to
+    rounding and pin the velocity block of the cost gradient tightly."""
+    lay, cfg = fd_setting
+    spec = CostSpec(kind, target=0.1 * rng.standard_normal(2 * lay.N1)
+                    if kind == TRACKING else None)
+    X = _random_admissible(lay, cfg, rng)
+    _, grad = cost_and_gradient(X, spec, lay, cfg)
+    x0, h = X.as_vector(), 1e-2
+    fd = np.empty(2 * lay.N1)
+    for i in range(len(fd)):
+        xp, xm = x0.copy(), x0.copy()
+        xp[i] += h
+        xm[i] -= h
+        fd[i] = (cost_and_gradient(OptVector.from_vector(lay, xp), spec,
+                                   lay, cfg)[0]
+                 - cost_and_gradient(OptVector.from_vector(lay, xm), spec,
+                                     lay, cfg)[0]) / (2.0 * h)
+    assert np.abs(fd - grad[:2 * lay.N1]).max() <= 1e-9 * np.abs(fd).max()
+
+
 def test_dissipated_energy_of_linear_shear_is_exact(fd_setting):
     lay, cfg = fd_setting
     mesh = lay.mesh
@@ -272,19 +295,26 @@ def test_descent_decreases_cost_and_respects_frozen_sets():
 @pytest.mark.parametrize("kind", [DISSIPATED_ENERGY, TRACKING])
 def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
                                                          monkeypatch):
-    """Line-search trials evaluate the value alone; the cost gradient and
-    the adjoint run once per accepted point, the target is interpolated
-    once per descent."""
+    """Line-search trials evaluate the value alone; the level derivatives
+    of the coefficients, the cost gradient and the adjoint run once per
+    accepted point, the target and the body force are evaluated once per
+    descent, and the Newton start never derives level derivatives."""
+    counts = dict.fromkeys(["values", "gradients", "rows", "target", "level",
+                            "body"], 0)
+
+    def body(x):
+        counts["body"] += 1
+        return 0.1 * _body(x)
+
     mesh = generate_mesh(DomainSpec(outer="flow-cell", h_mesh=0.09))
     lay = build_spaces(mesh)
     cfg = AssemblyConfig(nu=1.0, eps=0.01, traction=shear_traction,
-                         divergence_form=PENALIZED_B)
+                         body_force=body, divergence_form=PENALIZED_B)
     g0 = LevelField.interpolate(
         mesh, compose_disks([(-0.2, 0.2), (-0.2, -0.2)], [0.1, 0.1],
                             signed_distance=True))
     target = 0.1 * rng.standard_normal(2 * lay.N1)
     spec = CostSpec(kind, target=target if kind == TRACKING else None)
-    counts = dict.fromkeys(["values", "gradients", "rows", "target"], 0)
 
     def count(owner, name, key, when=lambda *a: True):
         inner = getattr(owner, name)
@@ -296,6 +326,7 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
 
     count(penflow.topopt, "evaluate_coefficients", "values")
     count(penflow.topopt._Forms, "cost_gradient", "gradients")
+    count(penflow.fem.CoeffData.level, "func", "level")
     for module in (penflow.fem, penflow.topopt):
         count(module, "_velocity_rows", "rows")
         count(module, "_velocity_at_quad", "target",
@@ -304,7 +335,9 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
 
     def newton_start(*args, **kwargs):
         result = newton(*args, **kwargs)
-        counts["rows"] = 0  # its residuals use _velocity_rows too
+        assert counts["level"] == 0
+        # its residuals use _velocity_rows too, its load the body force
+        counts["rows"] = counts["body"] = 0
         return result
     monkeypatch.setattr(penflow.topopt, "solve_navier_stokes", newton_start)
     opt = OptConfig(rho=0.8, max_iter=8, plateau_tol=0.0, initial_step=4.0)
@@ -317,6 +350,8 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
     assert counts["gradients"] == 1 + accepted
     assert counts["rows"] == counts["values"] + 2 * counts["gradients"]
     assert counts["target"] == (kind == TRACKING)
+    assert counts["level"] == 1 + accepted
+    assert counts["body"] == 1
 
 
 def test_descent_rejects_inadmissible_start(unit_square_mesh):
