@@ -68,10 +68,7 @@ class Mesh:
         return self.triangles.shape[0]
 
     def signed_areas(self):
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * _doubled_areas(self.vertices[self.triangles])
 
     def edges(self):
         """All unique undirected edges as a sorted (n, 2) array."""
@@ -202,8 +199,7 @@ def _edge_keys(pairs, nv):
 def _side_keys(triangles, nv):
     """Keys of sides 01, 12 and 20; entry s*T + t is side s of triangle t."""
     t = np.asarray(triangles).T
-    return _edge_keys(np.stack([t, np.roll(t, -1, axis=0)], axis=-1),
-                      nv).ravel()
+    return _edge_keys(np.stack([t, t[[1, 2, 0]]], axis=-1), nv).ravel()
 
 
 def _edge_table(triangles, nv):
@@ -226,14 +222,27 @@ def _inherit_labels(edges, known, known_labels, nv):
     return [known_labels[order[i]] if i >= 0 else None for i in pos]
 
 
+def _doubled_areas(p):
+    """Twice the signed areas of the (T, 3, 2) triangle corners p."""
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def _counterclockwise(points, simplices):
+    """Counterclockwise copy of the simplices, and _doubled_areas as given."""
+    cross = _doubled_areas(np.take(points, simplices, axis=0))
+    simplices = simplices.copy()
+    simplices[cross < 0] = simplices[cross < 0][:, ::-1]
+    return simplices, cross
+
+
 def hat_gradients(p):
     """Determinants (T,) and barycentric hat gradients (T, 3, 2).
 
     p holds the (T, 3, 2) triangle corners; the determinant is twice the
     signed area.
     """
-    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    det = _doubled_areas(p)
     # hat k's gradient is the opposite edge p[k+1] - p[k+2] turned clockwise
     e = np.roll(p, -1, axis=1) - np.roll(p, -2, axis=1)
     return det, np.stack([e[..., 1], -e[..., 0]], axis=2) / det[:, None, None]
@@ -419,8 +428,12 @@ def generate_mesh(spec: DomainSpec, conform_to_obstacles=False) -> Mesh:
     Boundary points are placed on the polygonized outer curve and, when
     conform_to_obstacles is set, on every obstacle curve; interior points are
     seeded on a hexagonal grid and relaxed by an edge-spring iteration before
-    the final Delaunay pass.  Required boundary and interface edges are
-    repaired by removing free points from their diametral disks.
+    the final Delaunay pass.  The relaxation repairs its triangulation by
+    edge flips; a repair is kept only where certified to be the unique
+    Delaunay triangulation, which is qhull's, so the points move as with
+    qhull.  The final pass stays on qhull: its simplex order is the mesh's
+    triangle numbering.  Required boundary and interface edges are repaired by
+    removing free points from their diametral disks.
     """
     ring_pts, required, ring_labels = _assemble_outer_ring(spec.outer_chains())
     nouter = len(ring_pts)
@@ -496,11 +509,17 @@ def _relax(points, nfix, spec, maxiter=90, fscale=1.2, deltat=0.2):
         return points
     p = points.copy()
     pold = None
-    bars = None
+    tri, repair = None, False
     for _ in range(maxiter):
         if pold is None or np.max(np.hypot(*(p - pold).T)) > 0.1 * h:
+            # flips reach the unique Delaunay triangulation, which is
+            # qhull's; where that is not certain, qhull from here on
+            tri = _flip_to_delaunay(p, tri, nfix) if repair else None
+            repair = tri is not None or pold is None
+            if tri is None:
+                tri = _counterclockwise(p, Delaunay(p).simplices)[0]
             pold = p.copy()
-            bars, _ = _edge_table(_interior_simplices(p, spec), len(p))
+            bars, _ = _edge_table(_interior(p, tri, spec), len(p))
         vec = p[bars[:, 0]] - p[bars[:, 1]]
         length = np.hypot(vec[:, 0], vec[:, 1])
         l0 = fscale * np.sqrt(np.sum(length ** 2) / len(bars))
@@ -543,15 +562,66 @@ def _project_inside(pts, spec, target):
     return pts
 
 
-def _interior_simplices(p, spec):
-    s = Delaunay(p).simplices
-    return s[spec.outer_sdf(p[s].mean(axis=1)) < -1e-3 * spec.h_mesh]
+def _interior(p, s, spec):
+    """The simplices s whose centroid lies inside the domain."""
+    centroids = np.take(p, s, axis=0).mean(axis=1)
+    return s[spec.outer_sdf(centroids) < -1e-3 * spec.h_mesh]
+
+
+def _flip_to_delaunay(p, tri, nfix, rounds=10, margin=1e-9):
+    """Delaunay triangulation of p by Lawson flips from tri, or None.
+
+    tri is counterclockwise and was Delaunay before p[nfix:] moved.  Each
+    round flips an independent set of the illegal edges: those with a vertex
+    inside the circumcircle across them.  A result is the unique Delaunay
+    triangulation, so qhull's: every point is a vertex, the hull joins
+    unmoved points, every triangle is positive and every incircle test
+    clears the relative margin (rounding is about 1e-15).  None where that
+    fails or the rounds run out.
+    """
+    nv, T = len(p), len(tri)
+    if np.bincount(tri.ravel(), minlength=nv).min() == 0:
+        return None
+    z, tri = p[:, 0] + 1j * p[:, 1], tri.copy()
+    for _ in range(rounds):
+        if np.any(_counterclockwise(p, tri)[1] <= 0):
+            return None
+        keys = _side_keys(tri, nv)
+        order = np.argsort(keys)
+        pair = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+        hull = np.ones(3 * T, dtype=bool)
+        hull[pair] = hull[pair + 1] = False
+        if np.any(keys[order[hull]] % nv >= nfix):
+            return None  # a hull vertex moved
+        i, j = order[pair], order[pair + 1]
+        # side i = s * T + t runs from flat[i] to flat[i + T]
+        flat = np.tile(tri.T.ravel(), 2)
+        a, b, c, d = flat[i], flat[i + T], flat[i + 2 * T], flat[j + 2 * T]
+        # incircle determinant of (a, b, c) about d: positive when d is inside
+        w = z[np.stack([a, b, c])] - z[d]
+        lift = (w * w.conj()).real
+        det = np.sum(lift * (w[[1, 2, 0]].conj() * w[[2, 0, 1]]).imag, axis=0)
+        if np.any(np.abs(det) <= margin * lift.sum(axis=0) ** 2):
+            return None
+        bad = np.flatnonzero(det > 0)
+        if bad.size == 0:
+            return tri
+        # an edge flips when it is the first illegal edge of both its triangles
+        t1, t2, k = i[bad] % T, j[bad] % T, np.arange(bad.size)
+        first = np.full(T, bad.size)
+        np.minimum.at(first, t1, k)
+        np.minimum.at(first, t2, k)
+        go = (first[t1] == k) & (first[t2] == k)
+        a, b, c, d = (v[bad[go]] for v in (a, b, c, d))
+        tri[t1[go]] = np.column_stack([a, d, c])
+        tri[t2[go]] = np.column_stack([d, b, c])
+    return None
 
 
 def _conforming_delaunay(points, nfix, required, spec, max_rounds=8):
     p = points
     for _ in range(max_rounds):
-        simplices = _interior_simplices(p, spec)
+        simplices = _interior(p, Delaunay(p).simplices, spec)
         present = np.isin(_edge_keys(required, len(p)),
                           _side_keys(simplices, len(p)))
         missing = [tuple(e) for e in required[~present].tolist()]
@@ -573,13 +643,7 @@ def _conforming_delaunay(points, nfix, required, spec, max_rounds=8):
 
 def _finalize(points, simplices, outer_required, ring_labels, cut):
     """Mesh of a triangulation; obstacle edges cut its regions unless None."""
-    # orient counterclockwise
-    p = points[simplices]
-    cross = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-    flip = cross < 0
-    simplices = simplices.copy()
-    simplices[flip] = simplices[flip][:, ::-1]
+    simplices, cross = _counterclockwise(points, simplices)
     if np.any(np.abs(cross) < 1e-14):
         raise GenerationError("degenerate triangle produced")
 

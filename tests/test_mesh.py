@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -311,3 +312,138 @@ def test_region_tags_match_centroid_polygon_test(spec):
                                        for f in inside]
     fluid = extract_submesh(m, "Fluid")
     assert len(fluid.boundary_loops()) == 1 + len(spec.obstacles)
+
+
+# sec31 with both centres moved, as the benchmark's sweep ops move them
+JITTERED_SEC31 = (("disk", (0.513, 0.242), 0.15),
+                  ("disk", (0.739, 0.017), 0.15))
+TEST1 = tuple(("disk", c, r) for c, r in zip(TEST1_CENTERS, TEST1_RADII))
+
+
+def _mesh_bytes(m):
+    return (m.vertices.tobytes(), m.triangles.tobytes(),
+            m.boundary_edges.tobytes(), m.boundary_labels, m.triangle_region)
+
+
+@pytest.mark.parametrize("spec", [
+    flow_cell_spec(0.057, JITTERED_SEC31),
+    flow_cell_spec(0.08, SEC31_OBSTACLES),
+    flow_cell_spec(0.05, TEST1),
+    DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.1, obstacles=DISK),
+], ids=["sec31-jittered", "sec31", "test1", "square-disk"])
+def test_flip_repair_meshes_equal_qhull_meshes(spec, monkeypatch):
+    default = generate_mesh(spec, conform_to_obstacles=True)
+    monkeypatch.setattr(mesh_module, "_flip_to_delaunay",
+                        lambda *args: None)  # qhull at every step
+    qhull = generate_mesh(spec, conform_to_obstacles=True)
+    assert _mesh_bytes(default) == _mesh_bytes(qhull)
+
+
+def _sorted_rows(tri):
+    s = np.sort(tri, axis=1)
+    return s[np.lexsort(s.T[::-1])]
+
+
+def _square_with_interior_points(rng, n=60):
+    ring = np.vstack([mesh_module._subdivide(a, b, 0.1)[:-1]
+                      for a, b in (((0, 0), (1, 0)), ((1, 0), (1, 1)),
+                                   ((1, 1), (0, 1)), ((0, 1), (0, 0)))])
+    return np.vstack([ring, rng.uniform(0.05, 0.95, (n, 2))]), len(ring)
+
+
+def _qhull_ccw(p):
+    simplices = mesh_module.Delaunay(p).simplices
+    return mesh_module._counterclockwise(p, simplices)[0]
+
+
+@pytest.mark.parametrize("stale", ["moved-points", "fan"])
+def test_flip_repair_returns_qhull_triangles(rng, stale):
+    if stale == "moved-points":
+        p, nfix = _square_with_interior_points(rng)
+        tri = _qhull_ccw(p)
+        p[nfix:] += rng.uniform(-0.01, 0.01, (len(p) - nfix, 2))
+    else:
+        # ten points on an ellipse fanned from one: adjacent illegal edges
+        th = np.sort(rng.uniform(0.0, 2 * np.pi, 10))
+        p, nfix = np.column_stack([2 * np.cos(th), np.sin(th)]), 10
+        tri = np.column_stack([np.zeros(8, dtype=np.int64),
+                               np.arange(1, 9), np.arange(2, 10)])
+    want = _qhull_ccw(p)
+    got = mesh_module._flip_to_delaunay(p, tri, nfix)
+    assert not np.array_equal(_sorted_rows(tri), _sorted_rows(want))
+    assert np.array_equal(_sorted_rows(got), _sorted_rows(want))
+    assert np.all(mesh_module._doubled_areas(p[got]) > 0)
+
+
+@pytest.mark.parametrize("case", ["inverted", "cocircular",
+                                  "nearly-cocircular", "not-a-vertex",
+                                  "moved-hull-vertex"])
+def test_flip_repair_gives_up_where_it_cannot_certify(rng, case):
+    p, nfix = _square_with_interior_points(rng)
+    tri = _qhull_ccw(p)
+    if case == "inverted":
+        tri[0] = tri[0, ::-1]
+    elif case.endswith("cocircular"):
+        # a square lattice, every square split along the same diagonal
+        g = np.arange(4.0)
+        p = np.column_stack([np.repeat(g, 4), np.tile(g, 4)])
+        c = (4 * g[:3, None] + g[None, :3]).ravel().astype(np.int64)
+        tri = np.vstack([np.column_stack([c, c + 4, c + 5]),
+                         np.column_stack([c, c + 5, c + 1])])
+        nfix = len(p)
+        if case == "nearly-cocircular":  # every square has an inner corner
+            inner = [5, 6, 9, 10]
+            p[inner] += rng.uniform(-1e-12, 1e-12, (4, 2))
+    elif case == "not-a-vertex":
+        p = np.vstack([p, [[0.5, 0.5]]])
+    else:
+        nfix -= 1  # the last ring vertex, on the hull, counts as moved
+    assert np.all(mesh_module._doubled_areas(p[tri]) != 0)
+    assert mesh_module._flip_to_delaunay(p, tri, nfix) is None
+
+
+def _count_qhull_calls(monkeypatch):
+    calls = {}
+    delaunay = mesh_module.Delaunay
+
+    def counting(points):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return delaunay(points)
+
+    monkeypatch.setattr(mesh_module, "Delaunay", counting)
+    return calls
+
+
+def _record_repairs(monkeypatch):
+    outcomes = []
+    repair = mesh_module._flip_to_delaunay
+
+    def recording(*args):
+        tri = repair(*args)
+        outcomes.append(tri is not None)
+        return tri
+
+    monkeypatch.setattr(mesh_module, "_flip_to_delaunay", recording)
+    return outcomes
+
+
+def test_relaxation_calls_qhull_once_where_every_repair_holds(monkeypatch):
+    calls = _count_qhull_calls(monkeypatch)
+    outcomes = _record_repairs(monkeypatch)
+    generate_mesh(flow_cell_spec(0.057, JITTERED_SEC31),
+                  conform_to_obstacles=True)
+    # one conformity round, one qhull call each
+    assert calls == {"_relax": 1, "_conforming_delaunay": 1}
+    assert outcomes == [True] * 7
+
+
+def test_relaxation_stops_repairing_after_a_repair_gives_up(monkeypatch):
+    calls = _count_qhull_calls(monkeypatch)
+    outcomes = _record_repairs(monkeypatch)
+    generate_mesh(flow_cell_spec(0.08, SEC31_OBSTACLES),
+                  conform_to_obstacles=True)
+    # the disks' polygons hold exactly cocircular quadruples; from then on
+    # qhull runs at every re-triangulation, 24 in all as before the repair
+    assert outcomes == [False]
+    assert calls == {"_relax": 24, "_conforming_delaunay": 1}
