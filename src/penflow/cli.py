@@ -13,7 +13,6 @@ meaning coef * x1^p * x2^q, joined with ';'.  Exit codes: 0 success,
 
 import argparse
 import configparser
-import copy
 import json
 import math
 import os
@@ -43,84 +42,46 @@ COMMANDS = ("solve-reference", "solve-penalized", "error-study", "optimize")
 PRESET_NAMES = ("sec31", "test1", "test2")
 DEFAULT_OUT = "penflow-out"
 
-_SMOOTHED = "smoothed"
-
-# every key a config file may set, per section; anything else is a typo
-_SCHEMA = {
-    "mesh": {"outer", "h_mesh", "conforming", "obstacles",
-             "arc_segments", "circle_segments"},
-    "physics": {"nu", "traction", "traction_x", "traction_y",
-                "traction_label", "body_force_x", "body_force_y"},
-    "regularization": {"eps", "smoothing_width", "divergence_form"},
-    "level": {"shapes", "signed_distance"},
-    "study": {"kind", "values", "coefficient_mode"},
-    "cost": {"kind", "target_shapes"},
-    "descent": {"rho", "max_iter", "initial_step", "snapshot_every",
-                "plateau_tol", "plateau_steps"},
-    "output": {"dir"},
-}
-
-def _disk_shapes(disks):
-    """Shape text of ((x, y), r) disks, as [level] shapes and [mesh] read it."""
-    return "; ".join(f"disk {x!r} {y!r} {r!r}" for (x, y), r in disks)
-
-
-def _flow_sections(spec, cfg, disks):
-    """Mesh, physics, regularization and level sections of a preset."""
-    return {
+def preset_sections(command, name):
+    """Section/key defaults a named preset contributes for a command, read
+    from the factories in presets."""
+    if name not in PRESET_NAMES:
+        raise ConfigurationError(f"unknown preset {name!r}; "
+                                 f"choose from {', '.join(PRESET_NAMES)}")
+    if name == "sec31":
+        problem = {"solve-reference": presets.sec31_reference,
+                   "error-study": presets.epsilon_sweep}.get(
+                       command, presets.sec31_penalized)()
+        disks = [(c, r) for _, c, r in presets.SEC31_OBSTACLES]
+    elif name == "test1":
+        problem = presets.test1_problem()
+        disks = zip(presets.TEST1_CENTERS, presets.TEST1_RADII)
+    else:
+        problem = presets.test2_problem()
+        disks = zip(presets.TEST2_CENTERS, presets.TEST2_RADII)
+    spec, cfg = problem.domain_spec, problem.config
+    shapes = "; ".join(f"disk {x!r} {y!r} {r!r}" for (x, y), r in disks)
+    sections = {
         "mesh": {"outer": "flow-cell", "h_mesh": repr(spec.h_mesh)},
         "physics": {"nu": repr(cfg.nu), "traction": "shear"},
         "regularization": {"eps": repr(cfg.eps),
                            "divergence_form": cfg.divergence_form},
-        "level": {"shapes": _disk_shapes(disks), "signed_distance": "true"},
+        "level": {"shapes": shapes},
     }
-
-
-def _sec31_sections(command):
-    """Sections of the sec31 flow presets, read from presets."""
-    flow = {"solve-reference": presets.sec31_reference,
-            "error-study": presets.epsilon_sweep}.get(
-                command, presets.sec31_penalized)()
-    disks = [(c, r) for _, c, r in presets.SEC31_OBSTACLES]
-    sections = _flow_sections(flow.domain_spec, flow.config, disks)
-    sections["mesh"]["obstacles"] = sections["level"]["shapes"]
-    if command == "solve-reference":
-        sections["mesh"]["conforming"] = "true"
-    sections["study"] = {"kind": "epsilon", "values": " ".join(
-        repr(v) for v in presets.EPSILON_SWEEP_VALUES)}
-    return sections
-
-
-def _descent_sections(name):
-    """Sections of the test1/test2 descent presets, read from presets."""
-    if name == "test1":
-        problem = presets.test1_problem()
-        disks = zip(presets.TEST1_CENTERS, presets.TEST1_RADII)
-        cost = {"kind": DISSIPATED_ENERGY}
-    else:
-        problem = presets.test2_problem()
-        disks = zip(presets.TEST2_CENTERS, presets.TEST2_RADII)
+    if name == "sec31":
+        # the benchmark meshes its disks; solve-reference always conforms
+        sections["mesh"]["obstacles"] = shapes
+        sections["study"] = {"kind": EPSILON_SWEEP, "values": " ".join(
+            repr(v) for v in presets.EPSILON_SWEEP_VALUES)}
+        return sections
+    sections["cost"] = {"kind": problem.cost_kind}
+    if problem.cost_kind == TRACKING:
         ellipse = presets.TEST2_ELLIPSE_CENTER + presets.TEST2_ELLIPSE_AXES
-        cost = {"kind": TRACKING, "target_shapes":
-                " ".join(["ellipse"] + [repr(v) for v in ellipse])}
-    opt = problem.opt
-    sections = _flow_sections(problem.domain_spec, problem.config, disks)
-    sections["cost"] = cost
-    sections["descent"] = {
-        "rho": repr(opt.rho), "max_iter": str(opt.max_iter),
-        "snapshot_every": str(opt.snapshot_every),
-        "plateau_tol": repr(opt.plateau_tol)}
+        sections["cost"]["target_shapes"] = " ".join(
+            ["ellipse"] + [repr(v) for v in ellipse])
+    sections["descent"] = {key: repr(getattr(problem.opt, key)) for key in
+                           ("rho", "max_iter", "snapshot_every", "plateau_tol")}
     return sections
-
-
-def preset_sections(command, name):
-    """Section/key defaults a named preset contributes for a command."""
-    if name not in PRESET_NAMES:
-        raise ConfigurationError(f"unknown preset {name!r}; "
-                                 f"choose from {', '.join(PRESET_NAMES)}")
-    if name != "sec31":
-        return _descent_sections(name)
-    return _sec31_sections(command)
 
 
 def _read_config_file(path):
@@ -134,76 +95,80 @@ def _read_config_file(path):
         raise OSError(f"cannot read config: {exc}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-    sections = {}
-    for sec in parser.sections():
-        sections[sec] = dict(parser.items(sec))
-    return sections
+    return {sec: dict(parser.items(sec)) for sec in parser.sections()}
 
 
-def _merge_sections(base, overlay):
-    merged = copy.deepcopy(base)
-    for sec, items in overlay.items():
-        merged.setdefault(sec, {}).update(items)
-    return merged
+# value parsers: each takes a key's text and its "[section] key" name,
+# which starts every message it raises
+def _number(convert, minimum=None, exclusive=False):
+    """Parser of finite numbers convert(text) >= minimum (> if exclusive)."""
+    def parse(text, field):
+        try:
+            value = convert(text)
+        except ValueError:
+            what = "an integer" if convert is int else "a number"
+            raise ConfigurationError(f"{field} must be {what}, got {text!r}")
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{field} must be finite")
+        if minimum is not None and (value <= minimum if exclusive
+                                    else value < minimum):
+            raise ConfigurationError(
+                f"{field} must be {'>' if exclusive else '>='} {minimum}")
+        return value
+    return parse
 
 
-def _check_schema(sections):
-    for sec, items in sections.items():
-        if sec not in _SCHEMA:
-            raise ConfigurationError(f"unknown config section [{sec}]")
-        for key in items:
-            if key not in _SCHEMA[sec]:
-                raise ConfigurationError(
-                    f"unknown key {key!r} in section [{sec}]")
+_POSITIVE = _number(float, 0.0, exclusive=True)
+_NONNEGATIVE = _number(float, 0.0)
+_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+          **dict.fromkeys(("false", "no", "off", "0"), False)}
 
 
-def _get(sections, sec, key, default=None):
-    value = sections.get(sec, {}).get(key)
-    if value is None or value.strip() == "":
-        return default
-    return value.strip()
+def _as_bool(text, field):
+    if text.lower() not in _BOOLS:
+        raise ConfigurationError(f"{field} must be true or false, got {text!r}")
+    return _BOOLS[text.lower()]
 
 
-def _as_float(field, text, minimum=None, exclusive=False):
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigurationError(f"{field} must be a number, got {text!r}")
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{field} must be finite")
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            raise ConfigurationError(f"{field} must be > {minimum}")
-        if not exclusive and value < minimum:
-            raise ConfigurationError(f"{field} must be >= {minimum}")
-    return value
+def _one_of(*choices):
+    """Parser of one of the given names."""
+    def parse(text, field):
+        if text not in choices:
+            raise ConfigurationError(f"{field} must be "
+                                     f"{' or '.join(map(repr, choices))}, "
+                                     f"got {text!r}")
+        return text
+    return parse
 
 
-def _as_int(field, text, minimum=None):
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigurationError(f"{field} must be an integer, got {text!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{field} must be >= {minimum}")
-    return value
+def _as_text(text, field):
+    return text
 
 
-def _as_bool(field, text):
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigurationError(f"{field} must be true or false, got {text!r}")
+def _parse_outer(text, field):
+    if text == "flow-cell":
+        return text
+    parts = text.split()
+    if len(parts) != 4:
+        raise ConfigurationError(f"{field} must be 'flow-cell' or 'x0 y0 x1 y1'")
+    return tuple(_number(float)(p, field) for p in parts)
+
+
+def _parse_sweep_values(text, field):
+    values = tuple(_POSITIVE(v, field) for v in text.split())
+    if len(values) < 2:
+        raise ConfigurationError(f"{field} needs at least two values")
+    return values
+
+
+def _entries(text):
+    """The non-blank ';'- or newline-separated entries of text, stripped."""
+    return [e.strip() for e in re.split(r"[;\n]", text) if e.strip()]
 
 
 def _parse_shapes(text, field):
     shapes = []
-    for entry in re.split(r"[;\n]", text):
-        entry = entry.strip()
-        if not entry:
-            continue
+    for entry in _entries(text):
         parts = entry.split()
         kind, nums = parts[0].lower(), parts[1:]
         try:
@@ -226,10 +191,7 @@ def _parse_shapes(text, field):
 
 def _parse_monomials(text, field):
     terms = []
-    for entry in re.split(r"[;\n]", text):
-        entry = entry.strip()
-        if not entry:
-            continue
+    for entry in _entries(text):
         parts = entry.split()
         if len(parts) != 3:
             raise ConfigurationError(
@@ -263,175 +225,130 @@ def _polynomial_field(tx, ty, field):
     return evaluate
 
 
+# Every key a config may set, with its parser and its default; any other
+# key is a typo.  A key with no value and no default here is left out, so
+# the constructor it feeds (DomainSpec, AssemblyConfig, OptConfig) applies
+# its own default.  The monomial tables stay text: _polynomial_field reads
+# each x/y pair into one vector field.
+_KEYS = {
+    ("mesh", "outer"): (_parse_outer, None),
+    ("mesh", "h_mesh"): (_POSITIVE, None),
+    ("mesh", "conforming"): (_as_bool, False),
+    ("mesh", "obstacles"): (_parse_shapes, None),
+    ("mesh", "arc_segments"): (_number(int, 8), None),
+    ("mesh", "circle_segments"): (_number(int, 8), None),
+    ("physics", "nu"): (_POSITIVE, None),
+    ("physics", "traction"): (_one_of(*presets.NAMED_TRACTIONS), None),
+    ("physics", "traction_x"): (_as_text, None),
+    ("physics", "traction_y"): (_as_text, None),
+    ("physics", "traction_label"): (_as_text, None),
+    ("physics", "body_force_x"): (_as_text, None),
+    ("physics", "body_force_y"): (_as_text, None),
+    ("regularization", "eps"): (_NONNEGATIVE, None),
+    ("regularization", "smoothing_width"): (_POSITIVE, None),
+    ("regularization", "divergence_form"): (_one_of(PLAIN_B, PENALIZED_B),
+                                            None),
+    ("level", "shapes"): (_parse_shapes, ()),
+    ("level", "signed_distance"): (_as_bool, True),
+    ("study", "kind"): (_one_of(EPSILON_SWEEP, MESH_SWEEP), EPSILON_SWEEP),
+    ("study", "values"): (_parse_sweep_values, None),
+    ("study", "coefficient_mode"): (_one_of(EXACT_REGION, "smoothed"),
+                                    EXACT_REGION),
+    ("cost", "kind"): (_one_of(DISSIPATED_ENERGY, TRACKING), DISSIPATED_ENERGY),
+    ("cost", "target_shapes"): (_parse_shapes, ()),
+    ("descent", "rho"): (_NONNEGATIVE, None),
+    ("descent", "initial_step"): (_POSITIVE, None),
+    ("descent", "max_iter"): (_number(int, 1), None),
+    ("descent", "snapshot_every"): (_number(int, 0), None),
+    # only steps that do not lower J_rho count toward a plateau (library: 1e-3)
+    ("descent", "plateau_tol"): (_NONNEGATIVE, 0.0),
+    ("descent", "plateau_steps"): (_number(int, 1), None),
+    ("output", "dir"): (_as_text, DEFAULT_OUT),
+}
+_SECTIONS = {sec for sec, _ in _KEYS}
+
+
+def _read_values(sections):
+    """Per section, each key's parsed config text, else its table default."""
+    for sec, items in sections.items():
+        if sec not in _SECTIONS:
+            raise ConfigurationError(f"unknown config section [{sec}]")
+        for key in items:
+            if (sec, key) not in _KEYS:
+                raise ConfigurationError(
+                    f"unknown key {key!r} in section [{sec}]")
+    values = {sec: {} for sec in _SECTIONS}
+    for (sec, key), (parse, default) in _KEYS.items():
+        text = (sections.get(sec, {}).get(key) or "").strip()
+        if text:
+            values[sec][key] = parse(text, f"[{sec}] {key}")
+        elif default is not None:
+            values[sec][key] = default
+    return values
+
+
 class RunConfig:
     """Validated inputs for one command run."""
 
-    def __init__(self, command, sections, out_dir):
-        _check_schema(sections)
-        self.command = command
-        self.sections = sections
-        self.out_dir = out_dir
-
-        outer_text = _get(sections, "mesh", "outer", "flow-cell")
-        if outer_text == "flow-cell":
-            outer = "flow-cell"
-        else:
-            parts = outer_text.split()
-            if len(parts) != 4:
-                raise ConfigurationError(
-                    "[mesh] outer must be 'flow-cell' or 'x0 y0 x1 y1'")
-            outer = tuple(_as_float("[mesh] outer", p) for p in parts)
-        h_mesh = _as_float("[mesh] h_mesh",
-                           _get(sections, "mesh", "h_mesh", "0.05"),
-                           0.0, exclusive=True)
-        obstacles = _parse_shapes(_get(sections, "mesh", "obstacles", ""),
-                                  "[mesh] obstacles")
-        spec_kwargs = {}
-        for key in ("arc_segments", "circle_segments"):
-            raw = _get(sections, "mesh", key)
-            if raw is not None:
-                spec_kwargs[key] = _as_int(f"[mesh] {key}", raw, 8)
-        self.conforming = _as_bool("[mesh] conforming",
-                                   _get(sections, "mesh", "conforming",
-                                        "false"))
-        self.level_shapes = _parse_shapes(_get(sections, "level", "shapes",
-                                               ""), "[level] shapes")
-        self.signed_distance = _as_bool(
-            "[level] signed_distance",
-            _get(sections, "level", "signed_distance", "true"))
-        if command == "solve-reference":
-            self.conforming = True
-            if not obstacles:
-                # fall back to the level geometry so the holes get meshed
-                obstacles = self.level_shapes
-            if not obstacles:
+    def __init__(self, command, sections, out_dir=None):
+        values = _read_values(sections)
+        mesh, physics = values["mesh"], values["physics"]
+        reg, study = values["regularization"], values["study"]
+        self.out_dir = out_dir or values["output"]["dir"]
+        self.conforming = mesh.pop("conforming") or command == "solve-reference"
+        self.level_shapes = values["level"]["shapes"]
+        self.signed_distance = values["level"]["signed_distance"]
+        if command == "solve-reference" and not mesh.get("obstacles"):
+            # fall back to the level geometry so the holes get meshed
+            mesh["obstacles"] = self.level_shapes
+            if not self.level_shapes:
                 raise ConfigurationError(
                     "solve-reference needs [mesh] obstacles "
                     "(or [level] shapes) to carve the fluid region")
         try:
-            self.domain_spec = DomainSpec(outer=outer, h_mesh=h_mesh,
-                                          obstacles=obstacles, **spec_kwargs)
-        except (GeometryError, ConfigurationError) as exc:
+            self.domain_spec = DomainSpec(**mesh)
+        except GeometryError as exc:
             raise ConfigurationError(f"[mesh] {exc}") from exc
 
-        nu = _as_float("[physics] nu", _get(sections, "physics", "nu", "1.0"),
-                       0.0, exclusive=True)
-        traction = None
-        named = _get(sections, "physics", "traction")
-        tx = _get(sections, "physics", "traction_x")
-        ty = _get(sections, "physics", "traction_y")
-        if named is not None and (tx is not None or ty is not None):
+        named = physics.pop("traction", None)
+        tx, ty = (physics.pop(f"traction_{c}", None) for c in "xy")
+        if named and (tx or ty):
             raise ConfigurationError(
                 "[physics] give either traction (named) or traction_x/_y, "
                 "not both")
-        if named is not None:
-            if named not in presets.NAMED_TRACTIONS:
-                raise ConfigurationError(
-                    f"[physics] traction: unknown name {named!r}; "
-                    f"known: {', '.join(sorted(presets.NAMED_TRACTIONS))}")
-            traction = presets.NAMED_TRACTIONS[named]
-        else:
-            traction = _polynomial_field(tx, ty, "[physics] traction")
-        body = _polynomial_field(_get(sections, "physics", "body_force_x"),
-                                 _get(sections, "physics", "body_force_y"),
-                                 "[physics] body_force")
-        eps = _as_float("[regularization] eps",
-                        _get(sections, "regularization", "eps", "0.025"), 0.0)
-        width_text = _get(sections, "regularization", "smoothing_width")
-        smoothing = None
-        if width_text is not None:
-            smoothing = SmoothingParams(
-                _as_float("[regularization] smoothing_width", width_text,
-                          0.0, exclusive=True))
-        # descent runs need the level-dependent divergence form; everything
-        # else compares against the incompressible reference, so plain
-        default_form = PENALIZED_B if command == "optimize" else PLAIN_B
-        form_text = _get(sections, "regularization", "divergence_form",
-                         default_form)
-        if form_text not in (PLAIN_B, PENALIZED_B):
-            raise ConfigurationError(
-                f"[regularization] divergence_form must be {PLAIN_B!r} "
-                f"or {PENALIZED_B!r}")
-        kwargs = dict(nu=nu, eps=eps, smoothing=smoothing,
-                      divergence_form=form_text, body_force=body,
-                      traction=traction)
-        label = _get(sections, "physics", "traction_label")
-        if label is not None:
-            kwargs["traction_label"] = label
-        try:
-            self.assembly = AssemblyConfig(**kwargs)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[physics/regularization] {exc}") from exc
+        physics["traction"] = (presets.NAMED_TRACTIONS[named] if named else
+                               _polynomial_field(tx, ty, "[physics] traction"))
+        physics["body_force"] = _polynomial_field(
+            physics.pop("body_force_x", None),
+            physics.pop("body_force_y", None), "[physics] body_force")
+        if "smoothing_width" in reg:
+            reg["smoothing"] = SmoothingParams(reg.pop("smoothing_width"))
+        # descent runs need the library's level-dependent divergence form;
+        # the rest compare against the incompressible reference, so plain
+        if command != "optimize":
+            reg.setdefault("divergence_form", PLAIN_B)
+        self.assembly = AssemblyConfig(**physics, **reg)
 
-        self.study_kind = None
-        if command == "error-study":
-            kind = _get(sections, "study", "kind", EPSILON_SWEEP)
-            if kind not in (EPSILON_SWEEP, MESH_SWEEP):
-                raise ConfigurationError(
-                    f"[study] kind must be {EPSILON_SWEEP!r} or "
-                    f"{MESH_SWEEP!r}")
-            values_text = _get(sections, "study", "values")
-            if values_text is None:
-                if kind == MESH_SWEEP:
-                    values_text = " ".join(repr(v) for v in
-                                           presets.MESH_SWEEP_SIZES)
-                else:
-                    raise ConfigurationError("[study] values is required")
-            values = tuple(_as_float("[study] values", v, 0.0,
-                                     exclusive=True)
-                           for v in values_text.split())
-            if len(values) < 2:
-                raise ConfigurationError("[study] needs at least two values")
-            mode = _get(sections, "study", "coefficient_mode", EXACT_REGION)
-            if mode not in (EXACT_REGION, _SMOOTHED):
-                raise ConfigurationError(
-                    f"[study] coefficient_mode must be {EXACT_REGION!r} "
-                    f"or '{_SMOOTHED}'")
-            self.study_kind = kind
-            self.study_values = values
-            self.coefficient_mode = mode
+        if study["kind"] == MESH_SWEEP:
+            study.setdefault("values", presets.MESH_SWEEP_SIZES)
+        self.study_kind = study["kind"]
+        self.study_values = study.get("values")
+        self.coefficient_mode = study["coefficient_mode"]
+        if command == "error-study" and self.study_values is None:
+            raise ConfigurationError("[study] values is required")
 
-        self.cost_kind = None
+        self.cost_kind = values["cost"]["kind"]
+        self.target_shapes = values["cost"]["target_shapes"]
         if command == "optimize":
             if not self.level_shapes:
                 raise ConfigurationError(
                     "optimize needs [level] shapes for the initial geometry")
-            kind = _get(sections, "cost", "kind", DISSIPATED_ENERGY)
-            if kind not in (DISSIPATED_ENERGY, TRACKING):
-                raise ConfigurationError(
-                    f"[cost] kind must be {DISSIPATED_ENERGY!r} or "
-                    f"{TRACKING!r}")
-            self.cost_kind = kind
-            self.target_shapes = _parse_shapes(
-                _get(sections, "cost", "target_shapes", ""),
-                "[cost] target_shapes")
-            if kind == TRACKING and not self.target_shapes:
+            if self.cost_kind == TRACKING and not self.target_shapes:
                 raise ConfigurationError(
                     "[cost] target_shapes is required for tracking")
-            rho_text = _get(sections, "descent", "rho")
-            if rho_text is None:
+            if "rho" not in values["descent"]:
                 raise ConfigurationError("[descent] rho is required")
-            try:
-                self.opt = OptConfig(
-                    rho=_as_float("[descent] rho", rho_text, 0.0),
-                    initial_step=_as_float(
-                        "[descent] initial_step",
-                        _get(sections, "descent", "initial_step", "1.0"),
-                        0.0, exclusive=True),
-                    max_iter=_as_int("[descent] max_iter",
-                                     _get(sections, "descent", "max_iter",
-                                          "200"), 1),
-                    snapshot_every=_as_int(
-                        "[descent] snapshot_every",
-                        _get(sections, "descent", "snapshot_every", "25"), 0),
-                    plateau_tol=_as_float(
-                        "[descent] plateau_tol",
-                        _get(sections, "descent", "plateau_tol", "0.0"), 0.0),
-                    plateau_steps=_as_int(
-                        "[descent] plateau_steps",
-                        _get(sections, "descent", "plateau_steps", "50"), 1))
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"[descent] {exc}") from exc
+            self.opt = OptConfig(**values["descent"])
 
     @classmethod
     def from_args(cls, args):
@@ -439,13 +356,11 @@ class RunConfig:
         if args.preset:
             sections = preset_sections(args.command, args.preset)
         if args.config:
-            sections = _merge_sections(sections,
-                                       _read_config_file(args.config))
+            for sec, items in _read_config_file(args.config).items():
+                sections.setdefault(sec, {}).update(items)
         if not sections:
-            raise ConfigurationError(
-                "no inputs: pass --preset and/or --config")
-        out_dir = args.out or _get(sections, "output", "dir", DEFAULT_OUT)
-        return cls(args.command, sections, out_dir)
+            raise ConfigurationError("no inputs: pass --preset and/or --config")
+        return cls(args.command, sections, args.out)
 
     def level_function(self, shapes=None, signed_distance=None):
         shapes = self.level_shapes if shapes is None else shapes
@@ -459,43 +374,34 @@ class RunConfig:
 
 
 def _flow_artifacts(rc, mesh, state, report, extra_rows, level_values=None):
-    names = []
     scalars = {"pressure": state.P}
     if level_values is not None:
         scalars["level"] = level_values
     vel = state.velocity_vertices
     write_vtk(os.path.join(rc.out_dir, "fields.vtk"), mesh, scalars,
               {"velocity": vel}, title="penflow flow fields")
-    names.append("fields.vtk")
-
     atomic_write_text(os.path.join(rc.out_dir, "mesh.txt"),
                       mesh_to_text(mesh))
-    names.append("mesh.txt")
 
     rows = [(f"flux_{label}", boundary_flux(mesh, vel, label))
             for label in mesh.labels()]
-    rows.append(("divergence_l2", compute_norm(mesh, state.Y, kind="DivL2")))
-    rows.append(("newton_iterations", report.iterations))
-    rows.append(("newton_residual", report.final_residual))
-    rows.extend(extra_rows)
+    rows += [("divergence_l2", compute_norm(mesh, state.Y, kind="DivL2")),
+             ("newton_iterations", report.iterations),
+             ("newton_residual", report.final_residual)] + extra_rows
     write_csv(os.path.join(rc.out_dir, "diagnostics.csv"),
               ["quantity", "value"], rows)
-    names.append("diagnostics.csv")
-    return names
+    return ["fields.vtk", "mesh.txt", "diagnostics.csv"]
 
 
 def _run_solve_penalized(rc):
     mesh = generate_mesh(rc.domain_spec, conform_to_obstacles=rc.conforming)
     layout = build_spaces(mesh)
     level_fn = rc.level_function()
-    g = None
-    level_values = None
-    if level_fn is not None:
-        g = LevelField.interpolate(mesh, level_fn)
-        level_values = g.nodal_values
+    g = None if level_fn is None else LevelField.interpolate(mesh, level_fn)
     state, report = solve_navier_stokes(layout, rc.assembly, g,
                                         raise_on_failure=True)
-    return _flow_artifacts(rc, mesh, state, report, [], level_values)
+    return _flow_artifacts(rc, mesh, state, report, [],
+                           None if g is None else g.nodal_values)
 
 
 def _run_solve_reference(rc):
@@ -512,15 +418,11 @@ def _run_error_study(rc):
     base = SweepBase(rc.domain_spec, rc.assembly,
                      coefficient_mode=rc.coefficient_mode)
     records = run_sweep(rc.study_kind, rc.study_values, base)
-    names = ["records.csv", "convergence.svg"]
     atomic_write_text(os.path.join(rc.out_dir, "records.csv"),
                       records_to_csv(records))
-    if rc.study_kind == EPSILON_SWEEP:
-        xs = [r.epsilon for r in records]
-        xlabel = "epsilon"
-    else:
-        xs = [r.mesh_size for r in records]
-        xlabel = "mesh size"
+    x_field, xlabel = (("epsilon", "epsilon") if rc.study_kind == EPSILON_SWEEP
+                       else ("mesh_size", "mesh size"))
+    xs = [getattr(r, x_field) for r in records]
     series = []
     for field, label in (("l2_rel", "relative L2 error"),
                          ("h1_rel", "relative H1 error")):
@@ -537,7 +439,7 @@ def _run_error_study(rc):
                        "slope": slope, "intercept": intercept})
     svg_loglog(os.path.join(rc.out_dir, "convergence.svg"), series,
                xlabel, "relative error", "convergence study")
-    return names
+    return ["records.csv", "convergence.svg"]
 
 
 def _run_optimize(rc):
@@ -573,9 +475,7 @@ def _run_optimize(rc):
                                       final.P).velocity_vertices},
               title="penflow final state")
     first, last = history[0], history[-1]
-    decrease = 0.0
-    if first.j_h != 0:
-        decrease = 1.0 - last.j_h / first.j_h
+    decrease = 1.0 - last.j_h / first.j_h if first.j_h != 0 else 0.0
     write_csv(os.path.join(rc.out_dir, "summary.csv"),
               ["quantity", "value"],
               [("iterations", last.iteration),
@@ -639,12 +539,10 @@ def main(argv=None) -> int:
     try:
         rc = RunConfig.from_args(args)
         names = run(args.command, rc)
-    except NonconvergenceError as exc:
-        print(f"penflow: solver failed: {exc}", file=sys.stderr)
-        print(_serialize_newton_report(exc.report), file=sys.stderr)
-        return 3
     except SolverError as exc:
         print(f"penflow: solver failed: {exc}", file=sys.stderr)
+        if isinstance(exc, NonconvergenceError):
+            print(_serialize_newton_report(exc.report), file=sys.stderr)
         return 3
     except (ConfigurationError, GeometryError, GenerationError,
             UnknownLabelError) as exc:

@@ -24,6 +24,10 @@ class EmptyRegionError(PenflowError):
 class UnknownLabelError(KeyError, PenflowError):
     """A boundary label is not present in the mesh."""
 
+    def __str__(self):
+        # KeyError would print the repr of the message
+        return PenflowError.__str__(self)
+
 
 class ConfigurationError(PenflowError):
     """Invalid physics, regularization, or run configuration."""

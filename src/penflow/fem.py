@@ -459,7 +459,7 @@ def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
             coeffs = evaluate_coefficients(layout, config, g)
         F += _velocity_rows(layout, layout.geometry(config.quadrature_order),
                             val=coeffs.loadc * fq)
-    if config.traction is not None and config.traction_label in mesh.labels():
+    if config.traction is not None:
         edges = mesh.edges_with_label(config.traction_label)
         pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
         elen = np.hypot(*(pb - pa).T)

@@ -89,7 +89,8 @@ class Mesh:
     def edges_with_label(self, label):
         idx = [i for i, s in enumerate(self.boundary_labels) if s == label]
         if not idx:
-            raise UnknownLabelError(label)
+            raise UnknownLabelError(f"no boundary label {label!r}; the mesh "
+                                    f"has {', '.join(self.labels())}")
         return self.boundary_edges[idx]
 
     def vertices_on(self, labels):

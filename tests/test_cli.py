@@ -6,11 +6,13 @@ stays in the few-seconds range.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 import penflow.cli as cli
+from penflow import presets
 from penflow.artifacts import MANIFEST_NAME, verify_manifest
 from penflow.cli import (_parse_monomials, _parse_shapes, _polynomial_field,
                          main, preset_sections)
@@ -81,14 +83,52 @@ def test_parse_monomials_and_polynomial_field():
 
 
 # --------------------------------------------------------------- presets
-def test_preset_sections_vary_with_command():
-    plain = preset_sections("solve-penalized", "sec31")
-    ref = preset_sections("solve-reference", "sec31")
-    study = preset_sections("error-study", "sec31")
-    assert float(ref["mesh"]["h_mesh"]) < float(plain["mesh"]["h_mesh"])
-    assert ref["mesh"]["conforming"] == "true"
-    assert float(ref["regularization"]["eps"]) == 0.0
-    assert float(study["mesh"]["h_mesh"]) != float(plain["mesh"]["h_mesh"])
+# the factory in presets that each (command, preset) pair's sections mirror
+_PRESET_FACTORIES = {
+    ("solve-penalized", "sec31"): presets.sec31_penalized,
+    ("solve-reference", "sec31"): presets.sec31_reference,
+    ("error-study", "sec31"): presets.epsilon_sweep,
+    **{(command, "test1"): presets.test1_problem
+       for command in ("solve-penalized", "solve-reference", "optimize")},
+    **{(command, "test2"): presets.test2_problem
+       for command in ("solve-penalized", "solve-reference", "optimize")},
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(_PRESET_FACTORIES))
+def test_preset_sections_round_trip_to_presets(command, name):
+    rc = cli.RunConfig(command, preset_sections(command, name), "out")
+    want = _PRESET_FACTORIES[command, name]()
+    assert rc.domain_spec.h_mesh == want.domain_spec.h_mesh
+    # nu, eps, divergence form, the traction callable and every other field
+    assert vars(rc.assembly) == vars(want.config)
+    assert rc.conforming == (command == "solve-reference")
+    if name == "sec31":
+        assert rc.domain_spec.obstacles == want.domain_spec.obstacles
+        level = presets.sec31_level()
+    else:
+        level = want.initial_level
+    x = np.random.default_rng(0).uniform(-0.5, 0.5, (64, 2))
+    assert np.array_equal(rc.level_function()(x), level(x))
+    if command == "error-study":
+        assert (rc.study_kind, rc.study_values) == (want.kind, want.values)
+    if command == "optimize":
+        assert rc.cost_kind == want.cost_kind
+        # rho, max_iter, snapshot_every, plateau_tol and the library defaults
+        assert vars(rc.opt) == vars(want.opt)
+    if (command, name) == ("optimize", "test2"):
+        target = rc.level_function(rc.target_shapes, signed_distance=False)
+        assert np.array_equal(target(x), presets.test2_target_level()(x))
+
+
+@pytest.mark.parametrize("command, name, message", [
+    ("optimize", "sec31", "[descent] rho is required"),
+    ("error-study", "test1", "[study] values is required"),
+    ("error-study", "test2", "[study] values is required"),
+])
+def test_preset_pairs_without_a_factory_do_not_parse(command, name, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        cli.RunConfig(command, preset_sections(command, name), "out")
 
 
 def test_unknown_preset_is_a_config_error():
@@ -124,6 +164,135 @@ def test_bad_value_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", "[mesh]\nh_mesh = -0.1\n")
     assert main(["solve-penalized", "--config", cfg]) == 2
     assert "h_mesh" in capsys.readouterr().err
+
+
+# a config every command accepts; each rule row below breaks one key of it
+_VALID = {
+    "mesh": {"outer": "0 0 1 1", "h_mesh": "0.2",
+             "obstacles": "disk 0.5 0.5 0.2"},
+    "level": {"shapes": "disk 0.5 0.5 0.2"},
+    "physics": {"traction": "shear"},
+    "study": {"values": "0.1 0.05"},
+    "descent": {"rho": "0.5", "max_iter": "1"},
+}
+
+# (command, {(section, key): value, or None to drop the key}, prefix):
+# one row per ConfigurationError a config can raise before any solve
+_RULES = [
+    ("solve-penalized", {("mesh", "outer"): "0 0 1"}, "[mesh] outer"),
+    ("solve-penalized", {("mesh", "outer"): "0 0 1 x"}, "[mesh] outer"),
+    ("solve-penalized", {("mesh", "outer"): "1 0 0 1"}, "[mesh]"),
+    ("solve-penalized", {("mesh", "h_mesh"): "0"}, "[mesh] h_mesh"),
+    ("solve-penalized", {("mesh", "h_mesh"): "abc"}, "[mesh] h_mesh"),
+    ("solve-penalized", {("mesh", "h_mesh"): "inf"}, "[mesh] h_mesh"),
+    ("solve-penalized", {("mesh", "obstacles"): "disk 0.5 0.5"},
+     "[mesh] obstacles"),
+    ("solve-penalized", {("mesh", "arc_segments"): "4"},
+     "[mesh] arc_segments"),
+    ("solve-penalized", {("mesh", "circle_segments"): "8.5"},
+     "[mesh] circle_segments"),
+    ("solve-penalized", {("mesh", "conforming"): "maybe"},
+     "[mesh] conforming"),
+    ("solve-penalized", {("level", "shapes"): "ellipse 0 0 1"},
+     "[level] shapes"),
+    ("solve-penalized", {("level", "signed_distance"): "2"},
+     "[level] signed_distance"),
+    ("solve-reference", {("mesh", "obstacles"): None,
+                         ("level", "shapes"): None}, "solve-reference"),
+    ("solve-penalized", {("physics", "nu"): "0"}, "[physics] nu"),
+    ("solve-penalized", {("physics", "traction_x"): "1 0 0"}, "[physics]"),
+    ("solve-penalized", {("physics", "traction"): "swirl"},
+     "[physics] traction"),
+    ("solve-penalized", {("physics", "traction"): None,
+                         ("physics", "traction_x"): "1 2"},
+     "[physics] traction_x"),
+    ("solve-penalized", {("physics", "body_force_y"): "1 -1 0"},
+     "[physics] body_force_y"),
+    ("solve-penalized", {("regularization", "eps"): "-0.1"},
+     "[regularization] eps"),
+    ("solve-penalized", {("regularization", "smoothing_width"): "0"},
+     "[regularization] smoothing_width"),
+    ("solve-penalized", {("regularization", "divergence_form"): "weak"},
+     "[regularization] divergence_form"),
+    ("error-study", {("study", "kind"): "time"}, "[study] kind"),
+    ("error-study", {("study", "values"): None}, "[study] values"),
+    ("error-study", {("study", "values"): "0.1 -0.05"}, "[study] values"),
+    ("error-study", {("study", "values"): "0.1"}, "[study]"),
+    ("error-study", {("study", "coefficient_mode"): "sharp"},
+     "[study] coefficient_mode"),
+    ("optimize", {("level", "shapes"): None}, "optimize"),
+    ("optimize", {("cost", "kind"): "lift"}, "[cost] kind"),
+    ("optimize", {("cost", "kind"): "tracking"}, "[cost] target_shapes"),
+    ("optimize", {("cost", "target_shapes"): "ring 0 0 1"},
+     "[cost] target_shapes"),
+    ("optimize", {("descent", "rho"): None}, "[descent] rho"),
+    ("optimize", {("descent", "rho"): "-1"}, "[descent] rho"),
+    ("optimize", {("descent", "initial_step"): "0"}, "[descent] initial_step"),
+    ("optimize", {("descent", "max_iter"): "1.5"}, "[descent] max_iter"),
+    ("optimize", {("descent", "snapshot_every"): "-1"},
+     "[descent] snapshot_every"),
+    ("optimize", {("descent", "plateau_tol"): "-1"}, "[descent] plateau_tol"),
+    ("optimize", {("descent", "plateau_steps"): "0"},
+     "[descent] plateau_steps"),
+]
+
+
+def _render(sections):
+    return "".join(f"[{sec}]\n" + "".join(f"{key} = {value}\n"
+                                          for key, value in items.items())
+                   for sec, items in sections.items())
+
+
+def _rule_id(row):
+    command, changes, _ = row
+    return command + ":" + ",".join(f"{sec}.{key}={value}"
+                                    for (sec, key), value in changes.items())
+
+
+@pytest.mark.parametrize("command, changes, prefix", _RULES,
+                         ids=[_rule_id(row) for row in _RULES])
+def test_config_rule_exits_2_with_one_prefix(command, changes, prefix,
+                                             tmp_path, capsys):
+    sections = {sec: dict(items) for sec, items in _VALID.items()}
+    for (sec, key), value in changes.items():
+        items = sections.setdefault(sec, {})
+        items.pop(key, None)
+        if value is not None:
+            items[key] = value
+    cfg = _write(tmp_path, "run.ini", _render(sections))
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"penflow: config error: {prefix}")
+    assert err.count(prefix) == 1
+
+
+def test_descent_error_is_prefixed_once(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini", _render(
+        {**_VALID, "descent": {"rho": "0.5", "max_iter": "1.5"}}))
+    assert main(["optimize", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "penflow: config error: [descent] max_iter must be an integer, "
+        "got '1.5'\n")
+
+
+def test_every_key_is_checked_whatever_the_command(tmp_path, capsys):
+    # solve-penalized reads no [descent] key, but a bad one is still a typo
+    cfg = _write(tmp_path, "run.ini", _render(
+        {**_VALID, "descent": {"max_iter": "1.5"}}))
+    assert main(["solve-penalized", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "[descent] max_iter" in capsys.readouterr().err
+
+
+def test_unknown_traction_label_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini",
+                 BOX_FLOW.replace("traction = shear",
+                                  "traction = shear\ntraction_label = Nope"))
+    assert main(["solve-penalized", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Nope" in err and "Gamma1" in err
 
 
 @pytest.mark.parametrize("command, target", [
