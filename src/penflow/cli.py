@@ -298,17 +298,24 @@ class RunConfig:
         self.conforming = mesh.pop("conforming") or command == "solve-reference"
         self.level_shapes = values["level"]["shapes"]
         self.signed_distance = values["level"]["signed_distance"]
-        if command == "solve-reference" and not mesh.get("obstacles"):
-            # fall back to the level geometry so the holes get meshed
-            mesh["obstacles"] = self.level_shapes
-            if not self.level_shapes:
-                raise ConfigurationError(
-                    "solve-reference needs [mesh] obstacles "
-                    "(or [level] shapes) to carve the fluid region")
         try:
             self.domain_spec = DomainSpec(**mesh)
         except GeometryError as exc:
             raise ConfigurationError(f"[mesh] {exc}") from exc
+        for sec, key in (("level", "shapes"), ("cost", "target_shapes")):
+            try:  # the probe that checks the shapes where they are used
+                self.level_function(values[sec][key])
+            except GeometryError as exc:
+                raise ConfigurationError(f"[{sec}] {key}: {exc}") from exc
+        if command in ("solve-reference", "error-study") and \
+                not self.domain_spec.obstacles:
+            if not self.level_shapes:
+                raise ConfigurationError(
+                    f"{command} needs [mesh] obstacles "
+                    "(or [level] shapes) to carve the fluid region")
+            # fall back to the level geometry so the holes get meshed
+            mesh["obstacles"] = self.level_shapes
+            self.domain_spec = DomainSpec(**mesh)
 
         named = physics.pop("traction", None)
         tx, ty = (physics.pop(f"traction_{c}", None) for c in "xy")

@@ -74,6 +74,39 @@ class Mesh:
         """All unique undirected edges as a sorted (n, 2) array."""
         return _edge_table(self.triangles, self.num_vertices)[0]
 
+    def dissection_order(self):
+        """Vertex indices in a fill-reducing order: geometric nested
+        dissection of the edge graph.  A part splits at the median of its
+        longer axis; the lower half's vertices next to the upper half (the
+        separator) follow both halves, which split again down to 4 vertices.
+        All parts of a level split at once; the vertex index breaks ties."""
+        V, (a, b) = self.num_vertices, self.edges().T
+        # each vertex's rank along x and along y, ties by vertex index
+        rank = np.argsort(np.argsort(self.vertices.T, kind="stable"), axis=1)
+        # the part label at each position, -1 once it is split no further
+        order, part = np.arange(V), np.full(V, 0 if V > 4 else -1)
+        while (part >= 0).any():
+            pos = np.flatnonzero(part >= 0)
+            v, lab = order[pos], part[pos]
+            start = np.flatnonzero(np.append(True, lab[1:] != lab[:-1]))
+            size = np.diff(np.append(start, len(v)))
+            seg = np.repeat(np.arange(len(start)), size)
+            xy = self.vertices[v]
+            axis = (np.maximum.reduceat(xy, start)
+                    - np.minimum.reduceat(xy, start)).argmax(1)
+            v = v[np.argsort(seg * V + rank[axis[seg], v])]
+            upper = np.arange(len(v)) >= start[seg] + size[seg] // 2
+            side = np.full(V, -1)  # 2 seg, + 1 in the upper half
+            side[v] = 2 * seg + upper
+            cut = (side[a] // 2 == side[b] // 2) & (side[a] != side[b])
+            key = side % 2
+            key[np.where(key[a[cut]], b[cut], a[cut])] = 2  # separators
+            group = 3 * seg + key[v]
+            o = np.argsort(group, kind="stable")
+            done = (key[v[o]] == 2) | (np.bincount(group)[group[o]] <= 4)
+            order[pos], part[pos] = v[o], np.where(done, -1, group[o])
+        return order
+
     @property
     def mean_edge_length(self):
         if "mean_edge" not in self._cache:

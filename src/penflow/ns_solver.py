@@ -32,14 +32,10 @@ zero and without restarts.  The solution is accepted only when its own
 residual meets the normwise backward-error bound _KRYLOV_TOL within
 _KRYLOV_BUDGET iterations (12-14 on every Newton step measured); otherwise
 the complement is factored after all and that factor is kept instead.
-The fill-reducing order depends on the pattern alone, so it is learned
-once per pattern: the first factor computes a minimum degree order, and
-the pattern renumbers its own rows and columns by it, so that every later
-complement is assembled already ordered and factored in its natural order
-(splu takes no precomputed order).  A factor made before the renumbering
-stays in use after it: it keeps the order it was made in, and GMRES maps
-its vectors through that order, so a fresh layout still needs only one
-factor.
+The fill-reducing order is a property of the mesh, fixed when the
+pattern is built: nested dissection of the vertex graph (A. George, SIAM
+J. Numer. Anal. 10, 1973), each vertex's u_x, u_y and p side by side.  The
+pattern is assembled in that order and every factor keeps it (NATURAL).
 """
 
 import functools
@@ -128,21 +124,28 @@ def _dirichlet_values(layout, dirichlet):
 
 class _Pattern:
     """Fixed CSR pattern of the condensed matrix on u_x, u_y and p at the
-    vertices (3V), then one multiplier per row of R (m, 2V).
+    vertices (3V), then one multiplier per row of R (m, 2 N1).
 
-    Vertices couple in 3x3 blocks on the diagonal and along edges, R's
-    nonzeros border the matrix, and a fixed row keeps only its diagonal,
-    where its other entries land.  slots gives the data position of each
-    entry of the (T, 9, 9) element complements, border that of R's entries,
-    dslot that of the diagonal of each vertex row (multiplier rows have
-    none).  Once ordered, the pattern holds the matrix with row and column
-    order[k] at k; loc and fixed keep the layout's numbering.
+    The order is the mesh's, fixed here: the vertices in Mesh.dissection_order,
+    each with its u_x, u_y and p side by side, then the multipliers; order[k]
+    is the saddle-vector index of row and column k.  Vertices couple in 3x3
+    blocks on the diagonal and along edges, R's nonzeros border the matrix,
+    and a fixed row keeps only its diagonal, where its other entries land.
+    slots gives the data position of each entry of the (T, 9, 9) element
+    complements, border that of R's entries, dslot that of the diagonal of
+    each vertex row (multiplier rows have none), loc the element rows.
     """
 
     def __init__(self, layout, fixed, R):
-        V, n, e = layout.V, 3 * layout.V, layout.mesh.edges()
-        self.n, self.fixed = n + len(R), fixed
-        is_fixed = np.isin(np.arange(self.n), fixed)
+        V, N1, e = layout.V, layout.N1, layout.mesh.edges()
+        n, verts = 3 * V, layout.mesh.dissection_order()
+        self.n = n + len(R)
+        self.order = np.append((verts[:, None] + [0, N1, 2 * N1]).ravel(),
+                               2 * N1 + V + np.arange(len(R)))
+        new = np.empty(2 * N1 + V + len(R), dtype=np.int64)
+        new[self.order] = np.arange(self.n)  # bubbles are not in the pattern
+        self.fixed = new[fixed]
+        is_fixed = np.isin(np.arange(self.n), self.fixed)
 
         def keys(rows, cols):
             return rows * self.n + np.where(is_fixed[rows], rows, cols)
@@ -152,47 +155,25 @@ class _Pattern:
         c = np.arange(3)[:, None, None]
         # block entry (c, c', k): component c at pair k's first vertex
         # against component c' at its second
-        blocks = keys(c * V + pairs // V,
-                      np.swapaxes(c, 0, 1) * V + pairs % V).ravel()
+        blocks = keys(new[pairs // V] + c,
+                      new[pairs % V] + np.swapaxes(c, 0, 1)).ravel()
         bk, bj = np.nonzero(R)
-        border = np.concatenate([keys(bj, n + bk), keys(n + bk, bj)])
-        uniq = np.sort(np.concatenate([blocks, border]))
-        uniq = uniq[np.append(True, uniq[1:] != uniq[:-1])]
+        entries = np.concatenate([blocks, keys(new[bj], n + bk),
+                                  keys(n + bk, new[bj])])
+        # the stored entries, and the data position of each of entries
+        uniq, slot = np.unique(entries, return_inverse=True)
         self.indptr = np.searchsorted(
             uniq // self.n, np.arange(self.n + 1)).astype(np.int32)
         self.indices = (uniq % self.n).astype(np.int32)
         self.dslot = np.searchsorted(uniq, np.arange(n) * (self.n + 1))
-        self.border, self.values = np.searchsorted(uniq, border), \
-            np.tile(R[bk, bj], 2)
+        self.border, self.values = slot[len(blocks):], np.tile(R[bk, bj], 2)
         tri = layout.mesh.triangles
-        self.loc = np.hstack([tri, tri + V, tri + 2 * V])  # element rows
+        self.loc = (new[tri][:, None] + np.arange(3)[:, None]).reshape(-1, 9)
         k = np.searchsorted(pairs, tri[:, :, None] * V + tri[:, None])
         # int32 halves the largest array the pattern keeps
-        self.slots = np.searchsorted(uniq, blocks)[
+        self.slots = slot[
             np.arange(9).reshape(1, 3, 1, 3, 1) * len(pairs)
             + k[:, None, :, None]].astype(np.int32)
-        self.order, self.ordered = np.arange(self.n), False
-
-    def reorder(self, perm_c):
-        """Renumber in place so that row and column i move to perm_c[i].
-
-        perm_c (int64) is SuperLU's column permutation: column i of the
-        factored matrix is column perm_c[i] of its factor.  (Moving row i
-        to argsort(perm_c)[i] instead scrambles the order: on the coarse
-        sec31 mesh the fill rises from 0.30M to 6.2M.)
-        """
-        indptr, indices = self.indptr, self.indices
-        rows = np.repeat(perm_c, np.diff(indptr))
-        src = np.argsort(rows * self.n + perm_c[indices])  # by new position
-        pos = np.empty(len(src), dtype=np.int32)
-        pos[src] = np.arange(len(src))
-        indices[:] = perm_c[indices[src]]
-        self.order[perm_c] = np.arange(self.n)
-        indptr[1:] = np.cumsum(np.diff(indptr)[self.order])
-        self.slots[...] = pos[self.slots]
-        self.dslot[:] = pos[self.dslot]
-        self.border[:] = pos[self.border]
-        self.ordered = True
 
 
 class _System:
@@ -223,7 +204,7 @@ class _System:
             [layout.dirichlet_dofs, np.array(pin, dtype=np.int64)])
         self.fill = []  # L+U nonzeros of each factor
         self.krylov = []  # GMRES iterations of each solve, 0 if it factored
-        # the last factor: (pattern, its order then, scale, SuperLU factor)
+        # the last factor: (scale, SuperLU factor)
         self._factor = None
 
     def split(self, x):
@@ -268,14 +249,11 @@ class _System:
     @property
     def _pattern(self):
         """The layout's condensed pattern for this pin and these fluxes."""
-        lay, pin = self.layout, self.config.pin_pressure
-        if (pin, self.flux_labels) not in lay._patterns:
-            dv, V, R = lay.dirichlet_vertices, lay.V, self.flux_rows
-            fixed = np.concatenate([dv, dv + V, [2 * V] if pin else []])
-            lay._patterns[pin, self.flux_labels] = _Pattern(
-                lay, fixed.astype(np.int64),
-                np.hstack([R[:, :V], R[:, lay.N1:lay.N1 + V]]))
-        return lay._patterns[pin, self.flux_labels]
+        key = self.config.pin_pressure, self.flux_labels
+        if key not in self.layout._patterns:
+            self.layout._patterns[key] = _Pattern(self.layout, self.fixed_rows,
+                                                  self.flux_rows)
+        return self.layout._patterns[key]
 
     def condense(self, blocks):
         """The condensed saddle matrix of element blocks (vel, b), as CSR in
@@ -318,68 +296,48 @@ class _System:
         V, N1, pat = self.layout.V, self.layout.N1, self._pattern
         S, inv, W, vb = self.condense(blocks)
         zb = inv @ np.column_stack([rhs[V:N1], rhs[N1 + V:2 * N1]])[..., None]
-        corr = np.bincount(pat.loc.ravel(), (vb @ zb).ravel(),
-                           minlength=pat.n)
+        corr = np.bincount(pat.loc.ravel(), (vb @ zb).ravel(), minlength=pat.n)
         corr[pat.fixed] = 0.0  # identity rows keep their right-hand side
-        xr = self._solve_condensed(
-            S, np.concatenate([rhs[:V], rhs[N1:N1 + V], rhs[2 * N1:]]) - corr)
+        xr = self._solve_condensed(S, rhs[pat.order] - corr)
         xb = (zb - W @ xr[pat.loc][..., None])[..., 0]
-        return np.concatenate([xr[:V], xb[:, 0], xr[V:2 * V], xb[:, 1],
-                               xr[2 * V:]])
+        x = np.empty(len(rhs))
+        x[pat.order] = xr
+        x[V:N1], x[N1 + V:2 * N1] = xb.T
+        return x
 
     def _solve_condensed(self, S, b):
-        """Solve S x = b, S in the pattern's order, b and x in the layout's:
-        by GMRES on the kept factor when it converges within the budget,
-        else by a new factor, which is kept."""
-        pat, x = self._pattern, np.empty(len(b))
-        b = b[pat.order]
-        if self._factor is not None and self._factor[0] is pat and b.any():
-            _, order, s, lu = self._factor
-            # row ix[k] of S is row k of the factored matrix
-            ix = np.argsort(pat.order)[order]
-            d = np.empty(pat.n)
-            d[ix] = s
-
-            def precondition(r):
-                z = np.empty(pat.n)
-                z[ix] = lu.solve(r[ix], trans="T")
-                return z
-
+        """Solve S x = b by GMRES on the kept factor when it converges within
+        the budget, else by a new factor, which is kept."""
+        if self._factor is not None and b.any():
+            s, lu = self._factor
             # D S D y = D b, x = D y, scaled as the factored matrix was
-            y, its = _gmres(lambda v: d * (S @ (d * v)), precondition, d * b,
-                            (d * (abs(S) @ d)).max())
+            y, its = _gmres(lambda v: s * (S @ (s * v)),
+                            lambda r: lu.solve(r, trans="T"), s * b,
+                            (s * (abs(S) @ s)).max())
             if y is not None:
                 self.krylov.append(its)
-                x[pat.order] = d * y
-                return x
+                return s * y
         self._factor = None  # never hold two factors
         # factor D S D, D = |diag S|^(-1/2) and 1 on a zero diagonal (the
         # multiplier rows): unscaled, the two zero-diagonal rows of a flux
         # reference system fail the diagonal pivot test and double the fill
-        d = np.abs(S.data[pat.dslot])
-        s = np.ones(pat.n)
+        d = np.abs(S.data[self._pattern.dslot])
+        s = np.ones(len(b))
         s[:len(d)] = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
-        s = s[pat.order]
         S.data *= np.repeat(s, np.diff(S.indptr)) * np.take(s, S.indices)
         # symmetric pattern, nonzero diagonal on velocity and pressure rows:
-        # minimum degree on A + A^T, once per pattern (module docstring), and
-        # diagonal pivots (1e-2 would pivot off the diagonal and raise the
-        # fill 20-fold, 0.64M to 12.4M at h=0.03).  The transpose of the CSR
-        # complement is CSC without a copy.
+        # the pattern's own order, and diagonal pivots (1e-2 would pivot off
+        # the diagonal and raise the fill 20-fold, 0.64M to 12.4M at
+        # h=0.03).  The transpose of the CSR complement is CSC without a copy.
         try:
-            lu = spla.splu(S.T, diag_pivot_thresh=1e-3,
-                           permc_spec="NATURAL" if pat.ordered
-                           else "MMD_AT_PLUS_A",
+            lu = spla.splu(S.T, diag_pivot_thresh=1e-3, permc_spec="NATURAL",
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"singular saddle system: {exc}") from exc
         self.fill.append(lu.nnz)
         self.krylov.append(0)
-        x[pat.order] = s * lu.solve(s * b, trans="T")
-        self._factor = (pat, pat.order.copy(), s, lu)
-        if not pat.ordered:
-            pat.reorder(lu.perm_c.astype(np.int64))
-        return x
+        self._factor = s, lu
+        return s * lu.solve(s * b, trans="T")
 
 
 def _gmres(A, precondition, b, norm_A):
@@ -391,7 +349,8 @@ def _gmres(A, precondition, b, norm_A):
     within the budget.  Givens rotations keep the Hessenberg matrix upper
     triangular: the Arnoldi residual |g[j + 1]|, bounded with ||x|| of the
     first iterate, stops the iteration, and y comes by back-substitution
-    (BLAS, no LAPACK).  The residual of x itself decides.
+    (BLAS, no LAPACK).  The residual of x itself decides, under both norms:
+    a singular system meets the bound at the huge x GMRES then returns.
     """
     m, beta = _KRYLOV_BUDGET, np.linalg.norm(b)
     Q = np.empty((m + 1, len(b)))  # the Krylov basis
@@ -418,8 +377,8 @@ def _gmres(A, precondition, b, norm_A):
                                    + beta)
         if abs(g[j + 1]) <= bound:
             x = precondition(dtrsv(R[:j + 1, :j + 1], g[:j + 1]) @ Q[:j + 1])
-            if np.linalg.norm(b - A(x)) <= _KRYLOV_TOL * (
-                    norm_A * np.linalg.norm(x) + beta):
+            if np.linalg.norm(b - A(x)) <= min(bound, _KRYLOV_TOL * (
+                    norm_A * np.linalg.norm(x) + beta)):
                 return x, j + 1
             break
         if norm_w == 0.0:

@@ -132,8 +132,8 @@ def test1_problem(h_mesh=0.05, max_iter=200, rho=0.8, snapshot_every=25):
     initial = compose_disks(TEST1_CENTERS, TEST1_RADII, signed_distance=True)
     opt = OptConfig(rho=rho, max_iter=max_iter, snapshot_every=snapshot_every,
                     plateau_tol=0.0)
-    return DescentPreset(flow_cell_spec(h_mesh), config, initial,
-                         DISSIPATED_ENERGY, opt)
+    return DescentPreset(flow_cell_spec(h_mesh, obstacles=()), config,
+                         initial, DISSIPATED_ENERGY, opt)
 
 
 def test2_target_level():
@@ -154,5 +154,5 @@ def test2_problem(h_mesh=0.05, max_iter=500, rho=0.02, snapshot_every=100):
     initial = compose_disks(TEST2_CENTERS, TEST2_RADII, signed_distance=True)
     opt = OptConfig(rho=rho, max_iter=max_iter, snapshot_every=snapshot_every,
                     plateau_tol=0.0)
-    return DescentPreset(flow_cell_spec(h_mesh), config, initial,
-                         TRACKING, opt, make_target=_test2_target)
+    return DescentPreset(flow_cell_spec(h_mesh, obstacles=()), config,
+                         initial, TRACKING, opt, make_target=_test2_target)

@@ -103,8 +103,13 @@ def test_preset_sections_round_trip_to_presets(command, name):
     # nu, eps, divergence form, the traction callable and every other field
     assert vars(rc.assembly) == vars(want.config)
     assert rc.conforming == (command == "solve-reference")
+    # the preset's obstacles; with none, a body-fitted command meshes the
+    # level shapes, which the level function below checks
+    obstacles = want.domain_spec.obstacles
+    if command == "solve-reference" and not obstacles:
+        obstacles = rc.level_shapes
+    assert rc.domain_spec.obstacles == obstacles
     if name == "sec31":
-        assert rc.domain_spec.obstacles == want.domain_spec.obstacles
         level = presets.sec31_level()
     else:
         level = want.initial_level
@@ -195,6 +200,8 @@ _RULES = [
      "[mesh] conforming"),
     ("solve-penalized", {("level", "shapes"): "ellipse 0 0 1"},
      "[level] shapes"),
+    ("solve-penalized", {("level", "shapes"): "disk 0.5 0.5 -0.1"},
+     "[level] shapes"),
     ("solve-penalized", {("level", "signed_distance"): "2"},
      "[level] signed_distance"),
     ("solve-reference", {("mesh", "obstacles"): None,
@@ -224,6 +231,9 @@ _RULES = [
     ("optimize", {("cost", "kind"): "lift"}, "[cost] kind"),
     ("optimize", {("cost", "kind"): "tracking"}, "[cost] target_shapes"),
     ("optimize", {("cost", "target_shapes"): "ring 0 0 1"},
+     "[cost] target_shapes"),
+    ("optimize", {("cost", "kind"): "tracking",
+                  ("cost", "target_shapes"): "disk 0.5 0.5 -0.1"},
      "[cost] target_shapes"),
     ("optimize", {("descent", "rho"): None}, "[descent] rho"),
     ("optimize", {("descent", "rho"): "-1"}, "[descent] rho"),
@@ -447,6 +457,21 @@ values = 0.5 0.25
     assert "slope" in svg
     ok, mismatches = verify_manifest(out)
     assert ok, mismatches
+
+
+def test_error_study_meshes_the_level_shapes_without_obstacles(tmp_path,
+                                                              capsys):
+    # BOX_FLOW has [level] shapes and no [mesh] obstacles, as solve-reference
+    # accepts it
+    cfg = _write(tmp_path, "run.ini", BOX_FLOW + "[study]\nvalues = 0.5 0.25\n")
+    out = tmp_path / "out"
+    assert main(["error-study", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "records.csv").read_text().splitlines()) == 3
+    # with neither, the message names the missing key
+    cfg = _write(tmp_path, "none.ini", BOX_FLOW.replace(
+        "shapes = disk 0.5 0.5 0.2", "") + "[study]\nvalues = 0.5 0.25\n")
+    assert main(["error-study", "--config", cfg, "--out", str(out)]) == 2
+    assert "[mesh] obstacles" in capsys.readouterr().err
 
 
 def test_optimize_writes_history_and_snapshots(tmp_path):

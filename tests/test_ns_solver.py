@@ -175,13 +175,14 @@ def _saddle_matrix(sysm, Y):
 
 
 def _schur_complement(sysm, K):
-    """Kr[:, r] - Kr[:, b] Kbb^-1 Kbr for the bubble DOFs b of K.
+    """Kr[:, r] - Kr[:, b] Kbb^-1 Kbr for the bubble DOFs b of K and the
+    others r in the condensed pattern's order.
 
     Kbb couples the x and y bubble of each triangle only, offset T.
     """
     T, V, N1 = sysm.layout.T, sysm.layout.V, sysm.layout.N1
     b = np.concatenate([V + np.arange(T), N1 + V + np.arange(T)])
-    r = np.setdiff1d(np.arange(K.shape[0]), b)
+    r = sysm._pattern.order
     Kb, Kr = K[b], K[r]
     Kbb = Kb[:, b]
     xx, yy = np.split(Kbb.diagonal(), 2)
@@ -251,13 +252,11 @@ def test_condensed_solve_matches_full_spsolve(case, sec31_newton,
     rhs = rng.standard_normal(K.shape[0])
     # small eps makes K ill-conditioned; elsewhere compare forward too
     want = None if case.startswith("eps=") else spla.spsolve(K, rhs)
-    sysm.layout._patterns.clear()
-    # the first solve factors and orders the pattern, the second reuses that
-    # order and solves by GMRES on the kept factor
-    for ordered in (False, True):
-        assert sysm._pattern.ordered is ordered
+    # the first solve factors, the second solves by GMRES on that factor
+    sysm._factor = None
+    for krylov in (False, True):
         got = sysm.solve(sysm.element_blocks(Y), rhs)
-        assert (sysm.krylov[-1] > 0) is ordered
+        assert (sysm.krylov[-1] > 0) is krylov
         # normwise backward error, which does not grow with cond(K)
         scale = abs(K).sum(axis=1).max() * np.abs(got).max() \
             + np.abs(rhs).max()
@@ -273,11 +272,7 @@ def test_condensed_matrix_matches_schur_complement(case, sec31_newton,
                                                    square_disk_conforming):
     sysm, Y = _case_system(case, sec31_newton, flow_cell_coarse_layout,
                            square_disk_conforming)
-    # every case system has solved on its layout, so the pattern is ordered:
-    # the condensed matrix has row and column order[k] at k
-    order = sysm._pattern.order
-    assert sysm._pattern.ordered
-    want = _schur_complement(sysm, _saddle_matrix(sysm, Y))[order][:, order]
+    want = _schur_complement(sysm, _saddle_matrix(sysm, Y))
     got = sysm.condense(sysm.element_blocks(Y))[0]
     assert got.shape == want.shape
     assert abs(got - want).max() <= 1e-12 * abs(want).max()
@@ -334,12 +329,15 @@ def test_newton_report_records_factor_fill(sec31_newton):
     assert report.krylov[0] == 0
     # L+U nonzeros of the condensed complement's factor, as when each solve
     # factored
-    assert report.fill == [303_874]
+    assert report.fill == [335_591]
 
 
 def test_pattern_is_ordered_once(flow_cell_coarse, monkeypatch):
     lay = build_spaces(flow_cell_coarse)  # a layout with no pattern yet
     g = LevelField.interpolate(lay.mesh, sec31_level())
+    pat = _System(lay, sec31_assembly(), g)._pattern
+    built = {k: v.copy() for k, v in vars(pat).items()
+             if isinstance(v, np.ndarray)}
     specs, factor = [], spla.splu
 
     def splu(A, permc_spec=None, **kwargs):
@@ -350,11 +348,54 @@ def test_pattern_is_ordered_once(flow_cell_coarse, monkeypatch):
     for _ in range(2):
         _, report = solve_navier_stokes(lay, sec31_assembly(), g,
                                         raise_on_failure=True)
-        # one factor per Newton solve, with the fill of a fresh
-        # minimum-degree order
-        assert report.fill == [303_874]
+        # one factor per Newton solve, in the pattern's own order
+        assert report.fill == [335_591]
         assert len(report.krylov) == report.iterations + 1
-    assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert specs == ["NATURAL", "NATURAL"]
+    # the solves use the pattern as it was built and never change it
+    assert list(lay._patterns.values()) == [pat]
+    for k, v in built.items():
+        assert np.array_equal(getattr(pat, k), v), k
+
+
+def test_pattern_order_is_a_nested_dissection_of_the_mesh(
+        square_disk_conforming):
+    _, fluid = square_disk_conforming
+    lay = build_spaces(fluid)
+    sysm = _System(lay, AssemblyConfig(nu=1.0, eps=0.0), None,
+                   flux_labels=("Obstacle1",))
+    pat, V, N1 = sysm._pattern, lay.V, lay.N1
+    order = pat.order
+    # a permutation of the saddle vector's DOFs without the bubbles
+    keep = np.setdiff1d(np.arange(2 * N1 + lay.N2 + 1),
+                        np.r_[V:N1, N1 + V:2 * N1])
+    assert np.array_equal(np.sort(order), keep)
+    # u_x, u_y and p of each vertex adjacent, the multiplier last
+    verts = order[:3 * V:3]
+    assert np.array_equal(order[:3 * V].reshape(V, 3),
+                          verts[:, None] + [0, N1, 2 * N1])
+    assert order[-1] == 2 * N1 + V
+    # the same order for a second build of the same mesh
+    again = ns_solver._Pattern(lay, sysm.fixed_rows, sysm.flux_rows)
+    assert np.array_equal(again.order, order)
+    assert np.array_equal(again.indices, pat.indices)
+    # the first split: the upper half at the median of the longer axis,
+    # after the rest of the lower half, then the separator
+    xy = fluid.vertices
+    axis = np.ptp(xy, axis=0).argmax()
+    upper = np.lexsort((np.arange(V), xy[:, axis]))[V // 2:]
+    a, b = fluid.edges().T
+    is_upper = np.isin(np.arange(V), upper)
+    cut = is_upper[a] != is_upper[b]
+    sep = np.unique(np.where(is_upper[a[cut]], b[cut], a[cut]))
+    s = len(sep)
+    assert 0 < s < V // 4
+    assert np.array_equal(np.sort(verts[-s:]), sep)
+    assert np.array_equal(np.sort(verts[V // 2 - s:V - s]), np.sort(upper))
+    # without the separator, no mesh edge joins the two halves
+    half = np.full(V, -1)
+    half[verts[:V // 2 - s]], half[upper] = 0, 1
+    assert not np.any((half[a] >= 0) & (half[b] >= 0) & (half[a] != half[b]))
 
 
 def test_equilibrated_reference_factor_keeps_fill_low():
