@@ -15,7 +15,7 @@ from .errors import (ConfigurationError, DegenerateInputError,
                      SolverError, UnknownLabelError)
 from .mesh import (DomainSpec, Mesh, boundary_flux, extract_submesh,
                    generate_mesh, mesh_from_text, mesh_to_text,
-                   polygon_signed_distance, read_mesh, write_mesh)
+                   polygon_signed_distance)
 from .levelset import (AdmissibilityReport, LevelField, SHIFTED,
                        STANDARD, SmoothingParams, check_admissibility,
                        compose_disks, compose_ellipses,
@@ -23,8 +23,7 @@ from .levelset import (AdmissibilityReport, LevelField, SHIFTED,
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
                   SpaceLayout, assemble_bilinear, assemble_load,
                   assemble_trilinear, build_spaces, compute_norm,
-                  evaluate_coefficients, matrix_to_coordinate_text,
-                  triangle_rule)
+                  evaluate_coefficients, triangle_rule)
 from .ns_solver import (MixedState, NewtonReport, residual_max_norm,
                         solve_navier_stokes,
                         solve_reference_flux_constrained, solve_stokes)

@@ -77,7 +77,9 @@ class SpaceLayout:
     N1 scalar-velocity DOFs (vertices + bubbles), N2 pressure DOFs and N3
     level DOFs (vertices each); M = 2*N1 + N2 and N = M + N3.  The Dirichlet
     set holds both velocity components of every vertex on the clamped
-    boundary labels.
+    boundary labels.  pin_pressure is true when every boundary edge is
+    clamped: the pressure is then fixed only up to a constant, and the
+    solvers pin its first DOF.
     """
 
     def __init__(self, mesh, dirichlet_labels=("Gamma2", "Gamma3", "Gamma4")):
@@ -91,6 +93,7 @@ class SpaceLayout:
         self.N = self.M + self.N3
         self.dirichlet_labels = tuple(dirichlet_labels)
         present = set(mesh.boundary_labels)
+        self.pin_pressure = present <= set(self.dirichlet_labels)
         wanted = [s for s in self.dirichlet_labels if s in present]
         verts = mesh.vertices_on(wanted) if wanted else np.empty(0, dtype=np.int64)
         self.dirichlet_vertices = verts
@@ -103,8 +106,8 @@ class SpaceLayout:
         self._geom = {}
         self._patterns = {}  # condensed saddle patterns, filled by ns_solver
 
-    # geometry and basis caches, keyed by quadrature order
-    def geometry(self, order):
+    # geometry and basis caches, keyed by quadrature order; assembly uses 5
+    def geometry(self, order=5):
         key = 5 if order <= 5 else 7
         if key in self._geom:
             return self._geom[key]
@@ -158,26 +161,23 @@ class AssemblyConfig:
         nu: viscosity, positive.
         eps: penalization parameter, nonnegative.
         smoothing: SmoothingParams giving the coefficient smoothing width.
-        quadrature_order: must be at least 5 to integrate bubble terms.
         divergence_form: "penalized" (level-weighted) or "plain" (whole domain).
         traction: callable x -> (..., 2) traction on the Neumann side, or None.
         traction_label: boundary label carrying the traction.
         body_force: callable x -> (..., 2), or None.
-        uniform_smoothing: use the shifted Heaviside in the viscous term too.
-        pin_pressure: fix the first pressure DOF (all-Dirichlet runs only).
+
+    Every form is integrated by the degree-5 rule, the lowest that is exact
+    for the bubble terms.  Whether a pressure DOF is pinned follows from the
+    layout (SpaceLayout.pin_pressure), not from the config.
     """
 
-    def __init__(self, nu=1.0, eps=0.025, smoothing=None, quadrature_order=5,
+    def __init__(self, nu=1.0, eps=0.025, smoothing=None,
                  divergence_form=PENALIZED_B, traction=None,
-                 traction_label="Gamma1", body_force=None,
-                 uniform_smoothing=False, pin_pressure=False):
+                 traction_label="Gamma1", body_force=None):
         if nu <= 0:
             raise ConfigurationError("viscosity must be positive")
         if eps < 0:
             raise ConfigurationError("penalization parameter must be nonnegative")
-        if quadrature_order < 5:
-            raise ConfigurationError(
-                "quadrature order below 5 cannot integrate bubble terms")
         if divergence_form not in (PENALIZED_B, PLAIN_B):
             raise ConfigurationError(f"unknown divergence form {divergence_form!r}")
         if smoothing is not None and not isinstance(smoothing, SmoothingParams):
@@ -185,13 +185,10 @@ class AssemblyConfig:
         self.nu = float(nu)
         self.eps = float(eps)
         self.smoothing = smoothing
-        self.quadrature_order = int(quadrature_order)
         self.divergence_form = divergence_form
         self.traction = traction
         self.traction_label = traction_label
         self.body_force = body_force
-        self.uniform_smoothing = bool(uniform_smoothing)
-        self.pin_pressure = bool(pin_pressure)
 
     def replace(self, **changes):
         """Validated copy with the given fields changed."""
@@ -238,7 +235,7 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
     derivatives), the string "exact-region" (sharp indicators from the mesh
     region tags), or None (no obstacle anywhere).
     """
-    geom = layout.geometry(config.quadrature_order)
+    geom = layout.geometry()
     T, nq = layout.T, len(geom["weights"])
 
     if g is None:
@@ -260,8 +257,6 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
         gq = g.nodal_values[layout.mesh.triangles] @ geom["lam"].T
         H, dH = smoothed_heaviside(gq, smoothing.with_kind(STANDARD))
         Ht, dHt = smoothed_heaviside(gq, smoothing.with_kind(SHIFTED))
-        if config.uniform_smoothing:
-            H, dH = Ht, dHt
     else:
         raise ConfigurationError("g must be a LevelField, 'exact-region', or None")
 
@@ -301,8 +296,7 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     """
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
-    kloc, bloc = _stokes_blocks(layout.geometry(config.quadrature_order),
-                                coeffs)
+    kloc, bloc = _stokes_blocks(layout.geometry(), coeffs)
     dofs, N1 = layout.cell_dofs, layout.N1
     a_scalar = _scatter(kloc, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     A = sp.kron(sp.eye(2, format="csr"), a_scalar, format="csr")
@@ -359,7 +353,7 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
     dofs, N1 = layout.cell_dofs, layout.N1
-    geom = layout.geometry(config.quadrature_order)
+    geom = layout.geometry()
     quad = _velocity_at_quad(geom["vals"], geom["grad_rows"],
                              layout.component_dofs, Y)
     c1, c2 = _convection_blocks(geom, coeffs, *quad)
@@ -440,7 +434,7 @@ def _flow_rows(layout: SpaceLayout, geom, coeffs: CoeffData, flow, fq, load):
 def _body_force_at_quad(layout: SpaceLayout, config: AssemblyConfig):
     """The body force (2, T, nq) at the quadrature points, or None."""
     if config.body_force is not None:
-        fq = config.body_force(layout.geometry(config.quadrature_order)["xq"])
+        fq = config.body_force(layout.geometry()["xq"])
         return np.ascontiguousarray(np.moveaxis(fq, -1, 0), dtype=float)
 
 
@@ -457,8 +451,7 @@ def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
     if fq is not None:
         if coeffs is None:
             coeffs = evaluate_coefficients(layout, config, g)
-        F += _velocity_rows(layout, layout.geometry(config.quadrature_order),
-                            val=coeffs.loadc * fq)
+        F += _velocity_rows(layout, layout.geometry(), val=coeffs.loadc * fq)
     if config.traction is not None:
         edges = mesh.edges_with_label(config.traction_label)
         pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
@@ -542,11 +535,3 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
     if kind in ("H1seminorm", "H1"):
         h1sq = float(np.sum(wa * gq ** 2))
     return np.sqrt(l2sq + h1sq)
-
-
-def matrix_to_coordinate_text(matrix) -> str:
-    """Serialize a sparse matrix as 'row col value' lines (0-based)."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}" for k in order]
-    return "\n".join(lines) + "\n"

@@ -839,13 +839,3 @@ def mesh_from_text(text: str) -> Mesh:
         raise MeshInvariantError(f"malformed mesh text: {exc}") from exc
     region = None if all(r == "-" for r in regions) else regions
     return Mesh(verts, np.array(tris), np.array(edges), labels, region)
-
-
-def write_mesh(mesh: Mesh, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(mesh_to_text(mesh))
-
-
-def read_mesh(path) -> Mesh:
-    with open(path, "r", encoding="ascii") as fh:
-        return mesh_from_text(fh.read())

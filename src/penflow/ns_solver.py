@@ -190,16 +190,16 @@ class _System:
         self.config = config
         self.g = g
         self.coeffs = evaluate_coefficients(layout, config, g)
-        self.geom = layout.geometry(config.quadrature_order)
+        self.geom = layout.geometry()
         self.F = assemble_load(layout, config, g, self.coeffs)
         self.flux_labels = tuple(flux_labels)
         self.flux_rows = np.reshape(
             [flux_row_vector(layout, lab) for lab in flux_labels],
             (-1, 2 * layout.N1))
         self.n_flux = len(self.flux_rows)
-        # rows replaced by identity: Dirichlet velocities, plus one pressure
-        # DOF when nothing else fixes the pressure level
-        pin = [2 * layout.N1] if config.pin_pressure else []
+        # rows replaced by identity: Dirichlet velocities, plus the first
+        # pressure DOF when layout.pin_pressure (every boundary edge clamped)
+        pin = [2 * layout.N1] if layout.pin_pressure else []
         self.fixed_rows = np.concatenate(
             [layout.dirichlet_dofs, np.array(pin, dtype=np.int64)])
         self.fill = []  # L+U nonzeros of each factor
@@ -248,8 +248,8 @@ class _System:
 
     @property
     def _pattern(self):
-        """The layout's condensed pattern for this pin and these fluxes."""
-        key = self.config.pin_pressure, self.flux_labels
+        """The layout's condensed pattern for these fluxes."""
+        key = self.flux_labels
         if key not in self.layout._patterns:
             self.layout._patterns[key] = _Pattern(self.layout, self.fixed_rows,
                                                   self.flux_rows)

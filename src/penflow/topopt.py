@@ -85,32 +85,30 @@ class OptConfig:
 
     The initial step is auto-scaled by the sup-norm of the first projected
     gradient; the plateau rule stops after plateau_steps consecutive
-    iterations with a relative J_rho change below plateau_tol.
+    iterations with a relative J_rho change below plateau_tol.  The line
+    search is fixed: a trial step is accepted when J_rho falls by at least
+    armijo_c times the step times the squared gradient norm, it shrinks by
+    armijo_factor at most max_backtracks times, and an accepted step that
+    needed no backtracking grows by step_growth for the next iteration.
     """
 
-    def __init__(self, rho, initial_step=1.0, armijo_factor=0.5, armijo_c=1e-4,
-                 max_backtracks=30, max_iter=200, snapshot_every=25,
-                 plateau_tol=1e-3, plateau_steps=50,
-                 freeze_boundary_level=True, step_growth=1.3):
+    armijo_c = 1e-4
+    armijo_factor = 0.5
+    max_backtracks = 30
+    step_growth = 1.3
+
+    def __init__(self, rho, initial_step=1.0, max_iter=200, snapshot_every=25,
+                 plateau_tol=1e-3, plateau_steps=50):
         if rho < 0:
             raise ConfigurationError("penalty weight must be nonnegative")
         if initial_step <= 0:
             raise ConfigurationError("initial step must be positive")
-        if not (0 < armijo_factor < 1):
-            raise ConfigurationError("backtracking factor must be in (0, 1)")
-        if not (0 < armijo_c < 1):
-            raise ConfigurationError("Armijo constant must be in (0, 1)")
         self.rho = float(rho)
         self.initial_step = float(initial_step)
-        self.armijo_factor = float(armijo_factor)
-        self.armijo_c = float(armijo_c)
-        self.max_backtracks = int(max_backtracks)
         self.max_iter = int(max_iter)
         self.snapshot_every = int(snapshot_every)
         self.plateau_tol = float(plateau_tol)
         self.plateau_steps = int(plateau_steps)
-        self.freeze_boundary_level = bool(freeze_boundary_level)
-        self.step_growth = float(step_growth)
 
 
 class IterateRecord:
@@ -167,7 +165,7 @@ class _Forms:
         self.Y = X.Y
         self.g = LevelField(X.G)
         self.coeffs = evaluate_coefficients(layout, config, self.g)
-        self.geom = layout.geometry(config.quadrature_order)
+        self.geom = layout.geometry()
         self.flow = _flow_at_quad(layout, self.geom, X.Y, X.P)
         self.uq, self.gu, self.pq, self.ugu, _ = self.flow
         self.fq = _body_force_at_quad(layout, config) if fq is None else fq
@@ -265,7 +263,7 @@ def _target_at_quad(spec: CostSpec, layout, config):
     if spec.kind == TRACKING:
         if spec.target.shape != (2 * layout.N1,):
             raise ConfigurationError("target field does not match layout")
-        geom = layout.geometry(config.quadrature_order)
+        geom = layout.geometry()
         return _velocity_at_quad(geom["vals"], geom["grad_rows"],
                                  layout.component_dofs, spec.target)[0]
 
@@ -339,12 +337,11 @@ def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
     return value, _penalized_gradient(forms, C, rho, layout)
 
 
-def _frozen_components(layout, opt):
-    frozen = [layout.dirichlet_dofs]
-    if opt.freeze_boundary_level:
-        bverts = np.unique(layout.mesh.boundary_edges.ravel())
-        frozen.append(2 * layout.N1 + layout.N2 + bverts)
-    return np.concatenate(frozen)
+def _frozen_components(layout):
+    """The clamped velocity components and the boundary vertices' levels."""
+    bverts = np.unique(layout.mesh.boundary_edges.ravel())
+    return np.concatenate([layout.dirichlet_dofs,
+                           2 * layout.N1 + layout.N2 + bverts])
 
 
 def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
@@ -368,7 +365,7 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
     X = OptVector(layout, state.Y.copy(), state.P.copy(),
                   initial_G.nodal_values.copy())
 
-    frozen = _frozen_components(layout, opt)
+    frozen = _frozen_components(layout)
     history = []
     snapshots = []
 

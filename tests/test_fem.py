@@ -7,8 +7,7 @@ from penflow import (AssemblyConfig, ConfigurationError, DomainSpec,
                      EXACT_REGION, LevelField, PENALIZED_B, PLAIN_B,
                      assemble_bilinear, assemble_load, assemble_trilinear,
                      build_spaces, compose_disks, compute_norm,
-                     evaluate_coefficients, generate_mesh,
-                     matrix_to_coordinate_text, smoothed_heaviside,
+                     evaluate_coefficients, generate_mesh, smoothed_heaviside,
                      triangle_rule)
 from penflow import fem
 
@@ -47,6 +46,18 @@ def test_space_layout_counts(unit_square_mesh):
     assert np.array_equal(lay.cell_dofs[:, 3], V + np.arange(T))
     # Dirichlet velocity components cover both components of each wall vertex
     assert lay.dirichlet_dofs.size == 2 * lay.dirichlet_vertices.size
+
+
+def test_pressure_is_pinned_only_when_every_boundary_edge_is_clamped(
+        unit_square_mesh, square_disk_conforming):
+    walls = ("Gamma1", "Gamma2", "Gamma3", "Gamma4")
+    _, fluid = square_disk_conforming
+    # the default layout leaves the Gamma1 side natural
+    assert not build_spaces(unit_square_mesh).pin_pressure
+    assert build_spaces(unit_square_mesh, walls).pin_pressure
+    # the obstacle loop of a conforming fluid mesh stays natural
+    assert "Obstacle1" in fluid.labels()
+    assert not build_spaces(fluid, walls).pin_pressure
 
 
 # ------------------------------------------------------------------
@@ -260,7 +271,7 @@ def test_exact_region_coefficients_are_sharp(square_disk_conforming):
 
 def test_smoothed_coefficients_match_pointwise_formula(small_assembly):
     mesh, lay, cfg, g, coeffs = small_assembly
-    geom = lay.geometry(cfg.quadrature_order)
+    geom = lay.geometry()
     params = cfg.smoothing_for(mesh)
     gq = np.einsum("qj,tj->tq", geom["lam"], g.nodal_values[mesh.triangles])
     H, _ = smoothed_heaviside(gq, params)
@@ -432,7 +443,7 @@ def test_load_matches_per_edge_scatter(flow_cell_coarse_layout):
 
     cfg = AssemblyConfig(traction=force, body_force=force)
     # reference: the body force per element, the traction per edge and point
-    geom = lay.geometry(cfg.quadrature_order)
+    geom = lay.geometry()
     co = evaluate_coefficients(lay, cfg, g)
     wa = geom["weights"][None, :] * geom["area"][:, None] * co.loadc
     floc = np.einsum("tq,tqc,qa->tca", wa, force(geom["xq"]), geom["vals"])
@@ -461,18 +472,3 @@ def test_assembly_config_validation():
         AssemblyConfig(eps=-1.0)
     with pytest.raises(ConfigurationError):
         AssemblyConfig(divergence_form="magic")
-    with pytest.raises(ConfigurationError):
-        AssemblyConfig(quadrature_order=3)
-
-
-def test_matrix_coordinate_text_round_trips():
-    from scipy.sparse import csr_matrix
-    mat = csr_matrix(np.array([[1.5, 0.0], [0.0, -2.0], [0.25, 0.0]]))
-    text = matrix_to_coordinate_text(mat)
-    lines = text.strip().splitlines()
-    entries = {(int(r), int(c)): float(v)
-               for r, c, v in (ln.split() for ln in lines)}
-    assert entries == {(0, 0): 1.5, (1, 1): -2.0, (2, 0): 0.25}
-    # entries come out sorted by row, then column
-    assert lines == sorted(lines, key=lambda ln: (int(ln.split()[0]),
-                                                  int(ln.split()[1])))

@@ -133,7 +133,7 @@ def test_driven_cavity_with_pinned_pressure():
         out[..., 0] = np.where(x[..., 1] > 1.0 - 1e-12, 1.0, 0.0)
         return out
 
-    cfg = AssemblyConfig(nu=1.0, eps=0.0, pin_pressure=True)
+    cfg = AssemblyConfig(nu=1.0, eps=0.0)
     state, report = solve_navier_stokes(lay, cfg, None, dirichlet=lid,
                                         raise_on_failure=True)
     assert report.converged
@@ -216,7 +216,7 @@ def _cavity_system():
     mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2))
     lay = build_spaces(mesh, dirichlet_labels=("Gamma1", "Gamma2", "Gamma3",
                                                "Gamma4"))
-    cfg = AssemblyConfig(nu=1.0, eps=0.0, pin_pressure=True)
+    cfg = AssemblyConfig(nu=1.0, eps=0.0)
     sysm = _System(lay, cfg, None)
     return sysm, solve_navier_stokes(lay, cfg, None, dirichlet=_lid)[0].Y
 
