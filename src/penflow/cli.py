@@ -522,6 +522,7 @@ def _serialize_newton_report(report):
         "message": report.message,
         "fill": list(map(int, report.fill)),
         "krylov": list(map(int, report.krylov)),
+        "steps": list(map(float, report.steps)),
     }, indent=2)
 
 

@@ -314,7 +314,8 @@ def test_unknown_traction_label_exits_2(tmp_path, capsys):
 def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
                                             monkeypatch, capsys):
     report = NewtonReport(False, 7, [1.0, 3.5], "diverged",
-                          fill=[300_396, 303_874], krylov=[0, 13, 0, 12])
+                          fill=[300_396, 303_874], krylov=[0, 13, 0, 12],
+                          steps=[0.25, 1.0])
 
     def explode(*args, **kwargs):
         raise NonconvergenceError("no convergence", report)
@@ -334,6 +335,7 @@ def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
     assert blob["residual_norms"] == [1.0, 3.5]
     assert blob["fill"] == [300_396, 303_874]
     assert blob["krylov"] == [0, 13, 0, 12]
+    assert blob["steps"] == [0.25, 1.0]
 
 
 # outcome of each failure class: (exit code, text on stderr)

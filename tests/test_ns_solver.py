@@ -455,9 +455,10 @@ def _newton_system(case, layout, square_disk_conforming):
 def test_krylov_newton_matches_factoring_every_step(
         case, flow_cell_coarse_layout, square_disk_conforming, monkeypatch):
     runs, full = {}, ns_solver._KRYLOV_BUDGET
-    # a budget of 0 factors every linear solve; 2 is too small to converge,
-    # so every solve falls back to a factor
-    for budget in (full, 0, 2):
+    # a budget of 0 factors every linear solve; 1 is too small to converge,
+    # even at the looser bound of a late Newton step, so every solve falls
+    # back to a factor
+    for budget in (full, 0, 1):
         monkeypatch.setattr(ns_solver, "_KRYLOV_BUDGET", budget)
         sysm, dirichlet = _newton_system(case, flow_cell_coarse_layout,
                                          square_disk_conforming)
@@ -475,8 +476,72 @@ def test_krylov_newton_matches_factoring_every_step(
                                if k == 0]
         assert np.abs(x - x0).max() <= 1e-12 * np.abs(x0).max()
     # one factor per Newton solve, unless the budget forbids GMRES
-    assert len(runs[2][1].fill) == factored.iterations + 1
+    assert len(runs[1][1].fill) == factored.iterations + 1
     assert len(runs[full][1].fill) == 1
+
+
+@pytest.mark.parametrize("case", ["sec31", "eps=1e-6"])
+def test_only_the_late_newton_steps_are_loosened(case, flow_cell_coarse_layout,
+                                                 monkeypatch):
+    runs = {}
+    for budget in (ns_solver._KRYLOV_BUDGET, 0):  # 0 factors every step
+        monkeypatch.setattr(ns_solver, "_KRYLOV_BUDGET", budget)
+        sysm, _ = _newton_system(case, flow_cell_coarse_layout, None)
+        runs[budget] = ns_solver._newton(sysm, None, None, None, 20)[2]
+    report, factored = runs.values()
+    assert report.converged and factored.converged
+    assert report.iterations == factored.iterations >= 3
+    # the first step solves to the full bound; the forcing term loosens the
+    # last, whose residual is closest to the tolerance
+    assert report.krylov[0] == 0
+    assert report.krylov[-1] < report.krylov[1]
+    assert report.steps == [1.0] * report.iterations
+
+
+def test_gmres_meets_the_bound_it_is_given(monkeypatch):
+    # a small well-conditioned sparse system, preconditioned by the factor
+    # of a nearby one, as GMRES on a kept factor sees it
+    rng = np.random.default_rng(3)
+    A0 = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(200, 200),
+                  format="csc")
+    E = sp.random(200, 200, density=0.02, random_state=rng, format="csc")
+    A = (A0 + 0.3 * E).tocsr()
+    precondition = spla.splu(A0).solve
+    b = rng.standard_normal(200)
+    norm_A = np.linalg.norm(A.toarray(), 2)
+    its = []
+    for tol in (1e-15, 1e-12, 1e-8, 1e-4):
+        x, k = ns_solver._gmres(lambda v: A @ v, precondition, b, norm_A, tol)
+        assert x is not None
+        res = np.linalg.norm(b - A @ x)
+        assert res <= tol * (norm_A * np.linalg.norm(x) + np.linalg.norm(b))
+        its.append(k)
+    # a looser bound never takes more iterations
+    assert its == sorted(its, reverse=True)
+    assert its[1] < its[0] and its[-1] < its[1]
+    # an exhausted budget returns no solution
+    monkeypatch.setattr(ns_solver, "_KRYLOV_BUDGET", its[0] - 1)
+    x, k = ns_solver._gmres(lambda v: A @ v, precondition, b, norm_A, 1e-15)
+    assert x is None and k == its[0] - 1
+
+
+def test_gmres_goes_on_when_its_solution_misses_the_bound():
+    # a nonnormal system whose second iterate is shorter than the first: at
+    # this bound, the second iterate's residual meets the bound taken with
+    # the first iterate's norm but not the one taken with its own
+    A = np.array([[1.0, -1.0, 3.0], [-1.0, 4.0, -1.0], [1.0, -1.0, 1.0]])
+    b = np.array([1.0, 0.0, 0.0])
+    norm_A = np.linalg.norm(A, 2)
+    x1 = (b @ A @ b) / np.sum((A @ b) ** 2) * b
+    Q = np.linalg.qr(np.column_stack([b, A @ b]))[0]
+    x2 = Q @ np.linalg.lstsq(A @ Q, b, rcond=None)[0]
+    r2 = np.linalg.norm(b - A @ x2)
+    tol = 1.005 * r2 / (norm_A * np.linalg.norm(x1) + 1.0)
+    assert np.linalg.norm(b - A @ x1) > 1.01 * r2
+    assert r2 > 1.5 * tol * (norm_A * np.linalg.norm(x2) + 1.0)
+    x, k = ns_solver._gmres(lambda v: A @ v, lambda r: r, b, norm_A, tol)
+    assert k == 3
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("case", ["sec31-jacobian", "pinned-cavity",
