@@ -70,7 +70,7 @@ class SweepBase:
     """
 
     def __init__(self, domain_spec: DomainSpec, config: AssemblyConfig,
-                 dirichlet=None, coefficient_mode=EXACT_REGION):
+                 coefficient_mode=EXACT_REGION):
         if not domain_spec.obstacles:
             raise ConfigurationError("sweep setup needs at least one obstacle")
         if coefficient_mode not in (EXACT_REGION, "smoothed"):
@@ -78,7 +78,6 @@ class SweepBase:
                 f"unknown coefficient mode {coefficient_mode!r}")
         self.domain_spec = domain_spec
         self.config = config
-        self.dirichlet = dirichlet
         self.coefficient_mode = coefficient_mode
 
 
@@ -105,8 +104,7 @@ class _MeshReference:
     def __init__(self, mesh, base):
         self.mesh, self.sub = mesh, extract_submesh(mesh, FLUID)
         self.ref, _, self.report = solve_reference_flux_constrained(
-            self.sub, base.config.replace(eps=0.0), dirichlet=base.dirichlet,
-            raise_on_failure=True)
+            self.sub, base.config.replace(eps=0.0), raise_on_failure=True)
         ref = self.ref
         self.norms = [compute_norm(self.sub, v, kind=k) for v, k in (
             (ref.Y, "L2"), (ref.Y, "H1seminorm"), (ref.P, "L2"))]
@@ -118,8 +116,7 @@ class _MeshReference:
 
 def _one_point(mr: _MeshReference, base, eps):
     state, report = solve_navier_stokes(
-        mr.layout, base.config.replace(eps=eps), mr.g,
-        dirichlet=base.dirichlet, raise_on_failure=True)
+        mr.layout, base.config.replace(eps=eps), mr.g, raise_on_failure=True)
     sub, ref, (ref_l2, ref_h1, ref_p) = mr.sub, mr.ref, mr.norms
     Ys, Ps = restrict_state(mr.layout, sub, state.Y, state.P)
     dY = Ys - ref.Y

@@ -11,6 +11,12 @@ Quadrature-point data is component major and C-contiguous too: scalars
 d x_d, so that coefficient products and component sums run over whole
 (T, nq) blocks.  Only _velocity_at_quad and _velocity_rows meet the element
 products, and each transposes once there.
+
+Element geometry lives in one place: _geometry computes it once per mesh
+and quadrature rule and keeps it in the mesh's cache, so every layout of a
+mesh and compute_norm share it.  The kernels take the layout and read the
+geometry from it (SpaceLayout.geometry); a norm over a region reads the
+region's rows.
 """
 
 import functools
@@ -103,37 +109,30 @@ class SpaceLayout:
             [mesh.triangles, self.V + np.arange(self.T)]).astype(np.int64)
         # (T, a, c): the global DOF of velocity component c at local basis a
         self.component_dofs = self.cell_dofs[..., None] + np.array([0, self.N1])
-        self._geom = {}
         self._patterns = {}  # condensed saddle patterns, filled by ns_solver
 
-    # geometry and basis caches, keyed by quadrature order; assembly uses 5
     def geometry(self, order=5):
-        key = 5 if order <= 5 else 7
-        if key in self._geom:
-            return self._geom[key]
-        mesh = self.mesh
-        lam, wts = triangle_rule(key)
-        p = mesh.vertices[mesh.triangles]
-        area, gl, vals, grads, rows = _element_geometry(p, lam)
-        xq = np.einsum("qk,tkd->tqd", lam, p)  # physical quadrature points
-        geom = {
-            "lam": lam, "weights": wts, "area": area, "hat_grads": gl,
-            "vals": vals, "grads": grads, "grad_rows": rows, "xq": xq,
-            "wa": wts[None, :] * area[:, None],  # (T, nq) integration weights
-        }
-        self._geom[key] = geom
-        return geom
+        """The mesh's element geometry for the rule of order (5 for every
+        form, 7 for the norms), the dict that _geometry keeps on the mesh."""
+        return _geometry(self.mesh, order)
 
 
-def _element_geometry(p, lam):
-    """Per-triangle data of the P1+bubble element at barycentric points lam.
+def _geometry(mesh, order=5):
+    """The P1+bubble element geometry of mesh for the degree-5 rule (order
+    <= 5) or the conical one, computed once and kept in mesh._cache: the
+    rule (lam, weights), area (T,), hat_grads (T, 3, 2), basis vals (nq, 4)
+    and grads (T, nq, 4, 2), the bubble fourth, their grad_rows
+    (T, nq * 2, 4) d_d N_a, the points xq (T, nq, 2) and weights wa (T, nq)."""
+    key = ("geometry", 5 if order <= 5 else 7)
+    if key not in mesh._cache:
+        mesh._cache[key] = _element_geometry(mesh, key[1])
+    return mesh._cache[key]
 
-    p holds the (T, 3, 2) triangle corners.  Returns the areas (T,), hat
-    gradients (T, 3, 2), basis values (nq, 4), basis gradients (T, nq, 4, 2)
-    and the (T, nq * 2, 4) rows d_d N_a; the bubble is the fourth function.
-    """
+
+def _element_geometry(mesh, order):
+    lam, wts = triangle_rule(order)
+    p = mesh.vertices[mesh.triangles]
     det, gl = hat_gradients(p)
-
     nq = len(lam)
     vals = np.empty((nq, 4))
     vals[:, :3] = lam
@@ -144,8 +143,12 @@ def _element_geometry(p, lam):
     grads = np.empty((len(p), nq, 4, 2))
     grads[:, :, :3, :] = gl[:, None, :, :]
     grads[:, :, 3, :] = 27.0 * np.einsum("qk,tkd->tqd", fac, gl)
-    rows = grads.transpose(0, 1, 3, 2).reshape(len(p), -1, 4)
-    return 0.5 * det, gl, vals, grads, rows
+    area = 0.5 * det
+    return {"lam": lam, "weights": wts, "area": area, "hat_grads": gl,
+            "vals": vals, "grads": grads,
+            "grad_rows": grads.transpose(0, 1, 3, 2).reshape(len(p), -1, 4),
+            "xq": np.einsum("qk,tkd->tqd", lam, p),
+            "wa": wts[None, :] * area[:, None]}
 
 
 def build_spaces(mesh, dirichlet_labels=("Gamma2", "Gamma3", "Gamma4")) -> SpaceLayout:
@@ -271,12 +274,13 @@ def _scatter(data, rows, cols, shape):
     return m.tocsr()
 
 
-def _stokes_blocks(geom, coeffs: CoeffData):
+def _stokes_blocks(layout: SpaceLayout, coeffs: CoeffData):
     """Element blocks of assemble_bilinear, by batched products.
 
     Viscous plus mass block (T, a, b) of either velocity component, and the
     divergence rows -int divc (d_c N_a) lam_p as (T, p, c, a).
     """
+    geom = layout.geometry()
     wa, vals, rows = geom["wa"], geom["vals"], geom["grad_rows"]
     k = np.swapaxes(rows * np.repeat(wa * coeffs.visc, 2, axis=1)[..., None],
                     1, 2) @ rows
@@ -296,7 +300,7 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     """
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
-    kloc, bloc = _stokes_blocks(layout.geometry(), coeffs)
+    kloc, bloc = _stokes_blocks(layout, coeffs)
     dofs, N1 = layout.cell_dofs, layout.N1
     a_scalar = _scatter(kloc, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     A = sp.kron(sp.eye(2, format="csr"), a_scalar, format="csr")
@@ -306,24 +310,27 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     return A, B
 
 
-def _velocity_at_quad(vals, grad_rows, dofs, Y):
+def _velocity_at_quad(geom, dofs, Y):
     """Values (2, T, nq) and gradients (2, 2, T, nq), [d, c] = d u_c / d x_d,
-    of Y on the triangles of dofs, (T, a, c) like SpaceLayout.component_dofs:
-    each one product with the local values (T, a, c), then one contiguous
-    transpose (twice faster than interpolating component major directly)."""
+    of Y at geom's points on the triangles of dofs, (T, a, c) like
+    SpaceLayout.component_dofs: each one product with the local values
+    (T, a, c), then one contiguous transpose (twice faster than
+    interpolating component major directly)."""
     yl = Y[dofs]
-    return (np.ascontiguousarray((vals @ yl).transpose(2, 0, 1)),
-            np.ascontiguousarray((grad_rows @ yl).reshape(
+    return (np.ascontiguousarray((geom["vals"] @ yl).transpose(2, 0, 1)),
+            np.ascontiguousarray((geom["grad_rows"] @ yl).reshape(
                 len(yl), -1, 2, 2).transpose(2, 3, 0, 1)))
 
 
-def _convection_blocks(geom, coeffs: CoeffData, uq, gu):
+def _convection_blocks(layout: SpaceLayout, coeffs: CoeffData, uq, gu):
     """Element blocks of assemble_trilinear at the velocity with values uq
-    and gradients gu at geom's points, as _velocity_at_quad gives them.
+    and gradients gu at the quadrature points, as _velocity_at_quad gives
+    them.
 
     C1 of either velocity component (T, a, b), a tested against b, and C2
     as (T, c, a, c', b), component c tested with basis a against c' with b.
     """
+    geom = layout.geometry()
     vals, grads = geom["vals"], geom["grads"]
     wc = geom["wa"] * coeffs.conv
     T, nq = wc.shape
@@ -353,10 +360,8 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
     dofs, N1 = layout.cell_dofs, layout.N1
-    geom = layout.geometry()
-    quad = _velocity_at_quad(geom["vals"], geom["grad_rows"],
-                             layout.component_dofs, Y)
-    c1, c2 = _convection_blocks(geom, coeffs, *quad)
+    quad = _velocity_at_quad(layout.geometry(), layout.component_dofs, Y)
+    c1, c2 = _convection_blocks(layout, coeffs, *quad)
     c1_scalar = _scatter(c1, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     C1 = sp.kron(sp.eye(2, format="csr"), c1_scalar, format="csr")
     idx = layout.component_dofs.swapaxes(1, 2)
@@ -365,34 +370,35 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
     return C1, C2
 
 
-def _flow_at_quad(layout: SpaceLayout, geom, Y, P):
-    """(uq, gu, pq, ugu, uu) at geom's points: velocity values (2, T, nq)
-    and gradients (2, 2, T, nq), the P1 pressure (T, nq), and the
+def _flow_at_quad(layout: SpaceLayout, Y, P):
+    """(uq, gu, pq, ugu, uu) at the quadrature points: velocity values
+    (2, T, nq) and gradients (2, 2, T, nq), the P1 pressure (T, nq), and the
     coefficient-free (u.grad)u (2, T, nq) and u (x) u (2, 2, T, nq)."""
-    uq, gu = _velocity_at_quad(geom["vals"], geom["grad_rows"],
-                               layout.component_dofs, Y)
+    geom = layout.geometry()
+    uq, gu = _velocity_at_quad(geom, layout.component_dofs, Y)
     pq = P[layout.mesh.triangles] @ geom["lam"].T
     return (uq, gu, pq, np.einsum("dtq,dctq->ctq", uq, gu),
             uq[:, None] * uq)
 
 
-def _velocity_rows(layout: SpaceLayout, geom, val=None, grad=None):
+def _velocity_rows(layout: SpaceLayout, val=None, grad=None):
     """sum_q wa (val_c N_a + grad_dc d_d N_a) for every velocity DOF (c, a),
     val (2, T, nq) and grad (2, 2, T, nq) component major."""
-    wa, T = geom["wa"], layout.T
+    geom, T = layout.geometry(), layout.T
     loc = 0.0  # (T, a, c), like component_dofs
     if val is not None:  # one product (c t, q) @ (q, a)
-        loc = ((wa * val).reshape(2 * T, -1) @ geom["vals"]).reshape(
+        loc = ((geom["wa"] * val).reshape(2 * T, -1) @ geom["vals"]).reshape(
             2, T, 4).transpose(1, 2, 0)
     if grad is not None:  # (T, a, qd) @ (T, qd, c), after one transpose
-        g = np.ascontiguousarray((wa * grad).transpose(2, 3, 0, 1))
+        g = np.ascontiguousarray((geom["wa"] * grad).transpose(2, 3, 0, 1))
         loc = loc + np.swapaxes(geom["grad_rows"], 1, 2) @ g.reshape(T, -1, 2)
     return np.bincount(layout.component_dofs.ravel(), np.ravel(loc),
                        minlength=2 * layout.N1)
 
 
-def _hat_rows(layout: SpaceLayout, geom, s):
+def _hat_rows(layout: SpaceLayout, s):
     """sum_q wa s lam_j for every P1 DOF j."""
+    geom = layout.geometry()
     loc = (geom["wa"] * s) @ geom["lam"]
     return np.bincount(layout.mesh.triangles.ravel(), loc.ravel(),
                        minlength=layout.V)
@@ -418,7 +424,7 @@ def _momentum_integrand(co: CoeffData, flow, fq):
     return val, grad
 
 
-def _flow_rows(layout: SpaceLayout, geom, coeffs: CoeffData, flow, fq, load):
+def _flow_rows(layout: SpaceLayout, coeffs: CoeffData, flow, fq, load):
     """(A Y + C1(Y) Y + B^T P - load, B Y) summed per element, no matrix,
     at _flow_at_quad's flow.
 
@@ -426,9 +432,8 @@ def _flow_rows(layout: SpaceLayout, geom, coeffs: CoeffData, flow, fq, load):
     to the caller.
     """
     divu = flow[1][0, 0] + flow[1][1, 1]
-    return (_velocity_rows(layout, geom,
-                           *_momentum_integrand(coeffs, flow, fq)) - load,
-            _hat_rows(layout, geom, -coeffs.divc * divu))
+    return (_velocity_rows(layout, *_momentum_integrand(coeffs, flow, fq))
+            - load, _hat_rows(layout, -coeffs.divc * divu))
 
 
 def _body_force_at_quad(layout: SpaceLayout, config: AssemblyConfig):
@@ -451,7 +456,7 @@ def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
     if fq is not None:
         if coeffs is None:
             coeffs = evaluate_coefficients(layout, config, g)
-        F += _velocity_rows(layout, layout.geometry(), val=coeffs.loadc * fq)
+        F += _velocity_rows(layout, val=coeffs.loadc * fq)
     if config.traction is not None:
         edges = mesh.edges_with_label(config.traction_label)
         pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
@@ -479,12 +484,14 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
     field: flat velocity DOF vector of length 2(V+T), a (V, 2) vertex vector
     field, or a scalar P1 vector of length V.  region: None for the whole
     mesh, a region tag string, or an array of triangle indices.  The
-    quadrature is exact for the piecewise-polynomial integrands; the
-    whole-mesh geometry is computed once per mesh.
+    quadrature, exact for the piecewise-polynomial integrands, is the mesh's
+    order-7 geometry (the one SpaceLayout.geometry(7) returns); a region
+    reads its rows.
     """
     if kind not in _NORM_KINDS:
         raise ConfigurationError(f"unknown norm kind {kind!r}")
     V, T = mesh.num_vertices, mesh.num_triangles
+    geom = _geometry(mesh, 7)
 
     if region is None:
         tri_idx = np.arange(T)
@@ -494,22 +501,16 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
         tri_idx = np.asarray(region, dtype=np.int64)
         if tri_idx.size == 0:
             raise EmptyRegionError("empty triangle subset")
+    if region is not None:  # the region's rows of the whole-mesh geometry
+        geom = {**geom, **{k: geom[k][tri_idx] for k in (
+            "area", "hat_grads", "grad_rows", "wa")}}
+    tris, wa = mesh.triangles[tri_idx], geom["wa"]
 
     arr = np.asarray(field, dtype=float)
     if arr.ndim == 2 and arr.shape == (V, 2):
         arr = np.concatenate([arr[:, 0], np.zeros(T), arr[:, 1], np.zeros(T)])
     if arr.ndim != 1:
         raise ConfigurationError("field shape not understood")
-
-    geo = mesh._cache.get("norm_geometry") if region is None else None
-    if geo is None:
-        lam, w = triangle_rule(7)
-        tris = mesh.triangles[tri_idx]
-        area, gl, vals, _, rows = _element_geometry(mesh.vertices[tris], lam)
-        geo = lam, tris, area, gl, vals, rows, w[None, :] * area[:, None]
-        if region is None:
-            mesh._cache["norm_geometry"] = geo
-    lam, tris, area, gl, vals, rows, wa = geo
     l2sq = h1sq = 0.0  # a norm leaves out the part it does not use
 
     if arr.size == V:  # scalar P1 field
@@ -517,16 +518,16 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
             raise ConfigurationError("DivL2 needs a vector field")
         fl = arr[tris]
         if kind in ("L2", "H1"):
-            fq = np.einsum("qk,tk->tq", lam, fl)
+            fq = np.einsum("qk,tk->tq", geom["lam"], fl)
             l2sq = float(np.sum(wa * fq ** 2))
         if kind in ("H1seminorm", "H1"):
-            gq = np.einsum("tkd,tk->td", gl, fl)
-            h1sq = float(np.sum(area * np.einsum("td,td->t", gq, gq)))
+            gq = np.einsum("tkd,tk->td", geom["hat_grads"], fl)
+            h1sq = float(np.sum(geom["area"] * np.einsum("td,td->t", gq, gq)))
         return np.sqrt(l2sq + h1sq)
 
     if arr.size != 2 * (V + T):
         raise ConfigurationError("field length matches neither space")
-    uq, gq = _velocity_at_quad(vals, rows, np.column_stack(
+    uq, gq = _velocity_at_quad(geom, np.column_stack(
         [tris, V + tri_idx])[..., None] + np.array([0, V + T]), arr)
     if kind == "DivL2":
         return np.sqrt(float(np.sum(wa * (gq[0, 0] + gq[1, 1]) ** 2)))

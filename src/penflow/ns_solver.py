@@ -93,9 +93,6 @@ class MixedState:
         N1, V = self.layout.N1, self.layout.V
         return np.column_stack([self.Y[:V], self.Y[N1:N1 + V]])
 
-    def as_vector(self):
-        return np.concatenate([self.Y, self.P])
-
 
 class NewtonReport:
     """Convergence record of one Newton run.
@@ -205,7 +202,6 @@ class _System:
         self.config = config
         self.g = g
         self.coeffs = evaluate_coefficients(layout, config, g)
-        self.geom = layout.geometry()
         self.F = assemble_load(layout, config, g, self.coeffs)
         self.flux_labels = tuple(flux_labels)
         self.flux_rows = np.reshape(
@@ -232,9 +228,8 @@ class _System:
         quadrature points, which element_blocks takes for a step from x."""
         # the pressure pin row stays as computed; Newton zeroes it in the step
         Y, P, L = self.split(x)
-        flow = _flow_at_quad(self.layout, self.geom, Y, P)
-        mom, div = _flow_rows(self.layout, self.geom, self.coeffs, flow, None,
-                              self.F)
+        flow = _flow_at_quad(self.layout, Y, P)
+        mom, div = _flow_rows(self.layout, self.coeffs, flow, None, self.F)
         mom += L @ self.flux_rows
         dirs = self.layout.dirichlet_dofs
         mom[dirs] = Y[dirs] - ydir
@@ -242,7 +237,7 @@ class _System:
 
     @functools.cached_property
     def _stokes(self):
-        return _stokes_blocks(self.geom, self.coeffs)  # Y does not enter
+        return _stokes_blocks(self.layout, self.coeffs)  # Y does not enter
 
     def element_blocks(self, Y=None, quad=None):
         """Element Jacobian blocks (vel, b) at velocity Y, or at its
@@ -250,12 +245,12 @@ class _System:
         is given.  b is the same array on every call."""
         k, b = self._stokes
         if Y is not None:
-            quad = _velocity_at_quad(self.geom["vals"], self.geom["grad_rows"],
+            quad = _velocity_at_quad(self.layout.geometry(),
                                      self.layout.component_dofs, Y)
         if quad is None:
             vel = np.zeros((len(k), 2, 4, 2, 4))
         else:
-            c1, vel = _convection_blocks(self.geom, self.coeffs, *quad)
+            c1, vel = _convection_blocks(self.layout, self.coeffs, *quad)
             k = k + c1
         vel[:, 0, :, 0] += k
         vel[:, 1, :, 1] += k
@@ -440,16 +435,12 @@ def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
     return MixedState(layout, Y, P)
 
 
-def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
+def _newton(sysm: _System, dirichlet, max_iter):
     lay = sysm.layout
     ydir = _dirichlet_values(lay, dirichlet)
     t0 = time.perf_counter()
-    if tol is None:
-        tol = 1e-10 * (1.0 + np.abs(sysm.F).max())
-    if initial is None:
-        x = _linear_solve(sysm, ydir)
-    else:
-        x = np.concatenate([initial.as_vector(), np.zeros(sysm.n_flux)])
+    tol = 1e-10 * (1.0 + np.abs(sysm.F).max())
+    x = _linear_solve(sysm, ydir)
 
     res, quad = sysm.residual(x, ydir)
     norms, steps = [float(np.abs(res).max())], []
@@ -498,36 +489,34 @@ def _newton(sysm: _System, dirichlet, initial, tol, max_iter):
 
 
 def solve_navier_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
-                        dirichlet=None, initial=None, tol=None,
-                        max_iter=20, raise_on_failure=False):
+                        dirichlet=None, max_iter=20, raise_on_failure=False):
     """Newton iteration for the penalized stationary Navier-Stokes system.
 
-    Starts from a Stokes solve unless an initial MixedState is given.
-    Returns (MixedState, NewtonReport).  With raise_on_failure a
-    non-converged run raises NonconvergenceError carrying the report.
+    Starts from a Stokes solve and stops once the max-norm residual is at
+    most 1e-10 (1 + max |F|), F the load, or after max_iter steps.  Returns
+    (MixedState, NewtonReport).  With raise_on_failure a non-converged run
+    raises NonconvergenceError carrying the report.
     """
     sysm = _System(layout, config, g, flux_labels=())
-    state, _, report = _newton(sysm, dirichlet, initial, tol, max_iter)
+    state, _, report = _newton(sysm, dirichlet, max_iter)
     if raise_on_failure and not report.converged:
         raise NonconvergenceError(report.message, report=report)
     return state, report
 
 
 def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
-                                     dirichlet=None, tol=None, max_iter=20,
-                                     dirichlet_labels=("Gamma2", "Gamma3",
-                                                       "Gamma4"),
-                                     raise_on_failure=False):
+                                     dirichlet=None, raise_on_failure=False):
     """Reference Navier-Stokes solve on a body-fitted fluid mesh.
 
     Every boundary loop labeled Obstacle* keeps natural (do-nothing)
     conditions plus a zero-net-flux constraint enforced by one Lagrange
-    multiplier.  Returns (MixedState, multipliers dict, NewtonReport).
+    multiplier.  The Newton iteration is solve_navier_stokes's.  Returns
+    (MixedState, multipliers dict, NewtonReport).
     """
-    layout = build_spaces(mesh, dirichlet_labels)
+    layout = build_spaces(mesh)
     labels = sorted(s for s in mesh.labels() if s.startswith("Obstacle"))
     sysm = _System(layout, config, None, flux_labels=labels)
-    state, L, report = _newton(sysm, dirichlet, None, tol, max_iter)
+    state, L, report = _newton(sysm, dirichlet, 20)
     if raise_on_failure and not report.converged:
         raise NonconvergenceError(report.message, report=report)
     multipliers = {lab: float(val) for lab, val in zip(labels, L)}
@@ -543,5 +532,5 @@ def residual_max_norm(layout: SpaceLayout, config: AssemblyConfig, g,
     L = np.zeros(sysm.n_flux)
     if multipliers:
         L = np.array([multipliers[lab] for lab in flux_labels], dtype=float)
-    res, _ = sysm.residual(np.concatenate([state.as_vector(), L]), ydir)
+    res, _ = sysm.residual(np.concatenate([state.Y, state.P, L]), ydir)
     return float(np.abs(res).max())

@@ -64,10 +64,9 @@ def sec31_level():
 class FlowPreset:
     """Mesh recipe plus assembly settings for a single flow solve."""
 
-    def __init__(self, domain_spec, config, level=None, conforming=False):
+    def __init__(self, domain_spec, config, conforming=False):
         self.domain_spec = domain_spec
         self.config = config
-        self.level = level
         self.conforming = conforming
 
     def build_mesh(self):
@@ -106,8 +105,7 @@ class DescentPreset:
 
 
 def sec31_penalized(h_mesh=COARSE_MESH_SIZE, eps=0.025):
-    return FlowPreset(flow_cell_spec(h_mesh), sec31_assembly(eps=eps),
-                      level=sec31_level())
+    return FlowPreset(flow_cell_spec(h_mesh), sec31_assembly(eps=eps))
 
 
 def sec31_reference(h_mesh=REFERENCE_MESH_SIZE):

@@ -165,8 +165,7 @@ class _Forms:
         self.Y = X.Y
         self.g = LevelField(X.G)
         self.coeffs = evaluate_coefficients(layout, config, self.g)
-        self.geom = layout.geometry()
-        self.flow = _flow_at_quad(layout, self.geom, X.Y, X.P)
+        self.flow = _flow_at_quad(layout, X.Y, X.P)
         self.uq, self.gu, self.pq, self.ugu, _ = self.flow
         self.fq = _body_force_at_quad(layout, config) if fq is None else fq
         self.divu = self.gu[0, 0] + self.gu[1, 1]
@@ -174,8 +173,8 @@ class _Forms:
     def constraint(self, traction):
         """C(X) from the Newton residual's kernel: momentum rows minus the
         traction (Dirichlet rows replaced), then the divergence rows."""
-        mom, div = _flow_rows(self.layout, self.geom, self.coeffs, self.flow,
-                              self.fq, traction)
+        mom, div = _flow_rows(self.layout, self.coeffs, self.flow, self.fq,
+                              traction)
         dirs = self.layout.dirichlet_dofs
         mom[dirs] = self.Y[dirs]
         return np.concatenate([mom, div])
@@ -188,13 +187,11 @@ class _Forms:
         w . momentum + q . divergence in its unknown; the level block sums
         scalar products, C's (u.grad)u . w among them, by level derivatives.
         """
-        lay, co, geom = self.layout, self.coeffs, self.geom
-        uq, gu = self.uq, self.gu
-        dirs, m = lay.dirichlet_dofs, 2 * lay.N1
+        lay, co, uq, gu = self.layout, self.coeffs, self.uq, self.gu
+        geom, dirs, m = lay.geometry(), lay.dirichlet_dofs, 2 * lay.N1
         w = c[:m].copy()
         w[dirs] = 0.0
-        wq, gw = _velocity_at_quad(geom["vals"], geom["grad_rows"],
-                                   lay.component_dofs, w)
+        wq, gw = _velocity_at_quad(geom, lay.component_dofs, w)
         qq = c[m:][lay.mesh.triangles] @ geom["lam"].T
         divw = gw[0, 0] + gw[1, 1]
         ugw = np.einsum("dtq,dctq->ctq", uq, gw)  # (u.grad)w
@@ -205,7 +202,7 @@ class _Forms:
             - np.einsum("citq,itq->ctq", gw, uq) - ugw)
         grad = co.visc * gw + 0.5 * co.conv * (uq[:, None] * wq)
         grad[[0, 1], [0, 1]] -= co.divc * qq  # the pressure term
-        gy = _velocity_rows(lay, geom, val, grad)
+        gy = _velocity_rows(lay, val, grad)
         gy[dirs] += c[dirs]
 
         # level block; u (x) u : grad w is u . (u.grad)w
@@ -217,12 +214,12 @@ class _Forms:
              - d.divc * (self.pq * divw + qq * self.divu))
         if fq is not None:
             s -= d.loadc * (fq[0] * wq[0] + fq[1] * wq[1])
-        return np.concatenate([gy, _hat_rows(lay, geom, -co.divc * divw),
-                               _hat_rows(lay, geom, s)])
+        return np.concatenate([gy, _hat_rows(lay, -co.divc * divw),
+                               _hat_rows(lay, s)])
 
     def level_jacobian_blocks(self):
         """(jac13, Bprime): level-field derivatives of momentum and divergence."""
-        lay, geom, dco = self.layout, self.geom, self.coeffs.level
+        lay, geom, dco = self.layout, self.layout.geometry(), self.coeffs.level
         wa, lam, vals = geom["wa"], geom["lam"], geom["vals"]
 
         # momentum block (T, basis, comp, hat) from the level derivatives
@@ -248,14 +245,15 @@ class _Forms:
             self._cost = "val", self.uq - target_q
         e = self._cost[1].reshape(-1, *self.uq.shape[1:])
         self._dens = np.einsum("ktq,ktq->tq", e, e)
-        return float(np.sum(self.geom["wa"] * self.coeffs.loadc * self._dens))
+        return float(np.sum(self.layout.geometry()["wa"] * self.coeffs.loadc
+                            * self._dens))
 
     def cost_gradient(self):
         """(dJ/dY, dJ/dG) of the last cost."""
-        lay, geom, co = self.layout, self.geom, self.coeffs
+        lay, co = self.layout, self.coeffs
         kind, e = self._cost
-        return (_velocity_rows(lay, geom, **{kind: 2.0 * co.loadc * e}),
-                _hat_rows(lay, geom, co.level.loadc * self._dens))
+        return (_velocity_rows(lay, **{kind: 2.0 * co.loadc * e}),
+                _hat_rows(lay, co.level.loadc * self._dens))
 
 
 def _target_at_quad(spec: CostSpec, layout, config):
@@ -263,9 +261,8 @@ def _target_at_quad(spec: CostSpec, layout, config):
     if spec.kind == TRACKING:
         if spec.target.shape != (2 * layout.N1,):
             raise ConfigurationError("target field does not match layout")
-        geom = layout.geometry()
-        return _velocity_at_quad(geom["vals"], geom["grad_rows"],
-                                 layout.component_dofs, spec.target)[0]
+        return _velocity_at_quad(layout.geometry(), layout.component_dofs,
+                                 spec.target)[0]
 
 
 def constraint_residual(X: OptVector, layout, config) -> np.ndarray:
@@ -337,13 +334,6 @@ def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
     return value, _penalized_gradient(forms, C, rho, layout)
 
 
-def _frozen_components(layout):
-    """The clamped velocity components and the boundary vertices' levels."""
-    bverts = np.unique(layout.mesh.boundary_edges.ravel())
-    return np.concatenate([layout.dirichlet_dofs,
-                           2 * layout.N1 + layout.N2 + bverts])
-
-
 def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
              layout, config):
     """Projected steepest descent on J_rho from an admissible level field.
@@ -365,7 +355,10 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
     X = OptVector(layout, state.Y.copy(), state.P.copy(),
                   initial_G.nodal_values.copy())
 
-    frozen = _frozen_components(layout)
+    # the clamped velocity components and the boundary vertices' levels
+    bverts = np.unique(mesh.boundary_edges.ravel())
+    frozen = np.concatenate([layout.dirichlet_dofs,
+                             2 * layout.N1 + layout.N2 + bverts])
     history = []
     snapshots = []
 
@@ -373,8 +366,7 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
         G = X.G
         snapshots.append(Snapshot(
             it, LevelField(G.copy()), obstacle_component_count(mesh, G),
-            bool(np.all(G[np.unique(mesh.boundary_edges.ravel())] < 0.0)),
-            j_h))
+            bool(np.all(G[bverts] < 0.0)), j_h))
 
     fixed = (_traction(layout, config), _target_at_quad(spec, layout, config),
              _body_force_at_quad(layout, config))  # no step changes them

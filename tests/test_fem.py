@@ -371,8 +371,7 @@ def test_velocity_at_quad_matches_pointwise_loop(order, rng):
     lay = build_spaces(mesh)
     Y = rng.standard_normal(2 * lay.N1)
     geom = lay.geometry(order)
-    got = fem._velocity_at_quad(geom["vals"], geom["grad_rows"],
-                                lay.component_dofs, Y)
+    got = fem._velocity_at_quad(geom, lay.component_dofs, Y)
     want = _pointwise_velocity(mesh, Y, range(lay.T), geom["lam"])
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.flags.c_contiguous
@@ -384,7 +383,7 @@ def test_flow_at_quad_products_match_pointwise_loop(rng):
     lay = build_spaces(mesh)
     Y = rng.standard_normal(2 * lay.N1)
     geom = lay.geometry(5)
-    _, _, _, ugu, uu = fem._flow_at_quad(lay, geom, Y, np.zeros(lay.N2))
+    _, _, _, ugu, uu = fem._flow_at_quad(lay, Y, np.zeros(lay.N2))
     u, g = _pointwise_velocity(mesh, Y, range(lay.T), geom["lam"])
     # (u.grad)u_c = sum_d u_d d_d u_c, and (u (x) u)_dc = u_d u_c
     for got, want in ((ugu, u[0] * g[0] + u[1] * g[1]),
@@ -414,23 +413,51 @@ def test_compute_norm_matches_pointwise_loop(region, rng):
         assert abs(got - value ** 0.5) <= 1e-14 * value ** 0.5
 
 
+def _count_geometry(monkeypatch):
+    """The rule order of every _element_geometry call from now on."""
+    calls = []
+    geometry = fem._element_geometry
+    monkeypatch.setattr(fem, "_element_geometry",
+                        lambda mesh, order: calls.append(order)
+                        or geometry(mesh, order))
+    return calls
+
+
 def test_whole_mesh_norm_geometry_is_computed_once(monkeypatch, rng):
     mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
     V, T = mesh.num_vertices, mesh.num_triangles
     fields = [rng.standard_normal(2 * (V + T)), rng.standard_normal(V)]
     kinds = [("L2", "H1seminorm", "H1", "DivL2"), ("L2", "H1seminorm", "H1")]
-    # every triangle as an index array: the geometry computed per call
+    calls = _count_geometry(monkeypatch)
+    # every triangle as an index array: the rows of the whole-mesh geometry
     want = [compute_norm(mesh, f, np.arange(T), k)
             for f, ks in zip(fields, kinds) for k in ks]
-    calls = []
-    geometry = fem._element_geometry
-    monkeypatch.setattr(fem, "_element_geometry",
-                        lambda *a: calls.append(1) or geometry(*a))
     for _ in range(2):
         got = [compute_norm(mesh, f, None, k)
                for f, ks in zip(fields, kinds) for k in ks]
         assert got == want  # bitwise
-    assert len(calls) == 1
+    assert calls == [7]
+
+
+def test_layouts_and_norms_share_one_geometry(monkeypatch, rng):
+    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2,
+                                    obstacles=(("disk", (0.5, 0.5), 0.2),)),
+                         conform_to_obstacles=True)
+    calls = _count_geometry(monkeypatch)
+    lay = build_spaces(mesh)
+    other = build_spaces(mesh, dirichlet_labels=("Gamma1", "Gamma2"))
+    assert lay.geometry(5) is other.geometry(5) is lay.geometry()
+    Y = rng.standard_normal(2 * lay.N1)
+    whole = compute_norm(mesh, Y, kind="H1")
+    hole = compute_norm(mesh, Y, region="Obstacle", kind="H1")
+    geom = lay.geometry(7)
+    assert geom is other.geometry(7) is fem._geometry(mesh, 7)
+    # the norms read that dict: the same sums from its arrays
+    uq, gq = fem._velocity_at_quad(geom, lay.component_dofs, Y)
+    assert whole == np.sqrt(float(np.sum(geom["wa"] * uq ** 2))
+                            + float(np.sum(geom["wa"] * gq ** 2)))
+    assert 0.0 < hole < whole
+    assert sorted(calls) == [5, 7]
 
 
 def test_load_matches_per_edge_scatter(flow_cell_coarse_layout):

@@ -462,9 +462,9 @@ def test_krylov_newton_matches_factoring_every_step(
         monkeypatch.setattr(ns_solver, "_KRYLOV_BUDGET", budget)
         sysm, dirichlet = _newton_system(case, flow_cell_coarse_layout,
                                          square_disk_conforming)
-        state, L, report = ns_solver._newton(sysm, dirichlet, None, None, 20)
+        state, L, report = ns_solver._newton(sysm, dirichlet, 20)
         assert report.converged
-        runs[budget] = np.concatenate([state.as_vector(), L]), report
+        runs[budget] = np.concatenate([state.Y, state.P, L]), report
     x0, factored = runs.pop(0)
     assert factored.krylov == [0] * (factored.iterations + 1)
     for budget, (x, report) in runs.items():
@@ -487,7 +487,7 @@ def test_only_the_late_newton_steps_are_loosened(case, flow_cell_coarse_layout,
     for budget in (ns_solver._KRYLOV_BUDGET, 0):  # 0 factors every step
         monkeypatch.setattr(ns_solver, "_KRYLOV_BUDGET", budget)
         sysm, _ = _newton_system(case, flow_cell_coarse_layout, None)
-        runs[budget] = ns_solver._newton(sysm, None, None, None, 20)[2]
+        runs[budget] = ns_solver._newton(sysm, None, 20)[2]
     report, factored = runs.values()
     assert report.converged and factored.converged
     assert report.iterations == factored.iterations >= 3
