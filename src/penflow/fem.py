@@ -10,7 +10,11 @@ Quadrature-point data is component major and C-contiguous too: scalars
 (T, nq), vectors (2, T, nq), gradients (2, 2, T, nq) with [d, c] = d u_c /
 d x_d, so that coefficient products and component sums run over whole
 (T, nq) blocks.  Only _velocity_at_quad and _velocity_rows meet the element
-products, and each transposes once there.
+products, and each transposes once there.  Element blocks keep the
+triangle axis last, so every per-element sum runs over whole T-vectors: a
+quadrature sum is one product with a table of the rule, and the basis
+gradients come from hat_grads (3, 2, T), the bubble's as 27 sum_k fac_k
+grad lam_k (fac_k the product of the other two barycentrics).
 
 Element geometry lives in one place: _geometry computes it once per mesh
 and quadrature rule and keeps it in the mesh's cache, so every layout of a
@@ -26,7 +30,8 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigurationError, EmptyRegionError
-from .levelset import SHIFTED, STANDARD, LevelField, SmoothingParams, smoothed_heaviside
+from .levelset import (SHIFTED, STANDARD, LevelField, SmoothingParams,
+                       heaviside_value, smoothed_heaviside)
 from .mesh import OBSTACLE, hat_gradients
 
 EXACT_REGION = "exact-region"
@@ -100,9 +105,7 @@ class SpaceLayout:
         self.dirichlet_labels = tuple(dirichlet_labels)
         present = set(mesh.boundary_labels)
         self.pin_pressure = present <= set(self.dirichlet_labels)
-        wanted = [s for s in self.dirichlet_labels if s in present]
-        verts = mesh.vertices_on(wanted) if wanted else np.empty(0, dtype=np.int64)
-        self.dirichlet_vertices = verts
+        verts = self.dirichlet_vertices = mesh.vertices_on(self.dirichlet_labels)
         self.dirichlet_dofs = np.sort(np.concatenate([verts, verts + self.N1]))
         # local scalar-velocity DOFs per triangle: three vertices then the bubble
         self.cell_dofs = np.column_stack(
@@ -120,8 +123,8 @@ class SpaceLayout:
 def _geometry(mesh, order=5):
     """The P1+bubble element geometry of mesh for the degree-5 rule (order
     <= 5) or the conical one, computed once and kept in mesh._cache: the
-    rule (lam, weights), area (T,), hat_grads (T, 3, 2), basis vals (nq, 4)
-    and grads (T, nq, 4, 2), the bubble fourth, their grad_rows
+    rule (lam, weights), area (T,), hat_grads (3, 2, T), basis vals (nq, 4),
+    grad_coef (nq, 4) = [1, 27 fac], the basis gradients as grad_rows
     (T, nq * 2, 4) d_d N_a, the points xq (T, nq, 2) and weights wa (T, nq)."""
     key = ("geometry", 5 if order <= 5 else 7)
     if key not in mesh._cache:
@@ -134,19 +137,17 @@ def _element_geometry(mesh, order):
     p = mesh.vertices[mesh.triangles]
     det, gl = hat_gradients(p)
     nq = len(lam)
-    vals = np.empty((nq, 4))
-    vals[:, :3] = lam
-    vals[:, 3] = 27.0 * lam[:, 0] * lam[:, 1] * lam[:, 2]
+    vals = np.column_stack([lam, 27.0 * lam[:, 0] * lam[:, 1] * lam[:, 2]])
     # bubble gradient varies over the triangle
-    fac = np.stack([lam[:, 1] * lam[:, 2], lam[:, 0] * lam[:, 2],
-                    lam[:, 0] * lam[:, 1]], axis=1)  # (nq,3)
-    grads = np.empty((len(p), nq, 4, 2))
-    grads[:, :, :3, :] = gl[:, None, :, :]
-    grads[:, :, 3, :] = 27.0 * np.einsum("qk,tkd->tqd", fac, gl)
+    fac = lam[:, [1, 0, 0]] * lam[:, [2, 2, 1]]  # (nq, 3)
+    rows = np.empty((len(p), nq, 2, 4))
+    rows[..., :3] = gl.transpose(0, 2, 1)[:, None]
+    rows[..., 3] = 27.0 * np.einsum("qk,tkd->tqd", fac, gl)
     area = 0.5 * det
-    return {"lam": lam, "weights": wts, "area": area, "hat_grads": gl,
-            "vals": vals, "grads": grads,
-            "grad_rows": grads.transpose(0, 1, 3, 2).reshape(len(p), -1, 4),
+    return {"lam": lam, "weights": wts, "area": area, "vals": vals,
+            "hat_grads": np.ascontiguousarray(gl.transpose(1, 2, 0)),
+            "grad_coef": np.column_stack([np.ones(nq), 27.0 * fac]),
+            "grad_rows": rows.reshape(len(p), -1, 4),
             "xq": np.einsum("qk,tkd->tqd", lam, p),
             "wa": wts[None, :] * area[:, None]}
 
@@ -210,11 +211,11 @@ class CoeffData:
     Every coefficient is affine in H and Ht, so with their level derivatives
     dH, dHt in place of H, Ht and one = 0 the same formulas give the level
     derivatives dvisc, dmass, dconv, ddivc and dloadc.  level holds them
-    (level.visc is dvisc, and so on) and is derived on first access, so an
-    evaluation that reads values only never computes them.
+    (level.visc is dvisc, and so on), derived on first access from the level
+    values gq and the smoothing: reading values only never computes them.
     """
 
-    def __init__(self, config, H, Ht, dH=None, dHt=None, one=1.0):
+    def __init__(self, config, H, Ht, gq=None, smoothing=None, one=1.0):
         eps = config.eps
         self.visc = config.nu * (one - H) + eps * Ht
         self.mass = eps * Ht
@@ -222,13 +223,15 @@ class CoeffData:
         self.divc = np.full_like(Ht, one) \
             if config.divergence_form == PLAIN_B else self.conv
         self.loadc = one - Ht
-        self.dH, self.dHt, self._config = dH, dHt, config
+        self._config, self._gq, self._smoothing = config, gq, smoothing
 
     @functools.cached_property
     def level(self):
         """The level derivatives as a CoeffData, or None without a level."""
-        if self.dH is not None:
-            return CoeffData(self._config, self.dH, self.dHt, one=0.0)
+        if self._gq is not None:
+            return CoeffData(self._config, *(smoothed_heaviside(
+                self._gq, self._smoothing.with_kind(kind))[1]
+                for kind in (STANDARD, SHIFTED)), one=0.0)
 
 
 def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> CoeffData:
@@ -241,29 +244,27 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
     geom = layout.geometry()
     T, nq = layout.T, len(geom["weights"])
 
+    gq = smoothing = None
     if g is None:
         H = Ht = np.zeros((T, nq))
-        dH = dHt = None
     elif isinstance(g, str):
         if g != EXACT_REGION:
             raise ConfigurationError(f"unknown coefficient mode {g!r}")
         if layout.mesh.triangle_region is None:
             raise ConfigurationError("exact-region mode needs a region-tagged mesh")
-        chi = np.array([1.0 if r == OBSTACLE else 0.0
-                        for r in layout.mesh.triangle_region])
-        H = Ht = np.repeat(chi[:, None], nq, axis=1)
-        dH = dHt = None
+        chi = np.array(layout.mesh.triangle_region) == OBSTACLE
+        H = Ht = np.repeat(chi[:, None], nq, axis=1).astype(float)
     elif isinstance(g, LevelField):
         if len(g) != layout.V:
             raise ConfigurationError("level field does not match the mesh")
         smoothing = config.smoothing_for(layout.mesh)
         gq = g.nodal_values[layout.mesh.triangles] @ geom["lam"].T
-        H, dH = smoothed_heaviside(gq, smoothing.with_kind(STANDARD))
-        Ht, dHt = smoothed_heaviside(gq, smoothing.with_kind(SHIFTED))
+        H = heaviside_value(gq, smoothing.with_kind(STANDARD))
+        Ht = heaviside_value(gq, smoothing.with_kind(SHIFTED))
     else:
         raise ConfigurationError("g must be a LevelField, 'exact-region', or None")
 
-    return CoeffData(config, H, Ht, dH, dHt)
+    return CoeffData(config, H, Ht, gq, smoothing)
 
 
 # --------------------------------------------------------------- assembly
@@ -274,20 +275,37 @@ def _scatter(data, rows, cols, shape):
     return m.tocsr()
 
 
-def _stokes_blocks(layout: SpaceLayout, coeffs: CoeffData):
-    """Element blocks of assemble_bilinear, by batched products.
+def _moments(w, a, b):
+    """sum_q w[..., q] a[q, i] b[q, j] as (i, j, ...), triangle axis last:
+    one product with the rule's table a (x) b."""
+    table = (a[:, :, None] * b[:, None]).reshape(len(a), -1)
+    return (table.T @ w.reshape(-1, len(a)).T).reshape(
+        a.shape[1], b.shape[1], *w.shape[:-1])
 
-    Viscous plus mass block (T, a, b) of either velocity component, and the
-    divergence rows -int divc (d_c N_a) lam_p as (T, p, c, a).
+
+def _gradient_moments(m, hg):
+    """sum_q w d_c N_b as (..., c, b, T) from the moments m (..., 4, T) of
+    w against grad_coef and the hat gradients hg (3, 2, T)."""
+    out = np.empty(m.shape[:-2] + (2, 4, m.shape[-1]))
+    out[..., :3, :] = m[..., None, None, 0, :] * hg.transpose(1, 0, 2)
+    np.einsum("...kt,kct->...ct", m[..., 1:, :], hg, out=out[..., 3, :])
+    return out
+
+
+def _stokes_blocks(layout: SpaceLayout, coeffs: CoeffData):
+    """Element blocks of assemble_bilinear, triangle axis last.
+
+    Viscous plus mass block (a, b, T) of either velocity component, and the
+    divergence rows -int divc (d_c N_a) lam_p as (p, c, a, T).
     """
     geom = layout.geometry()
-    wa, vals, rows = geom["wa"], geom["vals"], geom["grad_rows"]
-    k = np.swapaxes(rows * np.repeat(wa * coeffs.visc, 2, axis=1)[..., None],
-                    1, 2) @ rows
-    k += np.swapaxes((wa * coeffs.mass)[..., None] * vals, 1, 2) @ vals
-    b = -np.swapaxes((wa * coeffs.divc)[..., None] * geom["lam"], 1, 2) \
-        @ geom["grads"].reshape(len(k), -1, 8)
-    return k, b.reshape(-1, 3, 4, 2).transpose(0, 1, 3, 2)
+    wa, vals, coef, hg = (geom[k] for k in ("wa", "vals", "grad_coef",
+                                            "hat_grads"))
+    # y[c, b, c', a] = int visc d_c N_b d_c' N_a
+    y = _gradient_moments(_gradient_moments(_moments(
+        wa * coeffs.visc, coef, coef), hg).transpose(1, 2, 0, 3), hg)
+    b = _gradient_moments(_moments(-wa * coeffs.divc, geom["lam"], coef), hg)
+    return _moments(wa * coeffs.mass, vals, vals) + y[0, :, 0] + y[1, :, 1], b
 
 
 def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
@@ -300,7 +318,8 @@ def assemble_bilinear(layout: SpaceLayout, config: AssemblyConfig, g,
     """
     if coeffs is None:
         coeffs = evaluate_coefficients(layout, config, g)
-    kloc, bloc = _stokes_blocks(layout, coeffs)
+    kloc, bloc = (np.moveaxis(x, -1, 0)
+                  for x in _stokes_blocks(layout, coeffs))
     dofs, N1 = layout.cell_dofs, layout.N1
     a_scalar = _scatter(kloc, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     A = sp.kron(sp.eye(2, format="csr"), a_scalar, format="csr")
@@ -325,28 +344,22 @@ def _velocity_at_quad(geom, dofs, Y):
 def _convection_blocks(layout: SpaceLayout, coeffs: CoeffData, uq, gu):
     """Element blocks of assemble_trilinear at the velocity with values uq
     and gradients gu at the quadrature points, as _velocity_at_quad gives
-    them.
+    them, triangle axis last.
 
-    C1 of either velocity component (T, a, b), a tested against b, and C2
-    as (T, c, a, c', b), component c tested with basis a against c' with b.
+    C1 of either velocity component (a, b, T), a tested against b, and C2
+    as (c, a, c', b, T), component c tested with basis a against c' with b.
     """
     geom = layout.geometry()
-    vals, grads = geom["vals"], geom["grads"]
-    wc = geom["wa"] * coeffs.conv
-    T, nq = wc.shape
-    # e1[c', c, t, a, b] = int conv (d u_c / d x_c') N_a N_b, one product
-    e1 = ((wc * gu).reshape(4 * T, nq)
-          @ (vals[:, :, None] * vals[:, None]).reshape(nq, 16))
-    # e2[t, c, a, b, c'] = int conv u_c N_a d_c' N_b, from wu (T, c, a, q)
-    wu = (wc * uq).transpose(1, 0, 2)[:, :, None] * vals.T
-    e2 = (wu.reshape(T, 8, nq) @ grads.reshape(T, nq, 8)).reshape(
-        T, 2, 4, 4, 2)
+    vals, wc = geom["vals"], geom["wa"] * (0.5 * coeffs.conv)  # halves: exact
+    # e1[a, b, c', c] = int conv (d u_c / d x_c') N_a N_b / 2
+    e1 = _moments(wc * gu, vals, vals)
+    # e2[c, a, c', b] = int conv u_c N_a d_c' N_b / 2
+    e2 = _gradient_moments(_moments(wc * uq, vals, geom["grad_coef"])
+                           .transpose(2, 0, 1, 3), geom["hat_grads"])
     # int conv (u . grad N_b) N_a, skew-symmetrized
-    c1 = e2[:, 0, :, :, 0] + e2[:, 1, :, :, 1]
-    c1 -= np.swapaxes(c1, 1, 2)
-    c2 = e1.reshape(2, 2, T, 4, 4).transpose(2, 1, 3, 0, 4) \
-        - e2.transpose(0, 1, 3, 4, 2)
-    return 0.5 * c1, 0.5 * c2
+    c1 = e2[0, :, 0] + e2[1, :, 1]
+    c1 -= c1.swapaxes(0, 1)
+    return c1, e1.transpose(3, 0, 2, 1, 4) - e2.transpose(0, 3, 2, 1, 4)
 
 
 def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
@@ -361,7 +374,8 @@ def assemble_trilinear(layout: SpaceLayout, config: AssemblyConfig, g, Y,
         coeffs = evaluate_coefficients(layout, config, g)
     dofs, N1 = layout.cell_dofs, layout.N1
     quad = _velocity_at_quad(layout.geometry(), layout.component_dofs, Y)
-    c1, c2 = _convection_blocks(layout, coeffs, *quad)
+    c1, c2 = (np.moveaxis(x, -1, 0)
+              for x in _convection_blocks(layout, coeffs, *quad))
     c1_scalar = _scatter(c1, dofs[:, :, None], dofs[:, None, :], (N1, N1))
     C1 = sp.kron(sp.eye(2, format="csr"), c1_scalar, format="csr")
     idx = layout.component_dofs.swapaxes(1, 2)
@@ -493,17 +507,15 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
     V, T = mesh.num_vertices, mesh.num_triangles
     geom = _geometry(mesh, 7)
 
-    if region is None:
-        tri_idx = np.arange(T)
-    elif isinstance(region, str):
+    tri_idx = np.arange(T)
+    if isinstance(region, str):
         tri_idx = mesh.triangles_in_region(region)
-    else:
+    elif region is not None:
         tri_idx = np.asarray(region, dtype=np.int64)
         if tri_idx.size == 0:
             raise EmptyRegionError("empty triangle subset")
     if region is not None:  # the region's rows of the whole-mesh geometry
-        geom = {**geom, **{k: geom[k][tri_idx] for k in (
-            "area", "hat_grads", "grad_rows", "wa")}}
+        geom = {**geom, **{k: geom[k][tri_idx] for k in ("grad_rows", "wa")}}
     tris, wa = mesh.triangles[tri_idx], geom["wa"]
 
     arr = np.asarray(field, dtype=float)
@@ -511,28 +523,17 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
         arr = np.concatenate([arr[:, 0], np.zeros(T), arr[:, 1], np.zeros(T)])
     if arr.ndim != 1:
         raise ConfigurationError("field shape not understood")
-    l2sq = h1sq = 0.0  # a norm leaves out the part it does not use
-
-    if arr.size == V:  # scalar P1 field
+    if arr.size == V:  # a scalar P1 field: u_x, no bubbles
         if kind == "DivL2":
             raise ConfigurationError("DivL2 needs a vector field")
-        fl = arr[tris]
-        if kind in ("L2", "H1"):
-            fq = np.einsum("qk,tk->tq", geom["lam"], fl)
-            l2sq = float(np.sum(wa * fq ** 2))
-        if kind in ("H1seminorm", "H1"):
-            gq = np.einsum("tkd,tk->td", geom["hat_grads"], fl)
-            h1sq = float(np.sum(geom["area"] * np.einsum("td,td->t", gq, gq)))
-        return np.sqrt(l2sq + h1sq)
-
+        arr = np.concatenate([arr, np.zeros(V + 2 * T)])
     if arr.size != 2 * (V + T):
         raise ConfigurationError("field length matches neither space")
     uq, gq = _velocity_at_quad(geom, np.column_stack(
         [tris, V + tri_idx])[..., None] + np.array([0, V + T]), arr)
     if kind == "DivL2":
         return np.sqrt(float(np.sum(wa * (gq[0, 0] + gq[1, 1]) ** 2)))
-    if kind in ("L2", "H1"):
-        l2sq = float(np.sum(wa * uq ** 2))
-    if kind in ("H1seminorm", "H1"):
-        h1sq = float(np.sum(wa * gq ** 2))
+    # a norm leaves out the part it does not use
+    l2sq = float(np.sum(wa * uq ** 2)) if kind != "H1seminorm" else 0.0
+    h1sq = float(np.sum(wa * gq ** 2)) if kind != "L2" else 0.0
     return np.sqrt(l2sq + h1sq)

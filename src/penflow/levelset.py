@@ -46,16 +46,25 @@ def smoothed_heaviside(r, params: SmoothingParams):
     Returns:
         (value, derivative) arrays (or scalars for scalar input).
     """
-    arr = np.asarray(r, dtype=float)
-    w = params.width
-    s = arr + w if params.kind == SHIFTED else arr
-    inside = (s > 0.0) & (s < w)
-    sc = np.where(inside, s, 0.0)
-    val = np.where(s >= w, 1.0, (-2.0 * sc + 3.0 * w) * sc ** 2 / w ** 3)
-    der = np.where(inside, 6.0 * sc * (w - sc) / w ** 3, 0.0)
+    s, w = _ramp(r, params), params.width
+    val = heaviside_value(r, params)
+    der = np.where((s > 0.0) & (s < w), 6.0 * s * (w - s) / w ** 3, 0.0)
     if np.isscalar(r):
         return float(val), float(der)
     return val, der
+
+
+def _ramp(r, params: SmoothingParams):
+    """r moved to the standard ramp, clipped to [0, width]."""
+    s = np.asarray(r, dtype=float)
+    return np.clip(s + params.width if params.kind == SHIFTED else s, 0.0,
+                   params.width)
+
+
+def heaviside_value(r, params: SmoothingParams):
+    """The value of smoothed_heaviside alone, as an array."""
+    s, w = _ramp(r, params), params.width
+    return np.where(s == w, 1.0, (-2.0 * s + 3.0 * w) * s ** 2 / w ** 3)
 
 
 class LevelField:

@@ -17,12 +17,13 @@ couples only to its own triangle, so the 2x2 bubble block is eliminated in
 closed form and the 9x9 complements on u_x, u_y and p at the vertices are
 scattered with one bincount into a CSR pattern fixed per layout: vertex
 pairs on the diagonal and along edges, identity rows for fixed DOFs, the
-flux multipliers as a border.  The bubbles follow per element.  The Newton
-step reuses the velocity values at the quadrature points that the residual
-computed at the accepted iterate.  The element blocks are fem's kernels,
-which fem.assemble_bilinear and fem.assemble_trilinear scatter into the
-global matrices that the tests check against dense oracles and
-topopt.constraint_jacobian uses.
+flux multipliers as a border.  The bubbles follow per element.  Every
+per-element array keeps the triangle axis last, as fem's kernels give the
+blocks (their basis gradients from the hat gradients), so the condensation
+sums whole T-vectors instead of batching small products.  The Newton step
+reuses the velocity values at the quadrature points that the residual
+computed at the accepted iterate.  fem.assemble_bilinear and
+fem.assemble_trilinear scatter the same blocks into global matrices.
 
 A Newton solve factors once.  SuperLU factors the first complement, scaled
 to a unit diagonal, in symmetric mode, and the system keeps that factor.
@@ -126,12 +127,10 @@ class NewtonReport:
                 f"final residual {self.final_residual:.3e})")
 
 
-def _dirichlet_values(layout, dirichlet):
-    verts = layout.dirichlet_vertices
-    if dirichlet is None or len(verts) == 0:
-        return np.zeros(2 * len(verts))
-    vals = np.asarray(dirichlet(layout.mesh.vertices[verts]), dtype=float)
-    return np.concatenate([vals[:, 0], vals[:, 1]])
+def _dirichlet_values(layout, dirichlet=None):
+    x = layout.mesh.vertices[layout.dirichlet_vertices]
+    vals = np.zeros(x.shape) if dirichlet is None or not len(x) else dirichlet(x)
+    return np.asarray(vals, dtype=float).T.ravel()
 
 
 class _Pattern:
@@ -143,9 +142,9 @@ class _Pattern:
     is the saddle-vector index of row and column k.  Vertices couple in 3x3
     blocks on the diagonal and along edges, R's nonzeros border the matrix,
     and a fixed row keeps only its diagonal, where its other entries land.
-    slots gives the data position of each entry of the (T, 9, 9) element
-    complements, border that of R's entries, dslot that of the diagonal of
-    each vertex row (multiplier rows have none), loc the element rows.
+    slots (81, T) gives the data position of each entry of the (9, 9, T)
+    element complements, border that of R's entries, dslot that of each
+    vertex row's diagonal (not the multipliers'), loc (9, T) the element rows.
     """
 
     def __init__(self, layout, fixed, R):
@@ -179,28 +178,25 @@ class _Pattern:
         self.indices = (uniq % self.n).astype(np.int32)
         self.dslot = np.searchsorted(uniq, np.arange(n) * (self.n + 1))
         self.border, self.values = slot[len(blocks):], np.tile(R[bk, bj], 2)
-        tri = layout.mesh.triangles
-        self.loc = (new[tri][:, None] + np.arange(3)[:, None]).reshape(-1, 9)
-        k = np.searchsorted(pairs, tri[:, :, None] * V + tri[:, None])
+        tri = layout.mesh.triangles.T
+        self.loc = (new[tri] + np.arange(3)[:, None, None]).reshape(9, -1)
+        k = np.searchsorted(pairs, tri[:, None] * V + tri)  # (i, j, T)
         # int32 halves the largest array the pattern keeps
-        self.slots = slot[
-            np.arange(9).reshape(1, 3, 1, 3, 1) * len(pairs)
-            + k[:, None, :, None]].astype(np.int32)
+        self.slots = slot[np.arange(9).reshape(3, 1, 3, 1, 1) * len(pairs)
+                          + k[:, None]].astype(np.int32).reshape(81, -1)
 
 
 class _System:
     """Shared state for one solve: coefficients, load, constraint rows.
 
-    Linear solves take element blocks (vel, b): the velocity block
-    (T, 2, 4, 2, 4), component c with basis function i (the three
-    vertices, then the bubble) against component c' with j, and the
-    divergence rows (T, 3, 2, 4), pressure p against component c with i.
+    Linear solves take element blocks (vel, b), triangle axis last: the
+    velocity block (2, 4, 2, 4, T), component c with basis function i (the
+    three vertices, then the bubble) against component c' with j, and the
+    divergence rows (3, 2, 4, T), pressure p against component c with i.
     """
 
     def __init__(self, layout, config, g, flux_labels=()):
-        self.layout = layout
-        self.config = config
-        self.g = g
+        self.layout, self.config, self.g = layout, config, g
         self.coeffs = evaluate_coefficients(layout, config, g)
         self.F = assemble_load(layout, config, g, self.coeffs)
         self.flux_labels = tuple(flux_labels)
@@ -215,8 +211,7 @@ class _System:
             [layout.dirichlet_dofs, np.array(pin, dtype=np.int64)])
         self.fill = []  # L+U nonzeros of each factor
         self.krylov = []  # GMRES iterations of each solve, 0 if it factored
-        # the last factor: (scale, SuperLU factor)
-        self._factor = None
+        self._factor = None  # the last factor: (scale, SuperLU factor)
 
     def split(self, x):
         """Velocity, pressure and multiplier parts of a saddle-system vector."""
@@ -247,13 +242,10 @@ class _System:
         if Y is not None:
             quad = _velocity_at_quad(self.layout.geometry(),
                                      self.layout.component_dofs, Y)
-        if quad is None:
-            vel = np.zeros((len(k), 2, 4, 2, 4))
-        else:
-            c1, vel = _convection_blocks(self.layout, self.coeffs, *quad)
-            k = k + c1
-        vel[:, 0, :, 0] += k
-        vel[:, 1, :, 1] += k
+        if quad is None:  # k on either component
+            return np.eye(2)[:, None, :, None, None] * k[:, None], b
+        c1, vel = _convection_blocks(self.layout, self.coeffs, *quad)
+        vel[[0, 1], :, [0, 1]] += k + c1
         return vel, b
 
     @property
@@ -267,31 +259,29 @@ class _System:
 
     def condense(self, blocks):
         """The condensed saddle matrix of element blocks (vel, b), as CSR in
-        the pattern's order, with each inverse bubble block (T, 2, 2), its
-        product with the bubble rows (T, 2, 9) and the vertex rows' bubble
-        columns (T, 9, 2).
+        the pattern's order, with each inverse bubble block (2, 2, T), its
+        product with the bubble rows (2, 9, T) and the vertex rows' bubble
+        columns (9, 2, T).
 
         The local vertex DOFs are u_x, u_y and p at the three vertices, in
         that order; the bubbles are basis 3 of either velocity component.
         """
         vel, b = blocks
-        T = len(vel)
-        xx, xy = vel[:, 0, 3, 0, 3], vel[:, 0, 3, 1, 3]
-        yx, yy = vel[:, 1, 3, 0, 3], vel[:, 1, 3, 1, 3]
+        (xx, xy), (yx, yy) = vel[:, 3, :, 3]
         det = xx * yy - xy * yx
         if not np.all(np.isfinite(det) & (det != 0.0)):
             raise SolverError("singular bubble block in the linear solve")
-        inv = np.stack([yy, -xy, -yx, xx], axis=1).reshape(-1, 2, 2) \
-            / det[:, None, None]
-        vb = np.concatenate([vel[:, :, :3, :, 3].reshape(T, 6, 2),
-                             b[..., 3]], axis=1)
-        W = inv @ np.concatenate([vel[:, :, 3, :, :3].reshape(T, 2, 6),
-                                  np.swapaxes(b[..., 3], 1, 2)], axis=2)
-        comp = -(vb @ W)
-        bv = b[..., :3].reshape(T, 3, 6)
-        comp[:, :6, :6] += vel[:, :, :3, :, :3].reshape(T, 6, 6)
-        comp[:, 6:, :6] += bv
-        comp[:, :6, 6:] += np.swapaxes(bv, 1, 2)
+        inv = np.array([[yy, -xy], [-yx, xx]]) / det
+        rows = np.concatenate([vel[:, 3, :, :3].reshape(2, 6, -1),
+                               b[:, :, 3].swapaxes(0, 1)], axis=1)
+        vb = np.concatenate([vel[:, :3, :, 3].reshape(6, 2, -1), b[:, :, 3]])
+        W = np.einsum("cdt,djt->cjt", inv, rows)
+        comp = np.einsum("ict,cjt->ijt", -vb, W)
+        # (C, i, C', j): u_x, u_y or p at vertex i against C' at j
+        blk = comp.reshape(3, 3, 3, 3, -1)
+        blk[:2, :, :2] += vel[:, :3, :, :3]
+        blk[2, :, :2] += b[:, :, :3]
+        blk[:2, :, 2] += b[:, :, :3].transpose(1, 2, 0, 3)
         pat = self._pattern
         data = np.bincount(pat.slots.ravel(), comp.ravel(),
                            minlength=len(pat.indices))
@@ -306,14 +296,14 @@ class _System:
         the bubbles per element."""
         V, N1, pat = self.layout.V, self.layout.N1, self._pattern
         S, inv, W, vb = self.condense(blocks)
-        zb = inv @ np.column_stack([rhs[V:N1], rhs[N1 + V:2 * N1]])[..., None]
-        corr = np.bincount(pat.loc.ravel(), (vb @ zb).ravel(), minlength=pat.n)
+        zb = np.einsum("cdt,dt->ct", inv, [rhs[V:N1], rhs[N1 + V:2 * N1]])
+        corr = np.bincount(pat.loc.ravel(), np.einsum("ict,ct->it", vb, zb)
+                           .ravel(), minlength=pat.n)
         corr[pat.fixed] = 0.0  # identity rows keep their right-hand side
         xr = self._solve_condensed(S, rhs[pat.order] - corr, tol)
-        xb = (zb - W @ xr[pat.loc][..., None])[..., 0]
         x = np.empty(len(rhs))
         x[pat.order] = xr
-        x[V:N1], x[N1 + V:2 * N1] = xb.T
+        x[V:N1], x[N1 + V:2 * N1] = zb - (W * xr[pat.loc]).sum(1)
         return x
 
     def _solve_condensed(self, S, b, tol):
@@ -423,15 +413,14 @@ def _linear_solve(sysm: _System, ydir):
 
 
 def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
-                 dirichlet=None, flux_labels=()) -> MixedState:
-    """Solve the linear Stokes system (no convection) on the layout.
+                 flux_labels=()) -> MixedState:
+    """Solve the linear Stokes system (no convection), zero wall data.
 
     Optional flux_labels add one zero-net-flux multiplier per boundary loop.
     Returns the MixedState; multipliers are discarded.
     """
     sysm = _System(layout, config, g, flux_labels)
-    ydir = _dirichlet_values(layout, dirichlet)
-    Y, P, _ = sysm.split(_linear_solve(sysm, ydir))
+    Y, P, _ = sysm.split(_linear_solve(sysm, _dirichlet_values(layout)))
     return MixedState(layout, Y, P)
 
 
@@ -505,7 +494,7 @@ def solve_navier_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
 
 
 def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
-                                     dirichlet=None, raise_on_failure=False):
+                                     raise_on_failure=False):
     """Reference Navier-Stokes solve on a body-fitted fluid mesh.
 
     Every boundary loop labeled Obstacle* keeps natural (do-nothing)
@@ -516,7 +505,7 @@ def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
     layout = build_spaces(mesh)
     labels = sorted(s for s in mesh.labels() if s.startswith("Obstacle"))
     sysm = _System(layout, config, None, flux_labels=labels)
-    state, L, report = _newton(sysm, dirichlet, 20)
+    state, L, report = _newton(sysm, None, 20)
     if raise_on_failure and not report.converged:
         raise NonconvergenceError(report.message, report=report)
     multipliers = {lab: float(val) for lab, val in zip(labels, L)}
@@ -524,13 +513,13 @@ def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
 
 
 def residual_max_norm(layout: SpaceLayout, config: AssemblyConfig, g,
-                      state: MixedState, dirichlet=None, flux_labels=(),
+                      state: MixedState, flux_labels=(),
                       multipliers=None) -> float:
-    """Re-evaluate the Newton residual max-norm at a state, independently."""
+    """Re-evaluate the Newton residual max-norm at a state (zero wall data)."""
     sysm = _System(layout, config, g, flux_labels)
-    ydir = _dirichlet_values(layout, dirichlet)
     L = np.zeros(sysm.n_flux)
     if multipliers:
         L = np.array([multipliers[lab] for lab in flux_labels], dtype=float)
-    res, _ = sysm.residual(np.concatenate([state.Y, state.P, L]), ydir)
+    res, _ = sysm.residual(np.concatenate([state.Y, state.P, L]),
+                           _dirichlet_values(layout))
     return float(np.abs(res).max())

@@ -225,7 +225,8 @@ class _Forms:
         # momentum block (T, basis, comp, hat) from the level derivatives
         val, grad = _momentum_integrand(dco, self.flow, self.fq)
         loc = np.einsum("tq,ctq,qa,qj->tacj", wa, val, vals, lam)
-        loc += np.einsum("tq,dctq,tqad,qj->tacj", wa, grad, geom["grads"], lam)
+        rows = geom["grad_rows"].reshape(lay.T, len(lam), 2, 4)
+        loc += np.einsum("tq,dctq,tqda,qj->tacj", wa, grad, rows, lam)
 
         tri = lay.mesh.triangles
         jac13 = _scatter(loc, lay.component_dofs[..., None],

@@ -284,6 +284,31 @@ def test_smoothed_coefficients_match_pointwise_formula(small_assembly):
     assert np.allclose(coeffs.divc, (1.0 - Hs) + cfg.eps * Hs, atol=1e-15)
 
 
+def test_level_derivatives_are_derived_only_on_first_access(small_assembly,
+                                                             monkeypatch):
+    mesh, lay, cfg, g, _ = small_assembly
+    calls = []
+    heaviside = fem.smoothed_heaviside  # value and derivative
+    monkeypatch.setattr(fem, "smoothed_heaviside",
+                        lambda *a: calls.append(a) or heaviside(*a))
+    co = evaluate_coefficients(lay, cfg, g)
+    names = ("visc", "mass", "conv", "divc", "loadc")
+    assert all(getattr(co, k).shape == (lay.T, 7) for k in names)
+    assert not calls  # the values alone
+    # on first access, the formulas at smoothed_heaviside's derivatives,
+    # bit for bit, and at the next the same object
+    level = co.level
+    assert len(calls) == 2 and co.level is level
+    params = cfg.smoothing_for(mesh)
+    gq = g.nodal_values[mesh.triangles] @ lay.geometry()["lam"].T
+    want = fem.CoeffData(cfg, smoothed_heaviside(gq, params)[1],
+                         smoothed_heaviside(gq, params.with_kind("shifted"))[1],
+                         one=0.0)
+    assert all(np.array_equal(getattr(level, k), getattr(want, k))
+               for k in names)
+    assert evaluate_coefficients(lay, cfg, None).level is None
+
+
 def test_norms_of_linear_fields_are_exact(unit_square_mesh):
     m = unit_square_mesh
     V = m.num_vertices
@@ -332,7 +357,13 @@ def test_velocity_norms_match_einsum_interpolation(kind, region, rng,
     cells = lay.cell_dofs[tri_idx]
     yl = np.stack([Y[:V + T][cells], Y[V + T:][cells]], axis=2)
     uq = np.einsum("qa,tac->tqc", geom["vals"], yl)
-    gq = np.einsum("tqad,tac->tqcd", geom["grads"][tri_idx], yl)
+    # basis gradients from the hat gradients, as _basis_at gives them
+    gl, (l1, l2, l3) = geom["hat_grads"][..., tri_idx], geom["lam"].T
+    grads = np.empty((len(tri_idx), len(l1), 4, 2))
+    grads[:, :, :3] = gl.transpose(2, 0, 1)[:, None]
+    grads[:, :, 3] = 27.0 * np.einsum("kq,kdt->tqd",
+                                      [l2 * l3, l1 * l3, l1 * l2], gl)
+    gq = np.einsum("tqad,tac->tqcd", grads, yl)
     div = gq[:, :, 0, 0] + gq[:, :, 1, 1]
     l2sq = np.sum(wa * np.einsum("tqc,tqc->tq", uq, uq))
     h1sq = np.sum(wa * np.einsum("tqcd,tqcd->tq", gq, gq))

@@ -295,9 +295,9 @@ def test_singular_bubble_block_raises_solver_error(sec31_newton, bad):
     vel, b = sysm.element_blocks(Y)
     b = b.copy()  # element_blocks shares b between calls
     # the x-bubble row of triangle 7 (b also holds its column)
-    vel[7, 0, 3] = 0.0
-    b[7, :, 0, 3] = 0.0
-    vel[7, 0, 3, 0, 3] = bad
+    vel[0, 3, ..., 7] = 0.0
+    b[:, 0, 3, 7] = 0.0
+    vel[0, 3, 0, 3, 7] = bad
     with pytest.raises(SolverError, match="bubble"):
         sysm.solve((vel, b), np.ones(len(Y) + sysm.layout.N2))
 
@@ -312,8 +312,8 @@ def test_singular_saddle_system_raises_solver_error(sec31_newton):
     # column): GMRES on a kept factor cannot meet its bound, and the factor
     # is singular
     t, a = np.nonzero(lay.mesh.triangles == free[0])
-    vel[t, 0, a] = 0.0
-    b[t, :, 0, a] = 0.0
+    vel[0, a, ..., t] = 0.0
+    b[:, 0, a, t] = 0.0
     with pytest.raises(SolverError, match="singular saddle system"):
         sysm.solve((vel, b), np.ones(len(Y) + lay.N2))
 
@@ -330,6 +330,10 @@ def test_newton_report_records_factor_fill(sec31_newton):
     # L+U nonzeros of the condensed complement's factor, as when each solve
     # factored
     assert report.fill == [335_591]
+    # the Newton path on this cell: three full steps, and the GMRES
+    # iterations of each on the Stokes factor
+    assert report.iterations == 3 and report.steps == [1.0, 1.0, 1.0]
+    assert report.krylov == [0, 12, 11, 8]
 
 
 def test_pattern_is_ordered_once(flow_cell_coarse, monkeypatch):
