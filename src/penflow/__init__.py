@@ -16,8 +16,7 @@ from .errors import (ConfigurationError, DegenerateInputError,
 from .mesh import (DomainSpec, Mesh, boundary_flux, extract_submesh,
                    generate_mesh, mesh_from_text, mesh_to_text,
                    polygon_signed_distance)
-from .levelset import (AdmissibilityReport, LevelField, SHIFTED,
-                       STANDARD, SmoothingParams, check_admissibility,
+from .levelset import (AdmissibilityReport, LevelField, check_admissibility,
                        compose_disks, compose_ellipses,
                        domain_level_function, smoothed_heaviside)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
@@ -34,7 +33,7 @@ from .topopt import (CostSpec, DISSIPATED_ENERGY, IterateRecord, OptConfig,
                      OptVector, Snapshot, TRACKING, constraint_jacobian,
                      constraint_residual, cost_and_gradient, history_to_csv,
                      obstacle_component_count, optimize,
-                     penalized_value_and_gradient)
+                     penalized_value_and_gradient, tracking_cost)
 
 __version__ = "0.1.0"
 

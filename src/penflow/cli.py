@@ -24,23 +24,31 @@ import numpy as np
 from . import presets
 from .artifacts import (MANIFEST_NAME, atomic_write_text, level_csv_text,
                         svg_loglog, write_csv, write_manifest, write_vtk)
-from .errors import (ConfigurationError, GeometryError, GenerationError,
-                     NonconvergenceError, SolverError, UnknownLabelError)
+from .errors import (ConfigurationError, GeometryError, NonconvergenceError,
+                     PenflowError, SolverError)
 from .error_study import (EPSILON_SWEEP, MESH_SWEEP, SweepBase,
                           records_to_csv, regression_slope, run_sweep)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
                   build_spaces, compute_norm)
-from .levelset import LevelField, SmoothingParams, domain_level_function
+from .levelset import LevelField, domain_level_function
 from .mesh import (DomainSpec, boundary_flux, extract_submesh,
                    generate_mesh, mesh_to_text)
 from .ns_solver import (MixedState, solve_navier_stokes,
                         solve_reference_flux_constrained)
 from .topopt import (CostSpec, OptConfig, DISSIPATED_ENERGY, TRACKING,
-                     history_to_csv, optimize)
+                     history_to_csv, optimize, tracking_cost)
 
 COMMANDS = ("solve-reference", "solve-penalized", "error-study", "optimize")
 PRESET_NAMES = ("sec31", "test1", "test2")
 DEFAULT_OUT = "penflow-out"
+
+
+def _shapes_text(shapes):
+    """Shape tuples as the text _parse_shapes reads back."""
+    return "; ".join(" ".join([kind] + [repr(float(v)) for p in params
+                                        for v in np.ravel(p)])
+                     for kind, *params in shapes)
+
 
 def preset_sections(command, name):
     """Section/key defaults a named preset contributes for a command, read
@@ -48,19 +56,14 @@ def preset_sections(command, name):
     if name not in PRESET_NAMES:
         raise ConfigurationError(f"unknown preset {name!r}; "
                                  f"choose from {', '.join(PRESET_NAMES)}")
-    if name == "sec31":
-        problem = {"solve-reference": presets.sec31_reference,
-                   "error-study": presets.epsilon_sweep}.get(
-                       command, presets.sec31_penalized)()
-        disks = [(c, r) for _, c, r in presets.SEC31_OBSTACLES]
-    elif name == "test1":
-        problem = presets.test1_problem()
-        disks = zip(presets.TEST1_CENTERS, presets.TEST1_RADII)
-    else:
-        problem = presets.test2_problem()
-        disks = zip(presets.TEST2_CENTERS, presets.TEST2_RADII)
+    problem = {"test1": presets.test1_problem, "test2": presets.test2_problem,
+               "sec31": {"solve-reference": presets.sec31_reference,
+                         "error-study": presets.epsilon_sweep}.get(
+                             command, presets.sec31_penalized)}[name]()
     spec, cfg = problem.domain_spec, problem.config
-    shapes = "; ".join(f"disk {x!r} {y!r} {r!r}" for (x, y), r in disks)
+    # sec31 meshes the disks it is penalized by; a descent starts from its
+    # level shapes on the empty cell
+    shapes = _shapes_text(spec.obstacles or problem.level_shapes)
     sections = {
         "mesh": {"outer": "flow-cell", "h_mesh": repr(spec.h_mesh)},
         "physics": {"nu": repr(cfg.nu), "traction": "shear"},
@@ -68,17 +71,13 @@ def preset_sections(command, name):
                            "divergence_form": cfg.divergence_form},
         "level": {"shapes": shapes},
     }
-    if name == "sec31":
-        # the benchmark meshes its disks; solve-reference always conforms
+    if spec.obstacles:
         sections["mesh"]["obstacles"] = shapes
         sections["study"] = {"kind": EPSILON_SWEEP, "values": " ".join(
             repr(v) for v in presets.EPSILON_SWEEP_VALUES)}
         return sections
-    sections["cost"] = {"kind": problem.cost_kind}
-    if problem.cost_kind == TRACKING:
-        ellipse = presets.TEST2_ELLIPSE_CENTER + presets.TEST2_ELLIPSE_AXES
-        sections["cost"]["target_shapes"] = " ".join(
-            ["ellipse"] + [repr(v) for v in ellipse])
+    sections["cost"] = {"kind": problem.cost_kind,
+                        "target_shapes": _shapes_text(problem.target_shapes)}
     sections["descent"] = {key: repr(getattr(problem.opt, key)) for key in
                            ("rho", "max_iter", "snapshot_every", "plateau_tol")}
     return sections
@@ -158,6 +157,8 @@ def _parse_sweep_values(text, field):
     values = tuple(_POSITIVE(v, field) for v in text.split())
     if len(values) < 2:
         raise ConfigurationError(f"{field} needs at least two values")
+    if len(set(values)) < len(values):  # no slope through a repeated point
+        raise ConfigurationError(f"{field} repeats a value")
     return values
 
 
@@ -314,8 +315,8 @@ class RunConfig:
                     f"{command} needs [mesh] obstacles "
                     "(or [level] shapes) to carve the fluid region")
             # fall back to the level geometry so the holes get meshed
-            mesh["obstacles"] = self.level_shapes
-            self.domain_spec = DomainSpec(**mesh)
+            self.domain_spec = self.domain_spec.replace(
+                obstacles=self.level_shapes)
 
         named = physics.pop("traction", None)
         tx, ty = (physics.pop(f"traction_{c}", None) for c in "xy")
@@ -328,8 +329,6 @@ class RunConfig:
         physics["body_force"] = _polynomial_field(
             physics.pop("body_force_x", None),
             physics.pop("body_force_y", None), "[physics] body_force")
-        if "smoothing_width" in reg:
-            reg["smoothing"] = SmoothingParams(reg.pop("smoothing_width"))
         # descent runs need the library's level-dependent divergence form;
         # the rest compare against the incompressible reference, so plain
         if command != "optimize":
@@ -375,9 +374,8 @@ class RunConfig:
             return None
         if signed_distance is None:
             signed_distance = self.signed_distance
-        probe = DomainSpec(outer=self.domain_spec.outer,
-                           h_mesh=self.domain_spec.h_mesh, obstacles=shapes)
-        return domain_level_function(probe, signed_distance=signed_distance)
+        return domain_level_function(self.domain_spec.replace(
+            obstacles=shapes), signed_distance=signed_distance)
 
 
 def _flow_artifacts(rc, mesh, state, report, extra_rows, level_values=None):
@@ -454,12 +452,8 @@ def _run_optimize(rc):
     layout = build_spaces(mesh)
     initial = LevelField.interpolate(mesh, rc.level_function())
     if rc.cost_kind == TRACKING:
-        target_fn = rc.level_function(rc.target_shapes, signed_distance=False)
-        g_target = LevelField.interpolate(mesh, target_fn)
-        target_cfg = rc.assembly.replace(divergence_form=PLAIN_B)
-        target_state, _ = solve_navier_stokes(layout, target_cfg, g_target,
-                                              raise_on_failure=True)
-        cost = CostSpec(TRACKING, target=target_state.Y)
+        cost = tracking_cost(layout, rc.assembly, rc.level_function(
+            rc.target_shapes, signed_distance=False))
     else:
         cost = CostSpec(DISSIPATED_ENERGY)
 
@@ -514,18 +508,6 @@ def run(command, rc: RunConfig) -> list:
     return names + [MANIFEST_NAME]
 
 
-def _serialize_newton_report(report):
-    return json.dumps({
-        "converged": report.converged,
-        "iterations": report.iterations,
-        "residual_norms": list(map(float, report.residual_norms)),
-        "message": report.message,
-        "fill": list(map(int, report.fill)),
-        "krylov": list(map(int, report.krylov)),
-        "steps": list(map(float, report.steps)),
-    }, indent=2)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="penflow",
@@ -550,10 +532,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"penflow: solver failed: {exc}", file=sys.stderr)
         if isinstance(exc, NonconvergenceError):
-            print(_serialize_newton_report(exc.report), file=sys.stderr)
+            print(json.dumps(vars(exc.report), indent=2), file=sys.stderr)
         return 3
-    except (ConfigurationError, GeometryError, GenerationError,
-            UnknownLabelError) as exc:
+    except PenflowError as exc:
         print(f"penflow: config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

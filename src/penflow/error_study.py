@@ -151,7 +151,7 @@ def run_sweep(kind, values, base: SweepBase):
             name, eps = "epsilon", float(value)
         else:
             name, eps, mr = "h", base.config.eps, None
-            spec = base.domain_spec.with_mesh_size(float(value))
+            spec = base.domain_spec.replace(h_mesh=float(value))
             mesh = generate_mesh(spec, conform_to_obstacles=True)
         try:
             mr = mr or _MeshReference(mesh, base)

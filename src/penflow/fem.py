@@ -30,8 +30,7 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigurationError, EmptyRegionError
-from .levelset import (SHIFTED, STANDARD, LevelField, SmoothingParams,
-                       heaviside_value, smoothed_heaviside)
+from .levelset import LevelField, heaviside_value, smoothed_heaviside
 from .mesh import OBSTACLE, hat_gradients
 
 EXACT_REGION = "exact-region"
@@ -125,7 +124,7 @@ def _geometry(mesh, order=5):
     <= 5) or the conical one, computed once and kept in mesh._cache: the
     rule (lam, weights), area (T,), hat_grads (3, 2, T), basis vals (nq, 4),
     grad_coef (nq, 4) = [1, 27 fac], the basis gradients as grad_rows
-    (T, nq * 2, 4) d_d N_a, the points xq (T, nq, 2) and weights wa (T, nq)."""
+    (T, nq * 2, 4) d_d N_a and the weights wa (T, nq)."""
     key = ("geometry", 5 if order <= 5 else 7)
     if key not in mesh._cache:
         mesh._cache[key] = _element_geometry(mesh, key[1])
@@ -148,7 +147,6 @@ def _element_geometry(mesh, order):
             "hat_grads": np.ascontiguousarray(gl.transpose(1, 2, 0)),
             "grad_coef": np.column_stack([np.ones(nq), 27.0 * fac]),
             "grad_rows": rows.reshape(len(p), -1, 4),
-            "xq": np.einsum("qk,tkd->tqd", lam, p),
             "wa": wts[None, :] * area[:, None]}
 
 
@@ -164,7 +162,8 @@ class AssemblyConfig:
     Args:
         nu: viscosity, positive.
         eps: penalization parameter, nonnegative.
-        smoothing: SmoothingParams giving the coefficient smoothing width.
+        smoothing_width: positive width of the coefficient smoothing, or
+            None for the mesh's mean edge length.
         divergence_form: "penalized" (level-weighted) or "plain" (whole domain).
         traction: callable x -> (..., 2) traction on the Neumann side, or None.
         traction_label: boundary label carrying the traction.
@@ -175,7 +174,7 @@ class AssemblyConfig:
     layout (SpaceLayout.pin_pressure), not from the config.
     """
 
-    def __init__(self, nu=1.0, eps=0.025, smoothing=None,
+    def __init__(self, nu=1.0, eps=0.025, smoothing_width=None,
                  divergence_form=PENALIZED_B, traction=None,
                  traction_label="Gamma1", body_force=None):
         if nu <= 0:
@@ -184,11 +183,11 @@ class AssemblyConfig:
             raise ConfigurationError("penalization parameter must be nonnegative")
         if divergence_form not in (PENALIZED_B, PLAIN_B):
             raise ConfigurationError(f"unknown divergence form {divergence_form!r}")
-        if smoothing is not None and not isinstance(smoothing, SmoothingParams):
-            raise ConfigurationError("smoothing must be SmoothingParams")
+        if smoothing_width is not None and not smoothing_width > 0:
+            raise ConfigurationError("smoothing width must be positive")
         self.nu = float(nu)
         self.eps = float(eps)
-        self.smoothing = smoothing
+        self.smoothing_width = smoothing_width
         self.divergence_form = divergence_form
         self.traction = traction
         self.traction_label = traction_label
@@ -197,11 +196,6 @@ class AssemblyConfig:
     def replace(self, **changes):
         """Validated copy with the given fields changed."""
         return AssemblyConfig(**{**vars(self), **changes})
-
-    def smoothing_for(self, mesh):
-        if self.smoothing is not None:
-            return self.smoothing
-        return SmoothingParams(mesh.mean_edge_length)
 
 
 class CoeffData:
@@ -212,10 +206,11 @@ class CoeffData:
     dH, dHt in place of H, Ht and one = 0 the same formulas give the level
     derivatives dvisc, dmass, dconv, ddivc and dloadc.  level holds them
     (level.visc is dvisc, and so on), derived on first access from the level
-    values gq and the smoothing: reading values only never computes them.
+    values gq and the smoothing width: reading values only never computes
+    them.
     """
 
-    def __init__(self, config, H, Ht, gq=None, smoothing=None, one=1.0):
+    def __init__(self, config, H, Ht, gq=None, width=None, one=1.0):
         eps = config.eps
         self.visc = config.nu * (one - H) + eps * Ht
         self.mass = eps * Ht
@@ -223,15 +218,15 @@ class CoeffData:
         self.divc = np.full_like(Ht, one) \
             if config.divergence_form == PLAIN_B else self.conv
         self.loadc = one - Ht
-        self._config, self._gq, self._smoothing = config, gq, smoothing
+        self._config, self._gq, self._width = config, gq, width
 
     @functools.cached_property
     def level(self):
         """The level derivatives as a CoeffData, or None without a level."""
         if self._gq is not None:
-            return CoeffData(self._config, *(smoothed_heaviside(
-                self._gq, self._smoothing.with_kind(kind))[1]
-                for kind in (STANDARD, SHIFTED)), one=0.0)
+            gq, w = self._gq, self._width
+            return CoeffData(self._config, smoothed_heaviside(gq, w)[1],
+                             smoothed_heaviside(gq + w, w)[1], one=0.0)
 
 
 def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> CoeffData:
@@ -244,7 +239,7 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
     geom = layout.geometry()
     T, nq = layout.T, len(geom["weights"])
 
-    gq = smoothing = None
+    gq = width = None
     if g is None:
         H = Ht = np.zeros((T, nq))
     elif isinstance(g, str):
@@ -257,14 +252,14 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
     elif isinstance(g, LevelField):
         if len(g) != layout.V:
             raise ConfigurationError("level field does not match the mesh")
-        smoothing = config.smoothing_for(layout.mesh)
+        width = config.smoothing_width or layout.mesh.mean_edge_length
         gq = g.nodal_values[layout.mesh.triangles] @ geom["lam"].T
-        H = heaviside_value(gq, smoothing.with_kind(STANDARD))
-        Ht = heaviside_value(gq, smoothing.with_kind(SHIFTED))
+        # the shifted step is the standard one a width further on
+        H, Ht = heaviside_value(gq, width), heaviside_value(gq + width, width)
     else:
         raise ConfigurationError("g must be a LevelField, 'exact-region', or None")
 
-    return CoeffData(config, H, Ht, gq, smoothing)
+    return CoeffData(config, H, Ht, gq, width)
 
 
 # --------------------------------------------------------------- assembly
@@ -453,7 +448,9 @@ def _flow_rows(layout: SpaceLayout, coeffs: CoeffData, flow, fq, load):
 def _body_force_at_quad(layout: SpaceLayout, config: AssemblyConfig):
     """The body force (2, T, nq) at the quadrature points, or None."""
     if config.body_force is not None:
-        fq = config.body_force(layout.geometry()["xq"])
+        xq = np.einsum("qk,tkd->tqd", layout.geometry()["lam"],
+                       layout.mesh.vertices[layout.mesh.triangles])
+        fq = config.body_force(xq)
         return np.ascontiguousarray(np.moveaxis(fq, -1, 0), dtype=float)
 
 

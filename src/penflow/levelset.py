@@ -2,8 +2,8 @@
 
 The fluid region is where the level function g is negative; obstacles are
 its positive region.  Coefficient jumps across the zero set are smoothed by
-two piecewise-cubic regularized Heaviside functions: the standard one ramps
-on (0, width) and the shifted one on (-width, 0).
+a piecewise-cubic regularized Heaviside that ramps on (0, width), and by
+the same step moved by one width, which ramps on (-width, 0).
 """
 
 import numpy as np
@@ -12,58 +12,35 @@ from scipy.spatial import cKDTree
 from .errors import ConfigurationError
 from .mesh import hat_gradients
 
-STANDARD = "standard"
-SHIFTED = "shifted"
 
-
-class SmoothingParams:
-    """Width and variant of the regularized Heaviside.
-
-    Args:
-        width: smoothing length, must be positive.
-        kind: "standard" (ramp on (0, width)) or "shifted" (ramp on (-width, 0)).
-    """
-
-    def __init__(self, width, kind=STANDARD):
-        if width <= 0:
-            raise ConfigurationError("smoothing width must be positive")
-        if kind not in (STANDARD, SHIFTED):
-            raise ConfigurationError(f"unknown smoothing kind {kind!r}")
-        self.width = float(width)
-        self.kind = kind
-
-    def with_kind(self, kind):
-        return SmoothingParams(self.width, kind)
-
-
-def smoothed_heaviside(r, params: SmoothingParams):
+def smoothed_heaviside(r, width):
     """Value and exact derivative of the regularized Heaviside at r.
 
-    Vectorized over r.  The standard variant is 0 for r <= 0, 1 for
-    r >= width, and (-2r + 3w) r^2 / w^3 between; the shifted variant equals
-    the standard one evaluated at r + width.
+    Vectorized over r: 0 for r <= 0, 1 for r >= width, and
+    (-2r + 3w) r^2 / w^3 between.  The shifted step, which ramps on
+    (-width, 0), is this one at r + width.
 
     Returns:
         (value, derivative) arrays (or scalars for scalar input).
     """
-    s, w = _ramp(r, params), params.width
-    val = heaviside_value(r, params)
+    s, w = _ramp(r, width), width
+    val = heaviside_value(r, width)
     der = np.where((s > 0.0) & (s < w), 6.0 * s * (w - s) / w ** 3, 0.0)
     if np.isscalar(r):
         return float(val), float(der)
     return val, der
 
 
-def _ramp(r, params: SmoothingParams):
-    """r moved to the standard ramp, clipped to [0, width]."""
-    s = np.asarray(r, dtype=float)
-    return np.clip(s + params.width if params.kind == SHIFTED else s, 0.0,
-                   params.width)
+def _ramp(r, width):
+    """r clipped to the ramp [0, width]."""
+    if not width > 0:
+        raise ConfigurationError("smoothing width must be positive")
+    return np.clip(np.asarray(r, dtype=float), 0.0, width)
 
 
-def heaviside_value(r, params: SmoothingParams):
+def heaviside_value(r, width):
     """The value of smoothed_heaviside alone, as an array."""
-    s, w = _ramp(r, params), params.width
+    s, w = _ramp(r, width), width
     return np.where(s == w, 1.0, (-2.0 * s + 3.0 * w) * s ** 2 / w ** 3)
 
 

@@ -319,10 +319,9 @@ class DomainSpec:
                 raise GeometryError(
                     "obstacles must lie strictly inside the outer boundary")
 
-    def with_mesh_size(self, h_mesh):
-        """Copy of this spec with a different target edge length."""
-        return DomainSpec(self.outer, h_mesh, self.arc_segments,
-                          self.circle_segments, self.obstacles)
+    def replace(self, **changes):
+        """Validated copy with the given fields changed."""
+        return DomainSpec(**{**vars(self), **changes})
 
     # outer boundary -----------------------------------------------------
     def outer_chains(self):

@@ -8,12 +8,11 @@ and a velocity-tracking descent run toward an ellipse-obstacle flow
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .fem import AssemblyConfig, PLAIN_B, PENALIZED_B
-from .levelset import LevelField, compose_disks, compose_ellipses
+from .levelset import compose_disks, domain_level_function
 from .mesh import DomainSpec, generate_mesh
-from .topopt import (CostSpec, OptConfig, DISSIPATED_ENERGY, TRACKING)
-from .ns_solver import solve_navier_stokes
+from .topopt import (CostSpec, OptConfig, DISSIPATED_ENERGY, TRACKING,
+                     tracking_cost)
 
 # benchmark geometry: two disks parked in the flow cell
 SEC31_OBSTACLES = (("disk", (0.5, 0.25), 0.15), ("disk", (0.75, 0.0), 0.15))
@@ -24,12 +23,12 @@ EPSILON_SWEEP_VALUES = (0.5, 0.1, 0.05, 0.025)
 EPSILON_SWEEP_MESH_SIZE = 0.0175
 MESH_SWEEP_SIZES = (0.08, 0.057, 0.04)
 
+# the descent runs start from two disks; test2 tracks the flow past an
+# ellipse
 TEST1_CENTERS = ((-0.2, 0.2), (-0.2, -0.2))
 TEST1_RADII = (0.1, 0.1)
-TEST2_CENTERS = ((-0.2, 0.2), (-0.2, -0.2))
 TEST2_RADII = (0.15, 0.15)
-TEST2_ELLIPSE_CENTER = (-0.2, 0.0)
-TEST2_ELLIPSE_AXES = (0.2, 0.4)
+TEST2_TARGET_SHAPES = (("ellipse", (-0.2, 0.0), (0.2, 0.4)),)
 
 
 def shear_traction(x):
@@ -85,22 +84,31 @@ class SweepPreset:
 
 
 class DescentPreset:
-    """Everything a descent run needs; the cost may depend on the layout."""
+    """Everything a descent run needs; the cost may depend on the layout.
 
-    def __init__(self, domain_spec, config, initial_level, cost_kind,
-                 opt, make_target=None):
+    The initial and target geometries are shapes, as [level] shapes and
+    [cost] target_shapes give them, and their level functions are the
+    command line's: signed distance for the initial one, the plain form
+    for the target.
+    """
+
+    def __init__(self, domain_spec, config, level_shapes, cost_kind, opt,
+                 target_shapes=()):
         self.domain_spec = domain_spec
         self.config = config
-        self.initial_level = initial_level
+        self.level_shapes = level_shapes
         self.cost_kind = cost_kind
         self.opt = opt
-        self.make_target = make_target
+        self.target_shapes = target_shapes
+        self.initial_level = domain_level_function(
+            domain_spec.replace(obstacles=level_shapes))
+        self.target_level = domain_level_function(
+            domain_spec.replace(obstacles=target_shapes),
+            signed_distance=False) if target_shapes else None
 
     def build_cost(self, layout):
         if self.cost_kind == TRACKING:
-            if self.make_target is None:
-                raise ConfigurationError("tracking preset lacks a target recipe")
-            return CostSpec(TRACKING, target=self.make_target(layout))
+            return tracking_cost(layout, self.config, self.target_level)
         return CostSpec(self.cost_kind)
 
 
@@ -124,33 +132,26 @@ def mesh_sweep(sizes=MESH_SWEEP_SIZES, eps=0.025):
                        sec31_assembly(eps=eps))
 
 
-def test1_problem(h_mesh=0.05, max_iter=200, rho=0.8, snapshot_every=25):
+def _descent_problem(radii, cost_kind, h_mesh, max_iter, rho, snapshot_every,
+                     target_shapes=()):
     config = AssemblyConfig(nu=1.0, eps=0.01, traction=shear_traction,
                             divergence_form=PENALIZED_B)
-    initial = compose_disks(TEST1_CENTERS, TEST1_RADII, signed_distance=True)
+    shapes = tuple(("disk", c, r) for c, r in zip(TEST1_CENTERS, radii))
     opt = OptConfig(rho=rho, max_iter=max_iter, snapshot_every=snapshot_every,
                     plateau_tol=0.0)
-    return DescentPreset(flow_cell_spec(h_mesh, obstacles=()), config,
-                         initial, DISSIPATED_ENERGY, opt)
+    return DescentPreset(flow_cell_spec(h_mesh, obstacles=()), config, shapes,
+                         cost_kind, opt, target_shapes)
 
 
-def test2_target_level():
-    return compose_ellipses([TEST2_ELLIPSE_CENTER], [TEST2_ELLIPSE_AXES])
-
-
-def _test2_target(layout):
-    # target flow solved with the plain divergence form, as in the benchmark
-    g = LevelField.interpolate(layout.mesh, test2_target_level())
-    config = sec31_assembly(eps=0.01)
-    state, _ = solve_navier_stokes(layout, config, g, raise_on_failure=True)
-    return state.Y
+def test1_problem(h_mesh=0.05, max_iter=200, rho=0.8, snapshot_every=25):
+    return _descent_problem(TEST1_RADII, DISSIPATED_ENERGY, h_mesh, max_iter,
+                            rho, snapshot_every)
 
 
 def test2_problem(h_mesh=0.05, max_iter=500, rho=0.02, snapshot_every=100):
-    config = AssemblyConfig(nu=1.0, eps=0.01, traction=shear_traction,
-                            divergence_form=PENALIZED_B)
-    initial = compose_disks(TEST2_CENTERS, TEST2_RADII, signed_distance=True)
-    opt = OptConfig(rho=rho, max_iter=max_iter, snapshot_every=snapshot_every,
-                    plateau_tol=0.0)
-    return DescentPreset(flow_cell_spec(h_mesh, obstacles=()), config,
-                         initial, TRACKING, opt, make_target=_test2_target)
+    return _descent_problem(TEST2_RADII, TRACKING, h_mesh, max_iter, rho,
+                            snapshot_every, TEST2_TARGET_SHAPES)
+
+
+def test2_target_level():
+    return test2_problem().target_level

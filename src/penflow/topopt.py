@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .artifacts import csv_text
 from .errors import ConfigurationError, SolverError
-from .fem import (SpaceLayout, _body_force_at_quad, _flow_at_quad,
+from .fem import (PLAIN_B, SpaceLayout, _body_force_at_quad, _flow_at_quad,
                   _flow_rows, _hat_rows, _momentum_integrand, _scatter,
                   _velocity_at_quad, _velocity_rows, assemble_bilinear,
                   assemble_load, assemble_trilinear, evaluate_coefficients)
@@ -78,6 +78,17 @@ class CostSpec:
             target = np.asarray(target, dtype=float)
         self.kind = kind
         self.target = target
+
+
+def tracking_cost(layout, config, target_level):
+    """The tracking cost toward the flow past the obstacles of the pointwise
+    level function target_level, solved on layout with config but the
+    plain divergence form."""
+    g = LevelField.interpolate(layout.mesh, target_level)
+    state, _ = solve_navier_stokes(
+        layout, config.replace(divergence_form=PLAIN_B), g,
+        raise_on_failure=True)
+    return CostSpec(TRACKING, target=state.Y)
 
 
 class OptConfig:

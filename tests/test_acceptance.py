@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from penflow import (AssemblyConfig, CostSpec, DISSIPATED_ENERGY, DomainSpec,
-                     LevelField, OptVector, PENALIZED_B, SHIFTED,
-                     SmoothingParams, TRACKING, assemble_bilinear,
+                     LevelField, OptVector, PENALIZED_B, TRACKING,
+                     assemble_bilinear,
                      assemble_load, assemble_trilinear, boundary_flux,
                      build_spaces, compose_disks, compute_norm,
                      constraint_jacobian, constraint_residual,
@@ -70,18 +70,23 @@ def test_criterion_1_form_algebra(coarse_setting, rng):
 # 2 ------------------------------------------------------------------
 def test_criterion_2_heaviside_knots():
     h = 0.25
-    std = SmoothingParams(h)
-    sh = SmoothingParams(h, SHIFTED)
+
+    def std(r):
+        return smoothed_heaviside(r, h)
+
+    def sh(r):  # the shifted step: the standard one a width further on
+        return smoothed_heaviside(r + h, h)
+
     checks = []
-    v, d = smoothed_heaviside(np.array([0.0, h / 2, h]), std)
+    v, d = std(np.array([0.0, h / 2, h]))
     checks += [v[0] == 0.0, v[1] == 0.5, v[2] == 1.0, d[0] == 0.0,
                d[2] == 0.0]
-    v, d = smoothed_heaviside(np.array([-h, -h / 2, 0.0]), sh)
+    v, d = sh(np.array([-h, -h / 2, 0.0]))
     checks += [v[0] == 0.0, v[1] == 0.5, v[2] == 1.0, d[0] == 0.0,
                d[2] == 0.0]
     r = np.linspace(-2 * h, 2 * h, 1000)
-    for params in (std, sh):
-        vals, ders = smoothed_heaviside(r, params)
+    for step in (std, sh):
+        vals, ders = step(r)
         checks += [bool(np.all(np.diff(vals) >= 0)), bool(np.all(ders >= 0))]
     ok = all(checks)
     _criterion(2, "smoothed step knots",

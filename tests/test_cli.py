@@ -18,7 +18,11 @@ from penflow.cli import (_parse_monomials, _parse_shapes, _polynomial_field,
                          main, preset_sections)
 from penflow.errors import (ConfigurationError, GenerationError,
                             NonconvergenceError)
+from penflow.fem import build_spaces
+from penflow.levelset import LevelField
+from penflow.mesh import generate_mesh
 from penflow.ns_solver import NewtonReport
+from penflow.topopt import optimize
 
 
 def _write(tmp_path, name, text):
@@ -225,6 +229,7 @@ _RULES = [
     ("error-study", {("study", "values"): None}, "[study] values"),
     ("error-study", {("study", "values"): "0.1 -0.05"}, "[study] values"),
     ("error-study", {("study", "values"): "0.1"}, "[study]"),
+    ("error-study", {("study", "values"): "0.5 0.5"}, "[study] values"),
     ("error-study", {("study", "coefficient_mode"): "sharp"},
      "[study] coefficient_mode"),
     ("optimize", {("level", "shapes"): None}, "optimize"),
@@ -275,6 +280,7 @@ def test_config_rule_exits_2_with_one_prefix(command, changes, prefix,
     err = capsys.readouterr().err
     assert err.startswith(f"penflow: config error: {prefix}")
     assert err.count(prefix) == 1
+    assert not (tmp_path / "out").exists()  # no artifact
 
 
 def test_descent_error_is_prefixed_once(tmp_path, capsys):
@@ -336,6 +342,7 @@ def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
     assert blob["fill"] == [300_396, 303_874]
     assert blob["krylov"] == [0, 13, 0, 12]
     assert blob["steps"] == [0.25, 1.0]
+    assert blob["runtime"] == report.runtime
 
 
 # outcome of each failure class: (exit code, text on stderr)
@@ -436,8 +443,7 @@ traction = shear
     assert ok, mismatches
 
 
-def test_error_study_writes_records_and_plot(tmp_path):
-    cfg = _write(tmp_path, "run.ini", """
+BOX_STUDY = """
 [mesh]
 outer = 0 0 1 1
 h_mesh = 0.2
@@ -449,7 +455,11 @@ traction = shear
 [study]
 kind = epsilon
 values = 0.5 0.25
-""")
+"""
+
+
+def test_error_study_writes_records_and_plot(tmp_path):
+    cfg = _write(tmp_path, "run.ini", BOX_STUDY)
     out = tmp_path / "out"
     assert main(["error-study", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "records.csv").read_text().splitlines()
@@ -459,6 +469,22 @@ values = 0.5 0.25
     assert "slope" in svg
     ok, mismatches = verify_manifest(out)
     assert ok, mismatches
+
+
+def test_error_study_with_smoothed_coefficients(tmp_path):
+    records = {}
+    for mode in ("exact-region", "smoothed"):
+        cfg = _write(tmp_path, f"{mode}.ini",
+                     BOX_STUDY + f"coefficient_mode = {mode}\n")
+        out = tmp_path / mode
+        assert main(["error-study", "--config", cfg, "--out", str(out)]) == 0
+        ok, mismatches = verify_manifest(out)
+        assert ok, mismatches
+        records[mode] = (out / "records.csv").read_text().splitlines()
+    assert len(records["smoothed"]) == 3
+    # the same header and sweep points, other errors
+    assert records["smoothed"][0] == records["exact-region"][0]
+    assert records["smoothed"] != records["exact-region"]
 
 
 def test_error_study_meshes_the_level_shapes_without_obstacles(tmp_path,
@@ -526,6 +552,25 @@ snapshot_every = 1
     assert rc == 0
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) - 1 <= 3
+
+
+def test_optimize_tracking_preset_matches_the_library(tmp_path):
+    cfg = _write(tmp_path, "quick.ini", "[mesh]\nh_mesh = 0.1\n"
+                 "[descent]\nmax_iter = 2\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "--preset", "test2", "--config", cfg,
+                 "--out", str(out)]) == 0
+    ok, mismatches = verify_manifest(out)
+    assert ok, mismatches
+    history = (out / "history.csv").read_text().splitlines()
+    j_h = float(dict(zip(history[0].split(","), history[1].split(",")))["j_h"])
+    # the preset's own target and cost, through the library
+    problem = presets.test2_problem(h_mesh=0.1, max_iter=1)
+    layout = build_spaces(generate_mesh(problem.domain_spec))
+    g0 = LevelField.interpolate(layout.mesh, problem.initial_level)
+    want = optimize(g0, problem.build_cost(layout), problem.opt, layout,
+                    problem.config)[0][0].j_h
+    assert abs(j_h - want) <= 1e-12 * abs(want)
 
 
 def test_output_dir_can_come_from_config(tmp_path):

@@ -272,10 +272,10 @@ def test_exact_region_coefficients_are_sharp(square_disk_conforming):
 def test_smoothed_coefficients_match_pointwise_formula(small_assembly):
     mesh, lay, cfg, g, coeffs = small_assembly
     geom = lay.geometry()
-    params = cfg.smoothing_for(mesh)
+    w = mesh.mean_edge_length  # the default width
     gq = np.einsum("qj,tj->tq", geom["lam"], g.nodal_values[mesh.triangles])
-    H, _ = smoothed_heaviside(gq, params)
-    Hs, _ = smoothed_heaviside(gq, params.with_kind("shifted"))
+    H, _ = smoothed_heaviside(gq, w)
+    Hs, _ = smoothed_heaviside(gq + w, w)
     assert np.allclose(coeffs.visc, cfg.nu * (1.0 - H) + cfg.eps * Hs,
                        atol=1e-15)
     assert np.allclose(coeffs.mass, cfg.eps * Hs, atol=1e-15)
@@ -299,11 +299,10 @@ def test_level_derivatives_are_derived_only_on_first_access(small_assembly,
     # bit for bit, and at the next the same object
     level = co.level
     assert len(calls) == 2 and co.level is level
-    params = cfg.smoothing_for(mesh)
+    w = mesh.mean_edge_length  # the default width
     gq = g.nodal_values[mesh.triangles] @ lay.geometry()["lam"].T
-    want = fem.CoeffData(cfg, smoothed_heaviside(gq, params)[1],
-                         smoothed_heaviside(gq, params.with_kind("shifted"))[1],
-                         one=0.0)
+    want = fem.CoeffData(cfg, smoothed_heaviside(gq, w)[1],
+                         smoothed_heaviside(gq + w, w)[1], one=0.0)
     assert all(np.array_equal(getattr(level, k), getattr(want, k))
                for k in names)
     assert evaluate_coefficients(lay, cfg, None).level is None
@@ -504,7 +503,8 @@ def test_load_matches_per_edge_scatter(flow_cell_coarse_layout):
     geom = lay.geometry()
     co = evaluate_coefficients(lay, cfg, g)
     wa = geom["weights"][None, :] * geom["area"][:, None] * co.loadc
-    floc = np.einsum("tq,tqc,qa->tca", wa, force(geom["xq"]), geom["vals"])
+    xq = np.einsum("qk,tkd->tqd", geom["lam"], mesh.vertices[mesh.triangles])
+    floc = np.einsum("tq,tqc,qa->tca", wa, force(xq), geom["vals"])
     want = np.zeros(2 * lay.N1)
     idx = np.arange(2)[None, :, None] * lay.N1 + lay.cell_dofs[:, None, :]
     np.add.at(want, idx.ravel(), floc.ravel())

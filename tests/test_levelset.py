@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from penflow import (ConfigurationError, LevelField, SHIFTED, STANDARD,
-                     SmoothingParams, check_admissibility, compose_disks,
+from penflow import (AssemblyConfig, ConfigurationError, LevelField,
+                     check_admissibility, compose_disks,
                      compose_ellipses, domain_level_function,
                      smoothed_heaviside, DomainSpec)
 from penflow.presets import TEST1_CENTERS, TEST1_RADII, sec31_level
@@ -11,13 +11,13 @@ from penflow.presets import TEST1_CENTERS, TEST1_RADII, sec31_level
 
 def test_cutoff_hits_exact_values_at_knots():
     for width in (1.0, 0.5, 0.25):
-        p = SmoothingParams(width, STANDARD)
-        val, der = smoothed_heaviside(np.array([0.0, width / 2, width]), p)
+        val, der = smoothed_heaviside(np.array([0.0, width / 2, width]), width)
         assert val[0] == 0.0 and der[0] == 0.0
         assert val[1] == 0.5
         assert val[2] == 1.0 and der[2] == 0.0
-        sh = SmoothingParams(width, SHIFTED)
-        sval, sder = smoothed_heaviside(np.array([-width, -width / 2, 0.0]), sh)
+        # the shifted step: the standard one a width further on
+        sval, sder = smoothed_heaviside(
+            np.array([-width, -width / 2, 0.0]) + width, width)
         assert sval[0] == 0.0 and sder[0] == 0.0
         assert sval[1] == 0.5
         assert sval[2] == 1.0 and sder[2] == 0.0
@@ -25,54 +25,45 @@ def test_cutoff_hits_exact_values_at_knots():
 
 def test_cutoff_midpoint_is_half_to_rounding_at_any_width():
     for width in (0.05, 0.0175, 3.7, 1e-6):
-        val, _ = smoothed_heaviside(np.array([width / 2]),
-                                    SmoothingParams(width, STANDARD))
+        val, _ = smoothed_heaviside(np.array([width / 2]), width)
         assert abs(val[0] - 0.5) < 1e-15
 
 
 def test_cutoff_saturates_outside_band():
-    p = SmoothingParams(0.25)
-    val, der = smoothed_heaviside(np.array([-5.0, -0.001, 0.26, 40.0]), p)
+    val, der = smoothed_heaviside(np.array([-5.0, -0.001, 0.26, 40.0]), 0.25)
     assert np.array_equal(val, [0.0, 0.0, 1.0, 1.0])
     assert np.array_equal(der, [0.0, 0.0, 0.0, 0.0])
 
 
 def test_cutoff_is_monotone_on_dense_samples():
     r = np.linspace(-2.0, 2.0, 1000)
-    for kind in (STANDARD, SHIFTED):
-        val, der = smoothed_heaviside(r, SmoothingParams(0.8, kind))
+    for shift in (0.0, 0.8):  # the standard and the shifted step
+        val, der = smoothed_heaviside(r + shift, 0.8)
         assert np.all(np.diff(val) >= 0.0)
         assert np.all(der >= 0.0)
         assert np.all((0.0 <= val) & (val <= 1.0))
 
 
-def test_shifted_cutoff_is_translated_standard():
-    r = np.linspace(-1.5, 1.5, 257)
-    w = 0.4
-    std, _ = smoothed_heaviside(r + w, SmoothingParams(w, STANDARD))
-    shf, _ = smoothed_heaviside(r, SmoothingParams(w, SHIFTED))
-    assert np.array_equal(std, shf)
-
-
 @given(r=st.floats(-10, 10), w=st.floats(0.01, 5))
 @settings(max_examples=200, deadline=None)
 def test_cutoff_derivative_matches_difference_quotient(r, w):
-    p = SmoothingParams(w, STANDARD)
     d = 1e-7 * w
-    v1, _ = smoothed_heaviside(r - d, p)
-    v2, _ = smoothed_heaviside(r + d, p)
-    _, der = smoothed_heaviside(r, p)
+    v1, _ = smoothed_heaviside(r - d, w)
+    v2, _ = smoothed_heaviside(r + d, w)
+    _, der = smoothed_heaviside(r, w)
     # away from the knots the cubic is smooth; near them allow the kink
     near_knot = min(abs(r), abs(r - w)) < 2 * d
     if not near_knot:
         assert abs((v2 - v1) / (2 * d) - der) < 1e-5 * max(1.0, der)
 
 
-def test_smoothing_params_reject_bad_inputs():
-    with pytest.raises(ConfigurationError):
-        SmoothingParams(0.0)
-    with pytest.raises(ConfigurationError):
-        SmoothingParams(1.0, kind="fancy")
+def test_smoothing_width_must_be_positive():
+    for width in (0.0, -1.0, np.nan):
+        with pytest.raises(ConfigurationError):
+            smoothed_heaviside(0.5, width)
+        with pytest.raises(ConfigurationError):
+            AssemblyConfig(smoothing_width=width)
+    assert AssemblyConfig(smoothing_width=0.1).smoothing_width == 0.1
 
 
 def test_disk_composition_signed_distance():

@@ -104,13 +104,16 @@ def test_domain_spec_rejects_obstacle_leaving_domain():
                    obstacles=(("disk", (0.05, 0.5), 0.2),))
 
 
-def test_with_mesh_size_returns_rescaled_copy():
+def test_replace_returns_validated_copy():
     spec = DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2,
+                      arc_segments=12, circle_segments=16,
                       obstacles=(("disk", (0.5, 0.5), 0.2),))
-    finer = spec.with_mesh_size(0.1)
+    finer = spec.replace(h_mesh=0.1)
     assert finer.h_mesh == 0.1
-    assert finer.obstacles == spec.obstacles
+    assert vars(finer) == {**vars(spec), "h_mesh": 0.1}
     assert spec.h_mesh == 0.2
+    with pytest.raises(GeometryError):
+        spec.replace(obstacles=(("disk", (0.05, 0.5), 0.2),))
 
 
 def test_conforming_mesh_partitions_regions(square_disk_conforming):
