@@ -15,7 +15,6 @@ import numpy as np
 
 from penflow import regression_slope, run_sweep
 from penflow.artifacts import svg_loglog, write_csv
-from penflow.error_study import SweepBase
 from penflow.presets import flow_cell_spec, sec31_assembly
 
 OUT = os.path.join(os.path.dirname(__file__), "out-sweeps")
@@ -39,8 +38,8 @@ def fitted(records, xattr, yattr):
 
 # epsilon sweep on one shared conforming mesh
 eps_values = (0.5, 0.1, 0.05, 0.025)
-base = SweepBase(flow_cell_spec(0.03), sec31_assembly())
-records = run_sweep("epsilon", eps_values, base)
+records = run_sweep("epsilon", eps_values, flow_cell_spec(0.03),
+                    sec31_assembly())
 print("epsilon sweep, h = 0.03:")
 show(records, "epsilon")
 fit_eps = fitted(records, "epsilon", "l2_rel")
@@ -58,8 +57,8 @@ svg_loglog(os.path.join(OUT, "epsilon.svg"),
 
 # mesh sweep at fixed epsilon
 sizes = (0.08, 0.057, 0.04)
-base = SweepBase(flow_cell_spec(sizes[0]), sec31_assembly(eps=0.025))
-records = run_sweep("mesh", sizes, base)
+records = run_sweep("mesh", sizes, flow_cell_spec(sizes[0]),
+                    sec31_assembly(eps=0.025))
 print("mesh sweep, eps = 0.025:")
 show(records, "mesh_size")
 fit_l2 = fitted(records, "mesh_size", "l2_rel")

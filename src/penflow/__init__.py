@@ -26,7 +26,7 @@ from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
 from .ns_solver import (MixedState, NewtonReport, residual_max_norm,
                         solve_navier_stokes,
                         solve_reference_flux_constrained, solve_stokes)
-from .error_study import (EPSILON_SWEEP, MESH_SWEEP, ErrorRecord, SweepBase,
+from .error_study import (EPSILON_SWEEP, MESH_SWEEP, ErrorRecord,
                           records_to_csv, regression_slope, restrict_state,
                           run_sweep)
 from .topopt import (CostSpec, DISSIPATED_ENERGY, IterateRecord, OptConfig,

@@ -24,10 +24,10 @@ import numpy as np
 from . import presets
 from .artifacts import (MANIFEST_NAME, atomic_write_text, level_csv_text,
                         svg_loglog, write_csv, write_manifest, write_vtk)
-from .errors import (ConfigurationError, GeometryError, NonconvergenceError,
-                     PenflowError, SolverError)
-from .error_study import (EPSILON_SWEEP, MESH_SWEEP, SweepBase,
-                          records_to_csv, regression_slope, run_sweep)
+from .errors import (ConfigurationError, GenerationError, GeometryError,
+                     NonconvergenceError, PenflowError, SolverError)
+from .error_study import (EPSILON_SWEEP, MESH_SWEEP, records_to_csv,
+                          regression_slope, run_sweep)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
                   build_spaces, compute_norm)
 from .levelset import LevelField, domain_level_function
@@ -153,12 +153,19 @@ def _parse_outer(text, field):
     return tuple(_number(float)(p, field) for p in parts)
 
 
+# sweep values closer than this fraction of the larger one give no slope
+_SWEEP_MARGIN = 0.01
+
+
 def _parse_sweep_values(text, field):
     values = tuple(_POSITIVE(v, field) for v in text.split())
     if len(values) < 2:
         raise ConfigurationError(f"{field} needs at least two values")
-    if len(set(values)) < len(values):  # no slope through a repeated point
-        raise ConfigurationError(f"{field} repeats a value")
+    ordered = sorted(values)
+    for a, b in zip(ordered, ordered[1:]):
+        if b - a <= _SWEEP_MARGIN * b:
+            raise ConfigurationError(f"{field} {a!r} and {b!r} lie within "
+                                     f"{_SWEEP_MARGIN:.0%} of each other")
     return values
 
 
@@ -420,9 +427,8 @@ def _run_solve_reference(rc):
 
 
 def _run_error_study(rc):
-    base = SweepBase(rc.domain_spec, rc.assembly,
-                     coefficient_mode=rc.coefficient_mode)
-    records = run_sweep(rc.study_kind, rc.study_values, base)
+    records = run_sweep(rc.study_kind, rc.study_values, rc.domain_spec,
+                        rc.assembly, rc.coefficient_mode)
     atomic_write_text(os.path.join(rc.out_dir, "records.csv"),
                       records_to_csv(records))
     x_field, xlabel = (("epsilon", "epsilon") if rc.study_kind == EPSILON_SWEEP
@@ -503,7 +509,12 @@ def run(command, rc: RunConfig) -> list:
     if command not in _RUNNERS:
         raise ConfigurationError(f"unknown command {command!r}")
     os.makedirs(rc.out_dir, exist_ok=True)
-    names = _RUNNERS[command](rc)
+    try:
+        names = _RUNNERS[command](rc)
+    except GenerationError as exc:  # the key that sets the failing mesh size
+        key = "[study] values" if command == "error-study" and \
+            rc.study_kind == MESH_SWEEP else "[mesh] h_mesh"
+        raise ConfigurationError(f"{key}: {exc}") from exc
     write_manifest(rc.out_dir, names)
     return names + [MANIFEST_NAME]
 

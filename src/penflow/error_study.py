@@ -58,29 +58,6 @@ class ErrorRecord:
                 f"l2_rel={self.l2_rel:.4e}, h1_rel={self.h1_rel:.4e})")
 
 
-class SweepBase:
-    """Problem setup shared by all sweep points.
-
-    domain_spec must describe the obstacles explicitly so conforming meshes
-    can be generated; config carries physics (its eps is used as the fixed
-    penalization during a mesh sweep).  coefficient_mode selects how the
-    obstacle enters the forms: "exact-region" (sharp indicator on the
-    conforming mesh, the zero-width limit of the smoothing) or "smoothed"
-    (level-field coefficients with the configured width).
-    """
-
-    def __init__(self, domain_spec: DomainSpec, config: AssemblyConfig,
-                 coefficient_mode=EXACT_REGION):
-        if not domain_spec.obstacles:
-            raise ConfigurationError("sweep setup needs at least one obstacle")
-        if coefficient_mode not in (EXACT_REGION, "smoothed"):
-            raise ConfigurationError(
-                f"unknown coefficient mode {coefficient_mode!r}")
-        self.domain_spec = domain_spec
-        self.config = config
-        self.coefficient_mode = coefficient_mode
-
-
 def restrict_state(full_layout, sub_mesh, Y, P=None):
     """Restrict full-mesh velocity/pressure DOFs to an extracted submesh.
 
@@ -99,24 +76,24 @@ def restrict_state(full_layout, sub_mesh, Y, P=None):
 class _MeshReference:
     """The eps-free part of every sweep point on one mesh: fluid submesh,
     reference solve (eps 0), its report and norms, layout, obstacle
-    coefficients."""
+    coefficients (exact-region without a level function)."""
 
-    def __init__(self, mesh, base):
+    def __init__(self, mesh, config, level):
         self.mesh, self.sub = mesh, extract_submesh(mesh, FLUID)
+        self.config = config
         self.ref, _, self.report = solve_reference_flux_constrained(
-            self.sub, base.config.replace(eps=0.0), raise_on_failure=True)
+            self.sub, config.replace(eps=0.0), raise_on_failure=True)
         ref = self.ref
         self.norms = [compute_norm(self.sub, v, kind=k) for v, k in (
             (ref.Y, "L2"), (ref.Y, "H1seminorm"), (ref.P, "L2"))]
         self.layout = build_spaces(mesh)
-        self.g = EXACT_REGION if base.coefficient_mode == EXACT_REGION else \
-            LevelField.interpolate(mesh,
-                                   domain_level_function(base.domain_spec))
+        self.g = EXACT_REGION if level is None else \
+            LevelField.interpolate(mesh, level)
 
 
-def _one_point(mr: _MeshReference, base, eps):
+def _one_point(mr: _MeshReference, eps):
     state, report = solve_navier_stokes(
-        mr.layout, base.config.replace(eps=eps), mr.g, raise_on_failure=True)
+        mr.layout, mr.config.replace(eps=eps), mr.g, raise_on_failure=True)
     sub, ref, (ref_l2, ref_h1, ref_p) = mr.sub, mr.ref, mr.norms
     Ys, Ps = restrict_state(mr.layout, sub, state.Y, state.P)
     dY = Ys - ref.Y
@@ -128,34 +105,47 @@ def _one_point(mr: _MeshReference, base, eps):
                        div_omega, report.iterations, p_rel, report, mr.report)
 
 
-def run_sweep(kind, values, base: SweepBase):
+def run_sweep(kind, values, domain_spec: DomainSpec, config: AssemblyConfig,
+              coefficient_mode=EXACT_REGION):
     """Run an accuracy sweep; one ErrorRecord per value, in input order.
 
     kind "epsilon": values are penalization parameters on one shared
     conforming mesh, whose reference is computed once, at the first point.
-    kind "mesh": values are target mesh sizes, eps fixed from base.config.
-    A PenflowError from a point's solves propagates as the same exception
-    (a NonconvergenceError keeps its Newton report) with the point prefixed
-    to its message, e.g. "sweep point h=0.05: ...".
+    kind "mesh": values are target mesh sizes, eps fixed from config.
+    domain_spec names the obstacles that every conforming mesh carves.
+    coefficient_mode is "exact-region" (sharp indicator on the conforming
+    mesh, the zero-width limit of the smoothing) or "smoothed" (level-field
+    coefficients with the configured width); both are checked before any
+    mesh is made.  A PenflowError from a point's mesh or solves propagates
+    as the same exception (a NonconvergenceError keeps its Newton report)
+    with the point prefixed to its message, e.g. "sweep point h=0.05: ...".
     """
     if kind not in (EPSILON_SWEEP, MESH_SWEEP):
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
     values = list(values)
     if not values:
         raise ConfigurationError("sweep needs at least one value")
+    if not domain_spec.obstacles:
+        raise ConfigurationError("sweep setup needs at least one obstacle")
+    if coefficient_mode not in (EXACT_REGION, "smoothed"):
+        raise ConfigurationError(
+            f"unknown coefficient mode {coefficient_mode!r}")
+    level = None if coefficient_mode == EXACT_REGION else \
+        domain_level_function(domain_spec)
     if kind == EPSILON_SWEEP:
-        mesh = generate_mesh(base.domain_spec, conform_to_obstacles=True)
+        mesh = generate_mesh(domain_spec, conform_to_obstacles=True)
     records, mr = [], None
     for value in values:
         if kind == EPSILON_SWEEP:
             name, eps = "epsilon", float(value)
         else:
-            name, eps, mr = "h", base.config.eps, None
-            spec = base.domain_spec.replace(h_mesh=float(value))
-            mesh = generate_mesh(spec, conform_to_obstacles=True)
+            name, eps, mr = "h", config.eps, None
         try:
-            mr = mr or _MeshReference(mesh, base)
-            records.append(_one_point(mr, base, eps))
+            if kind == MESH_SWEEP:  # a mesh, and so a reference, per point
+                spec = domain_spec.replace(h_mesh=float(value))
+                mesh = generate_mesh(spec, conform_to_obstacles=True)
+            mr = mr or _MeshReference(mesh, config, level)
+            records.append(_one_point(mr, eps))
         except PenflowError as exc:
             exc.args = (f"sweep point {name}={value}: {exc}",) + exc.args[1:]
             raise

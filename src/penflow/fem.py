@@ -433,16 +433,17 @@ def _momentum_integrand(co: CoeffData, flow, fq):
     return val, grad
 
 
-def _flow_rows(layout: SpaceLayout, coeffs: CoeffData, flow, fq, load):
+def _flow_rows(layout: SpaceLayout, coeffs: CoeffData, flow, fq, load, Y,
+               ydir=0.0):
     """(A Y + C1(Y) Y + B^T P - load, B Y) summed per element, no matrix,
-    at _flow_at_quad's flow.
-
-    The divergence row of hat j is -divc div u lam_j; boundary rows are left
-    to the caller.
-    """
+    at _flow_at_quad's flow of velocity Y, the Dirichlet rows Y - ydir there
+    (ydir the wall data).  The divergence row of hat j is -divc div u lam_j;
+    the pressure pin and any flux rows are left to the caller."""
     divu = flow[1][0, 0] + flow[1][1, 1]
-    return (_velocity_rows(layout, *_momentum_integrand(coeffs, flow, fq))
-            - load, _hat_rows(layout, -coeffs.divc * divu))
+    mom = _velocity_rows(layout, *_momentum_integrand(coeffs, flow, fq)) - load
+    dirs = layout.dirichlet_dofs
+    mom[dirs] = Y[dirs] - ydir
+    return mom, _hat_rows(layout, -coeffs.divc * divu)
 
 
 def _body_force_at_quad(layout: SpaceLayout, config: AssemblyConfig):

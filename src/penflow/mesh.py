@@ -29,6 +29,9 @@ FLUID = "Fluid"
 OBSTACLE = "Obstacle"
 
 _DUPLICATE_TOL = 1e-12
+# a segment count is at most this times the count h implies for the flow
+# cell's arc, ceil(pi / 2h) >= 1, so the default 64 holds at every h
+_SEGMENT_FACTOR = 64
 
 
 class Mesh:
@@ -248,12 +251,24 @@ def _lookup(keys, query):
     return np.where(np.append(keys, -1)[pos] == query, pos, -1)
 
 
-def _inherit_labels(edges, known, known_labels, nv):
-    """Label of the known edge matching each edge, None where none does."""
-    kk = _edge_keys(known, nv)
+def _compact(points, triangles, known, known_labels):
+    """The triangles over only the points they use: the vertices, the
+    renumbered triangles, the boundary edges (sides of one triangle), the
+    label of the known (E, 2) edge of points matching each (None where none
+    does) and every point's new number (-1 where unused)."""
+    used = np.unique(triangles)
+    remap = np.full(len(points), -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    triangles = remap[triangles]
+    edges, counts = _edge_table(triangles, len(used))
+    bdry = edges[counts == 1]
+    known = remap[known]
+    keep = np.flatnonzero(np.all(known >= 0, axis=1))
+    kk = _edge_keys(known[keep], len(used))
     order = np.argsort(kk)
-    pos = _lookup(kk[order], _edge_keys(edges, nv))
-    return [known_labels[order[i]] if i >= 0 else None for i in pos]
+    pos = _lookup(kk[order], _edge_keys(bdry, len(used)))
+    labels = [known_labels[keep[order[i]]] if i >= 0 else None for i in pos]
+    return points[used], triangles, bdry, labels, remap
 
 
 def _doubled_areas(p):
@@ -298,10 +313,14 @@ class DomainSpec:
 
     def __init__(self, outer="flow-cell", h_mesh=0.05, arc_segments=64,
                  circle_segments=64, obstacles=()):
-        if h_mesh <= 0:
-            raise GeometryError("target edge length must be positive")
-        if arc_segments < 8 or circle_segments < 8:
-            raise GeometryError("segment counts must be at least 8")
+        if not 0 < h_mesh < np.inf:
+            raise GeometryError("target edge length must be positive and finite")
+        most = _SEGMENT_FACTOR * int(np.ceil(0.5 * np.pi / h_mesh))
+        for name, n in (("arc_segments", arc_segments),
+                        ("circle_segments", circle_segments)):
+            if not 8 <= n <= most:
+                raise GeometryError(f"{name} must be between 8 and {most} "
+                                    f"at h_mesh {h_mesh!r}")
         self.outer = outer
         self.h_mesh = float(h_mesh)
         self.arc_segments = int(arc_segments)
@@ -680,17 +699,8 @@ def _finalize(points, simplices, outer_required, ring_labels, cut):
     if np.any(np.abs(cross) < 1e-14):
         raise GenerationError("degenerate triangle produced")
 
-    # drop unused points (repair may have culled none that are referenced)
-    used = np.unique(simplices)
-    remap = -np.ones(len(points), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    vertices = points[used]
-    triangles = remap[simplices]
-
-    edges, counts = _edge_table(triangles, len(vertices))
-    bdry = edges[counts == 1]
-    labels = _inherit_labels(bdry, remap[outer_required], ring_labels,
-                             len(vertices))
+    vertices, triangles, bdry, labels, remap = _compact(
+        points, simplices, outer_required, ring_labels)
     if None in labels:
         raise GenerationError("unlabeled boundary edge produced")
     region = None if cut is None else _region_tags(triangles, len(vertices),
@@ -721,19 +731,9 @@ def extract_submesh(mesh: Mesh, region: str) -> Mesh:
     mapping back to the input mesh.
     """
     keep = mesh.triangles_in_region(region)
-    tris = mesh.triangles[keep]
-    used = np.unique(tris)
-    remap = -np.ones(mesh.num_vertices, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    vertices = mesh.vertices[used]
-    triangles = remap[tris]
-
-    edges, counts = _edge_table(triangles, len(vertices))
-    bdry = edges[counts == 1]
-    known = np.flatnonzero(np.all(remap[mesh.boundary_edges] >= 0, axis=1))
-    labels = _inherit_labels(bdry, remap[mesh.boundary_edges[known]],
-                             [mesh.boundary_labels[i] for i in known],
-                             len(vertices))
+    vertices, triangles, bdry, labels, remap = _compact(
+        mesh.vertices, mesh.triangles[keep], mesh.boundary_edges,
+        mesh.boundary_labels)
     new_edges = [i for i, s in enumerate(labels) if s is None]
 
     # group fresh interface edges into loops and name them deterministically
@@ -755,7 +755,7 @@ def extract_submesh(mesh: Mesh, region: str) -> Mesh:
 
     sub = Mesh(vertices, triangles, bdry, labels,
                triangle_region=[region] * len(triangles))
-    sub.parent_vertex_ids = used
+    sub.parent_vertex_ids = np.flatnonzero(remap >= 0)
     sub.parent_triangle_ids = keep
     return sub
 

@@ -5,9 +5,9 @@ stationary Navier-Stokes system with smoothed obstacle penalization, and a
 body-fitted reference solver that enforces zero net flux through each
 obstacle boundary with one Lagrange multiplier per loop.  Dirichlet
 velocity rows are identity rows; the Neumann side carries the traction
-from the assembly config.  The Newton residual adds only the Dirichlet,
-flux and multiplier rows to fem._flow_rows, the per-element kernel that
-gives the descent constraint C(X) in topopt too.
+from the assembly config.  The Newton residual is fem._flow_rows, the
+per-element kernel that also replaces the Dirichlet rows and gives the
+descent constraint C(X) in topopt, plus the flux and multiplier rows.
 
 Linear solves never assemble the global matrix.  Each triangle's Jacobian
 block, the velocity block on both components at its vertices and bubble
@@ -59,7 +59,7 @@ from .fem import (AssemblyConfig, SpaceLayout, _convection_blocks,
                   assemble_load, build_spaces, evaluate_coefficients)
 # not used here; the benchmark's layer trace wraps them under these names
 from .fem import assemble_bilinear, assemble_trilinear  # noqa: F401
-from .mesh import outward_normals
+from .mesh import _vertex_velocity, outward_normals
 
 # GMRES on the kept factor: its iteration budget, and the normwise
 # backward error its solution of the equilibrated complement must meet
@@ -91,8 +91,7 @@ class MixedState:
     @property
     def velocity_vertices(self):
         """Vertex velocities as a (V, 2) array (bubble part dropped)."""
-        N1, V = self.layout.N1, self.layout.V
-        return np.column_stack([self.Y[:V], self.Y[N1:N1 + V]])
+        return _vertex_velocity(self.layout.mesh, self.Y)
 
 
 class NewtonReport:
@@ -224,10 +223,9 @@ class _System:
         # the pressure pin row stays as computed; Newton zeroes it in the step
         Y, P, L = self.split(x)
         flow = _flow_at_quad(self.layout, Y, P)
-        mom, div = _flow_rows(self.layout, self.coeffs, flow, None, self.F)
-        mom += L @ self.flux_rows
-        dirs = self.layout.dirichlet_dofs
-        mom[dirs] = Y[dirs] - ydir
+        mom, div = _flow_rows(self.layout, self.coeffs, flow, None, self.F,
+                              Y, ydir)
+        mom += L @ self.flux_rows  # zero on the Dirichlet rows
         return np.concatenate([mom, div, self.flux_rows @ Y]), flow[:2]
 
     @functools.cached_property
@@ -424,7 +422,7 @@ def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
     return MixedState(layout, Y, P)
 
 
-def _newton(sysm: _System, dirichlet, max_iter):
+def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False):
     lay = sysm.layout
     ydir = _dirichlet_values(lay, dirichlet)
     t0 = time.perf_counter()
@@ -473,6 +471,8 @@ def _newton(sysm: _System, dirichlet, max_iter):
         message = f"residual {norms[-1]:.3e} above tolerance after {it} iterations"
     report = NewtonReport(converged, it, norms, message, runtime, sysm.fill,
                           sysm.krylov, steps)
+    if raise_on_failure and not converged:
+        raise NonconvergenceError(message, report=report)
     Y, P, L = sysm.split(x)
     return MixedState(lay, Y, P), L, report
 
@@ -486,10 +486,8 @@ def solve_navier_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
     (MixedState, NewtonReport).  With raise_on_failure a non-converged run
     raises NonconvergenceError carrying the report.
     """
-    sysm = _System(layout, config, g, flux_labels=())
-    state, _, report = _newton(sysm, dirichlet, max_iter)
-    if raise_on_failure and not report.converged:
-        raise NonconvergenceError(report.message, report=report)
+    state, _, report = _newton(_System(layout, config, g), dirichlet,
+                               max_iter, raise_on_failure)
     return state, report
 
 
@@ -505,9 +503,7 @@ def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
     layout = build_spaces(mesh)
     labels = sorted(s for s in mesh.labels() if s.startswith("Obstacle"))
     sysm = _System(layout, config, None, flux_labels=labels)
-    state, L, report = _newton(sysm, None, 20)
-    if raise_on_failure and not report.converged:
-        raise NonconvergenceError(report.message, report=report)
+    state, L, report = _newton(sysm, None, 20, raise_on_failure)
     multipliers = {lab: float(val) for lab, val in zip(labels, L)}
     return state, multipliers, report
 

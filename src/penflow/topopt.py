@@ -9,12 +9,13 @@ backtracking.  Its values and gradients are matrix-free: C and the action
 jac C^T C (including level-field sensitivities of every coefficient) are
 summed per element from quadrature-point data, so no sparse matrix is
 assembled after the Newton solve that initializes (Y, P) at the starting
-geometry.  C takes its momentum and divergence rows from fem._flow_rows,
-the same kernel that gives the Newton residual in ns_solver, and shares
-its coefficient-free products with the adjoint's level block.  Line-search
-trials compute values only; level derivatives and gradients run at accepted
-points, and a tracking target and a body force are evaluated once per
-descent.  The assembled Jacobian serves only constraint_jacobian.
+geometry.  C is fem._flow_rows, Dirichlet rows included: the kernel that
+gives the Newton residual in ns_solver, so the constraint is the penalized
+state system Newton solves.  It shares its coefficient-free products with
+the adjoint's level block.  Line-search trials compute values only; level
+derivatives and gradients run at accepted points, and a tracking target
+and a body force are evaluated once per descent.  The assembled Jacobian
+serves only constraint_jacobian.
 """
 
 import numpy as np
@@ -183,12 +184,9 @@ class _Forms:
 
     def constraint(self, traction):
         """C(X) from the Newton residual's kernel: momentum rows minus the
-        traction (Dirichlet rows replaced), then the divergence rows."""
-        mom, div = _flow_rows(self.layout, self.coeffs, self.flow, self.fq,
-                              traction)
-        dirs = self.layout.dirichlet_dofs
-        mom[dirs] = self.Y[dirs]
-        return np.concatenate([mom, div])
+        traction, Y on the Dirichlet rows, then the divergence rows."""
+        return np.concatenate(_flow_rows(self.layout, self.coeffs, self.flow,
+                                         self.fq, traction, self.Y))
 
     def adjoint(self, c):
         """jac C^T c without assembling jac C.

@@ -22,7 +22,6 @@ from penflow import (AssemblyConfig, CostSpec, DISSIPATED_ENERGY, DomainSpec,
                      penalized_value_and_gradient, regression_slope,
                      run_sweep, smoothed_heaviside,
                      solve_navier_stokes, solve_reference_flux_constrained)
-from penflow.error_study import SweepBase
 from penflow.presets import (epsilon_sweep, mesh_sweep, sec31_assembly,
                              sec31_level, sec31_reference, shear_traction)
 from penflow.presets import test1_problem as two_disk_problem
@@ -131,8 +130,8 @@ def test_criterion_4_reference_fluxes_and_divergence():
 def test_criterion_5_epsilon_convergence():
     preset = epsilon_sweep()
     t0 = time.perf_counter()
-    base = SweepBase(preset.domain_spec, preset.config)
-    records = run_sweep(preset.kind, preset.values, base)
+    records = run_sweep(preset.kind, preset.values, preset.domain_spec,
+                        preset.config)
     dt = time.perf_counter() - t0
     assert records[0].mesh_size <= 0.02  # >= 1e4 triangles at this size
     errs = [r.l2_rel for r in records]
@@ -149,8 +148,8 @@ def test_criterion_5_epsilon_convergence():
 def test_criterion_6_mesh_convergence():
     preset = mesh_sweep()
     t0 = time.perf_counter()
-    base = SweepBase(preset.domain_spec, preset.config)
-    records = run_sweep(preset.kind, preset.values, base)
+    records = run_sweep(preset.kind, preset.values, preset.domain_spec,
+                        preset.config)
     dt = time.perf_counter() - t0
     pts_l2 = [(np.log10(r.mesh_size), np.log10(r.l2_rel)) for r in records]
     pts_h1 = [(np.log10(r.mesh_size), np.log10(r.h1_rel)) for r in records]

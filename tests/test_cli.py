@@ -200,6 +200,11 @@ _RULES = [
      "[mesh] arc_segments"),
     ("solve-penalized", {("mesh", "circle_segments"): "8.5"},
      "[mesh] circle_segments"),
+    # at h_mesh 0.2 the arc's implied count is 8, so the bound is 512
+    ("solve-penalized", {("mesh", "arc_segments"): "513"},
+     "[mesh] arc_segments"),
+    ("solve-penalized", {("mesh", "circle_segments"): "513"},
+     "[mesh] circle_segments"),
     ("solve-penalized", {("mesh", "conforming"): "maybe"},
      "[mesh] conforming"),
     ("solve-penalized", {("level", "shapes"): "ellipse 0 0 1"},
@@ -230,6 +235,8 @@ _RULES = [
     ("error-study", {("study", "values"): "0.1 -0.05"}, "[study] values"),
     ("error-study", {("study", "values"): "0.1"}, "[study]"),
     ("error-study", {("study", "values"): "0.5 0.5"}, "[study] values"),
+    ("error-study", {("study", "values"): "0.1 0.1000000001"},
+     "[study] values"),
     ("error-study", {("study", "coefficient_mode"): "sharp"},
      "[study] coefficient_mode"),
     ("optimize", {("level", "shapes"): None}, "optimize"),
@@ -343,6 +350,35 @@ def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
     assert blob["krylov"] == [0, 13, 0, 12]
     assert blob["steps"] == [0.25, 1.0]
     assert blob["runtime"] == report.runtime
+
+
+def test_unmeshable_size_names_its_key(tmp_path, capsys):
+    # the mesher, not the parser, rejects a size this coarse for the flow
+    # cell, so run() has made the output directory by then
+    cfg = _write(tmp_path, "run.ini", "[mesh]\nh_mesh = 5\n")
+    out = tmp_path / "out"
+    assert main(["solve-penalized", "--preset", "sec31", "--config", cfg,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("penflow: config error: [mesh] h_mesh: cannot "
+                          "recover required edges")
+    assert not (out / MANIFEST_NAME).exists()
+
+
+def test_unmeshable_sweep_size_names_the_sweep_values(tmp_path, monkeypatch,
+                                                      capsys):
+    # a mesh sweep's sizes come from [study] values, not [mesh] h_mesh
+    def fail(*args, **kwargs):
+        raise GenerationError("cannot recover required edges [(0, 1)]")
+
+    monkeypatch.setattr("penflow.mesh._conforming_delaunay", fail)
+    cfg = _write(tmp_path, "run.ini", "[study]\nkind = mesh\n"
+                 "values = 0.2 0.1\n")
+    assert main(["error-study", "--preset", "sec31", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "penflow: config error: [study] values: sweep point h=0.2: cannot "
+        "recover required edges")
 
 
 # outcome of each failure class: (exit code, text on stderr)

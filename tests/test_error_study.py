@@ -5,7 +5,7 @@ import pytest
 
 from penflow import (AssemblyConfig, ConfigurationError, DegenerateInputError,
                      DomainSpec, EPSILON_SWEEP, ErrorRecord, MESH_SWEEP,
-                     PLAIN_B, SweepBase, build_spaces, records_to_csv,
+                     PLAIN_B, build_spaces, records_to_csv,
                      regression_slope, restrict_state, run_sweep)
 from penflow import error_study
 
@@ -18,12 +18,13 @@ def _pull(x):
 
 
 @pytest.fixture(scope="module")
-def sweep_base():
+def sweep_inputs():
+    """The domain spec and assembly config every sweep here runs on."""
     spec = DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.09,
                       obstacles=(("disk", (0.5, 0.5), 0.2),))
     cfg = AssemblyConfig(nu=1.0, eps=0.1, traction=_pull,
                          divergence_form=PLAIN_B)
-    return SweepBase(spec, cfg)
+    return spec, cfg
 
 
 def test_regression_slope_recovers_exact_line():
@@ -83,8 +84,8 @@ def test_restrict_state_picks_parent_values(square_disk_conforming):
     assert np.array_equal(Ps, P[fluid.parent_vertex_ids])
 
 
-def test_epsilon_sweep_errors_shrink(sweep_base):
-    records = run_sweep(EPSILON_SWEEP, (0.5, 0.1, 0.02), sweep_base)
+def test_epsilon_sweep_errors_shrink(sweep_inputs):
+    records = run_sweep(EPSILON_SWEEP, (0.5, 0.1, 0.02), *sweep_inputs)
     l2 = [r.l2_rel for r in records]
     assert all(b < a for a, b in zip(l2, l2[1:]))
     assert all(r.mesh_size == records[0].mesh_size for r in records)
@@ -93,7 +94,7 @@ def test_epsilon_sweep_errors_shrink(sweep_base):
     assert regression_slope(pts) > 0.3
 
 
-def test_epsilon_sweep_solves_the_reference_once(sweep_base, monkeypatch):
+def test_epsilon_sweep_solves_the_reference_once(sweep_inputs, monkeypatch):
     calls = []
     solve = error_study.solve_reference_flux_constrained
 
@@ -103,14 +104,14 @@ def test_epsilon_sweep_solves_the_reference_once(sweep_base, monkeypatch):
 
     monkeypatch.setattr(error_study, "solve_reference_flux_constrained",
                         counted)
-    records = run_sweep(EPSILON_SWEEP, (0.5, 0.1, 0.02), sweep_base)
+    records = run_sweep(EPSILON_SWEEP, (0.5, 0.1, 0.02), *sweep_inputs)
     assert len(records) == 3
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind, values", [(EPSILON_SWEEP, (0.5, 0.1)),
                                           (MESH_SWEEP, (0.14, 0.1))])
-def test_sweep_records_keep_both_newton_reports(kind, values, sweep_base,
+def test_sweep_records_keep_both_newton_reports(kind, values, sweep_inputs,
                                                 monkeypatch):
     reports = {"penalized": [], "reference": []}
 
@@ -125,7 +126,7 @@ def test_sweep_records_keep_both_newton_reports(kind, values, sweep_base,
                          ("reference", "solve_reference_flux_constrained", 2)):
         monkeypatch.setattr(error_study, fn,
                             keep(name, getattr(error_study, fn), at))
-    records = run_sweep(kind, values, sweep_base)
+    records = run_sweep(kind, values, *sweep_inputs)
     for i, rec in enumerate(records):
         assert rec.report is reports["penalized"][i] and rec.report.converged
         assert rec.as_dict()["newton_iters"] == rec.report.iterations
@@ -142,20 +143,35 @@ def test_sweep_records_keep_both_newton_reports(kind, values, sweep_base,
         assert "report" not in rec.as_dict()
 
 
-def test_mesh_sweep_errors_shrink(sweep_base):
-    records = run_sweep(MESH_SWEEP, (0.14, 0.07), sweep_base)
+def test_mesh_sweep_errors_shrink(sweep_inputs):
+    records = run_sweep(MESH_SWEEP, (0.14, 0.07), *sweep_inputs)
     assert records[1].l2_rel < records[0].l2_rel
     assert records[1].mesh_size < records[0].mesh_size
     assert all(r.epsilon == 0.1 for r in records)
 
 
-def test_sweep_kind_is_validated(sweep_base):
+def test_sweep_kind_is_validated(sweep_inputs):
     with pytest.raises(ConfigurationError):
-        run_sweep("spice", (0.5, 0.1), sweep_base)
+        run_sweep("spice", (0.5, 0.1), *sweep_inputs)
 
 
-def test_sweep_base_rejects_unknown_coefficient_mode():
-    spec = DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2,
-                      obstacles=(("disk", (0.5, 0.5), 0.2),))
-    with pytest.raises(ConfigurationError):
-        SweepBase(spec, AssemblyConfig(), coefficient_mode="nearest")
+@pytest.fixture
+def no_meshing(monkeypatch):
+    """Make any mesh the sweep asks for fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the sweep meshed before checking its inputs")
+    monkeypatch.setattr(error_study, "generate_mesh", fail)
+
+
+def test_run_sweep_rejects_unknown_coefficient_mode(sweep_inputs, no_meshing):
+    with pytest.raises(ConfigurationError, match="coefficient mode"):
+        run_sweep(EPSILON_SWEEP, (0.5, 0.1), *sweep_inputs,
+                  coefficient_mode="nearest")
+
+
+@pytest.mark.parametrize("kind", [EPSILON_SWEEP, MESH_SWEEP])
+def test_run_sweep_rejects_a_spec_without_obstacles(kind, sweep_inputs,
+                                                    no_meshing):
+    spec, cfg = sweep_inputs
+    with pytest.raises(ConfigurationError, match="at least one obstacle"):
+        run_sweep(kind, (0.5, 0.1), spec.replace(obstacles=()), cfg)

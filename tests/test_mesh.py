@@ -104,6 +104,24 @@ def test_domain_spec_rejects_obstacle_leaving_domain():
                    obstacles=(("disk", (0.05, 0.5), 0.2),))
 
 
+@pytest.mark.parametrize("h, most", [(0.1, 1024), (0.2, 512), (5.0, 64)])
+@pytest.mark.parametrize("key", ["arc_segments", "circle_segments"])
+def test_domain_spec_bounds_segment_counts_by_h(h, most, key):
+    # 64 times the arc's implied count ceil(pi / 2h); no mesh is made
+    assert getattr(DomainSpec(h_mesh=h, **{key: most}), key) == most
+    assert DomainSpec(h_mesh=h).arc_segments == 64  # the default, at any h
+    for bad in (7, most + 1):
+        with pytest.raises(GeometryError, match=f"{key} must be between 8 "
+                           f"and {most}"):
+            DomainSpec(h_mesh=h, **{key: bad})
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
+def test_domain_spec_rejects_mesh_sizes_that_are_not_positive(h):
+    with pytest.raises(GeometryError, match="positive and finite"):
+        DomainSpec(h_mesh=h)
+
+
 def test_replace_returns_validated_copy():
     spec = DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2,
                       arc_segments=12, circle_segments=16,
