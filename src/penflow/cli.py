@@ -24,8 +24,9 @@ import numpy as np
 from . import presets
 from .artifacts import (MANIFEST_NAME, atomic_write_text, level_csv_text,
                         svg_loglog, write_csv, write_manifest, write_vtk)
-from .errors import (ConfigurationError, GenerationError, GeometryError,
-                     NonconvergenceError, PenflowError, SolverError)
+from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
+                     GeometryError, NonconvergenceError, PenflowError,
+                     SolverError)
 from .error_study import (EPSILON_SWEEP, MESH_SWEEP, records_to_csv,
                           regression_slope, run_sweep)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
@@ -511,7 +512,7 @@ def run(command, rc: RunConfig) -> list:
     os.makedirs(rc.out_dir, exist_ok=True)
     try:
         names = _RUNNERS[command](rc)
-    except GenerationError as exc:  # the key that sets the failing mesh size
+    except (GenerationError, DegenerateInputError) as exc:  # the mesh size
         key = "[study] values" if command == "error-study" and \
             rc.study_kind == MESH_SWEEP else "[mesh] h_mesh"
         raise ConfigurationError(f"{key}: {exc}") from exc

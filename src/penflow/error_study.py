@@ -6,7 +6,9 @@ interpolation), and records relative errors there.  Sweeps vary either the
 penalization parameter on a fixed mesh or the mesh size at fixed
 penalization.  What does not depend on the penalization is computed once
 per mesh: the reference solve (it uses eps 0), its L2, H1-seminorm and
-pressure norms, the full-mesh layout and the obstacle coefficients.
+pressure norms, the full-mesh layout and the obstacle coefficients.  Newton
+starts warm where it can: the reference from the mesh's first penalized
+flow restricted to the fluid, each later point from the one before it.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from .errors import ConfigurationError, DegenerateInputError, PenflowError
 from .fem import EXACT_REGION, AssemblyConfig, build_spaces, compute_norm
 from .levelset import LevelField, domain_level_function
 from .mesh import FLUID, DomainSpec, extract_submesh, generate_mesh
-from .ns_solver import solve_navier_stokes, solve_reference_flux_constrained
+from .ns_solver import (MixedState, solve_navier_stokes,
+                        solve_reference_flux_constrained)
 
 EPSILON_SWEEP = "epsilon"
 MESH_SWEEP = "mesh"
@@ -75,27 +78,37 @@ def restrict_state(full_layout, sub_mesh, Y, P=None):
 
 class _MeshReference:
     """The eps-free part of every sweep point on one mesh: fluid submesh,
-    reference solve (eps 0), its report and norms, layout, obstacle
-    coefficients (exact-region without a level function)."""
+    layout, obstacle coefficients (exact-region without a level function),
+    reference solve (eps 0), its report and norms; and the last flow."""
 
     def __init__(self, mesh, config, level):
         self.mesh, self.sub = mesh, extract_submesh(mesh, FLUID)
-        self.config = config
-        self.ref, _, self.report = solve_reference_flux_constrained(
-            self.sub, config.replace(eps=0.0), raise_on_failure=True)
-        ref = self.ref
-        self.norms = [compute_norm(self.sub, v, kind=k) for v, k in (
-            (ref.Y, "L2"), (ref.Y, "H1seminorm"), (ref.P, "L2"))]
+        self.config, self.state = config, None
         self.layout = build_spaces(mesh)
         self.g = EXACT_REGION if level is None else \
             LevelField.interpolate(mesh, level)
 
+    def solve_reference(self, Ys, Ps):
+        """Solve the reference from the penalized flow Ys, Ps on the fluid."""
+        self.ref, _, self.report = solve_reference_flux_constrained(
+            self.sub, self.config.replace(eps=0.0), raise_on_failure=True,
+            start=MixedState(build_spaces(self.sub), Ys, Ps))
+        ref = self.ref
+        self.norms = [compute_norm(self.sub, v, kind=k) for v, k in (
+            (ref.Y, "L2"), (ref.Y, "H1seminorm"), (ref.P, "L2"))]
+        if not self.norms[0] > 0.0:  # a mesh too coarse to carry a flow
+            raise DegenerateInputError("the reference flow is zero on this mesh")
+
 
 def _one_point(mr: _MeshReference, eps):
     state, report = solve_navier_stokes(
-        mr.layout, mr.config.replace(eps=eps), mr.g, raise_on_failure=True)
+        mr.layout, mr.config.replace(eps=eps), mr.g, raise_on_failure=True,
+        start=mr.state)
+    Ys, Ps = restrict_state(mr.layout, mr.sub, state.Y, state.P)
+    if mr.state is None:
+        mr.solve_reference(Ys, Ps)
+    mr.state = state
     sub, ref, (ref_l2, ref_h1, ref_p) = mr.sub, mr.ref, mr.norms
-    Ys, Ps = restrict_state(mr.layout, sub, state.Y, state.P)
     dY = Ys - ref.Y
     l2_rel = compute_norm(sub, dY, kind="L2") / ref_l2
     h1_rel = compute_norm(sub, dY, kind="H1seminorm") / ref_h1

@@ -74,8 +74,11 @@ class Mesh:
         return 0.5 * _doubled_areas(self.vertices[self.triangles])
 
     def edges(self):
-        """All unique undirected edges as a sorted (n, 2) array."""
-        return _edge_table(self.triangles, self.num_vertices)[0]
+        """All unique undirected edges as a sorted, read-only (n, 2) array."""
+        if "edges" not in self._cache:
+            self._cache["edges"] = _edge_table(self.triangles, self.num_vertices)[0]
+            self._cache["edges"].flags.writeable = False
+        return self._cache["edges"]
 
     def dissection_order(self):
         """Vertex indices in a fill-reducing order: geometric nested

@@ -38,7 +38,9 @@ start and direct solves.  A Newton step from residual r is inexact (R. S.
 Dembo, S. C. Eisenstat and T. Steihaug, SIAM J. Numer. Anal. 19, 1982):
 its forcing term _FORCING tol / ||r||, at least _KRYLOV_TOL, loosens only
 the late steps (GMRES iterations [0, 12, 11, 7] against [0, 13, 13, 13] at
-the full bound, on the sec31 cell at h=0.03).
+the full bound, on the sec31 cell at h=0.03).  Newton starts from a Stokes
+solve, or warm from a given state with the multipliers at zero; a warm
+start that does not converge falls back to Stokes on a fresh system.
 The fill-reducing order is a property of the mesh, fixed when the
 pattern is built: nested dissection of the vertex graph (A. George, SIAM
 J. Numer. Anal. 10, 1973), each vertex's u_x, u_y and p side by side.  The
@@ -102,11 +104,13 @@ class NewtonReport:
     linear solve, the Stokes start's first, and 0 where the solve factored;
     a Newton step's GMRES stops at the looser backward error of its forcing
     term.  steps lists the length of each accepted Newton step: 1, or 0.5^k
-    after k backtracks.
+    after k backtracks.  start is "stokes" or "warm" (from a given state);
+    fallback holds a failed warm start's message (runtime counts it too).
     """
 
     def __init__(self, converged, iterations, residual_norms, message="",
-                 runtime=0.0, fill=(), krylov=(), steps=()):
+                 runtime=0.0, fill=(), krylov=(), steps=(), start="stokes",
+                 fallback=""):
         self.converged = bool(converged)
         self.iterations = int(iterations)
         self.residual_norms = list(residual_norms)
@@ -115,6 +119,7 @@ class NewtonReport:
         self.fill = list(fill)
         self.krylov = list(krylov)
         self.steps = list(steps)
+        self.start, self.fallback = start, fallback
 
     @property
     def final_residual(self):
@@ -422,18 +427,23 @@ def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
     return MixedState(layout, Y, P)
 
 
-def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False):
+def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False,
+            start=None, fallback="", t0=None):
     lay = sysm.layout
     ydir = _dirichlet_values(lay, dirichlet)
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if t0 is None else t0
     tol = 1e-10 * (1.0 + np.abs(sysm.F).max())
-    x = _linear_solve(sysm, ydir)
+    if start is None:
+        x = _linear_solve(sysm, ydir)
+    else:  # the Stokes start's fixed rows, and the multipliers at zero
+        x = np.concatenate([MixedState(lay, start.Y, start.P).Y, start.P,
+                            np.zeros(sysm.n_flux)])
+        x[sysm.fixed_rows] = 0.0
+        x[lay.dirichlet_dofs] = ydir
 
     res, quad = sysm.residual(x, ydir)
-    norms, steps = [float(np.abs(res).max())], []
-    message = ""
+    norms, steps, message, it = [float(np.abs(res).max())], [], "", 0
     converged = norms[-1] <= tol
-    it = 0
     while not converged and it < max_iter:
         rhs = -res
         rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
@@ -441,15 +451,20 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False):
         del quad  # not held through the factor, where memory peaks
         # the loop runs only while norms[-1] > tol: the forcing is < 1e-6
         forcing = max(_KRYLOV_TOL, _FORCING * tol / norms[-1])
-        delta = sysm.solve(blocks, rhs, forcing)
+        try:
+            delta = sysm.solve(blocks, rhs, forcing)
+        except SolverError as exc:  # a warm start's singular step falls back
+            if start is None:
+                raise
+            message = str(exc)
+            break
         del blocks
         if not np.all(np.isfinite(delta)):
             message = "linear solve produced non-finite Newton step"
             break
 
         # backtrack if the full step does not reduce the residual
-        step = 1.0
-        accepted = False
+        step, accepted = 1.0, False
         for _ in range(9):
             xn = x + step * delta
             res_n, quad = sysm.residual(xn, ydir)
@@ -466,11 +481,16 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False):
         steps.append(step)
         it += 1
         converged = nn <= tol
-    runtime = time.perf_counter() - t0
     if not converged and not message:
         message = f"residual {norms[-1]:.3e} above tolerance after {it} iterations"
-    report = NewtonReport(converged, it, norms, message, runtime, sysm.fill,
-                          sysm.krylov, steps)
+    if start is not None and not converged:  # from Stokes, as with no start
+        return _newton(_System(lay, sysm.config, sysm.g, sysm.flux_labels),
+                       dirichlet, max_iter, raise_on_failure,
+                       fallback=f"warm start: {message}", t0=t0)
+    report = NewtonReport(converged, it, norms, message,
+                          time.perf_counter() - t0, sysm.fill, sysm.krylov,
+                          steps, "stokes" if start is None else "warm",
+                          fallback)
     if raise_on_failure and not converged:
         raise NonconvergenceError(message, report=report)
     Y, P, L = sysm.split(x)
@@ -478,32 +498,35 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False):
 
 
 def solve_navier_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
-                        dirichlet=None, max_iter=20, raise_on_failure=False):
+                        dirichlet=None, max_iter=20, raise_on_failure=False,
+                        start=None):
     """Newton iteration for the penalized stationary Navier-Stokes system.
 
-    Starts from a Stokes solve and stops once the max-norm residual is at
-    most 1e-10 (1 + max |F|), F the load, or after max_iter steps.  Returns
-    (MixedState, NewtonReport).  With raise_on_failure a non-converged run
-    raises NonconvergenceError carrying the report.
+    Starts from start, a MixedState on the layout, when given and Newton
+    converges from it, else from a Stokes solve; stops once the max-norm
+    residual is at most 1e-10 (1 + max |F|), F the load, or after max_iter
+    steps.  Returns (MixedState, NewtonReport).  With raise_on_failure a
+    non-converged run raises NonconvergenceError carrying the report.
     """
     state, _, report = _newton(_System(layout, config, g), dirichlet,
-                               max_iter, raise_on_failure)
+                               max_iter, raise_on_failure, start)
     return state, report
 
 
 def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
-                                     raise_on_failure=False):
+                                     raise_on_failure=False, start=None):
     """Reference Navier-Stokes solve on a body-fitted fluid mesh.
 
     Every boundary loop labeled Obstacle* keeps natural (do-nothing)
     conditions plus a zero-net-flux constraint enforced by one Lagrange
-    multiplier.  The Newton iteration is solve_navier_stokes's.  Returns
+    multiplier.  The Newton iteration is solve_navier_stokes's; a start, a
+    MixedState on a layout of mesh, starts the multipliers at zero.  Returns
     (MixedState, multipliers dict, NewtonReport).
     """
     layout = build_spaces(mesh)
     labels = sorted(s for s in mesh.labels() if s.startswith("Obstacle"))
     sysm = _System(layout, config, None, flux_labels=labels)
-    state, L, report = _newton(sysm, None, 20, raise_on_failure)
+    state, L, report = _newton(sysm, None, 20, raise_on_failure, start)
     multipliers = {lab: float(val) for lab, val in zip(labels, L)}
     return state, multipliers, report
 

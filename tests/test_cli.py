@@ -350,6 +350,8 @@ def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
     assert blob["krylov"] == [0, 13, 0, 12]
     assert blob["steps"] == [0.25, 1.0]
     assert blob["runtime"] == report.runtime
+    # how the failing solve started, and no warm start that fell back
+    assert blob["start"] == "stokes" and blob["fallback"] == ""
 
 
 def test_unmeshable_size_names_its_key(tmp_path, capsys):
@@ -379,6 +381,19 @@ def test_unmeshable_sweep_size_names_the_sweep_values(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith(
         "penflow: config error: [study] values: sweep point h=0.2: cannot "
         "recover required edges")
+
+
+def test_zero_reference_flow_names_the_sweep_values(tmp_path, capsys):
+    # the conforming cell at h 5 meshes, but carries no reference flow, so
+    # no relative error exists (and a 0/0 warning fails the test under the
+    # suite's filters); the h 0.5 point is never solved
+    cfg = _write(tmp_path, "run.ini", "[study]\nkind = mesh\n"
+                 "values = 5 0.5\n")
+    assert main(["error-study", "--preset", "sec31", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "penflow: config error: [study] values: sweep point h=5.0: the "
+        "reference flow is zero")
 
 
 # outcome of each failure class: (exit code, text on stderr)

@@ -130,14 +130,21 @@ def test_sweep_records_keep_both_newton_reports(kind, values, sweep_inputs,
     for i, rec in enumerate(records):
         assert rec.report is reports["penalized"][i] and rec.report.converged
         assert rec.as_dict()["newton_iters"] == rec.report.iterations
-        # one linear solve for the Stokes start and one per Newton step;
-        # the start factors, and GMRES on that factor solves the steps
-        assert len(rec.report.krylov) == rec.newton_iters + 1
+        # a mesh's first point starts from Stokes, a later epsilon point
+        # from the point before it; neither falls back
+        warm = kind == EPSILON_SWEEP and i > 0
+        assert rec.report.start == ("warm" if warm else "stokes")
+        assert rec.report.fallback == ""
+        # one linear solve for a Stokes start and one per Newton step; the
+        # first solve factors, and GMRES on that factor solves the rest
+        assert len(rec.report.krylov) == rec.newton_iters + (not warm)
         assert rec.report.krylov.count(0) == len(rec.report.fill) == 1
         # an epsilon sweep shares one reference solve, a mesh sweep has one
-        # per mesh
+        # per mesh; it starts from the mesh's first penalized flow
         ref = reports["reference"][0 if kind == EPSILON_SWEEP else i]
         assert rec.reference_report is ref and ref.converged
+        assert ref.start == "warm" and ref.fallback == ""
+        assert len(ref.krylov) == ref.iterations
         # a fresh layout's first factor serves the reference solve too
         assert len(ref.fill) == 1
         assert "report" not in rec.as_dict()

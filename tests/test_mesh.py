@@ -299,6 +299,8 @@ def test_generated_meshes_have_sound_connectivity(h, obstacles):
     assert len(boundary) == len(m.boundary_edges)
     assert len(interior) + len(boundary) == len(edge_count)
     assert m.edges().tolist() == [list(k) for k in sorted(edge_count)]
+    # computed once per mesh, and shared read-only by every caller
+    assert m.edges() is m.edges() and not m.edges().flags.writeable
 
 
 def test_edge_keys_do_not_wrap_on_int32_indices():

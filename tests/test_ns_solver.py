@@ -11,7 +11,8 @@ from penflow import (AssemblyConfig, DomainSpec, LevelField,
                      solve_stokes)
 from penflow import ns_solver
 from penflow.fem import assemble_bilinear, assemble_trilinear
-from penflow.ns_solver import _System
+from penflow.error_study import restrict_state
+from penflow.ns_solver import MixedState, _System
 from penflow.presets import (sec31_assembly, sec31_level, sec31_reference,
                              shear_traction)
 
@@ -92,6 +93,57 @@ def test_nonconvergence_reports_and_raises(small_flow):
     assert err.value.report.iterations == 1
 
 
+def test_warm_start_at_the_solution_takes_no_stokes_solve(small_flow):
+    _, lay, g, cfg = small_flow
+    cold, _ = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True,
+                                        start=cold)
+    assert report.start == "warm" and report.fallback == ""
+    assert report.iterations <= 1
+    # one linear solve per Newton step, none for a Stokes start
+    assert len(report.krylov) == report.iterations
+    assert np.abs(state.Y - cold.Y).max() <= 1e-12 * np.abs(cold.Y).max()
+
+
+def test_warm_start_that_fails_falls_back_to_stokes(small_flow):
+    _, lay, g, cfg = small_flow
+    cold, cold_report = solve_navier_stokes(lay, cfg, g,
+                                            raise_on_failure=True)
+    far = MixedState(lay, 1e3 * cold.Y, 1e3 * cold.P)
+    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True,
+                                        start=far)
+    assert report.start == "stokes"
+    assert report.fallback.startswith("warm start: ")
+    # the fallback is the Stokes-started solve, bit for bit
+    assert np.array_equal(state.Y, cold.Y) and np.array_equal(state.P, cold.P)
+    for key in ("iterations", "residual_norms", "fill", "krylov", "steps"):
+        assert getattr(report, key) == getattr(cold_report, key)
+
+
+def test_warm_start_from_another_eps_matches_the_cold_solve(small_flow):
+    _, lay, g, cfg = small_flow
+    near, _ = solve_navier_stokes(lay, cfg.replace(eps=0.1), g,
+                                  raise_on_failure=True)
+    cold, cold_report = solve_navier_stokes(lay, cfg, g,
+                                            raise_on_failure=True)
+    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True,
+                                        start=near)
+    assert report.start == "warm" and report.fallback == ""
+    assert report.iterations < cold_report.iterations
+    assert report.final_residual <= 1e-10 * (1.0 + np.abs(
+        _System(lay, cfg, g).F).max())
+    for got, want in ((state.Y, cold.Y), (state.P, cold.P)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_warm_start_of_a_mismatched_state_raises(small_flow,
+                                                 square_disk_conforming):
+    _, lay, g, cfg = small_flow
+    other = solve_stokes(build_spaces(square_disk_conforming[1]), cfg)
+    with pytest.raises(SolverError, match="does not match the layout"):
+        solve_navier_stokes(lay, cfg, g, start=other)
+
+
 def test_reference_solver_annihilates_obstacle_flux(square_disk_conforming):
     _, fluid = square_disk_conforming
 
@@ -120,6 +172,32 @@ def test_reference_residual_includes_multiplier_rows(square_disk_conforming):
                             flux_labels=("Obstacle1",),
                             multipliers=multipliers)
     assert res <= 1e-10
+
+
+def test_reference_warm_start_matches_the_cold_solve(square_disk_conforming):
+    full, fluid = square_disk_conforming
+    cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=_pull,
+                         divergence_form=PLAIN_B)
+    cold, cold_mult, cold_report = solve_reference_flux_constrained(
+        fluid, cfg, raise_on_failure=True)
+    # the penalized flow on the full mesh, restricted to the fluid
+    lay = build_spaces(full)
+    g = LevelField.interpolate(full, compose_disks([(0.5, 0.5)], [0.2],
+                                                   signed_distance=True))
+    pen, _ = solve_navier_stokes(lay, cfg.replace(eps=0.025), g,
+                                 raise_on_failure=True)
+    start = MixedState(build_spaces(fluid), *restrict_state(
+        lay, fluid, pen.Y, pen.P))
+    state, mult, report = solve_reference_flux_constrained(
+        fluid, cfg, raise_on_failure=True, start=start)
+    assert report.start == "warm" and report.fallback == ""
+    # fewer linear solves: no Stokes start, and no more Newton steps
+    assert len(report.krylov) < len(cold_report.krylov)
+    for got, want in ((state.Y, cold.Y), (state.P, cold.P)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    scale = max(abs(v) for v in cold_mult.values())
+    assert all(abs(mult[k] - v) <= 1e-10 * scale
+               for k, v in cold_mult.items())
 
 
 def test_driven_cavity_with_pinned_pressure():
