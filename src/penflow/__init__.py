@@ -13,16 +13,15 @@ from .errors import (ConfigurationError, DegenerateInputError,
                      EmptyRegionError, GenerationError, GeometryError,
                      MeshInvariantError, NonconvergenceError, PenflowError,
                      SolverError, UnknownLabelError)
-from .mesh import (DomainSpec, Mesh, boundary_flux, extract_submesh,
-                   generate_mesh, mesh_from_text, mesh_to_text,
-                   polygon_signed_distance)
+from .mesh import (DomainSpec, Mesh, extract_submesh, generate_mesh,
+                   mesh_from_text, mesh_to_text, polygon_signed_distance)
 from .levelset import (AdmissibilityReport, LevelField, check_admissibility,
                        compose_disks, compose_ellipses,
                        domain_level_function, smoothed_heaviside)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
                   SpaceLayout, assemble_bilinear, assemble_load,
-                  assemble_trilinear, build_spaces, compute_norm,
-                  evaluate_coefficients, triangle_rule)
+                  assemble_trilinear, boundary_flux, build_spaces,
+                  compute_norm, evaluate_coefficients, triangle_rule)
 from .ns_solver import (MixedState, NewtonReport, residual_max_norm,
                         solve_navier_stokes,
                         solve_reference_flux_constrained, solve_stokes)

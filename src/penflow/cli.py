@@ -30,10 +30,9 @@ from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
 from .error_study import (EPSILON_SWEEP, MESH_SWEEP, records_to_csv,
                           regression_slope, run_sweep)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
-                  build_spaces, compute_norm)
+                  boundary_flux, build_spaces, compute_norm)
 from .levelset import LevelField, domain_level_function
-from .mesh import (DomainSpec, boundary_flux, extract_submesh,
-                   generate_mesh, mesh_to_text)
+from .mesh import DomainSpec, extract_submesh, generate_mesh, mesh_to_text
 from .ns_solver import (MixedState, solve_navier_stokes,
                         solve_reference_flux_constrained)
 from .topopt import (CostSpec, OptConfig, DISSIPATED_ENERGY, TRACKING,
@@ -509,7 +508,6 @@ def run(command, rc: RunConfig) -> list:
     """Execute one command; returns the artifact names written."""
     if command not in _RUNNERS:
         raise ConfigurationError(f"unknown command {command!r}")
-    os.makedirs(rc.out_dir, exist_ok=True)
     try:
         names = _RUNNERS[command](rc)
     except (GenerationError, DegenerateInputError) as exc:  # the mesh size

@@ -1,4 +1,5 @@
-"""Mixed P1+bubble / P1 finite elements: spaces, quadrature, and assembly.
+"""Mixed P1+bubble / P1 finite elements: spaces, quadrature, assembly and
+boundary integrals.
 
 Velocity uses continuous P1 enriched with one cubic bubble (27 l1 l2 l3)
 per triangle, pressure and level fields use plain P1.  Velocity DOFs are
@@ -21,6 +22,10 @@ and quadrature rule and keeps it in the mesh's cache, so every layout of a
 mesh and compute_norm share it.  The kernels take the layout and read the
 geometry from it (SpaceLayout.geometry); a norm over a region reads the
 region's rows.
+
+The boundary flux, on mesh.outward_normals, is a per-edge trapezoid sum
+(boundary_flux) and its per-vertex gradient (flux_row_vector, the reference
+solver's constraint row); the two round differently and both are kept.
 """
 
 import functools
@@ -31,7 +36,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigurationError, EmptyRegionError
 from .levelset import LevelField, heaviside_value, smoothed_heaviside
-from .mesh import OBSTACLE, hat_gradients
+from .mesh import OBSTACLE, hat_gradients, outward_normals
 
 EXACT_REGION = "exact-region"
 
@@ -484,6 +489,41 @@ def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
         F += np.bincount(np.broadcast_to(idx, data.shape).ravel(),
                          data.ravel(), minlength=len(F))
     return F
+
+
+# ------------------------------------------------------------------ flux
+def _vertex_velocity(mesh, velocity):
+    """(V, 2) vertex values of a velocity in any form boundary_flux takes."""
+    v, n1 = mesh.num_vertices, mesh.num_vertices + mesh.num_triangles
+    arr = np.asarray(getattr(velocity, "Y", velocity), dtype=float)
+    if arr.shape == (v, 2):
+        return arr
+    if arr.shape == (2 * n1,):
+        return np.column_stack([arr[:v], arr[n1:n1 + v]])
+    raise ConfigurationError("velocity shape not understood for this mesh")
+
+
+def boundary_flux(mesh, velocity, label: str) -> float:
+    """Integral of velocity . outward normal over the edges with a label.
+
+    The velocity may be a MixedState, a flat velocity DOF vector of length
+    2(V + T), or a (V, 2) array of vertex values; bubble contributions vanish
+    on edges, so only vertex traces enter the integral.
+    """
+    vals = _vertex_velocity(mesh, velocity)
+    edges, normals = outward_normals(mesh, label)
+    # trapezoid rule is exact for the linear trace
+    return 0.5 * float(np.sum((vals[edges[:, 0]] + vals[edges[:, 1]])
+                              * normals))
+
+
+def flux_row_vector(layout: SpaceLayout, label: str):
+    """Row r with r @ Y = net outward flux of Y through the labeled loop."""
+    edges, normals = outward_normals(layout.mesh, label)
+    # trapezoid rule: each end of an edge carries half its scaled normal
+    idx = np.arange(2)[:, None, None] * layout.N1 + edges.T[None]
+    half = np.broadcast_to(0.5 * normals.T[:, None, :], idx.shape)
+    return np.bincount(idx.ravel(), half.ravel(), minlength=2 * layout.N1)
 
 
 # ------------------------------------------------------------------ norms

@@ -17,7 +17,6 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import (
-    ConfigurationError,
     EmptyRegionError,
     GenerationError,
     GeometryError,
@@ -29,6 +28,7 @@ FLUID = "Fluid"
 OBSTACLE = "Obstacle"
 
 _DUPLICATE_TOL = 1e-12
+_CLEARANCE = 1e-9  # of an obstacle polygon from the wall and other obstacles
 # a segment count is at most this times the count h implies for the flow
 # cell's arc, ceil(pi / 2h) >= 1, so the default 64 holds at every h
 _SEGMENT_FACTOR = 64
@@ -337,7 +337,7 @@ class DomainSpec:
             if ob[0] not in ("disk", "ellipse", "polygon"):
                 raise GeometryError(f"unknown obstacle kind {ob[0]!r}")
         for poly in self.obstacle_polygons():
-            if np.any(self.outer_sdf(poly) >= 0.0):
+            if np.any(self.outer_sdf(poly) > -_CLEARANCE):
                 raise GeometryError(
                     "obstacles must lie strictly inside the outer boundary")
 
@@ -348,28 +348,17 @@ class DomainSpec:
     # outer boundary -----------------------------------------------------
     def outer_chains(self):
         """Labeled boundary chains, counterclockwise, sharing endpoints."""
-        h = self.h_mesh
-        if self.outer == "flow-cell":
-            sw, se, ne, nw = ((-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5))
+        h, flow_cell = self.h_mesh, self.outer == "flow-cell"
+        x0, y0, x1, y1 = (-0.5, -0.5, 0.5, 0.5) if flow_cell else self.outer
+        corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
+        chains = [_subdivide(a, b, h) for a, b in zip(corners, corners[1:])]
+        if flow_cell:  # the polygonized right arc replaces the Gamma3 side
             n_arc = max(self.arc_segments, int(np.ceil(0.5 * np.pi / h)))
             t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_arc + 1)
-            arc = np.column_stack([0.5 + 0.5 * np.cos(t), 0.5 * np.sin(t)])
-            arc[0] = se
-            arc[-1] = ne
-            return [
-                ("Gamma2", _subdivide(sw, se, h)),
-                ("Gamma3", arc),
-                ("Gamma4", _subdivide(ne, nw, h)),
-                ("Gamma1", _subdivide(nw, sw, h)),
-            ]
-        x0, y0, x1, y1 = self.outer
-        sw, se, ne, nw = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-        return [
-            ("Gamma2", _subdivide(sw, se, h)),
-            ("Gamma3", _subdivide(se, ne, h)),
-            ("Gamma4", _subdivide(ne, nw, h)),
-            ("Gamma1", _subdivide(nw, sw, h)),
-        ]
+            chains[1] = np.column_stack([0.5 + 0.5 * np.cos(t),
+                                         0.5 * np.sin(t)])
+            chains[1][[0, -1]] = corners[1:3]
+        return list(zip(("Gamma2", "Gamma3", "Gamma4", "Gamma1"), chains))
 
     def outer_sdf(self, points):
         """Signed distance to the outer boundary, negative inside."""
@@ -494,7 +483,7 @@ def generate_mesh(spec: DomainSpec, conform_to_obstacles=False) -> Mesh:
     nouter = len(ring_pts)
 
     all_polys = spec.obstacle_polygons()
-    _check_obstacles(spec, all_polys)
+    _check_obstacles(all_polys)
 
     fixed = [ring_pts]
     for poly in all_polys if conform_to_obstacles else []:
@@ -526,15 +515,11 @@ def _assemble_outer_ring(chains):
     return np.asarray(ring), required, labels
 
 
-def _check_obstacles(spec, polys):
+def _check_obstacles(polys):
+    """Meshed obstacles must not overlap; level shapes may (their union)."""
     for i, poly in enumerate(polys):
-        d = spec.outer_sdf(poly)
-        if np.any(d > -1e-9):
-            raise GeometryError(f"obstacle {i + 1} intersects the outer boundary")
-        for j, other in enumerate(polys):
-            if j <= i:
-                continue
-            if np.any(polygon_signed_distance(other, poly) < 1e-9):
+        for j in range(i + 1, len(polys)):
+            if np.any(polygon_signed_distance(polys[j], poly) < _CLEARANCE):
                 raise GeometryError(f"obstacles {i + 1} and {j + 1} overlap")
 
 
@@ -763,7 +748,7 @@ def extract_submesh(mesh: Mesh, region: str) -> Mesh:
     return sub
 
 
-# ================================================================== flux
+# ================================================================ normals
 def outward_normals(mesh: Mesh, label: str):
     """Edges with a label and their outward normals, scaled by edge length.
 
@@ -778,33 +763,6 @@ def outward_normals(mesh: Mesh, label: str):
     normals = np.column_stack([tvec[:, 1], -tvec[:, 0]])
     normals[~forward] *= -1.0
     return edges, normals
-
-
-def boundary_flux(mesh: Mesh, velocity, label: str) -> float:
-    """Integral of velocity . outward normal over the edges with a label.
-
-    The velocity may be a MixedState, a flat velocity DOF vector of length
-    2(V + T), or a (V, 2) array of vertex values; bubble contributions vanish
-    on edges, so only vertex traces enter the integral.
-    """
-    vals = _vertex_velocity(mesh, velocity)
-    edges, normals = outward_normals(mesh, label)
-    # trapezoid rule is exact for the linear trace
-    return 0.5 * float(np.sum((vals[edges[:, 0]] + vals[edges[:, 1]])
-                              * normals))
-
-
-def _vertex_velocity(mesh, velocity):
-    v, t = mesh.num_vertices, mesh.num_triangles
-    if hasattr(velocity, "Y"):
-        velocity = velocity.Y
-    arr = np.asarray(velocity, dtype=float)
-    if arr.ndim == 2 and arr.shape == (v, 2):
-        return arr
-    n1 = v + t
-    if arr.ndim == 1 and arr.size == 2 * n1:
-        return np.column_stack([arr[:v], arr[n1:n1 + v]])
-    raise ConfigurationError("velocity shape not understood for this mesh")
 
 
 # ==================================================================== I/O

@@ -58,10 +58,10 @@ from scipy.linalg.blas import dtrsv
 from .errors import NonconvergenceError, SolverError
 from .fem import (AssemblyConfig, SpaceLayout, _convection_blocks,
                   _flow_at_quad, _flow_rows, _stokes_blocks, _velocity_at_quad,
-                  assemble_load, build_spaces, evaluate_coefficients)
+                  _vertex_velocity, assemble_load, build_spaces,
+                  evaluate_coefficients, flux_row_vector)
 # not used here; the benchmark's layer trace wraps them under these names
 from .fem import assemble_bilinear, assemble_trilinear  # noqa: F401
-from .mesh import _vertex_velocity, outward_normals
 
 # GMRES on the kept factor: its iteration budget, and the normwise
 # backward error its solution of the equilibrated complement must meet
@@ -393,15 +393,6 @@ def _gmres(A, precondition, b, norm_A, tol):
             break
         Q[j + 1] = w / norm_w
     return None, m
-
-
-def flux_row_vector(layout: SpaceLayout, label: str):
-    """Row r with r @ Y = net outward flux of Y through the labeled loop."""
-    edges, normals = outward_normals(layout.mesh, label)
-    # trapezoid rule: each end of an edge carries half its scaled normal
-    idx = np.arange(2)[:, None, None] * layout.N1 + edges.T[None]
-    half = np.broadcast_to(0.5 * normals.T[:, None, :], idx.shape)
-    return np.bincount(idx.ravel(), half.ravel(), minlength=2 * layout.N1)
 
 
 def _linear_solve(sysm: _System, ydir):

@@ -9,7 +9,7 @@ and a velocity-tracking descent run toward an ellipse-obstacle flow
 import numpy as np
 
 from .fem import AssemblyConfig, PLAIN_B, PENALIZED_B
-from .levelset import compose_disks, domain_level_function
+from .levelset import domain_level_function
 from .mesh import DomainSpec, generate_mesh
 from .topopt import (CostSpec, OptConfig, DISSIPATED_ENERGY, TRACKING,
                      tracking_cost)
@@ -55,9 +55,7 @@ def sec31_assembly(eps=0.025, **kwargs):
 
 def sec31_level():
     """Signed-distance level function of the two benchmark disks."""
-    centers = [c for _, c, _ in SEC31_OBSTACLES]
-    radii = [r for _, _, r in SEC31_OBSTACLES]
-    return compose_disks(centers, radii, signed_distance=True)
+    return domain_level_function(flow_cell_spec())
 
 
 class FlowPreset:

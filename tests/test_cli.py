@@ -356,7 +356,7 @@ def test_nonconvergence_exits_3_with_report(command, target, tmp_path,
 
 def test_unmeshable_size_names_its_key(tmp_path, capsys):
     # the mesher, not the parser, rejects a size this coarse for the flow
-    # cell, so run() has made the output directory by then
+    # cell
     cfg = _write(tmp_path, "run.ini", "[mesh]\nh_mesh = 5\n")
     out = tmp_path / "out"
     assert main(["solve-penalized", "--preset", "sec31", "--config", cfg,
@@ -396,10 +396,28 @@ def test_zero_reference_flow_names_the_sweep_values(tmp_path, capsys):
         "reference flow is zero")
 
 
+@pytest.mark.parametrize("argv, text", [
+    # fails at the sweep's first point, after the config is parsed
+    (["error-study", "--preset", "sec31"],
+     "[study]\nkind = mesh\nvalues = 5 0.5\n"),
+    # the disk clears the wall by 5e-10, less than the 1e-9 the mesher needs
+    (["solve-penalized"], "[mesh]\nouter = 0 0 1 1\nh_mesh = 0.2\n"
+     "obstacles = disk 0.5 0.5 0.4999999995\n"),
+], ids=["sweep-point", "wall-margin"])
+def test_config_error_leaves_no_output_directory(argv, text, tmp_path):
+    cfg = _write(tmp_path, "run.ini", text)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # outcome of each failure class: (exit code, text on stderr)
 _FAILURES = {
     # a GeometryError while the config is parsed ...
     "obstacle-touches-boundary": (2, "strictly inside the outer boundary"),
+    # ... also where the obstacle clears the wall by less than 1e-9 ...
+    "obstacle-in-wall-margin": (
+        2, "[mesh] obstacles must lie strictly inside the outer boundary"),
     # ... and one from the mesh generator
     "obstacles-overlap": (2, "obstacles 1 and 2 overlap"),
     "generation-error": (2, "cannot recover required edges"),
@@ -413,6 +431,7 @@ _FAILURES = {
 def test_failure_maps_to_exit_code(failure, command, tmp_path, monkeypatch,
                                    capsys):
     obstacles = {"obstacle-touches-boundary": "disk 0.85 0.5 0.2",
+                 "obstacle-in-wall-margin": "disk 0.5 0.5 0.4999999995",
                  "obstacles-overlap": "disk 0.4 0.5 0.15; disk 0.6 0.5 0.15"}
     text = BOX_FLOW.replace(
         "h_mesh = 0.2", "h_mesh = 0.2\nobstacles = "

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penflow import (ConfigurationError, DomainSpec, GeometryError, Mesh,
-                     MeshInvariantError, UnknownLabelError, boundary_flux,
-                     build_spaces, extract_submesh, generate_mesh,
-                     mesh_from_text, mesh_to_text, polygon_signed_distance)
+                     MeshInvariantError, MixedState, UnknownLabelError,
+                     boundary_flux, build_spaces, extract_submesh,
+                     generate_mesh, mesh_from_text, mesh_to_text,
+                     polygon_signed_distance)
 from penflow import mesh as mesh_module
 from penflow.mesh import _side_keys
 from penflow.ns_solver import flux_row_vector
@@ -102,6 +103,14 @@ def test_domain_spec_rejects_obstacle_leaving_domain():
     with pytest.raises(GeometryError):
         DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.1,
                    obstacles=(("disk", (0.05, 0.5), 0.2),))
+
+
+def test_domain_spec_keeps_obstacles_the_meshers_clearance_off_the_wall():
+    # the disk's rightmost vertex sits 5e-10 from the wall, then 2e-9
+    square = dict(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.1)
+    with pytest.raises(GeometryError, match="strictly inside the outer"):
+        DomainSpec(**square, obstacles=(("disk", (0.5, 0.5), 0.4999999995),))
+    DomainSpec(**square, obstacles=(("disk", (0.5, 0.5), 0.499999998),))
 
 
 @pytest.mark.parametrize("h, most", [(0.1, 1024), (0.2, 512), (5.0, 64)])
@@ -248,7 +257,13 @@ def test_flux_and_flux_row_match_per_edge_reference(unit_square_mesh,
         for label in mesh.labels():
             terms = _per_edge_flux_terms(mesh, vel, label)
             tol = 1e-14 * np.abs(terms).sum()
-            assert abs(boundary_flux(mesh, Y, label) - terms.sum()) <= tol
+            flux = boundary_flux(mesh, Y, label)
+            assert abs(flux - terms.sum()) <= tol
+            # the MixedState form, as the benchmark calls it, and the (V, 2)
+            # form read the same vertex values
+            state = MixedState(layout, Y, np.zeros(layout.N2))
+            assert boundary_flux(mesh, state, label) == flux
+            assert boundary_flux(mesh, vel, label) == flux
             assert abs(flux_row_vector(layout, label) @ Y - terms.sum()) <= tol
 
 
