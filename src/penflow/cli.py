@@ -31,12 +31,12 @@ from .error_study import (EPSILON_SWEEP, MESH_SWEEP, records_to_csv,
                           regression_slope, run_sweep)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
                   boundary_flux, build_spaces, compute_norm)
-from .levelset import LevelField, domain_level_function
+from .levelset import LevelField, check_width, domain_level_function
 from .mesh import DomainSpec, extract_submesh, generate_mesh, mesh_to_text
 from .ns_solver import (MixedState, solve_navier_stokes,
                         solve_reference_flux_constrained)
-from .topopt import (CostSpec, OptConfig, DISSIPATED_ENERGY, TRACKING,
-                     history_to_csv, optimize, tracking_cost)
+from .topopt import (OptConfig, DISSIPATED_ENERGY, TRACKING, history_to_csv,
+                     optimize)
 
 COMMANDS = ("solve-reference", "solve-penalized", "error-study", "optimize")
 PRESET_NAMES = ("sec31", "test1", "test2")
@@ -79,7 +79,7 @@ def preset_sections(command, name):
     sections["cost"] = {"kind": problem.cost_kind,
                         "target_shapes": _shapes_text(problem.target_shapes)}
     sections["descent"] = {key: repr(getattr(problem.opt, key)) for key in
-                           ("rho", "max_iter", "snapshot_every", "plateau_tol")}
+                           ("rho", "max_iter", "snapshot_every")}
     return sections
 
 
@@ -211,6 +211,8 @@ def _parse_monomials(text, field):
             raise ConfigurationError(f"{field}: bad monomial {entry!r}")
         if p < 0 or q < 0:
             raise ConfigurationError(f"{field}: exponents must be >= 0")
+        if not math.isfinite(coef):
+            raise ConfigurationError(f"{field}: coefficients must be finite")
         terms.append((coef, p, q))
     return terms
 
@@ -253,7 +255,8 @@ _KEYS = {
     ("physics", "body_force_x"): (_as_text, None),
     ("physics", "body_force_y"): (_as_text, None),
     ("regularization", "eps"): (_NONNEGATIVE, None),
-    ("regularization", "smoothing_width"): (_POSITIVE, None),
+    ("regularization", "smoothing_width"): (
+        lambda text, field: check_width(_POSITIVE(text, field), field), None),
     ("regularization", "divergence_form"): (_one_of(PLAIN_B, PENALIZED_B),
                                             None),
     ("level", "shapes"): (_parse_shapes, ()),
@@ -268,8 +271,7 @@ _KEYS = {
     ("descent", "initial_step"): (_POSITIVE, None),
     ("descent", "max_iter"): (_number(int, 1), None),
     ("descent", "snapshot_every"): (_number(int, 0), None),
-    # only steps that do not lower J_rho count toward a plateau (library: 1e-3)
-    ("descent", "plateau_tol"): (_NONNEGATIVE, 0.0),
+    ("descent", "plateau_tol"): (_NONNEGATIVE, None),
     ("descent", "plateau_steps"): (_number(int, 1), None),
     ("output", "dir"): (_as_text, DEFAULT_OUT),
 }
@@ -375,14 +377,12 @@ class RunConfig:
             raise ConfigurationError("no inputs: pass --preset and/or --config")
         return cls(args.command, sections, args.out)
 
-    def level_function(self, shapes=None, signed_distance=None):
+    def level_function(self, shapes=None):
         shapes = self.level_shapes if shapes is None else shapes
         if not shapes:
             return None
-        if signed_distance is None:
-            signed_distance = self.signed_distance
         return domain_level_function(self.domain_spec.replace(
-            obstacles=shapes), signed_distance=signed_distance)
+            obstacles=shapes), signed_distance=self.signed_distance)
 
 
 def _flow_artifacts(rc, mesh, state, report, extra_rows, level_values=None):
@@ -429,8 +429,6 @@ def _run_solve_reference(rc):
 def _run_error_study(rc):
     records = run_sweep(rc.study_kind, rc.study_values, rc.domain_spec,
                         rc.assembly, rc.coefficient_mode)
-    atomic_write_text(os.path.join(rc.out_dir, "records.csv"),
-                      records_to_csv(records))
     x_field, xlabel = (("epsilon", "epsilon") if rc.study_kind == EPSILON_SWEEP
                        else ("mesh_size", "mesh size"))
     xs = [getattr(r, x_field) for r in records]
@@ -448,8 +446,11 @@ def _run_error_study(rc):
             intercept = my - slope * mx
         series.append({"label": label, "x": xs, "y": ys,
                        "slope": slope, "intercept": intercept})
+    # the plot checks its data first, so a failing one leaves no directory
     svg_loglog(os.path.join(rc.out_dir, "convergence.svg"), series,
                xlabel, "relative error", "convergence study")
+    atomic_write_text(os.path.join(rc.out_dir, "records.csv"),
+                      records_to_csv(records))
     return ["records.csv", "convergence.svg"]
 
 
@@ -457,12 +458,9 @@ def _run_optimize(rc):
     mesh = generate_mesh(rc.domain_spec, conform_to_obstacles=False)
     layout = build_spaces(mesh)
     initial = LevelField.interpolate(mesh, rc.level_function())
-    if rc.cost_kind == TRACKING:
-        cost = tracking_cost(layout, rc.assembly, rc.level_function(
-            rc.target_shapes, signed_distance=False))
-    else:
-        cost = CostSpec(DISSIPATED_ENERGY)
-
+    cost = presets.DescentPreset(rc.domain_spec, rc.assembly, rc.level_shapes,
+                                 rc.cost_kind, rc.opt,
+                                 rc.target_shapes).build_cost(layout)
     history, final, snapshots = optimize(initial, cost, rc.opt, layout,
                                          rc.assembly)
     names = ["history.csv", "state.vtk", "summary.csv"]

@@ -33,7 +33,7 @@ class ErrorRecord:
     """
 
     def __init__(self, epsilon, mesh_size, l2_rel, h1_rel, div_norm_omega,
-                 newton_iters, p_l2_rel=None, report=None,
+                 newton_iters, p_l2_rel, report=None,
                  reference_report=None):
         self.epsilon = float(epsilon)
         self.mesh_size = float(mesh_size)
@@ -41,39 +41,33 @@ class ErrorRecord:
         self.h1_rel = float(h1_rel)
         self.div_norm_omega = float(div_norm_omega)
         self.newton_iters = int(newton_iters)
-        self.p_l2_rel = None if p_l2_rel is None else float(p_l2_rel)
+        self.p_l2_rel = float(p_l2_rel)
         self.report, self.reference_report = report, reference_report
         for v in (self.l2_rel, self.h1_rel, self.div_norm_omega):
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError("error record values must be finite and >= 0")
 
     def as_dict(self):
-        d = {"epsilon": self.epsilon, "mesh_size": self.mesh_size,
-             "l2_rel": self.l2_rel, "h1_rel": self.h1_rel,
-             "div_norm_omega": self.div_norm_omega,
-             "newton_iters": self.newton_iters}
-        if self.p_l2_rel is not None:
-            d["p_l2_rel"] = self.p_l2_rel
-        return d
+        return {"epsilon": self.epsilon, "mesh_size": self.mesh_size,
+                "l2_rel": self.l2_rel, "h1_rel": self.h1_rel,
+                "div_norm_omega": self.div_norm_omega,
+                "newton_iters": self.newton_iters, "p_l2_rel": self.p_l2_rel}
 
     def __repr__(self):
         return (f"ErrorRecord(eps={self.epsilon:g}, h={self.mesh_size:.4g}, "
                 f"l2_rel={self.l2_rel:.4e}, h1_rel={self.h1_rel:.4e})")
 
 
-def restrict_state(full_layout, sub_mesh, Y, P=None):
+def restrict_state(full_layout, sub_mesh, Y, P):
     """Restrict full-mesh velocity/pressure DOFs to an extracted submesh.
 
     Uses the parent ids attached by extract_submesh; exact for conforming
-    submeshes.  Returns Y_sub or (Y_sub, P_sub).
+    submeshes.  Returns (Y_sub, P_sub).
     """
     pv = sub_mesh.parent_vertex_ids
     # per component: the parent vertices, then the parent triangles' bubbles
     idx = np.concatenate([pv, full_layout.V + sub_mesh.parent_triangle_ids])
-    Ys = np.concatenate([Y[idx], Y[full_layout.N1 + idx]])
-    if P is None:
-        return Ys
-    return Ys, P[pv]
+    return np.concatenate([Y[idx], Y[full_layout.N1 + idx]]), P[pv]
 
 
 class _MeshReference:
@@ -180,8 +174,5 @@ def regression_slope(points) -> float:
 def records_to_csv(records) -> str:
     """Serialize sweep records as a CSV table (header + one row each)."""
     cols = ["epsilon", "mesh_size", "l2_rel", "h1_rel", "div_norm_omega",
-            "newton_iters"]
-    if any(r.p_l2_rel is not None for r in records):
-        cols.append("p_l2_rel")
-    dicts = [r.as_dict() for r in records]
-    return csv_text(cols, [[d[c] for c in cols] for d in dicts])
+            "newton_iters", "p_l2_rel"]
+    return csv_text(cols, [list(r.as_dict().values()) for r in records])

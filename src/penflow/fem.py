@@ -35,7 +35,8 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigurationError, EmptyRegionError
-from .levelset import LevelField, heaviside_value, smoothed_heaviside
+from .levelset import (LevelField, check_width, heaviside_value,
+                       smoothed_heaviside)
 from .mesh import OBSTACLE, hat_gradients, outward_normals
 
 EXACT_REGION = "exact-region"
@@ -188,11 +189,10 @@ class AssemblyConfig:
             raise ConfigurationError("penalization parameter must be nonnegative")
         if divergence_form not in (PENALIZED_B, PLAIN_B):
             raise ConfigurationError(f"unknown divergence form {divergence_form!r}")
-        if smoothing_width is not None and not smoothing_width > 0:
-            raise ConfigurationError("smoothing width must be positive")
         self.nu = float(nu)
         self.eps = float(eps)
-        self.smoothing_width = smoothing_width
+        self.smoothing_width = smoothing_width if smoothing_width is None \
+            else check_width(smoothing_width)
         self.divergence_form = divergence_form
         self.traction = traction
         self.traction_label = traction_label

@@ -31,11 +31,18 @@ def smoothed_heaviside(r, width):
     return val, der
 
 
+def check_width(width, name="smoothing width"):
+    """width, unless it is not positive or its cube underflows."""
+    if not width > 0:
+        raise ConfigurationError(f"{name} must be positive")
+    if min(width, 1.0) ** 3 < np.finfo(float).tiny:
+        raise ConfigurationError(f"{name} is so small that its cube underflows")
+    return width
+
+
 def _ramp(r, width):
     """r clipped to the ramp [0, width]."""
-    if not width > 0:
-        raise ConfigurationError("smoothing width must be positive")
-    return np.clip(np.asarray(r, dtype=float), 0.0, width)
+    return np.clip(np.asarray(r, dtype=float), 0.0, check_width(width))
 
 
 def heaviside_value(r, width):

@@ -333,9 +333,13 @@ class DomainSpec:
             x0, y0, x1, y1 = outer
             if not (x1 > x0 and y1 > y0):
                 raise GeometryError("rectangle must have positive extents")
+        reach = 1.0 if outer == "flow-cell" else float(np.abs(outer).max())
         for ob in self.obstacles:
             if ob[0] not in ("disk", "ellipse", "polygon"):
                 raise GeometryError(f"unknown obstacle kind {ob[0]!r}")
+            if not np.all(np.abs(np.hstack(ob[1:])) <= reach):
+                raise GeometryError("obstacles must be given by finite "
+                                    f"numbers from {-reach!r} to {reach!r}")
         for poly in self.obstacle_polygons():
             if np.any(self.outer_sdf(poly) > -_CLEARANCE):
                 raise GeometryError(

@@ -10,7 +10,7 @@ import numpy as np
 
 from .fem import AssemblyConfig, PLAIN_B, PENALIZED_B
 from .levelset import domain_level_function
-from .mesh import DomainSpec, generate_mesh
+from .mesh import DomainSpec
 from .topopt import (CostSpec, OptConfig, DISSIPATED_ENERGY, TRACKING,
                      tracking_cost)
 
@@ -59,16 +59,10 @@ def sec31_level():
 
 
 class FlowPreset:
-    """Mesh recipe plus assembly settings for a single flow solve."""
+    """Domain plus assembly settings for a single flow solve."""
 
-    def __init__(self, domain_spec, config, conforming=False):
-        self.domain_spec = domain_spec
-        self.config = config
-        self.conforming = conforming
-
-    def build_mesh(self):
-        return generate_mesh(self.domain_spec,
-                             conform_to_obstacles=self.conforming)
+    def __init__(self, domain_spec, config):
+        self.domain_spec, self.config = domain_spec, config
 
 
 class SweepPreset:
@@ -115,8 +109,7 @@ def sec31_penalized(h_mesh=COARSE_MESH_SIZE, eps=0.025):
 
 
 def sec31_reference(h_mesh=REFERENCE_MESH_SIZE):
-    return FlowPreset(flow_cell_spec(h_mesh), sec31_assembly(eps=0.0),
-                      conforming=True)
+    return FlowPreset(flow_cell_spec(h_mesh), sec31_assembly(eps=0.0))
 
 
 def epsilon_sweep(h_mesh=EPSILON_SWEEP_MESH_SIZE,
@@ -135,8 +128,7 @@ def _descent_problem(radii, cost_kind, h_mesh, max_iter, rho, snapshot_every,
     config = AssemblyConfig(nu=1.0, eps=0.01, traction=shear_traction,
                             divergence_form=PENALIZED_B)
     shapes = tuple(("disk", c, r) for c, r in zip(TEST1_CENTERS, radii))
-    opt = OptConfig(rho=rho, max_iter=max_iter, snapshot_every=snapshot_every,
-                    plateau_tol=0.0)
+    opt = OptConfig(rho=rho, max_iter=max_iter, snapshot_every=snapshot_every)
     return DescentPreset(flow_cell_spec(h_mesh, obstacles=()), config, shapes,
                          cost_kind, opt, target_shapes)
 
@@ -149,7 +141,3 @@ def test1_problem(h_mesh=0.05, max_iter=200, rho=0.8, snapshot_every=25):
 def test2_problem(h_mesh=0.05, max_iter=500, rho=0.02, snapshot_every=100):
     return _descent_problem(TEST2_RADII, TRACKING, h_mesh, max_iter, rho,
                             snapshot_every, TEST2_TARGET_SHAPES)
-
-
-def test2_target_level():
-    return test2_problem().target_level

@@ -96,12 +96,12 @@ class OptConfig:
     """Descent parameters for the penalty scheme.
 
     The initial step is auto-scaled by the sup-norm of the first projected
-    gradient; the plateau rule stops after plateau_steps consecutive
-    iterations with a relative J_rho change below plateau_tol.  The line
-    search is fixed: a trial step is accepted when J_rho falls by at least
-    armijo_c times the step times the squared gradient norm, it shrinks by
-    armijo_factor at most max_backtracks times, and an accepted step that
-    needed no backtracking grows by step_growth for the next iteration.
+    gradient; the descent stops after plateau_steps iterations in a row
+    that move J_rho by at most plateau_tol (1 + |J_rho|), as at the default
+    0.0 only stalls do.  The line search is fixed: a trial step is accepted
+    when J_rho falls by at least armijo_c times the step times the squared
+    gradient norm, it shrinks by armijo_factor at most max_backtracks times,
+    and an accepted step that needed no backtracking grows by step_growth.
     """
 
     armijo_c = 1e-4
@@ -110,7 +110,7 @@ class OptConfig:
     step_growth = 1.3
 
     def __init__(self, rho, initial_step=1.0, max_iter=200, snapshot_every=25,
-                 plateau_tol=1e-3, plateau_steps=50):
+                 plateau_tol=0.0, plateau_steps=50):
         if rho < 0:
             raise ConfigurationError("penalty weight must be nonnegative")
         if initial_step <= 0:

@@ -23,7 +23,8 @@ def square_disk_conforming():
 @pytest.fixture(scope="session")
 def flow_cell_coarse():
     """The benchmark flow-cell mesh at desk resolution (~2000 triangles)."""
-    return sec31_penalized().build_mesh()
+    return generate_mesh(sec31_penalized().domain_spec,
+                         conform_to_obstacles=False)
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,16 @@ Every solve here runs on deliberately coarse meshes so the whole module
 stays in the few-seconds range.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import penflow.cli as cli
 from penflow import presets
@@ -19,7 +23,7 @@ from penflow.cli import (_parse_monomials, _parse_shapes, _polynomial_field,
 from penflow.errors import (ConfigurationError, GenerationError,
                             NonconvergenceError)
 from penflow.fem import build_spaces
-from penflow.levelset import LevelField
+from penflow.levelset import LevelField, domain_level_function
 from penflow.mesh import generate_mesh
 from penflow.ns_solver import NewtonReport
 from penflow.topopt import optimize
@@ -126,8 +130,9 @@ def test_preset_sections_round_trip_to_presets(command, name):
         # rho, max_iter, snapshot_every, plateau_tol and the library defaults
         assert vars(rc.opt) == vars(want.opt)
     if (command, name) == ("optimize", "test2"):
-        target = rc.level_function(rc.target_shapes, signed_distance=False)
-        assert np.array_equal(target(x), presets.test2_target_level()(x))
+        target = domain_level_function(rc.domain_spec.replace(
+            obstacles=rc.target_shapes), signed_distance=False)
+        assert np.array_equal(target(x), presets.test2_problem().target_level(x))
 
 
 @pytest.mark.parametrize("command, name, message", [
@@ -196,6 +201,19 @@ _RULES = [
     ("solve-penalized", {("mesh", "h_mesh"): "inf"}, "[mesh] h_mesh"),
     ("solve-penalized", {("mesh", "obstacles"): "disk 0.5 0.5"},
      "[mesh] obstacles"),
+    ("solve-penalized", {("mesh", "obstacles"): "disk 0.5 0.5 nan"},
+     "[mesh] obstacles"),
+    ("solve-penalized", {("mesh", "obstacles"): "disk 0.5 0.5 inf"},
+     "[mesh] obstacles"),
+    ("solve-penalized", {("mesh", "obstacles"): "ellipse 0.5 0.5 nan 0.1"},
+     "[mesh] obstacles"),
+    ("solve-penalized",
+     {("mesh", "obstacles"): "polygon 0.4 0.4 0.6 0.4 0.5 nan"},
+     "[mesh] obstacles"),
+    ("solve-penalized", {("mesh", "obstacles"): "disk 0.5 0.5 1e12"},
+     "[mesh] obstacles"),
+    ("solve-reference", {("mesh", "obstacles"): "disk nan 0.5 0.1"},
+     "[mesh] obstacles"),
     ("solve-penalized", {("mesh", "arc_segments"): "4"},
      "[mesh] arc_segments"),
     ("solve-penalized", {("mesh", "circle_segments"): "8.5"},
@@ -211,6 +229,7 @@ _RULES = [
      "[level] shapes"),
     ("solve-penalized", {("level", "shapes"): "disk 0.5 0.5 -0.1"},
      "[level] shapes"),
+    ("optimize", {("level", "shapes"): "disk nan 0.5 0.1"}, "[level] shapes"),
     ("solve-penalized", {("level", "signed_distance"): "2"},
      "[level] signed_distance"),
     ("solve-reference", {("mesh", "obstacles"): None,
@@ -224,9 +243,15 @@ _RULES = [
      "[physics] traction_x"),
     ("solve-penalized", {("physics", "body_force_y"): "1 -1 0"},
      "[physics] body_force_y"),
+    ("solve-penalized", {("physics", "body_force_x"): "inf 1 1"},
+     "[physics] body_force_x"),
+    ("solve-penalized", {("physics", "body_force_y"): "nan 0 0"},
+     "[physics] body_force_y"),
     ("solve-penalized", {("regularization", "eps"): "-0.1"},
      "[regularization] eps"),
     ("solve-penalized", {("regularization", "smoothing_width"): "0"},
+     "[regularization] smoothing_width"),
+    ("solve-penalized", {("regularization", "smoothing_width"): "1e-300"},
      "[regularization] smoothing_width"),
     ("solve-penalized", {("regularization", "divergence_form"): "weak"},
      "[regularization] divergence_form"),
@@ -246,6 +271,9 @@ _RULES = [
      "[cost] target_shapes"),
     ("optimize", {("cost", "kind"): "tracking",
                   ("cost", "target_shapes"): "disk 0.5 0.5 -0.1"},
+     "[cost] target_shapes"),
+    ("optimize", {("cost", "kind"): "tracking",
+                  ("cost", "target_shapes"): "ellipse nan 0.5 0.2 0.4"},
      "[cost] target_shapes"),
     ("optimize", {("descent", "rho"): None}, "[descent] rho"),
     ("optimize", {("descent", "rho"): "-1"}, "[descent] rho"),
@@ -288,6 +316,145 @@ def test_config_rule_exits_2_with_one_prefix(command, changes, prefix,
     assert err.startswith(f"penflow: config error: {prefix}")
     assert err.count(prefix) == 1
     assert not (tmp_path / "out").exists()  # no artifact
+
+
+# ------------------------------------------------ config property test
+# per key, (valid texts, broken texts): the boundary values 0, negative,
+# NaN, inf, huge, repeated and nearly repeated fall on either side.  Sizes
+# are bounded so that every solve stays small: mesh sizes from 0.1, 0.15,
+# 0.2 and 5, at most 2 descent iterations and 64 curve segments; 1e12
+# stands for "huge", since 1e300 overflows inside a solve (a solver
+# failure).  An empty text unsets a key a preset gives.
+_SEGMENTS = (["8", "12", "64"], ["7", "0", "-1", "8.5", "1000000000000",
+                                 "nan"])
+_SHAPES = (["disk 0.25 0.25 0.1", "disk 0.5 0.25 0.15; disk 0.75 0 0.15",
+            "disk -0.2 0.2 0.1; disk -0.2 -0.2 0.1", "ellipse 0.25 0.25 0.1 0.15",
+            "polygon 0.3 -0.25 0.6 -0.25 0.6 0.25 0.45 0.05 0.3 0.25",
+            "polygon 0.3 0.25 0.45 0.05 0.6 0.25 0.6 -0.25 0.3 -0.25",
+            "disk 0.25 0.25 0.1; disk 0.25 0.25 0.1",
+            "disk 0.25 0.25 0.1; disk 0.25 0.25 0.1000000001", ""],
+           ["disk 0.5 0.25 nan", "disk nan 0.25 0.1", "disk 0.5 0.25 inf",
+            "ellipse 0.5 0.25 nan 0.1", "polygon 0.4 0.2 0.6 0.2 0.5 nan",
+            "disk 0 0 1e12", "disk 0 0 0", "disk 0 0 -0.1", "ellipse 0 0 0.1",
+            "ring 0 0 1", "disk a b c"])
+_MONOMIALS = (["1 0 0", "100 0 1", "1 0 0; -2 1 0", "1e12 0 0",
+               "1 1000000000000 0", ""],
+              ["inf 0 0", "nan 0 0", "1 -1 0", "1 0.5 0", "1 2", "x 0 0"])
+_TEXTS = {
+    ("mesh", "outer"): (["flow-cell", "0 0 1 1", "-1 -1 1 1"],
+                        ["1 0 0 1", "0 0 1", "0 0 nan 1", "0 0 1 x"]),
+    ("mesh", "h_mesh"): (["0.1", "0.15", "0.2"],
+                         ["5", "0", "-0.1", "nan", "inf", "x"]),
+    ("mesh", "conforming"): (["true", "false"], ["maybe"]),
+    ("mesh", "obstacles"): _SHAPES,
+    ("mesh", "arc_segments"): _SEGMENTS,
+    ("mesh", "circle_segments"): _SEGMENTS,
+    ("physics", "nu"): (["1", "0.5", "0.01", "1e12"],
+                        ["0", "-1", "nan", "inf", "-inf", "x"]),
+    ("physics", "traction"): (["shear", ""], ["swirl", "shear"]),
+    ("physics", "traction_x"): _MONOMIALS,
+    ("physics", "traction_y"): _MONOMIALS,
+    ("physics", "traction_label"): (["Gamma1", "Gamma3"], ["Nope"]),
+    ("physics", "body_force_x"): _MONOMIALS,
+    ("physics", "body_force_y"): _MONOMIALS,
+    ("regularization", "eps"): (["0", "0.01", "0.5", "1e12"],
+                                ["-1", "nan", "inf", "x"]),
+    ("regularization", "smoothing_width"): (
+        ["0.05", "1", "1e12", "1e-100"],
+        ["0", "-1", "nan", "inf", "1e-300", "x"]),
+    ("regularization", "divergence_form"): (["plain", "penalized"],
+                                            ["weak"]),
+    ("level", "shapes"): _SHAPES,
+    ("level", "signed_distance"): (["true", "false"], ["2"]),
+    ("study", "kind"): (["epsilon", "mesh"], ["time"]),
+    # epsilon values, or mesh sizes when [study] kind is mesh
+    ("study", "values"): (["0.2 0.1", "0.5 0.15", "1e12 0.1"],
+                          ["5 0.2", "0.1 0.1", "0.1 0.1000000001", "0.1",
+                           "0 0.1", "-0.1 0.2", "nan 0.1", "inf 0.2",
+                           "x 0.1"]),
+    ("study", "coefficient_mode"): (["exact-region", "smoothed"], ["sharp"]),
+    ("cost", "kind"): (["dissipated-energy", "tracking"], ["lift"]),
+    ("cost", "target_shapes"): _SHAPES,
+    ("descent", "rho"): (["0", "0.5", "1", "1e12"], ["-1", "nan", "inf", "x"]),
+    ("descent", "initial_step"): (["0.5", "1", "1e12"],
+                                  ["0", "-1", "nan", "inf", "x"]),
+    ("descent", "max_iter"): (["1", "2"], ["0", "-1", "1.5", "1e12", "x"]),
+    ("descent", "snapshot_every"): (["0", "1", "2"], ["-1", "x"]),
+    ("descent", "plateau_tol"): (["0", "1", "1e12"], ["-1", "nan", "inf", "x"]),
+    ("descent", "plateau_steps"): (["1", "3", "1000000000000"], ["0", "x"]),
+}
+# keys every draw sets, so that no preset size (h_mesh 0.014, 500
+# iterations, an epsilon sweep read as mesh sizes) makes a slow run
+_ALWAYS = [("mesh", "h_mesh"), ("descent", "max_iter"), ("study", "values")]
+
+
+@st.composite
+def _configs(draw):
+    """Sections that set some keys to valid texts, and in half the draws
+    break one or two keys."""
+    broken = draw(st.one_of(st.just([]), st.lists(
+        st.sampled_from(list(_TEXTS)), min_size=1, max_size=2)))
+    sections = {}
+    for (sec, key), (valid, bad) in _TEXTS.items():
+        if (sec, key) in broken or (sec, key) in _ALWAYS or \
+                draw(st.integers(0, 2)) == 0:
+            sections.setdefault(sec, {})[key] = draw(st.sampled_from(
+                bad if (sec, key) in broken else valid))
+    physics = sections.get("physics", {})
+    if ("physics", "traction") not in broken and (
+            physics.get("traction_x") or physics.get("traction_y")):
+        physics["traction"] = ""  # a named traction would clash
+    return sections
+
+
+def _pinned(command, preset, sec, key, value):
+    """An example that ended in a traceback or a solver failure."""
+    return example(command=command, preset=preset, sections={
+        "mesh": {"h_mesh": "0.1"}, "descent": {"max_iter": "1"},
+        sec: {key: value}})
+
+
+def test_property_table_covers_every_config_key():
+    assert set(_TEXTS) == set(cli._KEYS) - {("output", "dir")}
+
+
+@_pinned("solve-penalized", "sec31", "mesh", "obstacles", "disk 0.5 0.25 nan")
+@_pinned("solve-penalized", "sec31", "mesh", "obstacles",
+         "polygon 0.4 0.2 0.6 0.2 0.5 nan")
+@_pinned("solve-penalized", "sec31", "mesh", "obstacles", "disk 0.5 0.25 inf")
+@_pinned("solve-reference", "sec31", "mesh", "obstacles", "disk nan 0.25 0.1")
+@_pinned("optimize", "test1", "level", "shapes", "disk nan 0.25 0.1")
+@_pinned("optimize", "test2", "cost", "target_shapes",
+         "ellipse nan 0 0.2 0.4")
+@_pinned("solve-penalized", "sec31", "physics", "body_force_x", "inf 1 1")
+@_pinned("solve-penalized", "sec31", "regularization", "smoothing_width",
+         "1e-300")
+# zero errors, which no log-log plot shows, once left records.csv behind
+@example(command="error-study", preset=None, sections={
+    "mesh": {"h_mesh": "0.1", "obstacles": "disk 0.25 0.25 0.1"},
+    "physics": {"traction_y": "1e12 0 0", "traction_label": "Gamma3",
+                "body_force_x": "1 0 0", "body_force_y": "1 0 0"},
+    "study": {"values": "0.2 0.1"}})
+@given(command=st.sampled_from(cli.COMMANDS),
+       preset=st.sampled_from((None,) + cli.PRESET_NAMES),
+       sections=_configs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_any_config_exits_with_a_documented_code(command, preset, sections):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "run.ini"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            fh.write(_render(sections))
+        argv = [command, "--config", cfg, "--out", out]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv + (["--preset", preset] if preset else []))
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code == 0:
+            assert verify_manifest(out)[0]
+        if code == 2:
+            assert err.getvalue().startswith("penflow: config error: ")
+            assert not os.path.exists(out)
 
 
 def test_descent_error_is_prefixed_once(tmp_path, capsys):

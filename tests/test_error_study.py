@@ -47,18 +47,18 @@ def test_regression_slope_rejects_degenerate_input():
 
 
 def test_error_record_validates_and_serializes():
-    rec = ErrorRecord(0.1, 0.05, 0.02, 0.07, 0.11, 3)
+    rec = ErrorRecord(0.1, 0.05, 0.02, 0.07, 0.11, 3, 0.01)
     d = rec.as_dict()
     assert d["epsilon"] == 0.1 and d["newton_iters"] == 3
     with pytest.raises(ConfigurationError):
-        ErrorRecord(0.1, 0.05, float("nan"), 0.07, 0.11, 3)
+        ErrorRecord(0.1, 0.05, float("nan"), 0.07, 0.11, 3, 0.01)
     with pytest.raises(ConfigurationError):
-        ErrorRecord(0.1, 0.05, -1.0, 0.07, 0.11, 3)
+        ErrorRecord(0.1, 0.05, -1.0, 0.07, 0.11, 3, 0.01)
 
 
 def test_records_csv_parses_back():
-    recs = [ErrorRecord(0.5, 0.1, 0.2, 0.3, 0.15, 2),
-            ErrorRecord(0.1, 0.1, 0.04, 0.12, 0.16, 3)]
+    recs = [ErrorRecord(0.5, 0.1, 0.2, 0.3, 0.15, 2, 0.05),
+            ErrorRecord(0.1, 0.1, 0.04, 0.12, 0.16, 3, 0.02)]
     text = records_to_csv(recs)
     lines = text.strip().splitlines()
     assert lines[0].split(",")[:4] == ["epsilon", "mesh_size", "l2_rel",

@@ -105,6 +105,31 @@ def test_domain_level_function_merges_shapes():
     assert g(np.array([0.0, 0.9])) < 0
 
 
+def test_domain_level_function_of_a_polygon_is_its_signed_distance():
+    square = ((-0.2, -0.2), (0.2, -0.2), (0.2, 0.2), (-0.2, 0.2))
+    pts = np.array([[0.0, 0.0], [0.1, 0.05], [0.2, 0.0], [0.5, 0.0],
+                    [0.5, 0.5]])
+    want = [0.2, 0.1, 0.0, -0.3, -np.hypot(0.3, 0.3)]
+    for poly in (square, square[::-1]):  # either orientation
+        spec = DomainSpec(outer=(-1.0, -1.0, 1.0, 1.0), h_mesh=0.2,
+                          obstacles=(("polygon", poly),))
+        assert np.allclose(domain_level_function(spec)(pts), want,
+                           rtol=0.0, atol=1e-15)
+
+
+def test_smoothing_width_whose_cube_underflows_is_rejected():
+    # the ramp divides by width**3: subnormal below about 2.8e-103, and 0
+    # below about 1.7e-108
+    for width in (1e-300, 1e-104):
+        with pytest.raises(ConfigurationError, match="cube underflows"):
+            smoothed_heaviside(0.0, width)
+        with pytest.raises(ConfigurationError, match="cube underflows"):
+            AssemblyConfig(smoothing_width=width)
+    val, der = smoothed_heaviside(np.array([0.5e-100, 1e-100]), 1e-100)
+    assert np.allclose(val, [0.5, 1.0]) and np.all(np.isfinite(der))
+    assert AssemblyConfig(smoothing_width=1e-100).smoothing_width == 1e-100
+
+
 def test_interpolation_matches_callable(unit_square_mesh):
     g = compose_disks([(0.5, 0.5)], [0.3], signed_distance=True)
     field = LevelField.interpolate(unit_square_mesh, g)

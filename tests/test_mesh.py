@@ -131,6 +131,33 @@ def test_domain_spec_rejects_mesh_sizes_that_are_not_positive(h):
         DomainSpec(h_mesh=h)
 
 
+@pytest.mark.parametrize("outer, obstacle", [
+    ((0.0, 0.0, 1.0, 1.0), ("disk", (0.5, 0.5), np.nan)),
+    ((0.0, 0.0, 1.0, 1.0), ("disk", (np.nan, 0.5), 0.1)),
+    ((0.0, 0.0, 1.0, 1.0), ("disk", (0.5, 0.5), np.inf)),
+    ((0.0, 0.0, 1.0, 1.0), ("ellipse", (0.5, 0.5), (np.nan, 0.1))),
+    ((0.0, 0.0, 1.0, 1.0), ("polygon", ((0.4, 0.4), (0.6, 0.4),
+                                        (0.5, np.nan)))),
+    # no polygon of 6e12 sides is built before the wall check
+    ((0.0, 0.0, 1.0, 1.0), ("disk", (0.5, 0.5), 1e12)),
+    ("flow-cell", ("disk", (0.0, 0.0), 1e12)),
+], ids=["radius", "center", "inf", "ellipse", "polygon", "huge",
+        "huge-flow-cell"])
+def test_domain_spec_rejects_obstacle_numbers_beyond_the_outer_box(
+        outer, obstacle):
+    with pytest.raises(GeometryError, match="obstacles must be given by "
+                       "finite numbers from -1.0 to 1.0"):
+        DomainSpec(outer=outer, h_mesh=0.1, obstacles=(obstacle,))
+
+
+def test_clockwise_polygon_obstacle_is_reversed():
+    clockwise = (("polygon", PENTAGON[0][1][::-1]),)
+    polys = [flow_cell_spec(0.1, obstacles).obstacle_polygons()[0]
+             for obstacles in (PENTAGON, clockwise)]
+    assert np.array_equal(polys[1], polys[0])
+    assert mesh_module._polygon_area(polys[1]) > 0.0
+
+
 def test_replace_returns_validated_copy():
     spec = DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2,
                       arc_segments=12, circle_segments=16,

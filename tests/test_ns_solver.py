@@ -482,7 +482,8 @@ def test_pattern_order_is_a_nested_dissection_of_the_mesh(
 
 def test_equilibrated_reference_factor_keeps_fill_low():
     preset = sec31_reference()
-    fluid = extract_submesh(preset.build_mesh(), "Fluid")
+    fluid = extract_submesh(
+        generate_mesh(preset.domain_spec, conform_to_obstacles=True), "Fluid")
     lay = build_spaces(fluid)
     labels = sorted(s for s in fluid.labels() if s.startswith("Obstacle"))
     sysm = _System(lay, preset.config, None, flux_labels=labels)

@@ -354,6 +354,55 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
     assert counts["body"] == 1
 
 
+@pytest.fixture(scope="module")
+def test1_coarse():
+    """(layout, config, initial level field) of test1 at h 0.1."""
+    problem = presets.test1_problem(h_mesh=0.1)
+    lay = build_spaces(generate_mesh(problem.domain_spec))
+    return lay, problem.config, LevelField.interpolate(
+        lay.mesh, problem.initial_level)
+
+
+def test_descent_that_finds_no_descent_step_stalls_in_place(test1_coarse):
+    # a first trial of 1e10 times the gradient's sup-norm step overshoots
+    # so far that 30 halvings never satisfy Armijo
+    lay, cfg, g0 = test1_coarse
+    opt = OptConfig(rho=0.8, max_iter=3, initial_step=1e10)
+    history, X, snapshots = optimize(g0, CostSpec(DISSIPATED_ENERGY), opt,
+                                     lay, cfg)
+    first = history[0]
+    assert [r.iteration for r in history] == [0, 1, 2, 3]
+    for rec in history[1:]:
+        assert not rec.accepted
+        assert rec.backtracks == opt.max_backtracks + 1
+        assert rec.step == 0.0
+        # the stalled iterate keeps the values recorded for the start
+        assert (rec.j_rho, rec.j_h, rec.constraint_inf,
+                rec.divergence_inf) == (first.j_rho, first.j_h,
+                                        first.constraint_inf,
+                                        first.divergence_inf)
+    start, _ = solve_navier_stokes(lay, cfg, g0, raise_on_failure=True)
+    assert np.array_equal(X.Y, start.Y) and np.array_equal(X.P, start.P)
+    assert np.array_equal(X.G, g0.nodal_values)
+    assert [s.iteration for s in snapshots] == [0, 3]
+    # each stall halves the base step, so a fourth iteration's halvings
+    # reach one step further than the third's, far enough to descend
+    opt = OptConfig(rho=0.8, max_iter=4, initial_step=1e10)
+    history, _, _ = optimize(g0, CostSpec(DISSIPATED_ENERGY), opt, lay, cfg)
+    assert history[4].accepted and history[4].backtracks == 30
+
+
+def test_descent_stops_on_a_plateau(test1_coarse):
+    # every accepted step changes J_rho by far less than 1 + |J_rho|
+    lay, cfg, g0 = test1_coarse
+    opt = OptConfig(rho=0.8, max_iter=10, plateau_tol=1.0, plateau_steps=3)
+    history, _, snapshots = optimize(g0, CostSpec(DISSIPATED_ENERGY), opt,
+                                     lay, cfg)
+    assert [r.iteration for r in history] == [0, 1, 2, 3]
+    assert all(r.accepted for r in history)
+    assert [s.iteration for s in snapshots] == [0, 3]
+
+
 def test_descent_rejects_inadmissible_start(unit_square_mesh):
     lay = build_spaces(unit_square_mesh)
     cfg = AssemblyConfig(nu=1.0, eps=0.01, traction=_pull)
