@@ -129,24 +129,24 @@ def svg_loglog(path, series, xlabel, ylabel, title):
     `series` is a sequence of dicts with keys "label", "x", "y" and
     optionally "slope" and "intercept", a fitted power law
     log10(y) = slope*log10(x) + intercept to draw dashed and annotate.
+    Only points with both coordinates positive are drawn, the ones a slope
+    fit keeps; with none at all the frame spans one decade around 1.
     """
     W, H = 640, 480
     ml, mr, mt, mb = 78, 24, 36, 58
     pw, ph = W - ml - mr, H - mt - mb
 
-    xs_all, ys_all = [], []
-    for s in series:
-        xs_all.extend(float(v) for v in s["x"])
-        ys_all.extend(float(v) for v in s["y"])
-    if not xs_all or min(xs_all) <= 0 or min(ys_all) <= 0:
-        raise ConfigurationError("log-log plot needs positive data")
+    drawn = [sorted((math.log10(x), math.log10(y))
+                    for x, y in zip(map(float, s["x"]), map(float, s["y"]))
+                    if x > 0 and y > 0) for s in series]
+    lx, ly = zip(*(sum(drawn, []) or [(0.0, 0.0)]))
 
     def padded(lo, hi):
         pad = 0.5 if hi - lo < 1e-12 else 0.08 * (hi - lo)
         return lo - pad, hi + pad
 
-    lx0, lx1 = padded(math.log10(min(xs_all)), math.log10(max(xs_all)))
-    ly0, ly1 = padded(math.log10(min(ys_all)), math.log10(max(ys_all)))
+    lx0, lx1 = padded(min(lx), max(lx))
+    ly0, ly1 = padded(min(ly), max(ly))
 
     def px(lx):
         return ml + (lx - lx0) / (lx1 - lx0) * pw
@@ -184,14 +184,13 @@ def svg_loglog(path, series, xlabel, ylabel, title):
              f'font-family="sans-serif" font-size="13">{ylabel}</text>')
 
     legend_y = mt + 16
-    for k, s in enumerate(series):
+    for k, (s, pts) in enumerate(zip(series, drawn)):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = sorted(zip((math.log10(float(v)) for v in s["x"]),
-                         (math.log10(float(v)) for v in s["y"])))
-        path_d = " ".join(f"{'M' if i == 0 else 'L'}{px(a):.2f},{py(b):.2f}"
-                          for i, (a, b) in enumerate(pts))
-        e.append(f'<path d="{path_d}" fill="none" stroke="{color}" '
-                 'stroke-width="1.6"/>')
+        if pts:
+            path_d = " ".join(f"{'L' if i else 'M'}{px(a):.2f},{py(b):.2f}"
+                              for i, (a, b) in enumerate(pts))
+            e.append(f'<path d="{path_d}" fill="none" stroke="{color}" '
+                     'stroke-width="1.6"/>')
         for a, b in pts:
             e.append(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="3.2" '
                      f'fill="{color}"/>')

@@ -26,7 +26,7 @@ from .artifacts import (MANIFEST_NAME, atomic_write_text, level_csv_text,
                         svg_loglog, write_csv, write_manifest, write_vtk)
 from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
                      GeometryError, NonconvergenceError, PenflowError,
-                     SolverError)
+                     SolverError, UnknownLabelError)
 from .error_study import (EPSILON_SWEEP, MESH_SWEEP, records_to_csv,
                           regression_slope, run_sweep)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
@@ -308,6 +308,7 @@ class RunConfig:
         self.conforming = mesh.pop("conforming") or command == "solve-reference"
         self.level_shapes = values["level"]["shapes"]
         self.signed_distance = values["level"]["signed_distance"]
+        self.obstacles_key = "[mesh] obstacles"  # the shapes a mesh carves
         try:
             self.domain_spec = DomainSpec(**mesh)
         except GeometryError as exc:
@@ -326,6 +327,7 @@ class RunConfig:
             # fall back to the level geometry so the holes get meshed
             self.domain_spec = self.domain_spec.replace(
                 obstacles=self.level_shapes)
+            self.obstacles_key = "[level] shapes"
 
         named = physics.pop("traction", None)
         tx, ty = (physics.pop(f"traction_{c}", None) for c in "xy")
@@ -446,7 +448,6 @@ def _run_error_study(rc):
             intercept = my - slope * mx
         series.append({"label": label, "x": xs, "y": ys,
                        "slope": slope, "intercept": intercept})
-    # the plot checks its data first, so a failing one leaves no directory
     svg_loglog(os.path.join(rc.out_dir, "convergence.svg"), series,
                xlabel, "relative error", "convergence study")
     atomic_write_text(os.path.join(rc.out_dir, "records.csv"),
@@ -512,6 +513,10 @@ def run(command, rc: RunConfig) -> list:
         key = "[study] values" if command == "error-study" and \
             rc.study_kind == MESH_SWEEP else "[mesh] h_mesh"
         raise ConfigurationError(f"{key}: {exc}") from exc
+    except GeometryError as exc:  # meshed obstacles that overlap
+        raise ConfigurationError(f"{rc.obstacles_key}: {exc}") from exc
+    except UnknownLabelError as exc:  # the one label a config names
+        raise ConfigurationError(f"[physics] traction_label: {exc}") from exc
     write_manifest(rc.out_dir, names)
     return names + [MANIFEST_NAME]
 

@@ -10,12 +10,12 @@ quadrature point from the P1-interpolated level field.
 Quadrature-point data is component major and C-contiguous too: scalars
 (T, nq), vectors (2, T, nq), gradients (2, 2, T, nq) with [d, c] = d u_c /
 d x_d, so that coefficient products and component sums run over whole
-(T, nq) blocks.  Only _velocity_at_quad and _velocity_rows meet the element
-products, and each transposes once there.  Element blocks keep the
-triangle axis last, so every per-element sum runs over whole T-vectors: a
-quadrature sum is one product with a table of the rule, and the basis
-gradients come from hat_grads (3, 2, T), the bubble's as 27 sum_k fac_k
-grad lam_k (fac_k the product of the other two barycentrics).
+(T, nq) blocks.  Only _velocity_at_quad batches element products (with one
+transpose); element blocks and _velocity_rows keep the triangle axis last,
+so every per-element sum runs over whole T-vectors: a quadrature sum is
+one product with a table of the rule, and the basis gradients come from
+hat_grads (3, 2, T), the bubble's as 27 sum_k fac_k grad lam_k (fac_k the
+product of the other two barycentrics), met by moments against grad_coef.
 
 Element geometry lives in one place: _geometry computes it once per mesh
 and quadrature rule and keeps it in the mesh's cache, so every layout of a
@@ -35,8 +35,8 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigurationError, EmptyRegionError
-from .levelset import (LevelField, check_width, heaviside_value,
-                       smoothed_heaviside)
+from .levelset import (LevelField, check_width, heaviside_derivative,
+                       heaviside_value)
 from .mesh import OBSTACLE, hat_gradients, outward_normals
 
 EXACT_REGION = "exact-region"
@@ -230,8 +230,8 @@ class CoeffData:
         """The level derivatives as a CoeffData, or None without a level."""
         if self._gq is not None:
             gq, w = self._gq, self._width
-            return CoeffData(self._config, smoothed_heaviside(gq, w)[1],
-                             smoothed_heaviside(gq + w, w)[1], one=0.0)
+            return CoeffData(self._config, *heaviside_derivative(
+                np.stack([gq, gq + w]), w), one=0.0)
 
 
 def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> CoeffData:
@@ -260,7 +260,7 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
         width = config.smoothing_width or layout.mesh.mean_edge_length
         gq = g.nodal_values[layout.mesh.triangles] @ geom["lam"].T
         # the shifted step is the standard one a width further on
-        H, Ht = heaviside_value(gq, width), heaviside_value(gq + width, width)
+        H, Ht = heaviside_value(np.stack([gq, gq + width]), width)
     else:
         raise ConfigurationError("g must be a LevelField, 'exact-region', or None")
 
@@ -397,17 +397,21 @@ def _flow_at_quad(layout: SpaceLayout, Y, P):
 
 def _velocity_rows(layout: SpaceLayout, val=None, grad=None):
     """sum_q wa (val_c N_a + grad_dc d_d N_a) for every velocity DOF (c, a),
-    val (2, T, nq) and grad (2, 2, T, nq) component major."""
-    geom, T = layout.geometry(), layout.T
-    loc = 0.0  # (T, a, c), like component_dofs
-    if val is not None:  # one product (c t, q) @ (q, a)
-        loc = ((geom["wa"] * val).reshape(2 * T, -1) @ geom["vals"]).reshape(
-            2, T, 4).transpose(1, 2, 0)
-    if grad is not None:  # (T, a, qd) @ (T, qd, c), after one transpose
-        g = np.ascontiguousarray((geom["wa"] * grad).transpose(2, 3, 0, 1))
-        loc = loc + np.swapaxes(geom["grad_rows"], 1, 2) @ g.reshape(T, -1, 2)
-    return np.bincount(layout.component_dofs.ravel(), np.ravel(loc),
-                       minlength=2 * layout.N1)
+    val (2, T, nq) and grad (2, 2, T, nq) component major; grad's moments
+    m[j, d, c] against grad_coef meet the hat gradients, summed over d."""
+    geom = layout.geometry()
+    hg, nq = geom["hat_grads"], len(geom["weights"])
+    loc = np.zeros((4, 2, layout.T))  # (a, c, T)
+    if val is not None:
+        loc += (geom["vals"].T @ (geom["wa"] * val).reshape(-1, nq).T
+                ).reshape(loc.shape)
+    if grad is not None:
+        m = (geom["grad_coef"].T @ (geom["wa"] * grad).reshape(-1, nq).T
+             ).reshape(4, 2, 2, -1)
+        loc[:3] += m[0, 0] * hg[:, None, 0] + m[0, 1] * hg[:, None, 1]
+        loc[3] += np.einsum("kdct,kdt->ct", m[1:], hg)
+    return np.bincount(layout.component_dofs.transpose(1, 2, 0).ravel(),
+                       loc.ravel(), minlength=2 * layout.N1)
 
 
 def _hat_rows(layout: SpaceLayout, s):
@@ -434,7 +438,8 @@ def _momentum_integrand(co: CoeffData, flow, fq):
     if fq is not None:
         val -= co.loadc * fq
     grad = co.visc * gu - hc * uu
-    grad[[0, 1], [0, 1]] -= co.divc * pq  # the pressure term, on the diagonal
+    grad[0, 0] -= co.divc * pq  # the pressure term, on the diagonal
+    grad[1, 1] -= co.divc * pq
     return val, grad
 
 

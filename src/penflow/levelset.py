@@ -23,9 +23,7 @@ def smoothed_heaviside(r, width):
     Returns:
         (value, derivative) arrays (or scalars for scalar input).
     """
-    s, w = _ramp(r, width), width
-    val = heaviside_value(r, width)
-    der = np.where((s > 0.0) & (s < w), 6.0 * s * (w - s) / w ** 3, 0.0)
+    val, der = heaviside_value(r, width), heaviside_derivative(r, width)
     if np.isscalar(r):
         return float(val), float(der)
     return val, der
@@ -49,6 +47,12 @@ def heaviside_value(r, width):
     """The value of smoothed_heaviside alone, as an array."""
     s, w = _ramp(r, width), width
     return np.where(s == w, 1.0, (-2.0 * s + 3.0 * w) * s ** 2 / w ** 3)
+
+
+def heaviside_derivative(r, width):
+    """The derivative of smoothed_heaviside alone, as an array."""
+    s, w = _ramp(r, width), width
+    return np.where((s > 0.0) & (s < w), 6.0 * s * (w - s) / w ** 3, 0.0)
 
 
 class LevelField:

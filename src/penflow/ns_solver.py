@@ -423,7 +423,8 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False,
     lay = sysm.layout
     ydir = _dirichlet_values(lay, dirichlet)
     t0 = time.perf_counter() if t0 is None else t0
-    tol = 1e-10 * (1.0 + np.abs(sysm.F).max())
+    # the load the residual keeps: a clamped wall's traction must not count
+    tol = 1e-10 * (1.0 + np.abs(np.delete(sysm.F, lay.dirichlet_dofs)).max())
     if start is None:
         x = _linear_solve(sysm, ydir)
     else:  # the Stokes start's fixed rows, and the multipliers at zero
@@ -495,9 +496,10 @@ def solve_navier_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
 
     Starts from start, a MixedState on the layout, when given and Newton
     converges from it, else from a Stokes solve; stops once the max-norm
-    residual is at most 1e-10 (1 + max |F|), F the load, or after max_iter
-    steps.  Returns (MixedState, NewtonReport).  With raise_on_failure a
-    non-converged run raises NonconvergenceError carrying the report.
+    residual is at most 1e-10 (1 + max |F|), F the load off the Dirichlet
+    rows, or after max_iter steps.  Returns (MixedState, NewtonReport).
+    With raise_on_failure a non-converged run raises NonconvergenceError
+    carrying the report.
     """
     state, _, report = _newton(_System(layout, config, g), dirichlet,
                                max_iter, raise_on_failure, start)

@@ -181,6 +181,7 @@ class _Forms:
         self.uq, self.gu, self.pq, self.ugu, _ = self.flow
         self.fq = _body_force_at_quad(layout, config) if fq is None else fq
         self.divu = self.gu[0, 0] + self.gu[1, 1]
+        self._cost = None  # (side, integrand e) of the last cost
 
     def constraint(self, traction):
         """C(X) from the Newton residual's kernel: momentum rows minus the
@@ -189,7 +190,8 @@ class _Forms:
                                          self.fq, traction, self.Y))
 
     def adjoint(self, c):
-        """jac C^T c without assembling jac C.
+        """jac C^T c without assembling jac C, plus the gradient of the last
+        cost, if any, whose integrands join before the one projection.
 
         w is the momentum part of c with its Dirichlet rows zeroed, q the
         divergence part read as a P1 field; each block is the derivative of
@@ -210,9 +212,8 @@ class _Forms:
             np.einsum("citq,itq->ctq", gu, wq)
             - np.einsum("citq,itq->ctq", gw, uq) - ugw)
         grad = co.visc * gw + 0.5 * co.conv * (uq[:, None] * wq)
-        grad[[0, 1], [0, 1]] -= co.divc * qq  # the pressure term
-        gy = _velocity_rows(lay, val, grad)
-        gy[dirs] += c[dirs]
+        grad[0, 0] -= co.divc * qq  # the pressure term, on the diagonal
+        grad[1, 1] -= co.divc * qq
 
         # level block; u (x) u : grad w is u . (u.grad)w
         d, ugu, fq = co.level, self.ugu, self.fq
@@ -223,6 +224,12 @@ class _Forms:
              - d.divc * (self.pq * divw + qq * self.divu))
         if fq is not None:
             s -= d.loadc * (fq[0] * wq[0] + fq[1] * wq[1])
+        if self._cost:  # 2 loadc e on the side of e, level.loadc |e|^2
+            kind, e = self._cost
+            (val if kind == "val" else grad)[...] += 2.0 * co.loadc * e
+            s += d.loadc * self._dens
+        gy = _velocity_rows(lay, val, grad)
+        gy[dirs] += c[dirs]
         return np.concatenate([gy, _hat_rows(lay, -co.divc * divw),
                                _hat_rows(lay, s)])
 
@@ -248,7 +255,7 @@ class _Forms:
 
     def cost(self, spec: CostSpec, target_q):
         """J_h with the configured smoothed cutoff, target_q the tracking
-        target at the quadrature points; cost_gradient differentiates it."""
+        target at the quadrature points; adjoint adds its gradient."""
         if spec.kind == DISSIPATED_ENERGY:
             self._cost = "grad", 0.5 * (self.gu + self.gu.swapaxes(0, 1))
         else:
@@ -257,13 +264,6 @@ class _Forms:
         self._dens = np.einsum("ktq,ktq->tq", e, e)
         return float(np.sum(self.layout.geometry()["wa"] * self.coeffs.loadc
                             * self._dens))
-
-    def cost_gradient(self):
-        """(dJ/dY, dJ/dG) of the last cost."""
-        lay, co = self.layout, self.coeffs
-        kind, e = self._cost
-        return (_velocity_rows(lay, **{kind: 2.0 * co.loadc * e}),
-                _hat_rows(lay, co.level.loadc * self._dens))
 
 
 def _target_at_quad(spec: CostSpec, layout, config):
@@ -305,11 +305,10 @@ def constraint_jacobian(X: OptVector, layout, config):
 
 
 def cost_and_gradient(X: OptVector, spec: CostSpec, layout, config):
-    """J_h(X) and its gradient over all N components (pressure block zero)."""
+    """J_h(X) and its gradient over all N components: the adjoint at c = 0."""
     forms = _Forms(X, layout, config)
     value = forms.cost(spec, _target_at_quad(spec, layout, config))
-    gradY, gradG = forms.cost_gradient()
-    return value, np.concatenate([gradY, np.zeros(layout.N2), gradG])
+    return value, forms.adjoint(np.zeros(layout.M))
 
 
 def _traction(layout, config):
@@ -325,14 +324,6 @@ def _penalized_value(X, spec, rho, layout, config, traction, target_q, fq):
     return j_h + 0.5 * rho * float(C @ C), j_h, forms, C
 
 
-def _penalized_gradient(forms, C, rho, layout):
-    gradY, gradG = forms.cost_gradient()
-    grad = np.concatenate([gradY, np.zeros(layout.N2), gradG])
-    if rho > 0:
-        grad = grad + rho * forms.adjoint(C)
-    return grad
-
-
 def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
                                  layout, config):
     """J_rho = J_h + (rho/2) C^T C and its gradient grad J_h + rho jac^T C."""
@@ -341,7 +332,7 @@ def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
     value, _, forms, C = _penalized_value(
         X, spec, rho, layout, config, _traction(layout, config),
         _target_at_quad(spec, layout, config), None)
-    return value, _penalized_gradient(forms, C, rho, layout)
+    return value, forms.adjoint(rho * C)
 
 
 def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
@@ -384,7 +375,7 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
                                                config, *fixed)
     if not np.isfinite(j_rho):
         raise SolverError("non-finite penalized cost at the initial point")
-    direction = -_penalized_gradient(forms0, C0, opt.rho, layout)
+    direction = -forms0.adjoint(opt.rho * C0)
     direction[frozen] = 0.0
     step = opt.initial_step / (np.abs(direction).max() or 1.0)
     base_cap = 10.0 * step
@@ -421,7 +412,7 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             step = min(trial * opt.step_growth, base_cap) if backtracks == 0 \
                 else trial
             j_rho = j_new
-            direction = -_penalized_gradient(forms_n, C_n, opt.rho, layout)
+            direction = -forms_n.adjoint(opt.rho * C_n)
             direction[frozen] = 0.0
             small = delta <= opt.plateau_tol * (1.0 + abs(j_rho))
             plateau_run = plateau_run + 1 if small else 0

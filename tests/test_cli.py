@@ -17,15 +17,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import penflow.cli as cli
 from penflow import presets
-from penflow.artifacts import MANIFEST_NAME, verify_manifest
+from penflow.artifacts import MANIFEST_NAME, svg_loglog, verify_manifest
 from penflow.cli import (_parse_monomials, _parse_shapes, _polynomial_field,
                          main, preset_sections)
 from penflow.errors import (ConfigurationError, GenerationError,
                             NonconvergenceError)
-from penflow.fem import build_spaces
+from penflow.fem import assemble_load, build_spaces
 from penflow.levelset import LevelField, domain_level_function
 from penflow.mesh import generate_mesh
-from penflow.ns_solver import NewtonReport
+from penflow.ns_solver import NewtonReport, residual_max_norm
 from penflow.topopt import optimize
 
 
@@ -485,6 +485,72 @@ def test_unknown_traction_label_exits_2(tmp_path, capsys):
     assert "Nope" in err and "Gamma1" in err
 
 
+def test_unknown_traction_label_in_a_sweep_names_its_key(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini", BOX_FLOW.replace(
+        "traction = shear", "traction = shear\ntraction_label = Nope")
+        + "[study]\nvalues = 0.1 0.05\n")
+    out = tmp_path / "out"
+    assert main(["error-study", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "penflow: config error: [physics] traction_label: sweep point "
+        "epsilon=0.1: no boundary label 'Nope'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("solve-penalized", "mesh"), ("solve-reference", "mesh"),
+    ("error-study", "mesh"), ("solve-reference", "level"),
+    ("error-study", "level")])
+def test_overlapping_obstacles_name_their_key(command, key, tmp_path,
+                                              capsys):
+    # solve-reference and error-study mesh the [level] shapes when [mesh]
+    # gives no obstacles
+    disks = "disk 0.4 0.5 0.15; disk 0.6 0.5 0.15"
+    text = BOX_FLOW.replace("shapes = disk 0.5 0.5 0.2",
+                            f"shapes = {disks}" if key == "level" else "")
+    if key == "mesh":
+        text = text.replace("h_mesh = 0.2",
+                            f"h_mesh = 0.2\nobstacles = {disks}")
+    cfg = _write(tmp_path, "run.ini", text + "[study]\nvalues = 0.1 0.05\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    name = "[mesh] obstacles" if key == "mesh" else "[level] shapes"
+    assert capsys.readouterr().err == (
+        f"penflow: config error: {name}: obstacles 1 and 2 overlap\n")
+    assert not out.exists()
+
+
+def test_traction_on_a_clamped_wall_exits_0_only_converged(tmp_path,
+                                                         monkeypatch, capsys):
+    # the load on Gamma3's Dirichlet rows never enters the residual, so it
+    # must not loosen the Newton tolerance: exit 0 only with a converged flow
+    solves = []
+
+    def keep(layout, config, g, **kwargs):
+        state, report = solve(layout, config, g, **kwargs)
+        solves.append((layout, config, g, state))
+        return state, report
+
+    solve = cli.solve_navier_stokes
+    monkeypatch.setattr(cli, "solve_navier_stokes", keep)
+    cfg = _write(tmp_path, "run.ini", "[mesh]\nh_mesh = 0.1\n"
+                 "[level]\nshapes = disk 0.5 0.25 0.15\n"
+                 "[physics]\nnu = 0.01\ntraction_label = Gamma3\n"
+                 "traction_y = 1e12 0 0\nbody_force_x = 10 0 0\n")
+    code = main(["solve-penalized", "--config", cfg,
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if code == 3:
+        assert json.loads(err[err.index("{"):])["converged"] is False
+        return
+    assert code == 0, err
+    # the written flow, re-evaluated, meets the tolerance of the free rows
+    (layout, config, g, state), = solves
+    load = assemble_load(layout, config, g)
+    tol = 1e-10 * (1.0 + np.abs(np.delete(load, layout.dirichlet_dofs)).max())
+    assert residual_max_norm(layout, config, g, state) <= tol
+
+
 @pytest.mark.parametrize("command, target", [
     ("solve-penalized", "cli.solve_navier_stokes"),
     ("solve-reference", "cli.solve_reference_flux_constrained"),
@@ -706,6 +772,23 @@ def test_error_study_writes_records_and_plot(tmp_path):
     assert "slope" in svg
     ok, mismatches = verify_manifest(out)
     assert ok, mismatches
+
+
+def test_loglog_plot_leaves_out_the_points_the_fit_drops(tmp_path):
+    # a zero error has no logarithm; the plot draws the rest, as
+    # _run_error_study fits the rest
+    path = str(tmp_path / "plot.svg")
+    svg_loglog(path, [{"label": "relative L2 error", "x": [0.4, 0.2, 0.1],
+                       "y": [0.0, 0.02, 0.01], "slope": 1.0,
+                       "intercept": -1.3}], "h", "error", "study")
+    svg = (tmp_path / "plot.svg").read_text()
+    assert svg.count("<circle") == 2 and svg.count("<path") == 1
+    assert "(slope 1.000)" in svg
+    # with nothing positive, an empty frame
+    svg_loglog(path, [{"label": "zero", "x": [0.4], "y": [0.0]}], "h",
+               "error", "study")
+    svg = (tmp_path / "plot.svg").read_text()
+    assert "<circle" not in svg and "<path" not in svg
 
 
 def test_error_study_with_smoothed_coefficients(tmp_path):

@@ -288,17 +288,18 @@ def test_level_derivatives_are_derived_only_on_first_access(small_assembly,
                                                              monkeypatch):
     mesh, lay, cfg, g, _ = small_assembly
     calls = []
-    heaviside = fem.smoothed_heaviside  # value and derivative
-    monkeypatch.setattr(fem, "smoothed_heaviside",
-                        lambda *a: calls.append(a) or heaviside(*a))
+    derivative = fem.heaviside_derivative
+    monkeypatch.setattr(fem, "heaviside_derivative",
+                        lambda *a: calls.append(a) or derivative(*a))
     co = evaluate_coefficients(lay, cfg, g)
     names = ("visc", "mass", "conv", "divc", "loadc")
     assert all(getattr(co, k).shape == (lay.T, 7) for k in names)
     assert not calls  # the values alone
     # on first access, the formulas at smoothed_heaviside's derivatives,
-    # bit for bit, and at the next the same object
+    # bit for bit, from one call on both steps' arguments, and at the next
+    # the same object
     level = co.level
-    assert len(calls) == 2 and co.level is level
+    assert len(calls) == 1 and co.level is level
     w = mesh.mean_edge_length  # the default width
     gq = g.nodal_values[mesh.triangles] @ lay.geometry()["lam"].T
     want = fem.CoeffData(cfg, smoothed_heaviside(gq, w)[1],
@@ -406,6 +407,38 @@ def test_velocity_at_quad_matches_pointwise_loop(order, rng):
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.flags.c_contiguous
         assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("parts", ["val", "grad", "both"])
+def test_velocity_rows_match_pointwise_loop(parts, rng):
+    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
+    lay = build_spaces(mesh)
+    V, T = lay.V, lay.T
+    lam, w = triangle_rule(5)
+    val = rng.standard_normal((2, T, len(lam))) if parts != "grad" else None
+    grad = rng.standard_normal((2, 2, T, len(lam))) \
+        if parts != "val" else None
+    got = fem._velocity_rows(lay, val, grad)
+    # sum_q wa (val_c N_a + grad_dc d_d N_a), one point and basis at a time
+    want = np.zeros(2 * lay.N1)
+    for t, tri in enumerate(mesh.triangles):
+        inv = np.linalg.inv(np.vstack([np.ones(3), mesh.vertices[tri].T]))
+        dlam = inv[:, 1:]  # (3, 2) barycentric gradients
+        area = 0.5 / abs(np.linalg.det(inv))
+        dofs = list(tri) + [V + t]
+        for q, (l0, l1, l2) in enumerate(lam):
+            basis = [l0, l1, l2, 27.0 * l0 * l1 * l2]
+            dbasis = list(dlam) + [27.0 * (dlam[0] * l1 * l2 + l0 * dlam[1]
+                                           * l2 + l0 * l1 * dlam[2])]
+            for a in range(4):
+                for c in range(2):
+                    row = 0.0
+                    if val is not None:
+                        row += val[c, t, q] * basis[a]
+                    if grad is not None:
+                        row += grad[:, c, t, q] @ dbasis[a]
+                    want[c * lay.N1 + dofs[a]] += w[q] * area * row
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_flow_at_quad_products_match_pointwise_loop(rng):

@@ -296,9 +296,10 @@ def test_descent_decreases_cost_and_respects_frozen_sets():
 def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
                                                          monkeypatch):
     """Line-search trials evaluate the value alone; the level derivatives
-    of the coefficients, the cost gradient and the adjoint run once per
-    accepted point, the target and the body force are evaluated once per
-    descent, and the Newton start never derives level derivatives."""
+    of the coefficients and the one-pass gradient (the adjoint with the
+    cost's integrands, one row projection) run once per accepted point,
+    the target and the body force are evaluated once per descent, and the
+    Newton start never derives level derivatives."""
     counts = dict.fromkeys(["values", "gradients", "rows", "target", "level",
                             "body"], 0)
 
@@ -325,7 +326,7 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
         monkeypatch.setattr(owner, name, wrapper)
 
     count(penflow.topopt, "evaluate_coefficients", "values")
-    count(penflow.topopt._Forms, "cost_gradient", "gradients")
+    count(penflow.topopt._Forms, "adjoint", "gradients")
     count(penflow.fem.CoeffData.level, "func", "level")
     for module in (penflow.fem, penflow.topopt):
         count(module, "_velocity_rows", "rows")
@@ -348,7 +349,7 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
     assert counts["values"] == 1 + sum(r.backtracks + r.accepted
                                        for r in steps)
     assert counts["gradients"] == 1 + accepted
-    assert counts["rows"] == counts["values"] + 2 * counts["gradients"]
+    assert counts["rows"] == counts["values"] + counts["gradients"]
     assert counts["target"] == (kind == TRACKING)
     assert counts["level"] == 1 + accepted
     assert counts["body"] == 1
