@@ -169,8 +169,8 @@ def obstacle_component_count(mesh, G) -> int:
 
 # ------------------------------------------------------------- assembly
 class _Forms:
-    """Quadrature-point data shared by C, its adjoint action and the costs,
-    component major as in fem; the body force fq is evaluated when not given."""
+    """Quadrature-point data of C, the costs and the one-pass gradient
+    (adjoint); component major as in fem, body force fq evaluated if absent."""
 
     def __init__(self, X: OptVector, layout, config, fq=None):
         self.layout = layout
