@@ -509,26 +509,24 @@ def _vertex_velocity(mesh, velocity):
 
 
 def boundary_flux(mesh, velocity, label: str) -> float:
-    """Integral of velocity . outward normal over the edges with a label.
-
-    The velocity may be a MixedState, a flat velocity DOF vector of length
-    2(V + T), or a (V, 2) array of vertex values; bubble contributions vanish
-    on edges, so only vertex traces enter the integral.
-    """
-    vals = _vertex_velocity(mesh, velocity)
-    edges, normals = outward_normals(mesh, label)
-    # trapezoid rule is exact for the linear trace
-    return 0.5 * float(np.sum((vals[edges[:, 0]] + vals[edges[:, 1]])
-                              * normals))
+    """Integral of velocity . outward normal over the edges with a label: the
+    flux row on the vertex values of a MixedState, a flat velocity DOF vector
+    of length 2(V + T) or a (V, 2) array (bubbles vanish on edges)."""
+    vals = _vertex_velocity(mesh, velocity).T.ravel()
+    return float(_flux_row(mesh, label, mesh.num_vertices) @ vals)
 
 
 def flux_row_vector(layout: SpaceLayout, label: str):
     """Row r with r @ Y = net outward flux of Y through the labeled loop."""
-    edges, normals = outward_normals(layout.mesh, label)
+    return _flux_row(layout.mesh, label, layout.N1)
+
+
+def _flux_row(mesh, label, n1):
     # trapezoid rule: each end of an edge carries half its scaled normal
-    idx = np.arange(2)[:, None, None] * layout.N1 + edges.T[None]
+    edges, normals = outward_normals(mesh, label)
+    idx = np.arange(2)[:, None, None] * n1 + edges.T[None]
     half = np.broadcast_to(0.5 * normals.T[:, None, :], idx.shape)
-    return np.bincount(idx.ravel(), half.ravel(), minlength=2 * layout.N1)
+    return np.bincount(idx.ravel(), half.ravel(), minlength=2 * n1)
 
 
 # ------------------------------------------------------------------ norms

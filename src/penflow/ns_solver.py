@@ -36,11 +36,12 @@ _KRYLOV_BUDGET iterations; otherwise the complement is factored after all
 and that factor is kept instead.  The bound is _KRYLOV_TOL for the Stokes
 start and direct solves.  A Newton step from residual r is inexact (R. S.
 Dembo, S. C. Eisenstat and T. Steihaug, SIAM J. Numer. Anal. 19, 1982):
-its forcing term _FORCING tol / ||r||, at least _KRYLOV_TOL, loosens only
-the late steps (GMRES iterations [0, 12, 11, 7] against [0, 13, 13, 13] at
-the full bound, on the sec31 cell at h=0.03).  Newton starts from a Stokes
-solve, or warm from a given state with the multipliers at zero; a warm
-start that does not converge falls back to Stokes on a fresh system.
+its forcing term _FORCING min(1, max(tol / ||r||, ||r|| / scale)), with
+tol = 1e-10 scale the Newton tolerance and at least _KRYLOV_TOL, loosens
+the first steps and the last (GMRES [0, 6, 8, 7] against [0, 13, 13, 13]
+at the full bound on the sec31 cell at h=0.03).  Newton starts from a
+Stokes solve, or warm from a given state with the multipliers at zero; a
+warm start that does not converge falls back to Stokes on a fresh system.
 The fill-reducing order is a property of the mesh, fixed when the
 pattern is built: nested dissection of the vertex graph (A. George, SIAM
 J. Numer. Anal. 10, 1973), each vertex's u_x, u_y and p side by side.  The
@@ -67,10 +68,9 @@ from .fem import assemble_bilinear, assemble_trilinear  # noqa: F401
 # backward error its solution of the equilibrated complement must meet
 _KRYLOV_BUDGET = 30
 _KRYLOV_TOL = 1e-15
-# inexact Newton: a step from residual r solves to the backward error
-# _FORCING tol / ||r||, at least _KRYLOV_TOL, so only the late steps are
-# loosened.  At 1e-5 the eps=1e-6 solve on the coarse sec31 cell ends 1.3e-12
-# of its size away from the one that factors every step; at 1e-6, 1.5e-13.
+# the inexact Newton forcing factor: at 1e-5 the eps=1e-6 solve on the coarse
+# sec31 cell ends 5.8e-12 of its size away from the one that factors every
+# step; at 1e-6, 3.3e-13
 _FORCING = 1e-6
 
 
@@ -102,10 +102,11 @@ class NewtonReport:
     fill lists the L+U nonzeros of each factorization, the Stokes start's
     first when there is one.  krylov lists the GMRES iterations of each
     linear solve, the Stokes start's first, and 0 where the solve factored;
-    a Newton step's GMRES stops at the looser backward error of its forcing
-    term.  steps lists the length of each accepted Newton step: 1, or 0.5^k
-    after k backtracks.  start is "stokes" or "warm" (from a given state);
-    fallback holds a failed warm start's message (runtime counts it too).
+    a Newton step's GMRES stops at its forcing term's looser backward error,
+    loosest on the first and last steps.  steps lists the length of each
+    accepted Newton step: 1, or 0.5^k after k backtracks.  start is "stokes"
+    or "warm" (from a given state); fallback holds a failed warm start's
+    message (runtime counts it too).
     """
 
     def __init__(self, converged, iterations, residual_norms, message="",
@@ -424,7 +425,8 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False,
     ydir = _dirichlet_values(lay, dirichlet)
     t0 = time.perf_counter() if t0 is None else t0
     # the load the residual keeps: a clamped wall's traction must not count
-    tol = 1e-10 * (1.0 + np.abs(np.delete(sysm.F, lay.dirichlet_dofs)).max())
+    scale = 1.0 + np.abs(np.delete(sysm.F, lay.dirichlet_dofs)).max()
+    tol = 1e-10 * scale
     if start is None:
         x = _linear_solve(sysm, ydir)
     else:  # the Stokes start's fixed rows, and the multipliers at zero
@@ -441,8 +443,8 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False,
         rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
         blocks = sysm.element_blocks(quad=quad)
         del quad  # not held through the factor, where memory peaks
-        # the loop runs only while norms[-1] > tol: the forcing is < 1e-6
-        forcing = max(_KRYLOV_TOL, _FORCING * tol / norms[-1])
+        forcing = max(_KRYLOV_TOL, _FORCING * min(  # min(1.0, nan) is 1.0
+            1.0, max(tol / norms[-1], norms[-1] / scale)))
         try:
             delta = sysm.solve(blocks, rhs, forcing)
         except SolverError as exc:  # a warm start's singular step falls back

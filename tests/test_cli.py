@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import penflow.cli as cli
+import penflow.error_study as error_study
 from penflow import presets
 from penflow.artifacts import MANIFEST_NAME, svg_loglog, verify_manifest
 from penflow.cli import (_parse_monomials, _parse_shapes, _polynomial_field,
@@ -418,6 +419,37 @@ def test_property_table_covers_every_config_key():
     assert set(_TEXTS) == set(cli._KEYS) - {("output", "dir")}
 
 
+@contextlib.contextmanager
+def _kept_flows():
+    """Wrap the solvers of solve-penalized, solve-reference and error-study;
+    yields a list that gets each returned flow as (layout, config, g, state,
+    flux_labels, multipliers)."""
+    flows = []
+
+    def penalized(solve):
+        def run(layout, config, g, **kwargs):
+            state, report = solve(layout, config, g, **kwargs)
+            flows.append((layout, config, g, state, (), None))
+            return state, report
+        return run
+
+    def reference(solve):
+        def run(mesh, config, **kwargs):
+            state, multipliers, report = solve(mesh, config, **kwargs)
+            flows.append((state.layout, config, None, state,
+                          sorted(multipliers), multipliers))
+            return state, multipliers, report
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cli, error_study):
+            mp.setattr(module, "solve_navier_stokes",
+                       penalized(module.solve_navier_stokes))
+            mp.setattr(module, "solve_reference_flux_constrained",
+                       reference(module.solve_reference_flux_constrained))
+        yield flows
+
+
 @_pinned("solve-penalized", "sec31", "mesh", "obstacles", "disk 0.5 0.25 nan")
 @_pinned("solve-penalized", "sec31", "mesh", "obstacles",
          "polygon 0.4 0.2 0.6 0.2 0.5 nan")
@@ -447,11 +479,19 @@ def test_any_config_exits_with_a_documented_code(command, preset, sections):
         argv = [command, "--config", cfg, "--out", out]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+                contextlib.redirect_stderr(err), _kept_flows() as flows:
             code = main(argv + (["--preset", preset] if preset else []))
         assert code in (0, 2, 3, 4), err.getvalue()
         if code == 0:
             assert verify_manifest(out)[0]
+            # each written flow, re-evaluated with its multipliers, meets the
+            # Newton tolerance of the free rows
+            for layout, config, g, state, labels, multipliers in flows:
+                load = np.delete(assemble_load(layout, config, g),
+                                 layout.dirichlet_dofs)
+                assert residual_max_norm(
+                    layout, config, g, state, labels, multipliers
+                ) <= 1e-10 * (1.0 + np.abs(load).max())
         if code == 2:
             assert err.getvalue().startswith("penflow: config error: ")
             assert not os.path.exists(out)

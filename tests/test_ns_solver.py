@@ -411,7 +411,7 @@ def test_newton_report_records_factor_fill(sec31_newton):
     # the Newton path on this cell: three full steps, and the GMRES
     # iterations of each on the Stokes factor
     assert report.iterations == 3 and report.steps == [1.0, 1.0, 1.0]
-    assert report.krylov == [0, 12, 11, 8]
+    assert report.krylov == [0, 6, 8, 8]
 
 
 def test_pattern_is_ordered_once(flow_cell_coarse, monkeypatch):
@@ -564,21 +564,21 @@ def test_krylov_newton_matches_factoring_every_step(
 
 
 @pytest.mark.parametrize("case", ["sec31", "eps=1e-6"])
-def test_only_the_late_newton_steps_are_loosened(case, flow_cell_coarse_layout,
-                                                 monkeypatch):
+def test_forcing_term_loosens_the_first_step_and_keeps_the_newton_path(
+        case, flow_cell_coarse_layout, monkeypatch):
     runs = {}
-    for budget in (ns_solver._KRYLOV_BUDGET, 0):  # 0 factors every step
-        monkeypatch.setattr(ns_solver, "_KRYLOV_BUDGET", budget)
+    for forcing in (ns_solver._FORCING, 0.0):  # 0: every step to _KRYLOV_TOL
+        monkeypatch.setattr(ns_solver, "_FORCING", forcing)
         sysm, _ = _newton_system(case, flow_cell_coarse_layout, None)
-        runs[budget] = ns_solver._newton(sysm, None, 20)[2]
-    report, factored = runs.values()
-    assert report.converged and factored.converged
-    assert report.iterations == factored.iterations >= 3
-    # the first step solves to the full bound; the forcing term loosens the
-    # last, whose residual is closest to the tolerance
-    assert report.krylov[0] == 0
-    assert report.krylov[-1] < report.krylov[1]
-    assert report.steps == [1.0] * report.iterations
+        runs[forcing] = ns_solver._newton(sysm, None, 20)[2]
+    report, full = runs.values()
+    assert report.converged and full.converged
+    assert report.iterations == full.iterations >= 3
+    assert report.steps == full.steps == [1.0] * report.iterations
+    # the Stokes start factors; the first Newton step, far from the
+    # solution, stops GMRES earlier than the full bound does
+    assert report.krylov[0] == full.krylov[0] == 0
+    assert report.krylov[1] < full.krylov[1]
 
 
 def test_gmres_meets_the_bound_it_is_given(monkeypatch):
