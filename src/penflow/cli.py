@@ -245,8 +245,6 @@ _KEYS = {
     ("mesh", "h_mesh"): (_POSITIVE, None),
     ("mesh", "conforming"): (_as_bool, False),
     ("mesh", "obstacles"): (_parse_shapes, None),
-    ("mesh", "arc_segments"): (_number(int, 8), None),
-    ("mesh", "circle_segments"): (_number(int, 8), None),
     ("physics", "nu"): (_POSITIVE, None),
     ("physics", "traction"): (_one_of(*presets.NAMED_TRACTIONS), None),
     ("physics", "traction_x"): (_as_text, None),
@@ -260,7 +258,6 @@ _KEYS = {
     ("regularization", "divergence_form"): (_one_of(PLAIN_B, PENALIZED_B),
                                             None),
     ("level", "shapes"): (_parse_shapes, ()),
-    ("level", "signed_distance"): (_as_bool, True),
     ("study", "kind"): (_one_of(EPSILON_SWEEP, MESH_SWEEP), EPSILON_SWEEP),
     ("study", "values"): (_parse_sweep_values, None),
     ("study", "coefficient_mode"): (_one_of(EXACT_REGION, "smoothed"),
@@ -268,10 +265,8 @@ _KEYS = {
     ("cost", "kind"): (_one_of(DISSIPATED_ENERGY, TRACKING), DISSIPATED_ENERGY),
     ("cost", "target_shapes"): (_parse_shapes, ()),
     ("descent", "rho"): (_NONNEGATIVE, None),
-    ("descent", "initial_step"): (_POSITIVE, None),
     ("descent", "max_iter"): (_number(int, 1), None),
     ("descent", "snapshot_every"): (_number(int, 0), None),
-    ("descent", "plateau_tol"): (_NONNEGATIVE, None),
     ("descent", "plateau_steps"): (_number(int, 1), None),
     ("output", "dir"): (_as_text, DEFAULT_OUT),
 }
@@ -307,7 +302,6 @@ class RunConfig:
         self.out_dir = out_dir or values["output"]["dir"]
         self.conforming = mesh.pop("conforming") or command == "solve-reference"
         self.level_shapes = values["level"]["shapes"]
-        self.signed_distance = values["level"]["signed_distance"]
         self.obstacles_key = "[mesh] obstacles"  # the shapes a mesh carves
         try:
             self.domain_spec = DomainSpec(**mesh)
@@ -384,7 +378,7 @@ class RunConfig:
         if not shapes:
             return None
         return domain_level_function(self.domain_spec.replace(
-            obstacles=shapes), signed_distance=self.signed_distance)
+            obstacles=shapes))
 
 
 def _flow_artifacts(rc, mesh, state, report, extra_rows, level_values=None):
@@ -458,12 +452,12 @@ def _run_error_study(rc):
 def _run_optimize(rc):
     mesh = generate_mesh(rc.domain_spec, conform_to_obstacles=False)
     layout = build_spaces(mesh)
-    initial = LevelField.interpolate(mesh, rc.level_function())
-    cost = presets.DescentPreset(rc.domain_spec, rc.assembly, rc.level_shapes,
-                                 rc.cost_kind, rc.opt,
-                                 rc.target_shapes).build_cost(layout)
-    history, final, snapshots = optimize(initial, cost, rc.opt, layout,
-                                         rc.assembly)
+    preset = presets.DescentPreset(rc.domain_spec, rc.assembly,
+                                   rc.level_shapes, rc.cost_kind, rc.opt,
+                                   rc.target_shapes)
+    initial = LevelField.interpolate(mesh, preset.initial_level)
+    history, final, snapshots = optimize(initial, preset.build_cost(layout),
+                                         rc.opt, layout, rc.assembly)
     names = ["history.csv", "state.vtk", "summary.csv"]
     atomic_write_text(os.path.join(rc.out_dir, "history.csv"),
                       history_to_csv(history))

@@ -23,9 +23,10 @@ mesh and compute_norm share it.  The kernels take the layout and read the
 geometry from it (SpaceLayout.geometry); a norm over a region reads the
 region's rows.
 
-The boundary flux, on mesh.outward_normals, is a per-edge trapezoid sum
-(boundary_flux) and its per-vertex gradient (flux_row_vector, the reference
-solver's constraint row); the two round differently and both are kept.
+The boundary flux, on mesh.outward_normals, is one trapezoid row of
+per-vertex weights (_flux_row): boundary_flux takes its dot product with
+the vertex velocities, and flux_row_vector is the row itself, the reference
+solver's constraint row.
 """
 
 import functools

@@ -29,9 +29,8 @@ OBSTACLE = "Obstacle"
 
 _DUPLICATE_TOL = 1e-12
 _CLEARANCE = 1e-9  # of an obstacle polygon from the wall and other obstacles
-# a segment count is at most this times the count h implies for the flow
-# cell's arc, ceil(pi / 2h) >= 1, so the default 64 holds at every h
-_SEGMENT_FACTOR = 64
+# fewest segments of the flow cell's arc and of each obstacle curve
+_MIN_SEGMENTS = 64
 
 
 class Mesh:
@@ -304,30 +303,22 @@ def hat_gradients(p):
 class DomainSpec:
     """Geometric description of the domain to mesh.
 
+    The flow cell's arc and each disk or ellipse obstacle are polygons of at
+    least 64 segments, more where h_mesh needs them.
+
     Args:
         outer: "flow-cell" for the square-plus-right-cap domain, or a
             rectangle (x0, y0, x1, y1).
         h_mesh: target edge length.
-        arc_segments: minimum segment count for the polygonized right arc.
-        circle_segments: minimum segment count per obstacle curve.
         obstacles: sequence of ("disk", (cx, cy), r),
             ("ellipse", (cx, cy), (a, b)) or ("polygon", points).
     """
 
-    def __init__(self, outer="flow-cell", h_mesh=0.05, arc_segments=64,
-                 circle_segments=64, obstacles=()):
+    def __init__(self, outer="flow-cell", h_mesh=0.05, obstacles=()):
         if not 0 < h_mesh < np.inf:
             raise GeometryError("target edge length must be positive and finite")
-        most = _SEGMENT_FACTOR * int(np.ceil(0.5 * np.pi / h_mesh))
-        for name, n in (("arc_segments", arc_segments),
-                        ("circle_segments", circle_segments)):
-            if not 8 <= n <= most:
-                raise GeometryError(f"{name} must be between 8 and {most} "
-                                    f"at h_mesh {h_mesh!r}")
         self.outer = outer
         self.h_mesh = float(h_mesh)
-        self.arc_segments = int(arc_segments)
-        self.circle_segments = int(circle_segments)
         self.obstacles = tuple(obstacles)
         if outer != "flow-cell":
             x0, y0, x1, y1 = outer
@@ -357,7 +348,7 @@ class DomainSpec:
         corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)]
         chains = [_subdivide(a, b, h) for a, b in zip(corners, corners[1:])]
         if flow_cell:  # the polygonized right arc replaces the Gamma3 side
-            n_arc = max(self.arc_segments, int(np.ceil(0.5 * np.pi / h)))
+            n_arc = max(_MIN_SEGMENTS, int(np.ceil(0.5 * np.pi / h)))
             t = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_arc + 1)
             chains[1] = np.column_stack([0.5 + 0.5 * np.cos(t),
                                          0.5 * np.sin(t)])
@@ -386,7 +377,7 @@ class DomainSpec:
                 (cx, cy), r = ob[1], float(ob[2])
                 if r <= 0:
                     raise GeometryError("disk radius must be positive")
-                n = max(self.circle_segments, int(np.ceil(2 * np.pi * r / h)))
+                n = max(_MIN_SEGMENTS, int(np.ceil(2 * np.pi * r / h)))
                 th = 2 * np.pi * np.arange(n) / n
                 polys.append(np.column_stack([cx + r * np.cos(th),
                                               cy + r * np.sin(th)]))
@@ -395,7 +386,7 @@ class DomainSpec:
                 if a <= 0 or b <= 0:
                     raise GeometryError("ellipse semi-axes must be positive")
                 per = np.pi * (3 * (a + b) - np.sqrt((3 * a + b) * (a + 3 * b)))
-                n = max(self.circle_segments, int(np.ceil(per / h)))
+                n = max(_MIN_SEGMENTS, int(np.ceil(per / h)))
                 th = 2 * np.pi * np.arange(n) / n
                 polys.append(np.column_stack([cx + a * np.cos(th),
                                               cy + b * np.sin(th)]))

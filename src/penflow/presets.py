@@ -79,9 +79,9 @@ class DescentPreset:
     """Everything a descent run needs; the cost may depend on the layout.
 
     The initial and target geometries are shapes, as [level] shapes and
-    [cost] target_shapes give them, and their level functions are the
-    command line's: signed distance for the initial one, the plain form
-    for the target.
+    [cost] target_shapes give them.  The optimize command takes both level
+    functions from here: signed distance for the initial one, the plain
+    form for the target.
     """
 
     def __init__(self, domain_spec, config, level_shapes, cost_kind, opt,

@@ -95,31 +95,27 @@ def tracking_cost(layout, config, target_level):
 class OptConfig:
     """Descent parameters for the penalty scheme.
 
-    The initial step is auto-scaled by the sup-norm of the first projected
-    gradient; the descent stops after plateau_steps iterations in a row
-    that move J_rho by at most plateau_tol (1 + |J_rho|), as at the default
-    0.0 only stalls do.  The line search is fixed: a trial step is accepted
+    The descent stops after plateau_steps iterations in a row that do not
+    lower J_rho: stalls, and accepted steps that leave it unchanged.  The
+    line search is fixed: the first trial step is initial_step over the
+    sup-norm of the first projected gradient, a trial step is accepted
     when J_rho falls by at least armijo_c times the step times the squared
     gradient norm, it shrinks by armijo_factor at most max_backtracks times,
     and an accepted step that needed no backtracking grows by step_growth.
     """
 
+    initial_step = 1.0
     armijo_c = 1e-4
     armijo_factor = 0.5
     max_backtracks = 30
     step_growth = 1.3
 
-    def __init__(self, rho, initial_step=1.0, max_iter=200, snapshot_every=25,
-                 plateau_tol=0.0, plateau_steps=50):
+    def __init__(self, rho, max_iter=200, snapshot_every=25, plateau_steps=50):
         if rho < 0:
             raise ConfigurationError("penalty weight must be nonnegative")
-        if initial_step <= 0:
-            raise ConfigurationError("initial step must be positive")
         self.rho = float(rho)
-        self.initial_step = float(initial_step)
         self.max_iter = int(max_iter)
         self.snapshot_every = int(snapshot_every)
-        self.plateau_tol = float(plateau_tol)
         self.plateau_steps = int(plateau_steps)
 
 
@@ -404,18 +400,16 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             backtracks += 1
         if accepted:
             X = Xn
-            delta = abs(j_rho - j_new)
             div_inf = float(np.abs(C_n[2 * layout.N1:]).max())
             c_inf = float(np.abs(C_n).max())
             history.append(IterateRecord(it, j_h, j_new, c_inf, div_inf,
                                          trial, True, gn2, backtracks))
             step = min(trial * opt.step_growth, base_cap) if backtracks == 0 \
                 else trial
+            plateau_run = plateau_run + 1 if j_new == j_rho else 0
             j_rho = j_new
             direction = -forms_n.adjoint(opt.rho * C_n)
             direction[frozen] = 0.0
-            small = delta <= opt.plateau_tol * (1.0 + abs(j_rho))
-            plateau_run = plateau_run + 1 if small else 0
         else:
             # stall: keep the iterate (and the values recorded for it),
             # shrink the base step, move on

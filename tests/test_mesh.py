@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import Delaunay
 
 from penflow import (ConfigurationError, DomainSpec, GeometryError, Mesh,
                      MeshInvariantError, MixedState, UnknownLabelError,
@@ -113,18 +114,6 @@ def test_domain_spec_keeps_obstacles_the_meshers_clearance_off_the_wall():
     DomainSpec(**square, obstacles=(("disk", (0.5, 0.5), 0.499999998),))
 
 
-@pytest.mark.parametrize("h, most", [(0.1, 1024), (0.2, 512), (5.0, 64)])
-@pytest.mark.parametrize("key", ["arc_segments", "circle_segments"])
-def test_domain_spec_bounds_segment_counts_by_h(h, most, key):
-    # 64 times the arc's implied count ceil(pi / 2h); no mesh is made
-    assert getattr(DomainSpec(h_mesh=h, **{key: most}), key) == most
-    assert DomainSpec(h_mesh=h).arc_segments == 64  # the default, at any h
-    for bad in (7, most + 1):
-        with pytest.raises(GeometryError, match=f"{key} must be between 8 "
-                           f"and {most}"):
-            DomainSpec(h_mesh=h, **{key: bad})
-
-
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
 def test_domain_spec_rejects_mesh_sizes_that_are_not_positive(h):
     with pytest.raises(GeometryError, match="positive and finite"):
@@ -160,7 +149,6 @@ def test_clockwise_polygon_obstacle_is_reversed():
 
 def test_replace_returns_validated_copy():
     spec = DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2,
-                      arc_segments=12, circle_segments=16,
                       obstacles=(("disk", (0.5, 0.5), 0.2),))
     finer = spec.replace(h_mesh=0.1)
     assert finer.h_mesh == 0.1
@@ -512,3 +500,21 @@ def test_relaxation_stops_repairing_after_a_repair_gives_up(monkeypatch):
     # qhull runs at every re-triangulation, 24 in all as before the repair
     assert outcomes == [False]
     assert calls == {"_relax": 24, "_conforming_delaunay": 1}
+
+
+def test_conforming_repair_drops_the_free_point_that_blocks_an_edge():
+    # (0.5, 0.39) lies in the diametral disk of the obstacle's bottom side,
+    # so the first Delaunay triangulation misses that side
+    spec = DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.1)
+    square = [(0.4, 0.4), (0.6, 0.4), (0.6, 0.6), (0.4, 0.6)]
+    points = np.array(square + [(0.5, 0.39), (0.2, 0.8)])
+    required = np.array([(0, 1), (1, 2), (2, 3), (3, 0)])
+    first = mesh_module._interior(points, Delaunay(points).simplices, spec)
+    present = np.isin(mesh_module._edge_keys(required, len(points)),
+                      _side_keys(first, len(points)))
+    assert present.tolist() == [False, True, True, True]
+    simplices, kept = mesh_module._conforming_delaunay(points, 4, required,
+                                                       spec)
+    assert np.array_equal(kept, points[[0, 1, 2, 3, 5]])  # one point dropped
+    assert np.isin(mesh_module._edge_keys(required, len(kept)),
+                   _side_keys(simplices, len(kept))).all()

@@ -13,8 +13,8 @@ from penflow import ns_solver
 from penflow.fem import assemble_bilinear, assemble_trilinear
 from penflow.error_study import restrict_state
 from penflow.ns_solver import MixedState, _System
-from penflow.presets import (sec31_assembly, sec31_level, sec31_reference,
-                             shear_traction)
+from penflow.presets import (flow_cell_spec, sec31_assembly, sec31_level,
+                             sec31_reference, shear_traction)
 
 
 def _pull(x):
@@ -118,6 +118,28 @@ def test_warm_start_that_fails_falls_back_to_stokes(small_flow):
     assert np.array_equal(state.Y, cold.Y) and np.array_equal(state.P, cold.P)
     for key in ("iterations", "residual_norms", "fill", "krylov", "steps"):
         assert getattr(report, key) == getattr(cold_report, key)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_warm_start_whose_step_fails_falls_back_to_stokes():
+    # a NaN velocity start makes the first Newton step's linear solve raise
+    # (an inf start would warn first); the solve goes on from Stokes
+    mesh = generate_mesh(flow_cell_spec(0.1))
+    lay = build_spaces(mesh)
+    g = LevelField.interpolate(mesh, sec31_level())
+    cfg = sec31_assembly()
+    cold, cold_report = solve_navier_stokes(lay, cfg, g,
+                                            raise_on_failure=True)
+    start = MixedState(lay, np.full_like(cold.Y, np.nan), cold.P)
+    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True,
+                                        start=start)
+    assert report.start == "stokes"
+    assert report.fallback == ("warm start: singular bubble block in the "
+                               "linear solve")
+    assert report.converged and report.iterations == 3
+    assert np.array_equal(state.Y, cold.Y) and np.array_equal(state.P, cold.P)
+    assert (report.krylov, report.fill) == (cold_report.krylov,
+                                            cold_report.fill)
 
 
 def test_warm_start_from_another_eps_matches_the_cold_solve(small_flow):
