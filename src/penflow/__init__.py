@@ -15,9 +15,9 @@ from .errors import (ConfigurationError, DegenerateInputError,
                      SolverError, UnknownLabelError)
 from .mesh import (DomainSpec, Mesh, extract_submesh, generate_mesh,
                    mesh_from_text, mesh_to_text, polygon_signed_distance)
-from .levelset import (AdmissibilityReport, LevelField, check_admissibility,
-                       compose_disks, compose_ellipses,
-                       domain_level_function, smoothed_heaviside)
+from .levelset import (LevelField, check_admissibility, compose_disks,
+                       compose_ellipses, domain_level_function,
+                       smoothed_heaviside)
 from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
                   SpaceLayout, assemble_bilinear, assemble_load,
                   assemble_trilinear, boundary_flux, build_spaces,

@@ -416,7 +416,7 @@ def _run_solve_reference(rc):
     full = generate_mesh(rc.domain_spec, conform_to_obstacles=True)
     fluid = extract_submesh(full, "Fluid")
     state, multipliers, report = solve_reference_flux_constrained(
-        fluid, rc.assembly, raise_on_failure=True)
+        fluid, rc.assembly)
     extra = [(f"multiplier_{label}", value)
              for label, value in sorted(multipliers.items())]
     return _flow_artifacts(rc, fluid, state, report, extra)

@@ -17,11 +17,13 @@ one product with a table of the rule, and the basis gradients come from
 hat_grads (3, 2, T), the bubble's as 27 sum_k fac_k grad lam_k (fac_k the
 product of the other two barycentrics), met by moments against grad_coef.
 
+The boundary value problem is the paper's: zero velocity on the clamped
+walls CLAMPED, natural conditions on every other boundary edge.
+
 Element geometry lives in one place: _geometry computes it once per mesh
 and quadrature rule and keeps it in the mesh's cache, so every layout of a
 mesh and compute_norm share it.  The kernels take the layout and read the
-geometry from it (SpaceLayout.geometry); a norm over a region reads the
-region's rows.
+geometry from it (SpaceLayout.geometry).
 
 The boundary flux, on mesh.outward_normals, is one trapezoid row of
 per-vertex weights (_flux_row): boundary_flux takes its dot product with
@@ -35,12 +37,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import ConfigurationError, EmptyRegionError
+from .errors import ConfigurationError
 from .levelset import (LevelField, check_width, heaviside_derivative,
                        heaviside_value)
 from .mesh import OBSTACLE, hat_gradients, outward_normals
 
 EXACT_REGION = "exact-region"
+
+# the clamped walls: zero velocity there, natural conditions elsewhere
+CLAMPED = ("Gamma2", "Gamma3", "Gamma4")
 
 PENALIZED_B = "penalized"
 PLAIN_B = "plain"
@@ -93,13 +98,10 @@ class SpaceLayout:
 
     N1 scalar-velocity DOFs (vertices + bubbles), N2 pressure DOFs and N3
     level DOFs (vertices each); M = 2*N1 + N2 and N = M + N3.  The Dirichlet
-    set holds both velocity components of every vertex on the clamped
-    boundary labels.  pin_pressure is true when every boundary edge is
-    clamped: the pressure is then fixed only up to a constant, and the
-    solvers pin its first DOF.
+    set holds both velocity components of every vertex on CLAMPED.
     """
 
-    def __init__(self, mesh, dirichlet_labels=("Gamma2", "Gamma3", "Gamma4")):
+    def __init__(self, mesh):
         self.mesh = mesh
         self.V = mesh.num_vertices
         self.T = mesh.num_triangles
@@ -108,10 +110,7 @@ class SpaceLayout:
         self.N3 = self.V
         self.M = 2 * self.N1 + self.N2
         self.N = self.M + self.N3
-        self.dirichlet_labels = tuple(dirichlet_labels)
-        present = set(mesh.boundary_labels)
-        self.pin_pressure = present <= set(self.dirichlet_labels)
-        verts = self.dirichlet_vertices = mesh.vertices_on(self.dirichlet_labels)
+        verts = self.dirichlet_vertices = mesh.vertices_on(CLAMPED)
         self.dirichlet_dofs = np.sort(np.concatenate([verts, verts + self.N1]))
         # local scalar-velocity DOFs per triangle: three vertices then the bubble
         self.cell_dofs = np.column_stack(
@@ -157,9 +156,9 @@ def _element_geometry(mesh, order):
             "wa": wts[None, :] * area[:, None]}
 
 
-def build_spaces(mesh, dirichlet_labels=("Gamma2", "Gamma3", "Gamma4")) -> SpaceLayout:
+def build_spaces(mesh) -> SpaceLayout:
     """Build the mixed-space layout for a mesh."""
-    return SpaceLayout(mesh, dirichlet_labels)
+    return SpaceLayout(mesh)
 
 
 # ----------------------------------------------------------------- config
@@ -177,8 +176,7 @@ class AssemblyConfig:
         body_force: callable x -> (..., 2), or None.
 
     Every form is integrated by the degree-5 rule, the lowest that is exact
-    for the bubble terms.  Whether a pressure DOF is pinned follows from the
-    layout (SpaceLayout.pin_pressure), not from the config.
+    for the bubble terms.
     """
 
     def __init__(self, nu=1.0, eps=0.025, smoothing_width=None,
@@ -444,16 +442,15 @@ def _momentum_integrand(co: CoeffData, flow, fq):
     return val, grad
 
 
-def _flow_rows(layout: SpaceLayout, coeffs: CoeffData, flow, fq, load, Y,
-               ydir=0.0):
+def _flow_rows(layout: SpaceLayout, coeffs: CoeffData, flow, fq, load, Y):
     """(A Y + C1(Y) Y + B^T P - load, B Y) summed per element, no matrix,
-    at _flow_at_quad's flow of velocity Y, the Dirichlet rows Y - ydir there
-    (ydir the wall data).  The divergence row of hat j is -divc div u lam_j;
-    the pressure pin and any flux rows are left to the caller."""
+    at _flow_at_quad's flow of velocity Y, the Dirichlet rows Y itself (the
+    velocity is zero there).  The divergence row of hat j is
+    -divc div u lam_j; any flux rows are left to the caller."""
     divu = flow[1][0, 0] + flow[1][1, 1]
     mom = _velocity_rows(layout, *_momentum_integrand(coeffs, flow, fq)) - load
     dirs = layout.dirichlet_dofs
-    mom[dirs] = Y[dirs] - ydir
+    mom[dirs] = Y[dirs]
     return mom, _hat_rows(layout, -coeffs.divc * divu)
 
 
@@ -534,31 +531,19 @@ def _flux_row(mesh, label, n1):
 _NORM_KINDS = ("L2", "H1seminorm", "H1", "DivL2")
 
 
-def compute_norm(mesh, field, region=None, kind="L2") -> float:
-    """Integral norm of a discrete field over a triangle subset.
+def compute_norm(mesh, field, kind="L2") -> float:
+    """Integral norm of a discrete field over the whole mesh.
 
     field: flat velocity DOF vector of length 2(V+T), a (V, 2) vertex vector
-    field, or a scalar P1 vector of length V.  region: None for the whole
-    mesh, a region tag string, or an array of triangle indices.  The
-    quadrature, exact for the piecewise-polynomial integrands, is the mesh's
-    order-7 geometry (the one SpaceLayout.geometry(7) returns); a region
-    reads its rows.
+    field, or a scalar P1 vector of length V.  The quadrature, exact for the
+    piecewise-polynomial integrands, is the mesh's order-7 geometry (the one
+    SpaceLayout.geometry(7) returns).
     """
     if kind not in _NORM_KINDS:
         raise ConfigurationError(f"unknown norm kind {kind!r}")
     V, T = mesh.num_vertices, mesh.num_triangles
     geom = _geometry(mesh, 7)
-
-    tri_idx = np.arange(T)
-    if isinstance(region, str):
-        tri_idx = mesh.triangles_in_region(region)
-    elif region is not None:
-        tri_idx = np.asarray(region, dtype=np.int64)
-        if tri_idx.size == 0:
-            raise EmptyRegionError("empty triangle subset")
-    if region is not None:  # the region's rows of the whole-mesh geometry
-        geom = {**geom, **{k: geom[k][tri_idx] for k in ("grad_rows", "wa")}}
-    tris, wa = mesh.triangles[tri_idx], geom["wa"]
+    wa = geom["wa"]
 
     arr = np.asarray(field, dtype=float)
     if arr.ndim == 2 and arr.shape == (V, 2):
@@ -572,7 +557,8 @@ def compute_norm(mesh, field, region=None, kind="L2") -> float:
     if arr.size != 2 * (V + T):
         raise ConfigurationError("field length matches neither space")
     uq, gq = _velocity_at_quad(geom, np.column_stack(
-        [tris, V + tri_idx])[..., None] + np.array([0, V + T]), arr)
+        [mesh.triangles, V + np.arange(T)])[..., None] + np.array([0, V + T]),
+        arr)
     if kind == "DivL2":
         return np.sqrt(float(np.sum(wa * (gq[0, 0] + gq[1, 1]) ** 2)))
     # a norm leaves out the part it does not use

@@ -3,14 +3,14 @@
 The fluid region is where the level function g is negative; obstacles are
 its positive region.  Coefficient jumps across the zero set are smoothed by
 a piecewise-cubic regularized Heaviside that ramps on (0, width), and by
-the same step moved by one width, which ramps on (-width, 0).
+the same step moved by one width, which ramps on (-width, 0).  A level
+field is admissible when it is negative on the whole outer boundary
+(check_admissibility).
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError
-from .mesh import hat_gradients
 
 
 def smoothed_heaviside(r, width):
@@ -148,70 +148,10 @@ def domain_level_function(spec, signed_distance=True):
     return g
 
 
-class AdmissibilityReport:
-    """Outcome of the geometric admissibility checks for a level field."""
-
-    def __init__(self, boundary_sign_ok, no_flat_zero_triangle, obstacle_inside,
-                 zero_distance, grad_min_near_zero, violations):
-        self.boundary_sign_ok = boundary_sign_ok
-        self.no_flat_zero_triangle = no_flat_zero_triangle
-        self.obstacle_inside = obstacle_inside
-        self.zero_distance = zero_distance
-        self.grad_min_near_zero = grad_min_near_zero
-        self.violations = list(violations)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def __repr__(self):
-        state = "ok" if self.ok else "; ".join(self.violations)
-        return f"AdmissibilityReport({state})"
-
-
-def check_admissibility(g: LevelField, mesh) -> AdmissibilityReport:
-    """Check the geometric admissibility of a nodal level field on a mesh.
-
-    Flags: negative values on all outer-boundary nodes, absence of a
-    triangle on which the field vanishes identically, and positive distance
-    from the nonnegative region to the outer boundary.  The minimum P1
-    gradient magnitude over sign-change triangles is reported as a
-    diagnostic only.
-    """
+def check_admissibility(g: LevelField, mesh) -> bool:
+    """Whether a nodal level field is admissible on a mesh: negative at
+    every outer-boundary vertex, so no obstacle touches the outer boundary."""
     vals = g.nodal_values
     if len(vals) != mesh.num_vertices:
         raise ConfigurationError("level field size does not match mesh")
-    violations = []
-
-    bverts = np.unique(mesh.boundary_edges.ravel())
-    boundary_sign_ok = bool(np.all(vals[bverts] < 0.0))
-    if not boundary_sign_ok:
-        violations.append("nonnegative level value on the outer boundary")
-
-    tri_vals = vals[mesh.triangles]
-    flat_zero = np.all(tri_vals == 0.0, axis=1)
-    no_flat_zero_triangle = not bool(np.any(flat_zero))
-    if not no_flat_zero_triangle:
-        violations.append("a triangle carries an identically zero level field")
-
-    nonneg = np.nonzero(vals >= 0.0)[0]
-    if nonneg.size == 0:
-        zero_distance = np.inf
-    else:
-        d, _ = cKDTree(mesh.vertices[bverts]).query(mesh.vertices[nonneg])
-        zero_distance = float(np.min(d))
-    obstacle_inside = boundary_sign_ok and zero_distance > 0.0
-    if not obstacle_inside:
-        violations.append("zero level set touches the outer boundary")
-
-    sign_change = np.any(tri_vals > 0.0, axis=1) & np.any(tri_vals < 0.0, axis=1)
-    if np.any(sign_change):
-        _, gl = hat_gradients(mesh.vertices[mesh.triangles[sign_change]])
-        grad = np.einsum("tk,tkd->td", tri_vals[sign_change], gl)
-        grad_min = float(np.min(np.hypot(grad[:, 0], grad[:, 1])))
-    else:
-        grad_min = np.inf
-
-    return AdmissibilityReport(boundary_sign_ok, no_flat_zero_triangle,
-                               obstacle_inside, zero_distance, grad_min,
-                               violations)
+    return bool(np.all(vals[np.unique(mesh.boundary_edges.ravel())] < 0.0))

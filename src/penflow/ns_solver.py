@@ -3,11 +3,13 @@
 Three entry points: a Stokes solve (linear), a Newton iteration for the
 stationary Navier-Stokes system with smoothed obstacle penalization, and a
 body-fitted reference solver that enforces zero net flux through each
-obstacle boundary with one Lagrange multiplier per loop.  Dirichlet
-velocity rows are identity rows; the Neumann side carries the traction
-from the assembly config.  The Newton residual is fem._flow_rows, the
-per-element kernel that also replaces the Dirichlet rows and gives the
-descent constraint C(X) in topopt, plus the flux and multiplier rows.
+obstacle boundary with one Lagrange multiplier per loop.  The boundary
+value problem is fem's: Dirichlet velocity rows, on the clamped walls
+fem.CLAMPED, are identity rows holding zero velocity; the Neumann side
+carries the traction from the assembly config.  The Newton residual is
+fem._flow_rows, the per-element kernel that also replaces the Dirichlet
+rows and gives the descent constraint C(X) in topopt, plus the flux and
+multiplier rows.
 
 Linear solves never assemble the global matrix.  Each triangle's Jacobian
 block, the velocity block on both components at its vertices and bubble
@@ -16,11 +18,11 @@ viscous, mass and divergence parts computed once per solve.  A bubble
 couples only to its own triangle, so the 2x2 bubble block is eliminated in
 closed form and the 9x9 complements on u_x, u_y and p at the vertices are
 scattered with one bincount into a CSR pattern fixed per layout: vertex
-pairs on the diagonal and along edges, identity rows for fixed DOFs, the
-flux multipliers as a border.  The bubbles follow per element.  Every
-per-element array keeps the triangle axis last, as fem's kernels give the
-blocks (their basis gradients from the hat gradients), so the condensation
-sums whole T-vectors instead of batching small products.  The Newton step
+pairs on the diagonal and along edges, identity rows for the Dirichlet
+DOFs, the flux multipliers as a border.  The bubbles follow per element.
+Every per-element array keeps the triangle axis last, as fem's kernels
+give the blocks (their basis gradients from the hat gradients), so the
+condensation sums whole T-vectors instead of batching small products.  The Newton step
 reuses the velocity values at the quadrature points that the residual
 computed at the accepted iterate.  fem.assemble_bilinear and
 fem.assemble_trilinear scatter the same blocks into global matrices.
@@ -42,6 +44,7 @@ the first steps and the last (GMRES [0, 6, 8, 7] against [0, 13, 13, 13]
 at the full bound on the sec31 cell at h=0.03).  Newton starts from a
 Stokes solve, or warm from a given state with the multipliers at zero; a
 warm start that does not converge falls back to Stokes on a fresh system.
+Newton stops after _MAX_NEWTON steps.
 The fill-reducing order is a property of the mesh, fixed when the
 pattern is built: nested dissection of the vertex graph (A. George, SIAM
 J. Numer. Anal. 10, 1973), each vertex's u_x, u_y and p side by side.  The
@@ -72,6 +75,8 @@ _KRYLOV_TOL = 1e-15
 # sec31 cell ends 5.8e-12 of its size away from the one that factors every
 # step; at 1e-6, 3.3e-13
 _FORCING = 1e-6
+# the Newton iteration's step budget
+_MAX_NEWTON = 20
 
 
 class MixedState:
@@ -132,12 +137,6 @@ class NewtonReport:
                 f"final residual {self.final_residual:.3e})")
 
 
-def _dirichlet_values(layout, dirichlet=None):
-    x = layout.mesh.vertices[layout.dirichlet_vertices]
-    vals = np.zeros(x.shape) if dirichlet is None or not len(x) else dirichlet(x)
-    return np.asarray(vals, dtype=float).T.ravel()
-
-
 class _Pattern:
     """Fixed CSR pattern of the condensed matrix on u_x, u_y and p at the
     vertices (3V), then one multiplier per row of R (m, 2 N1).
@@ -146,13 +145,14 @@ class _Pattern:
     each with its u_x, u_y and p side by side, then the multipliers; order[k]
     is the saddle-vector index of row and column k.  Vertices couple in 3x3
     blocks on the diagonal and along edges, R's nonzeros border the matrix,
-    and a fixed row keeps only its diagonal, where its other entries land.
+    and a Dirichlet row keeps only its diagonal, where its other entries
+    land.
     slots (81, T) gives the data position of each entry of the (9, 9, T)
     element complements, border that of R's entries, dslot that of each
     vertex row's diagonal (not the multipliers'), loc (9, T) the element rows.
     """
 
-    def __init__(self, layout, fixed, R):
+    def __init__(self, layout, R):
         V, N1, e = layout.V, layout.N1, layout.mesh.edges()
         n, verts = 3 * V, layout.mesh.dissection_order()
         self.n = n + len(R)
@@ -160,11 +160,11 @@ class _Pattern:
                                2 * N1 + V + np.arange(len(R)))
         new = np.empty(2 * N1 + V + len(R), dtype=np.int64)
         new[self.order] = np.arange(self.n)  # bubbles are not in the pattern
-        self.fixed = new[fixed]
-        is_fixed = np.isin(np.arange(self.n), self.fixed)
+        self.dirichlet = new[layout.dirichlet_dofs]
+        is_dirichlet = np.isin(np.arange(self.n), self.dirichlet)
 
         def keys(rows, cols):
-            return rows * self.n + np.where(is_fixed[rows], rows, cols)
+            return rows * self.n + np.where(is_dirichlet[rows], rows, cols)
 
         pairs = np.sort(np.concatenate([e @ [V, 1], e @ [1, V],
                                         np.arange(V) * (V + 1)]))
@@ -209,11 +209,6 @@ class _System:
             [flux_row_vector(layout, lab) for lab in flux_labels],
             (-1, 2 * layout.N1))
         self.n_flux = len(self.flux_rows)
-        # rows replaced by identity: Dirichlet velocities, plus the first
-        # pressure DOF when layout.pin_pressure (every boundary edge clamped)
-        pin = [2 * layout.N1] if layout.pin_pressure else []
-        self.fixed_rows = np.concatenate(
-            [layout.dirichlet_dofs, np.array(pin, dtype=np.int64)])
         self.fill = []  # L+U nonzeros of each factor
         self.krylov = []  # GMRES iterations of each solve, 0 if it factored
         self._factor = None  # the last factor: (scale, SuperLU factor)
@@ -223,14 +218,12 @@ class _System:
         m = 2 * self.layout.N1
         return np.split(x, [m, m + self.layout.N2])
 
-    def residual(self, x, ydir):
+    def residual(self, x):
         """The residual at x, and the velocity values and gradients at the
         quadrature points, which element_blocks takes for a step from x."""
-        # the pressure pin row stays as computed; Newton zeroes it in the step
         Y, P, L = self.split(x)
         flow = _flow_at_quad(self.layout, Y, P)
-        mom, div = _flow_rows(self.layout, self.coeffs, flow, None, self.F,
-                              Y, ydir)
+        mom, div = _flow_rows(self.layout, self.coeffs, flow, None, self.F, Y)
         mom += L @ self.flux_rows  # zero on the Dirichlet rows
         return np.concatenate([mom, div, self.flux_rows @ Y]), flow[:2]
 
@@ -257,8 +250,7 @@ class _System:
         """The layout's condensed pattern for these fluxes."""
         key = self.flux_labels
         if key not in self.layout._patterns:
-            self.layout._patterns[key] = _Pattern(self.layout, self.fixed_rows,
-                                                  self.flux_rows)
+            self.layout._patterns[key] = _Pattern(self.layout, self.flux_rows)
         return self.layout._patterns[key]
 
     def condense(self, blocks):
@@ -290,12 +282,12 @@ class _System:
         data = np.bincount(pat.slots.ravel(), comp.ravel(),
                            minlength=len(pat.indices))
         data[pat.border] = pat.values
-        data[pat.dslot[pat.fixed]] = 1.0
+        data[pat.dslot[pat.dirichlet]] = 1.0
         return (sp.csr_matrix((data, pat.indices, pat.indptr),
                               shape=(pat.n, pat.n)), inv, W, vb)
 
     def solve(self, blocks, rhs, tol=_KRYLOV_TOL):
-        """Solve the saddle system of element blocks (vel, b), fixed rows
+        """Solve the saddle system of element blocks (vel, b), Dirichlet rows
         identity: the condensed system, to GMRES backward error tol, then
         the bubbles per element."""
         V, N1, pat = self.layout.V, self.layout.N1, self._pattern
@@ -303,7 +295,7 @@ class _System:
         zb = np.einsum("cdt,dt->ct", inv, [rhs[V:N1], rhs[N1 + V:2 * N1]])
         corr = np.bincount(pat.loc.ravel(), np.einsum("ict,ct->it", vb, zb)
                            .ravel(), minlength=pat.n)
-        corr[pat.fixed] = 0.0  # identity rows keep their right-hand side
+        corr[pat.dirichlet] = 0.0  # identity rows keep their right-hand side
         xr = self._solve_condensed(S, rhs[pat.order] - corr, tol)
         x = np.empty(len(rhs))
         x[pat.order] = xr
@@ -396,11 +388,10 @@ def _gmres(A, precondition, b, norm_A, tol):
     return None, m
 
 
-def _linear_solve(sysm: _System, ydir):
+def _linear_solve(sysm: _System):
     """Solve the Stokes-type saddle system of sysm."""
-    lay = sysm.layout
-    rhs = np.concatenate([sysm.F, np.zeros(lay.N2 + sysm.n_flux)])
-    rhs[lay.dirichlet_dofs] = ydir
+    rhs = np.concatenate([sysm.F, np.zeros(sysm.layout.N2 + sysm.n_flux)])
+    rhs[sysm.layout.dirichlet_dofs] = 0.0  # the walls' zero velocity
     sol = sysm.solve(sysm.element_blocks(), rhs)
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values")
@@ -409,47 +400,43 @@ def _linear_solve(sysm: _System, ydir):
 
 def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
                  flux_labels=()) -> MixedState:
-    """Solve the linear Stokes system (no convection), zero wall data.
+    """Solve the linear Stokes system (no convection).
 
     Optional flux_labels add one zero-net-flux multiplier per boundary loop.
     Returns the MixedState; multipliers are discarded.
     """
     sysm = _System(layout, config, g, flux_labels)
-    Y, P, _ = sysm.split(_linear_solve(sysm, _dirichlet_values(layout)))
+    Y, P, _ = sysm.split(_linear_solve(sysm))
     return MixedState(layout, Y, P)
 
 
-def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False,
-            start=None, fallback="", t0=None):
-    lay = sysm.layout
-    ydir = _dirichlet_values(lay, dirichlet)
+def _newton(sysm: _System, raise_on_failure=False, start=None, fallback="",
+            t0=None):
+    lay, dirs = sysm.layout, sysm.layout.dirichlet_dofs
     t0 = time.perf_counter() if t0 is None else t0
     # the load the residual keeps: a clamped wall's traction must not count
-    scale = 1.0 + np.abs(np.delete(sysm.F, lay.dirichlet_dofs)).max()
+    scale = 1.0 + np.abs(np.delete(sysm.F, dirs)).max()
     tol = 1e-10 * scale
     if start is None:
-        x = _linear_solve(sysm, ydir)
-    else:  # the Stokes start's fixed rows, and the multipliers at zero
+        x = _linear_solve(sysm)
+    else:  # the Stokes start's Dirichlet rows, and the multipliers at zero
         x = np.concatenate([MixedState(lay, start.Y, start.P).Y, start.P,
                             np.zeros(sysm.n_flux)])
-        x[sysm.fixed_rows] = 0.0
-        x[lay.dirichlet_dofs] = ydir
+        x[dirs] = 0.0
 
-    res, quad = sysm.residual(x, ydir)
+    res, quad = sysm.residual(x)
     norms, steps, message, it = [float(np.abs(res).max())], [], "", 0
     converged = norms[-1] <= tol
-    while not converged and it < max_iter:
+    while not converged and it < _MAX_NEWTON:
         rhs = -res
-        rhs[sysm.fixed_rows] = 0.0  # increments keep Dirichlet data
+        rhs[dirs] = 0.0  # increments keep the zero Dirichlet values
         blocks = sysm.element_blocks(quad=quad)
         del quad  # not held through the factor, where memory peaks
         forcing = max(_KRYLOV_TOL, _FORCING * min(  # min(1.0, nan) is 1.0
             1.0, max(tol / norms[-1], norms[-1] / scale)))
         try:
             delta = sysm.solve(blocks, rhs, forcing)
-        except SolverError as exc:  # a warm start's singular step falls back
-            if start is None:
-                raise
+        except SolverError as exc:  # a failed step ends the iteration
             message = str(exc)
             break
         del blocks
@@ -461,7 +448,7 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False,
         step, accepted = 1.0, False
         for _ in range(9):
             xn = x + step * delta
-            res_n, quad = sysm.residual(xn, ydir)
+            res_n, quad = sysm.residual(xn)
             nn = float(np.abs(res_n).max())
             if np.isfinite(nn) and (nn < norms[-1] or nn <= tol):
                 accepted = True
@@ -479,8 +466,8 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False,
         message = f"residual {norms[-1]:.3e} above tolerance after {it} iterations"
     if start is not None and not converged:  # from Stokes, as with no start
         return _newton(_System(lay, sysm.config, sysm.g, sysm.flux_labels),
-                       dirichlet, max_iter, raise_on_failure,
-                       fallback=f"warm start: {message}", t0=t0)
+                       raise_on_failure, fallback=f"warm start: {message}",
+                       t0=t0)
     report = NewtonReport(converged, it, norms, message,
                           time.perf_counter() - t0, sysm.fill, sysm.krylov,
                           steps, "stokes" if start is None else "warm",
@@ -492,36 +479,36 @@ def _newton(sysm: _System, dirichlet, max_iter, raise_on_failure=False,
 
 
 def solve_navier_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
-                        dirichlet=None, max_iter=20, raise_on_failure=False,
-                        start=None):
+                        raise_on_failure=False, start=None):
     """Newton iteration for the penalized stationary Navier-Stokes system.
 
     Starts from start, a MixedState on the layout, when given and Newton
     converges from it, else from a Stokes solve; stops once the max-norm
     residual is at most 1e-10 (1 + max |F|), F the load off the Dirichlet
-    rows, or after max_iter steps.  Returns (MixedState, NewtonReport).
-    With raise_on_failure a non-converged run raises NonconvergenceError
-    carrying the report.
+    rows, or after _MAX_NEWTON steps, or when a step fails.  Returns
+    (MixedState, NewtonReport).  With raise_on_failure a non-converged run
+    raises NonconvergenceError carrying the report.
     """
-    state, _, report = _newton(_System(layout, config, g), dirichlet,
-                               max_iter, raise_on_failure, start)
+    state, _, report = _newton(_System(layout, config, g), raise_on_failure,
+                               start)
     return state, report
 
 
 def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
-                                     raise_on_failure=False, start=None):
+                                     start=None):
     """Reference Navier-Stokes solve on a body-fitted fluid mesh.
 
     Every boundary loop labeled Obstacle* keeps natural (do-nothing)
     conditions plus a zero-net-flux constraint enforced by one Lagrange
-    multiplier.  The Newton iteration is solve_navier_stokes's; a start, a
-    MixedState on a layout of mesh, starts the multipliers at zero.  Returns
-    (MixedState, multipliers dict, NewtonReport).
+    multiplier.  The Newton iteration is solve_navier_stokes's, and a
+    non-converged run raises NonconvergenceError carrying the report; a
+    start, a MixedState on a layout of mesh, starts the multipliers at zero.
+    Returns (MixedState, multipliers dict, NewtonReport).
     """
     layout = build_spaces(mesh)
     labels = sorted(s for s in mesh.labels() if s.startswith("Obstacle"))
     sysm = _System(layout, config, None, flux_labels=labels)
-    state, L, report = _newton(sysm, None, 20, raise_on_failure, start)
+    state, L, report = _newton(sysm, raise_on_failure=True, start=start)
     multipliers = {lab: float(val) for lab, val in zip(labels, L)}
     return state, multipliers, report
 
@@ -529,11 +516,10 @@ def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
 def residual_max_norm(layout: SpaceLayout, config: AssemblyConfig, g,
                       state: MixedState, flux_labels=(),
                       multipliers=None) -> float:
-    """Re-evaluate the Newton residual max-norm at a state (zero wall data)."""
+    """Re-evaluate the Newton residual max-norm at a state."""
     sysm = _System(layout, config, g, flux_labels)
     L = np.zeros(sysm.n_flux)
     if multipliers:
         L = np.array([multipliers[lab] for lab in flux_labels], dtype=float)
-    res, _ = sysm.residual(np.concatenate([state.Y, state.P, L]),
-                           _dirichlet_values(layout))
+    res, _ = sysm.residual(np.concatenate([state.Y, state.P, L]))
     return float(np.abs(res).max())

@@ -342,8 +342,7 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
     boundary sign condition exactly.  Returns (history, final X, snapshots).
     """
     mesh = layout.mesh
-    report = check_admissibility(initial_G, mesh)
-    if not report.boundary_sign_ok:
+    if not check_admissibility(initial_G, mesh):
         raise ConfigurationError(
             "initial level field must be negative on the outer boundary")
 
@@ -360,10 +359,10 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
     snapshots = []
 
     def take_snapshot(it, j_h):
-        G = X.G
+        level = LevelField(X.G.copy())
         snapshots.append(Snapshot(
-            it, LevelField(G.copy()), obstacle_component_count(mesh, G),
-            bool(np.all(G[bverts] < 0.0)), j_h))
+            it, level, obstacle_component_count(mesh, X.G),
+            check_admissibility(level, mesh), j_h))
 
     fixed = (_traction(layout, config), _target_at_quad(spec, layout, config),
              _body_force_at_quad(layout, config))  # no step changes them

@@ -5,6 +5,7 @@ stays in the few-seconds range.
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -808,6 +809,26 @@ def test_error_study_writes_records_and_plot(tmp_path):
     assert "slope" in svg
     ok, mismatches = verify_manifest(out)
     assert ok, mismatches
+
+
+def test_error_study_mesh_sweep_exits_0(tmp_path):
+    # the mesh branch of the command: a fresh conforming mesh per point,
+    # plotted against the mean edge length
+    cfg = _write(tmp_path, "run.ini", "[study]\nkind = mesh\n"
+                 "values = 0.14 0.1\n")
+    out = tmp_path / "out"
+    assert main(["error-study", "--preset", "sec31", "--config", cfg,
+                 "--out", str(out)]) == 0
+    ok, mismatches = verify_manifest(out)
+    assert ok, mismatches
+    rows = list(csv.DictReader(
+        (out / "records.csv").read_text().splitlines()))
+    assert [round(float(r["mesh_size"]), 4) for r in rows] == [0.1102, 0.0861]
+    assert [r["newton_iters"] for r in rows] == ["3", "3"]
+    l2_rel = [float(r["l2_rel"]) for r in rows]
+    assert l2_rel == pytest.approx([0.00163, 0.00084], rel=0.01)
+    assert l2_rel[0] > l2_rel[1]
+    assert "mesh size" in (out / "convergence.svg").read_text()
 
 
 def test_loglog_plot_leaves_out_the_points_the_fit_drops(tmp_path):

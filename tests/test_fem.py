@@ -7,8 +7,8 @@ from penflow import (AssemblyConfig, ConfigurationError, DomainSpec,
                      EXACT_REGION, LevelField, PENALIZED_B, PLAIN_B,
                      assemble_bilinear, assemble_load, assemble_trilinear,
                      build_spaces, compose_disks, compute_norm,
-                     evaluate_coefficients, generate_mesh, smoothed_heaviside,
-                     triangle_rule)
+                     evaluate_coefficients, extract_submesh, generate_mesh,
+                     smoothed_heaviside, triangle_rule)
 from penflow import fem
 
 
@@ -46,18 +46,6 @@ def test_space_layout_counts(unit_square_mesh):
     assert np.array_equal(lay.cell_dofs[:, 3], V + np.arange(T))
     # Dirichlet velocity components cover both components of each wall vertex
     assert lay.dirichlet_dofs.size == 2 * lay.dirichlet_vertices.size
-
-
-def test_pressure_is_pinned_only_when_every_boundary_edge_is_clamped(
-        unit_square_mesh, square_disk_conforming):
-    walls = ("Gamma1", "Gamma2", "Gamma3", "Gamma4")
-    _, fluid = square_disk_conforming
-    # the default layout leaves the Gamma1 side natural
-    assert not build_spaces(unit_square_mesh).pin_pressure
-    assert build_spaces(unit_square_mesh, walls).pin_pressure
-    # the obstacle loop of a conforming fluid mesh stays natural
-    assert "Obstacle1" in fluid.labels()
-    assert not build_spaces(fluid, walls).pin_pressure
 
 
 # ------------------------------------------------------------------
@@ -334,32 +322,32 @@ def test_norms_of_linear_fields_are_exact(unit_square_mesh):
 
 def test_norm_restricted_to_region(square_disk_conforming):
     full, _ = square_disk_conforming
-    ones = np.ones(full.num_vertices)
-    hole_area = compute_norm(full, ones, region="Obstacle", kind="L2") ** 2
+    hole = extract_submesh(full, "Obstacle")
+    ones = np.ones(hole.num_vertices)
+    hole_area = compute_norm(hole, ones, kind="L2") ** 2
     assert abs(hole_area - np.pi * 0.04) < 2e-3
 
 
 @pytest.mark.parametrize("kind", ["L2", "H1seminorm", "H1", "DivL2"])
-@pytest.mark.parametrize("region", ["all", "Obstacle", "every-third"])
-def test_velocity_norms_match_einsum_interpolation(kind, region, rng,
+@pytest.mark.parametrize("part", ["all", "Fluid"])
+def test_velocity_norms_match_einsum_interpolation(kind, part, rng,
                                                    square_disk_conforming):
-    full, _ = square_disk_conforming
-    V, T = full.num_vertices, full.num_triangles
-    tri_idx = {"all": np.arange(T), "every-third": np.arange(0, T, 3),
-               "Obstacle": full.triangles_in_region("Obstacle")}[region]
+    # the whole conforming mesh, or its fluid submesh, as the sweeps norm
+    full, fluid = square_disk_conforming
+    mesh = full if part == "all" else fluid
+    V, T = mesh.num_vertices, mesh.num_triangles
     Y = rng.standard_normal(2 * (V + T))
-    got = compute_norm(full, Y, {"all": None, "Obstacle": "Obstacle"}.get(
-        region, tri_idx), kind)
+    got = compute_norm(mesh, Y, kind)
     # the plain einsum interpolation the batched products replaced
-    lay = build_spaces(full)
+    lay = build_spaces(mesh)
     geom = lay.geometry(7)
-    wa = geom["weights"][None, :] * geom["area"][tri_idx, None]
-    cells = lay.cell_dofs[tri_idx]
+    wa = geom["weights"][None, :] * geom["area"][:, None]
+    cells = lay.cell_dofs
     yl = np.stack([Y[:V + T][cells], Y[V + T:][cells]], axis=2)
     uq = np.einsum("qa,tac->tqc", geom["vals"], yl)
     # basis gradients from the hat gradients, as _basis_at gives them
-    gl, (l1, l2, l3) = geom["hat_grads"][..., tri_idx], geom["lam"].T
-    grads = np.empty((len(tri_idx), len(l1), 4, 2))
+    gl, (l1, l2, l3) = geom["hat_grads"], geom["lam"].T
+    grads = np.empty((T, len(l1), 4, 2))
     grads[:, :, :3] = gl.transpose(2, 0, 1)[:, None]
     grads[:, :, 3] = 27.0 * np.einsum("kq,kdt->tqd",
                                       [l2 * l3, l1 * l3, l1 * l2], gl)
@@ -455,15 +443,13 @@ def test_flow_at_quad_products_match_pointwise_loop(rng):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("region", [None, "every-other"])
-def test_compute_norm_matches_pointwise_loop(region, rng):
+def test_compute_norm_matches_pointwise_loop(rng):
     mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
     V, T = mesh.num_vertices, mesh.num_triangles
-    tri_idx = np.arange(T) if region is None else np.arange(0, T, 2)
     Y = rng.standard_normal(2 * (V + T))
     lam, w = triangle_rule(7)
-    uq, gq = _pointwise_velocity(mesh, Y, tri_idx, lam)
-    p = mesh.vertices[mesh.triangles[tri_idx]]
+    uq, gq = _pointwise_velocity(mesh, Y, range(T), lam)
+    p = mesh.vertices[mesh.triangles]
     d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     wa = w * 0.5 * np.abs(d1[:, :1] * d2[:, 1:] - d1[:, 1:] * d2[:, :1])
     l2sq = np.sum(wa * uq ** 2)
@@ -472,7 +458,7 @@ def test_compute_norm_matches_pointwise_loop(region, rng):
     want = {"L2": l2sq, "H1seminorm": h1sq, "H1": l2sq + h1sq,
             "DivL2": np.sum(wa * div ** 2)}
     for kind, value in want.items():
-        got = compute_norm(mesh, Y, None if region is None else tri_idx, kind)
+        got = compute_norm(mesh, Y, kind)
         assert abs(got - value ** 0.5) <= 1e-14 * value ** 0.5
 
 
@@ -492,13 +478,12 @@ def test_whole_mesh_norm_geometry_is_computed_once(monkeypatch, rng):
     fields = [rng.standard_normal(2 * (V + T)), rng.standard_normal(V)]
     kinds = [("L2", "H1seminorm", "H1", "DivL2"), ("L2", "H1seminorm", "H1")]
     calls = _count_geometry(monkeypatch)
-    # every triangle as an index array: the rows of the whole-mesh geometry
-    want = [compute_norm(mesh, f, np.arange(T), k)
-            for f, ks in zip(fields, kinds) for k in ks]
-    for _ in range(2):
-        got = [compute_norm(mesh, f, None, k)
-               for f, ks in zip(fields, kinds) for k in ks]
-        assert got == want  # bitwise
+
+    def norms():
+        return [compute_norm(mesh, f, k)
+                for f, ks in zip(fields, kinds) for k in ks]
+
+    assert norms() == norms()  # bitwise
     assert calls == [7]
 
 
@@ -508,18 +493,16 @@ def test_layouts_and_norms_share_one_geometry(monkeypatch, rng):
                          conform_to_obstacles=True)
     calls = _count_geometry(monkeypatch)
     lay = build_spaces(mesh)
-    other = build_spaces(mesh, dirichlet_labels=("Gamma1", "Gamma2"))
+    other = build_spaces(mesh)
     assert lay.geometry(5) is other.geometry(5) is lay.geometry()
     Y = rng.standard_normal(2 * lay.N1)
     whole = compute_norm(mesh, Y, kind="H1")
-    hole = compute_norm(mesh, Y, region="Obstacle", kind="H1")
     geom = lay.geometry(7)
     assert geom is other.geometry(7) is fem._geometry(mesh, 7)
     # the norms read that dict: the same sums from its arrays
     uq, gq = fem._velocity_at_quad(geom, lay.component_dofs, Y)
     assert whole == np.sqrt(float(np.sum(geom["wa"] * uq ** 2))
                             + float(np.sum(geom["wa"] * gq ** 2)))
-    assert 0.0 < hole < whole
     assert sorted(calls) == [5, 7]
 
 

@@ -83,14 +83,50 @@ def test_large_viscosity_approaches_stokes_flow(small_flow):
     assert report.iterations <= 3
 
 
-def test_nonconvergence_reports_and_raises(small_flow):
+def test_nonconvergence_reports_and_raises(small_flow, monkeypatch):
     _, lay, g, cfg = small_flow
-    state, report = solve_navier_stokes(lay, cfg, g, max_iter=1)
+    monkeypatch.setattr(ns_solver, "_MAX_NEWTON", 1)
+    state, report = solve_navier_stokes(lay, cfg, g)
     assert not report.converged
     assert report.message
     with pytest.raises(NonconvergenceError) as err:
-        solve_navier_stokes(lay, cfg, g, max_iter=1, raise_on_failure=True)
+        solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
     assert err.value.report.iterations == 1
+    # the reference solver always raises, with its report
+    preset = sec31_reference(0.1)
+    fluid = extract_submesh(
+        generate_mesh(preset.domain_spec, conform_to_obstacles=True), "Fluid")
+    with pytest.raises(NonconvergenceError) as err:
+        solve_reference_flux_constrained(fluid, preset.config)
+    assert str(err.value) == ("residual 3.206e-03 above tolerance after 1 "
+                              "iterations")
+    assert err.value.report.iterations == 1
+
+
+def test_cold_start_whose_step_fails_reports_nonconvergence(monkeypatch):
+    # the first Newton step's linear solve fails after the Stokes start's
+    mesh = generate_mesh(flow_cell_spec(0.1))
+    lay = build_spaces(mesh)
+    g = LevelField.interpolate(mesh, sec31_level())
+    cfg = sec31_assembly()
+    solve, calls = _System.solve, []
+
+    def solve_once(self, *args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise SolverError("singular bubble block in the linear solve")
+        return solve(self, *args)
+
+    monkeypatch.setattr(_System, "solve", solve_once)
+    with pytest.raises(NonconvergenceError) as err:
+        solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    report = err.value.report
+    assert (report.iterations, report.start, report.krylov) == (0, "stokes",
+                                                                [0])
+    calls.clear()
+    state, report = solve_navier_stokes(lay, cfg, g)
+    assert not report.converged
+    assert report.message == "singular bubble block in the linear solve"
 
 
 def test_warm_start_at_the_solution_takes_no_stokes_solve(small_flow):
@@ -171,8 +207,7 @@ def test_reference_solver_annihilates_obstacle_flux(square_disk_conforming):
 
     cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=_pull,
                          divergence_form=PLAIN_B)
-    state, multipliers, report = solve_reference_flux_constrained(
-        fluid, cfg, raise_on_failure=True)
+    state, multipliers, report = solve_reference_flux_constrained(fluid, cfg)
     assert report.converged
     assert set(multipliers) == {"Obstacle1"}
     vel = state.velocity_vertices
@@ -188,8 +223,7 @@ def test_reference_residual_includes_multiplier_rows(square_disk_conforming):
     cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=_pull,
                          divergence_form=PLAIN_B)
     lay = build_spaces(fluid)
-    state, multipliers, report = solve_reference_flux_constrained(
-        fluid, cfg, raise_on_failure=True)
+    state, multipliers, report = solve_reference_flux_constrained(fluid, cfg)
     res = residual_max_norm(lay, cfg, None, state,
                             flux_labels=("Obstacle1",),
                             multipliers=multipliers)
@@ -200,8 +234,7 @@ def test_reference_warm_start_matches_the_cold_solve(square_disk_conforming):
     full, fluid = square_disk_conforming
     cfg = AssemblyConfig(nu=1.0, eps=0.0, traction=_pull,
                          divergence_form=PLAIN_B)
-    cold, cold_mult, cold_report = solve_reference_flux_constrained(
-        fluid, cfg, raise_on_failure=True)
+    cold, cold_mult, cold_report = solve_reference_flux_constrained(fluid, cfg)
     # the penalized flow on the full mesh, restricted to the fluid
     lay = build_spaces(full)
     g = LevelField.interpolate(full, compose_disks([(0.5, 0.5)], [0.2],
@@ -211,7 +244,7 @@ def test_reference_warm_start_matches_the_cold_solve(square_disk_conforming):
     start = MixedState(build_spaces(fluid), *restrict_state(
         lay, fluid, pen.Y, pen.P))
     state, mult, report = solve_reference_flux_constrained(
-        fluid, cfg, raise_on_failure=True, start=start)
+        fluid, cfg, start=start)
     assert report.start == "warm" and report.fallback == ""
     # fewer linear solves: no Stokes start, and no more Newton steps
     assert len(report.krylov) < len(cold_report.krylov)
@@ -222,40 +255,11 @@ def test_reference_warm_start_matches_the_cold_solve(square_disk_conforming):
                for k, v in cold_mult.items())
 
 
-def test_driven_cavity_with_pinned_pressure():
-    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2))
-    lay = build_spaces(mesh, dirichlet_labels=("Gamma1", "Gamma2", "Gamma3",
-                                               "Gamma4"))
-
-    def lid(x):
-        x = np.asarray(x)
-        out = np.zeros(x.shape)
-        out[..., 0] = np.where(x[..., 1] > 1.0 - 1e-12, 1.0, 0.0)
-        return out
-
-    cfg = AssemblyConfig(nu=1.0, eps=0.0)
-    state, report = solve_navier_stokes(lay, cfg, None, dirichlet=lid,
-                                        raise_on_failure=True)
-    assert report.converged
-    top = np.unique(mesh.edges_with_label("Gamma4"))
-    assert np.allclose(state.Y[top], 1.0)
-    assert np.isfinite(state.P).all()
-    # interior swirl driven by the moving lid
-    assert compute_norm(mesh, state.Y, kind="L2") > 0.05
-
-
-def _lid(x):
-    x = np.asarray(x)
-    out = np.zeros(x.shape)
-    out[..., 0] = np.where(x[..., 1] > 1.0 - 1e-12, 1.0, 0.0)
-    return out
-
-
 def _saddle_matrix(sysm, Y):
     """The full saddle matrix from the public assemblers, rows replaced.
 
     [[A + C1(Y) + C2(Y), B^T, R^T], [B, 0, 0], [R, 0, 0]] (no C for Y None)
-    with every fixed row an identity row.
+    with every Dirichlet row an identity row.
     """
     lay = sysm.layout
     A, B = assemble_bilinear(lay, sysm.config, sysm.g, sysm.coeffs)
@@ -270,7 +274,7 @@ def _saddle_matrix(sysm, Y):
         blocks.append([R, sp.csr_matrix((sysm.n_flux, lay.N2)), None])
     K = sp.bmat(blocks, format="csr")
     keep = np.ones(K.shape[0])
-    keep[sysm.fixed_rows] = 0.0
+    keep[sysm.layout.dirichlet_dofs] = 0.0
     return (sp.diags(keep) @ K + sp.diags(1.0 - keep)).tocsr()
 
 
@@ -312,15 +316,6 @@ def _reference_system(square_disk_conforming):
             solve_stokes(lay, cfg, None, flux_labels=("Obstacle1",)).Y)
 
 
-def _cavity_system():
-    mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.2))
-    lay = build_spaces(mesh, dirichlet_labels=("Gamma1", "Gamma2", "Gamma3",
-                                               "Gamma4"))
-    cfg = AssemblyConfig(nu=1.0, eps=0.0)
-    sysm = _System(lay, cfg, None)
-    return sysm, solve_navier_stokes(lay, cfg, None, dirichlet=_lid)[0].Y
-
-
 def _small_eps_system(layout, eps):
     """The sec31 system at a converged Newton state with a small eps."""
     g = LevelField.interpolate(layout.mesh, sec31_level())
@@ -334,13 +329,11 @@ def _case_system(case, sec31_newton, layout, square_disk_conforming):
         return sec31_newton
     if case == "flux-reference":
         return _reference_system(square_disk_conforming)
-    if case == "pinned-cavity":
-        return _cavity_system()
     return _small_eps_system(layout, float(case[4:]))
 
 
 @pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
-                                  "pinned-cavity", "eps=1e-3", "eps=1e-6"])
+                                  "eps=1e-3", "eps=1e-6"])
 def test_condensed_solve_matches_full_spsolve(case, sec31_newton,
                                               flow_cell_coarse_layout,
                                               square_disk_conforming, rng):
@@ -365,8 +358,7 @@ def test_condensed_solve_matches_full_spsolve(case, sec31_newton,
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
-                                  "pinned-cavity"])
+@pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference"])
 def test_condensed_matrix_matches_schur_complement(case, sec31_newton,
                                                    flow_cell_coarse_layout,
                                                    square_disk_conforming):
@@ -480,7 +472,7 @@ def test_pattern_order_is_a_nested_dissection_of_the_mesh(
                           verts[:, None] + [0, N1, 2 * N1])
     assert order[-1] == 2 * N1 + V
     # the same order for a second build of the same mesh
-    again = ns_solver._Pattern(lay, sysm.fixed_rows, sysm.flux_rows)
+    again = ns_solver._Pattern(lay, sysm.flux_rows)
     assert np.array_equal(again.order, order)
     assert np.array_equal(again.indices, pat.indices)
     # the first split: the upper half at the median of the longer axis,
@@ -516,47 +508,39 @@ def test_equilibrated_reference_factor_keeps_fill_low():
     assert sysm.fill[0] <= 4_200_000
 
 
-@pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference",
-                                  "pinned-cavity"])
+@pytest.mark.parametrize("case", ["sec31-jacobian", "flux-reference"])
 def test_newton_residual_matches_assembled_forms(case, sec31_newton,
                                                  square_disk_conforming, rng):
     if case == "sec31-jacobian":
         sysm = sec31_newton[0]
-    elif case == "flux-reference":
-        sysm = _reference_system(square_disk_conforming)[0]
     else:
-        sysm = _cavity_system()[0]
+        sysm = _reference_system(square_disk_conforming)[0]
     lay = sysm.layout
     dirs = lay.dirichlet_dofs
     Y = rng.standard_normal(2 * lay.N1)
     P = rng.standard_normal(lay.N2)
     L = rng.standard_normal(sysm.n_flux)
-    ydir = rng.standard_normal(len(dirs))
     A, B = assemble_bilinear(lay, sysm.config, sysm.g, sysm.coeffs)
     C1, _ = assemble_trilinear(lay, sysm.config, sysm.g, Y, sysm.coeffs)
     mom = A @ Y + C1 @ Y + B.T @ P - sysm.F
     mom += sum(L[k] * r for k, r in enumerate(sysm.flux_rows))
-    mom[dirs] = Y[dirs] - ydir
-    # the pressure pin row keeps its divergence value
+    mom[dirs] = Y[dirs]
     want = np.concatenate([mom, B @ Y, [r @ Y for r in sysm.flux_rows]])
-    got, _ = sysm.residual(np.concatenate([Y, P, L]), ydir)
+    got, _ = sysm.residual(np.concatenate([Y, P, L]))
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _newton_system(case, layout, square_disk_conforming):
-    """A fresh system of each kind _newton solves, and its Dirichlet data."""
+    """A fresh system of each kind _newton solves."""
     if case == "flux-reference":
-        return _reference_system(square_disk_conforming)[0], None
-    if case == "pinned-cavity":
-        return _cavity_system()[0], _lid
+        return _reference_system(square_disk_conforming)[0]
     eps = 0.025 if case == "sec31" else float(case[4:])
     g = LevelField.interpolate(layout.mesh, sec31_level())
-    return _System(layout, sec31_assembly(eps=eps), g), None
+    return _System(layout, sec31_assembly(eps=eps), g)
 
 
-@pytest.mark.parametrize("case", ["sec31", "flux-reference", "pinned-cavity",
-                                  "eps=1e-6"])
+@pytest.mark.parametrize("case", ["sec31", "flux-reference", "eps=1e-6"])
 def test_krylov_newton_matches_factoring_every_step(
         case, flow_cell_coarse_layout, square_disk_conforming, monkeypatch):
     runs, full = {}, ns_solver._KRYLOV_BUDGET
@@ -565,9 +549,9 @@ def test_krylov_newton_matches_factoring_every_step(
     # back to a factor
     for budget in (full, 0, 1):
         monkeypatch.setattr(ns_solver, "_KRYLOV_BUDGET", budget)
-        sysm, dirichlet = _newton_system(case, flow_cell_coarse_layout,
-                                         square_disk_conforming)
-        state, L, report = ns_solver._newton(sysm, dirichlet, 20)
+        sysm = _newton_system(case, flow_cell_coarse_layout,
+                              square_disk_conforming)
+        state, L, report = ns_solver._newton(sysm)
         assert report.converged
         runs[budget] = np.concatenate([state.Y, state.P, L]), report
     x0, factored = runs.pop(0)
@@ -591,8 +575,8 @@ def test_forcing_term_loosens_the_first_step_and_keeps_the_newton_path(
     runs = {}
     for forcing in (ns_solver._FORCING, 0.0):  # 0: every step to _KRYLOV_TOL
         monkeypatch.setattr(ns_solver, "_FORCING", forcing)
-        sysm, _ = _newton_system(case, flow_cell_coarse_layout, None)
-        runs[forcing] = ns_solver._newton(sysm, None, 20)[2]
+        sysm = _newton_system(case, flow_cell_coarse_layout, None)
+        runs[forcing] = ns_solver._newton(sysm)[2]
     report, full = runs.values()
     assert report.converged and full.converged
     assert report.iterations == full.iterations >= 3
@@ -649,8 +633,7 @@ def test_gmres_goes_on_when_its_solution_misses_the_bound():
     assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("case", ["sec31-jacobian", "pinned-cavity",
-                                  "eps=1e-6"])
+@pytest.mark.parametrize("case", ["sec31-jacobian", "eps=1e-6"])
 def test_krylov_solve_on_the_stokes_factor_matches_full_spsolve(
         case, sec31_newton, flow_cell_coarse_layout, square_disk_conforming,
         rng):
