@@ -29,9 +29,9 @@ from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
                      SolverError, UnknownLabelError)
 from .error_study import (EPSILON_SWEEP, MESH_SWEEP, records_to_csv,
                           regression_slope, run_sweep)
-from .fem import (AssemblyConfig, EXACT_REGION, PENALIZED_B, PLAIN_B,
-                  boundary_flux, build_spaces, compute_norm)
-from .levelset import LevelField, check_width, domain_level_function
+from .fem import (AssemblyConfig, PENALIZED_B, PLAIN_B, boundary_flux,
+                  build_spaces, compute_norm)
+from .levelset import LevelField, domain_level_function
 from .mesh import DomainSpec, extract_submesh, generate_mesh, mesh_to_text
 from .ns_solver import (MixedState, solve_navier_stokes,
                         solve_reference_flux_constrained)
@@ -67,8 +67,7 @@ def preset_sections(command, name):
     sections = {
         "mesh": {"outer": "flow-cell", "h_mesh": repr(spec.h_mesh)},
         "physics": {"nu": repr(cfg.nu), "traction": "shear"},
-        "regularization": {"eps": repr(cfg.eps),
-                           "divergence_form": cfg.divergence_form},
+        "regularization": {"eps": repr(cfg.eps)},
         "level": {"shapes": shapes},
     }
     if spec.obstacles:
@@ -119,14 +118,6 @@ def _number(convert, minimum=None, exclusive=False):
 
 _POSITIVE = _number(float, 0.0, exclusive=True)
 _NONNEGATIVE = _number(float, 0.0)
-_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
-          **dict.fromkeys(("false", "no", "off", "0"), False)}
-
-
-def _as_bool(text, field):
-    if text.lower() not in _BOOLS:
-        raise ConfigurationError(f"{field} must be true or false, got {text!r}")
-    return _BOOLS[text.lower()]
 
 
 def _one_of(*choices):
@@ -243,7 +234,6 @@ def _polynomial_field(tx, ty, field):
 _KEYS = {
     ("mesh", "outer"): (_parse_outer, None),
     ("mesh", "h_mesh"): (_POSITIVE, None),
-    ("mesh", "conforming"): (_as_bool, False),
     ("mesh", "obstacles"): (_parse_shapes, None),
     ("physics", "nu"): (_POSITIVE, None),
     ("physics", "traction"): (_one_of(*presets.NAMED_TRACTIONS), None),
@@ -253,21 +243,14 @@ _KEYS = {
     ("physics", "body_force_x"): (_as_text, None),
     ("physics", "body_force_y"): (_as_text, None),
     ("regularization", "eps"): (_NONNEGATIVE, None),
-    ("regularization", "smoothing_width"): (
-        lambda text, field: check_width(_POSITIVE(text, field), field), None),
-    ("regularization", "divergence_form"): (_one_of(PLAIN_B, PENALIZED_B),
-                                            None),
     ("level", "shapes"): (_parse_shapes, ()),
     ("study", "kind"): (_one_of(EPSILON_SWEEP, MESH_SWEEP), EPSILON_SWEEP),
     ("study", "values"): (_parse_sweep_values, None),
-    ("study", "coefficient_mode"): (_one_of(EXACT_REGION, "smoothed"),
-                                    EXACT_REGION),
     ("cost", "kind"): (_one_of(DISSIPATED_ENERGY, TRACKING), DISSIPATED_ENERGY),
     ("cost", "target_shapes"): (_parse_shapes, ()),
     ("descent", "rho"): (_NONNEGATIVE, None),
     ("descent", "max_iter"): (_number(int, 1), None),
     ("descent", "snapshot_every"): (_number(int, 0), None),
-    ("descent", "plateau_steps"): (_number(int, 1), None),
     ("output", "dir"): (_as_text, DEFAULT_OUT),
 }
 _SECTIONS = {sec for sec, _ in _KEYS}
@@ -300,17 +283,16 @@ class RunConfig:
         mesh, physics = values["mesh"], values["physics"]
         reg, study = values["regularization"], values["study"]
         self.out_dir = out_dir or values["output"]["dir"]
-        self.conforming = mesh.pop("conforming") or command == "solve-reference"
         self.level_shapes = values["level"]["shapes"]
         self.obstacles_key = "[mesh] obstacles"  # the shapes a mesh carves
         try:
             self.domain_spec = DomainSpec(**mesh)
-        except GeometryError as exc:
+        except (GeometryError, GenerationError) as exc:
             raise ConfigurationError(f"[mesh] {exc}") from exc
         for sec, key in (("level", "shapes"), ("cost", "target_shapes")):
             try:  # the probe that checks the shapes where they are used
                 self.level_function(values[sec][key])
-            except GeometryError as exc:
+            except (GeometryError, GenerationError) as exc:
                 raise ConfigurationError(f"[{sec}] {key}: {exc}") from exc
         if command in ("solve-reference", "error-study") and \
                 not self.domain_spec.obstacles:
@@ -334,17 +316,15 @@ class RunConfig:
         physics["body_force"] = _polynomial_field(
             physics.pop("body_force_x", None),
             physics.pop("body_force_y", None), "[physics] body_force")
-        # descent runs need the library's level-dependent divergence form;
-        # the rest compare against the incompressible reference, so plain
-        if command != "optimize":
-            reg.setdefault("divergence_form", PLAIN_B)
-        self.assembly = AssemblyConfig(**physics, **reg)
+        # descent runs need the level-dependent divergence form; the rest
+        # compare against the incompressible reference, so plain
+        self.assembly = AssemblyConfig(**physics, **reg, divergence_form=(
+            PENALIZED_B if command == "optimize" else PLAIN_B))
 
         if study["kind"] == MESH_SWEEP:
             study.setdefault("values", presets.MESH_SWEEP_SIZES)
         self.study_kind = study["kind"]
         self.study_values = study.get("values")
-        self.coefficient_mode = study["coefficient_mode"]
         if command == "error-study" and self.study_values is None:
             raise ConfigurationError("[study] values is required")
 
@@ -402,12 +382,11 @@ def _flow_artifacts(rc, mesh, state, report, extra_rows, level_values=None):
 
 
 def _run_solve_penalized(rc):
-    mesh = generate_mesh(rc.domain_spec, conform_to_obstacles=rc.conforming)
+    mesh = generate_mesh(rc.domain_spec)
     layout = build_spaces(mesh)
     level_fn = rc.level_function()
     g = None if level_fn is None else LevelField.interpolate(mesh, level_fn)
-    state, report = solve_navier_stokes(layout, rc.assembly, g,
-                                        raise_on_failure=True)
+    state, report = solve_navier_stokes(layout, rc.assembly, g)
     return _flow_artifacts(rc, mesh, state, report, [],
                            None if g is None else g.nodal_values)
 
@@ -424,7 +403,7 @@ def _run_solve_reference(rc):
 
 def _run_error_study(rc):
     records = run_sweep(rc.study_kind, rc.study_values, rc.domain_spec,
-                        rc.assembly, rc.coefficient_mode)
+                        rc.assembly)
     x_field, xlabel = (("epsilon", "epsilon") if rc.study_kind == EPSILON_SWEEP
                        else ("mesh_size", "mesh size"))
     xs = [getattr(r, x_field) for r in records]
@@ -450,7 +429,7 @@ def _run_error_study(rc):
 
 
 def _run_optimize(rc):
-    mesh = generate_mesh(rc.domain_spec, conform_to_obstacles=False)
+    mesh = generate_mesh(rc.domain_spec)
     layout = build_spaces(mesh)
     preset = presets.DescentPreset(rc.domain_spec, rc.assembly,
                                    rc.level_shapes, rc.cost_kind, rc.opt,

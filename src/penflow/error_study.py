@@ -6,9 +6,9 @@ interpolation), and records relative errors there.  Sweeps vary either the
 penalization parameter on a fixed mesh or the mesh size at fixed
 penalization.  What does not depend on the penalization is computed once
 per mesh: the reference solve (it uses eps 0), its L2, H1-seminorm and
-pressure norms, the full-mesh layout and the obstacle coefficients.  Newton
-starts warm where it can: the reference from the mesh's first penalized
-flow restricted to the fluid, each later point from the one before it.
+pressure norms and the full-mesh layout.  Newton starts warm where it can:
+the reference from the mesh's first penalized flow restricted to the
+fluid, each later point from the one before it.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ import numpy as np
 from .artifacts import csv_text
 from .errors import ConfigurationError, DegenerateInputError, PenflowError
 from .fem import EXACT_REGION, AssemblyConfig, build_spaces, compute_norm
-from .levelset import LevelField, domain_level_function
 from .mesh import FLUID, DomainSpec, extract_submesh, generate_mesh
 from .ns_solver import (MixedState, solve_navier_stokes,
                         solve_reference_flux_constrained)
@@ -72,15 +71,12 @@ def restrict_state(full_layout, sub_mesh, Y, P):
 
 class _MeshReference:
     """The eps-free part of every sweep point on one mesh: fluid submesh,
-    layout, obstacle coefficients (exact-region without a level function),
-    reference solve (eps 0), its report and norms; and the last flow."""
+    layout, reference solve (eps 0), its report and norms; the last flow."""
 
-    def __init__(self, mesh, config, level):
+    def __init__(self, mesh, config):
         self.mesh, self.sub = mesh, extract_submesh(mesh, FLUID)
         self.config, self.state = config, None
         self.layout = build_spaces(mesh)
-        self.g = EXACT_REGION if level is None else \
-            LevelField.interpolate(mesh, level)
 
     def solve_reference(self, Ys, Ps):
         """Solve the reference from the penalized flow Ys, Ps on the fluid."""
@@ -96,8 +92,7 @@ class _MeshReference:
 
 def _one_point(mr: _MeshReference, eps):
     state, report = solve_navier_stokes(
-        mr.layout, mr.config.replace(eps=eps), mr.g, raise_on_failure=True,
-        start=mr.state)
+        mr.layout, mr.config.replace(eps=eps), EXACT_REGION, start=mr.state)
     Ys, Ps = restrict_state(mr.layout, mr.sub, state.Y, state.P)
     if mr.state is None:
         mr.solve_reference(Ys, Ps)
@@ -112,20 +107,18 @@ def _one_point(mr: _MeshReference, eps):
                        div_omega, report.iterations, p_rel, report, mr.report)
 
 
-def run_sweep(kind, values, domain_spec: DomainSpec, config: AssemblyConfig,
-              coefficient_mode=EXACT_REGION):
+def run_sweep(kind, values, domain_spec: DomainSpec, config: AssemblyConfig):
     """Run an accuracy sweep; one ErrorRecord per value, in input order.
 
     kind "epsilon": values are penalization parameters on one shared
     conforming mesh, whose reference is computed once, at the first point.
     kind "mesh": values are target mesh sizes, eps fixed from config.
-    domain_spec names the obstacles that every conforming mesh carves.
-    coefficient_mode is "exact-region" (sharp indicator on the conforming
-    mesh, the zero-width limit of the smoothing) or "smoothed" (level-field
-    coefficients with the configured width); both are checked before any
-    mesh is made.  A PenflowError from a point's mesh or solves propagates
-    as the same exception (a NonconvergenceError keeps its Newton report)
-    with the point prefixed to its message, e.g. "sweep point h=0.05: ...".
+    domain_spec names the obstacles that every conforming mesh carves; the
+    penalized solve takes their sharp indicator ("exact-region"), the
+    zero-width limit of the smoothing.  A PenflowError from a point's mesh
+    or solves propagates as the same exception (a NonconvergenceError keeps
+    its Newton report) with the point prefixed to its message, e.g.
+    "sweep point h=0.05: ...".
     """
     if kind not in (EPSILON_SWEEP, MESH_SWEEP):
         raise ConfigurationError(f"unknown sweep kind {kind!r}")
@@ -134,11 +127,6 @@ def run_sweep(kind, values, domain_spec: DomainSpec, config: AssemblyConfig,
         raise ConfigurationError("sweep needs at least one value")
     if not domain_spec.obstacles:
         raise ConfigurationError("sweep setup needs at least one obstacle")
-    if coefficient_mode not in (EXACT_REGION, "smoothed"):
-        raise ConfigurationError(
-            f"unknown coefficient mode {coefficient_mode!r}")
-    level = None if coefficient_mode == EXACT_REGION else \
-        domain_level_function(domain_spec)
     if kind == EPSILON_SWEEP:
         mesh = generate_mesh(domain_spec, conform_to_obstacles=True)
     records, mr = [], None
@@ -151,7 +139,7 @@ def run_sweep(kind, values, domain_spec: DomainSpec, config: AssemblyConfig,
             if kind == MESH_SWEEP:  # a mesh, and so a reference, per point
                 spec = domain_spec.replace(h_mesh=float(value))
                 mesh = generate_mesh(spec, conform_to_obstacles=True)
-            mr = mr or _MeshReference(mesh, config, level)
+            mr = mr or _MeshReference(mesh, config)
             records.append(_one_point(mr, eps))
         except PenflowError as exc:
             exc.args = (f"sweep point {name}={value}: {exc}",) + exc.args[1:]

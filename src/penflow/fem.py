@@ -38,8 +38,7 @@ import scipy.sparse as sp
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigurationError
-from .levelset import (LevelField, check_width, heaviside_derivative,
-                       heaviside_value)
+from .levelset import LevelField, heaviside_derivative, heaviside_value
 from .mesh import OBSTACLE, hat_gradients, outward_normals
 
 EXACT_REGION = "exact-region"
@@ -168,20 +167,18 @@ class AssemblyConfig:
     Args:
         nu: viscosity, positive.
         eps: penalization parameter, nonnegative.
-        smoothing_width: positive width of the coefficient smoothing, or
-            None for the mesh's mean edge length.
         divergence_form: "penalized" (level-weighted) or "plain" (whole domain).
         traction: callable x -> (..., 2) traction on the Neumann side, or None.
         traction_label: boundary label carrying the traction.
         body_force: callable x -> (..., 2), or None.
 
     Every form is integrated by the degree-5 rule, the lowest that is exact
-    for the bubble terms.
+    for the bubble terms, and the coefficient smoothing is one width, the
+    mesh's mean edge length.
     """
 
-    def __init__(self, nu=1.0, eps=0.025, smoothing_width=None,
-                 divergence_form=PENALIZED_B, traction=None,
-                 traction_label="Gamma1", body_force=None):
+    def __init__(self, nu=1.0, eps=0.025, divergence_form=PENALIZED_B,
+                 traction=None, traction_label="Gamma1", body_force=None):
         if nu <= 0:
             raise ConfigurationError("viscosity must be positive")
         if eps < 0:
@@ -190,8 +187,6 @@ class AssemblyConfig:
             raise ConfigurationError(f"unknown divergence form {divergence_form!r}")
         self.nu = float(nu)
         self.eps = float(eps)
-        self.smoothing_width = smoothing_width if smoothing_width is None \
-            else check_width(smoothing_width)
         self.divergence_form = divergence_form
         self.traction = traction
         self.traction_label = traction_label
@@ -256,7 +251,7 @@ def evaluate_coefficients(layout: SpaceLayout, config: AssemblyConfig, g) -> Coe
     elif isinstance(g, LevelField):
         if len(g) != layout.V:
             raise ConfigurationError("level field does not match the mesh")
-        width = config.smoothing_width or layout.mesh.mean_edge_length
+        width = layout.mesh.mean_edge_length
         gq = g.nodal_values[layout.mesh.triangles] @ geom["lam"].T
         # the shifted step is the standard one a width further on
         H, Ht = heaviside_value(np.stack([gq, gq + width]), width)

@@ -29,18 +29,14 @@ def smoothed_heaviside(r, width):
     return val, der
 
 
-def check_width(width, name="smoothing width"):
-    """width, unless it is not positive or its cube underflows."""
-    if not width > 0:
-        raise ConfigurationError(f"{name} must be positive")
-    if min(width, 1.0) ** 3 < np.finfo(float).tiny:
-        raise ConfigurationError(f"{name} is so small that its cube underflows")
-    return width
-
-
 def _ramp(r, width):
-    """r clipped to the ramp [0, width]."""
-    return np.clip(np.asarray(r, dtype=float), 0.0, check_width(width))
+    """r clipped to the ramp [0, width], a width > 0 whose cube is normal."""
+    if not width > 0:
+        raise ConfigurationError("smoothing width must be positive")
+    if min(width, 1.0) ** 3 < np.finfo(float).tiny:
+        raise ConfigurationError(
+            "smoothing width is so small that its cube underflows")
+    return np.clip(np.asarray(r, dtype=float), 0.0, width)
 
 
 def heaviside_value(r, width):

@@ -31,6 +31,9 @@ _DUPLICATE_TOL = 1e-12
 _CLEARANCE = 1e-9  # of an obstacle polygon from the wall and other obstacles
 # fewest segments of the flow cell's arc and of each obstacle curve
 _MIN_SEGMENTS = 64
+# the most points a spec may ask for: 50 times the 20,109 vertices of the
+# flow cell at h 0.009, far short of what exhausts memory or an array index
+_MAX_POINTS = 10 ** 6
 
 
 class Mesh:
@@ -320,17 +323,25 @@ class DomainSpec:
         self.outer = outer
         self.h_mesh = float(h_mesh)
         self.obstacles = tuple(obstacles)
-        if outer != "flow-cell":
-            x0, y0, x1, y1 = outer
-            if not (x1 > x0 and y1 > y0):
-                raise GeometryError("rectangle must have positive extents")
-        reach = 1.0 if outer == "flow-cell" else float(np.abs(outer).max())
+        x0, y0, x1, y1 = self.box()
+        if not (x1 > x0 and y1 > y0):
+            raise GeometryError("rectangle must have positive extents")
+        reach = float(np.abs((x0, y0, x1, y1)).max())
         for ob in self.obstacles:
             if ob[0] not in ("disk", "ellipse", "polygon"):
                 raise GeometryError(f"unknown obstacle kind {ob[0]!r}")
             if not np.all(np.abs(np.hstack(ob[1:])) <= reach):
                 raise GeometryError("obstacles must be given by finite "
                                     f"numbers from {-reach!r} to {reach!r}")
+        # counted before any is made: the box's hex seed grid (rows 0.87 h
+        # apart) and sides, and the obstacle curves, about one point per h
+        w, t = (x1 - x0) / self.h_mesh, (y1 - y0) / self.h_mesh
+        points = (w + 1) * (t / 0.85 + 1) + 2 * (w + t) + sum(
+            _MIN_SEGMENTS + _length_bound(ob) / self.h_mesh
+            for ob in self.obstacles)
+        if not points <= _MAX_POINTS:
+            raise GenerationError(f"h_mesh {self.h_mesh!r} asks for about "
+                                  f"{points:.3g} points, more than {_MAX_POINTS:,}")
         for poly in self.obstacle_polygons():
             if np.any(self.outer_sdf(poly) > -_CLEARANCE):
                 raise GeometryError(
@@ -339,6 +350,9 @@ class DomainSpec:
     def replace(self, **changes):
         """Validated copy with the given fields changed."""
         return DomainSpec(**{**vars(self), **changes})
+
+    def box(self):  # the outer boundary's bounding box (x0, y0, x1, y1)
+        return (-0.5, -0.5, 1.0, 0.5) if self.outer == "flow-cell" else self.outer
 
     # outer boundary -----------------------------------------------------
     def outer_chains(self):
@@ -373,19 +387,12 @@ class DomainSpec:
         h = self.h_mesh
         for ob in self.obstacles:
             kind = ob[0]
-            if kind == "disk":
-                (cx, cy), r = ob[1], float(ob[2])
-                if r <= 0:
-                    raise GeometryError("disk radius must be positive")
-                n = max(_MIN_SEGMENTS, int(np.ceil(2 * np.pi * r / h)))
-                th = 2 * np.pi * np.arange(n) / n
-                polys.append(np.column_stack([cx + r * np.cos(th),
-                                              cy + r * np.sin(th)]))
-            elif kind == "ellipse":
-                (cx, cy), (a, b) = ob[1], ob[2]
+            if kind in ("disk", "ellipse"):  # a disk is an ellipse a = b = r
+                (cx, cy), (a, b) = ob[1], np.broadcast_to(ob[2], 2)
                 if a <= 0 or b <= 0:
-                    raise GeometryError("ellipse semi-axes must be positive")
-                per = np.pi * (3 * (a + b) - np.sqrt((3 * a + b) * (a + 3 * b)))
+                    raise GeometryError(f"{kind} size must be positive")
+                per = 2 * np.pi * a if kind == "disk" else np.pi * (
+                    3 * (a + b) - np.sqrt((3 * a + b) * (a + 3 * b)))
                 n = max(_MIN_SEGMENTS, int(np.ceil(per / h)))
                 th = 2 * np.pi * np.arange(n) / n
                 polys.append(np.column_stack([cx + a * np.cos(th),
@@ -402,6 +409,14 @@ class DomainSpec:
                     _subdivide(a, b, h)[:-1]
                     for a, b in zip(pts, np.roll(pts, -1, axis=0))]))
         return polys
+
+
+def _length_bound(ob):
+    """An upper bound of the length of an obstacle's boundary."""
+    if ob[0] == "polygon":
+        pts = np.reshape(np.asarray(ob[1], dtype=float), (-1, 2))
+        return np.hypot(*(pts - np.roll(pts, 1, axis=0)).T).sum()
+    return 2 * np.pi * np.abs(ob[2]).max()
 
 
 def _subdivide(p0, p1, h):
@@ -519,11 +534,7 @@ def _check_obstacles(polys):
 
 
 def _hex_seeds(spec, fixed_pts):
-    h = spec.h_mesh
-    if spec.outer == "flow-cell":
-        x0, y0, x1, y1 = -0.5, -0.5, 1.0, 0.5
-    else:
-        x0, y0, x1, y1 = spec.outer
+    h, (x0, y0, x1, y1) = spec.h_mesh, spec.box()
     xs = np.arange(x0 + 0.5 * h, x1, h)
     ys = np.arange(y0 + 0.5 * h, y1, 0.5 * np.sqrt(3) * h)
     gx, gy = np.meshgrid(xs, ys)

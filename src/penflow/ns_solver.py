@@ -410,8 +410,7 @@ def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
     return MixedState(layout, Y, P)
 
 
-def _newton(sysm: _System, raise_on_failure=False, start=None, fallback="",
-            t0=None):
+def _newton(sysm: _System, start=None, fallback="", t0=None):
     lay, dirs = sysm.layout, sysm.layout.dirichlet_dofs
     t0 = time.perf_counter() if t0 is None else t0
     # the load the residual keeps: a clamped wall's traction must not count
@@ -466,31 +465,29 @@ def _newton(sysm: _System, raise_on_failure=False, start=None, fallback="",
         message = f"residual {norms[-1]:.3e} above tolerance after {it} iterations"
     if start is not None and not converged:  # from Stokes, as with no start
         return _newton(_System(lay, sysm.config, sysm.g, sysm.flux_labels),
-                       raise_on_failure, fallback=f"warm start: {message}",
-                       t0=t0)
+                       fallback=f"warm start: {message}", t0=t0)
     report = NewtonReport(converged, it, norms, message,
                           time.perf_counter() - t0, sysm.fill, sysm.krylov,
                           steps, "stokes" if start is None else "warm",
                           fallback)
-    if raise_on_failure and not converged:
+    if not converged:
         raise NonconvergenceError(message, report=report)
     Y, P, L = sysm.split(x)
     return MixedState(lay, Y, P), L, report
 
 
 def solve_navier_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
-                        raise_on_failure=False, start=None):
+                        start=None):
     """Newton iteration for the penalized stationary Navier-Stokes system.
 
     Starts from start, a MixedState on the layout, when given and Newton
     converges from it, else from a Stokes solve; stops once the max-norm
     residual is at most 1e-10 (1 + max |F|), F the load off the Dirichlet
     rows, or after _MAX_NEWTON steps, or when a step fails.  Returns
-    (MixedState, NewtonReport).  With raise_on_failure a non-converged run
-    raises NonconvergenceError carrying the report.
+    (MixedState, NewtonReport); a non-converged run raises
+    NonconvergenceError carrying the report.
     """
-    state, _, report = _newton(_System(layout, config, g), raise_on_failure,
-                               start)
+    state, _, report = _newton(_System(layout, config, g), start)
     return state, report
 
 
@@ -500,15 +497,15 @@ def solve_reference_flux_constrained(mesh, config: AssemblyConfig,
 
     Every boundary loop labeled Obstacle* keeps natural (do-nothing)
     conditions plus a zero-net-flux constraint enforced by one Lagrange
-    multiplier.  The Newton iteration is solve_navier_stokes's, and a
-    non-converged run raises NonconvergenceError carrying the report; a
-    start, a MixedState on a layout of mesh, starts the multipliers at zero.
+    multiplier.  The Newton iteration, and its NonconvergenceError, are
+    solve_navier_stokes's; a start, a MixedState on a layout of mesh,
+    starts the multipliers at zero.
     Returns (MixedState, multipliers dict, NewtonReport).
     """
     layout = build_spaces(mesh)
     labels = sorted(s for s in mesh.labels() if s.startswith("Obstacle"))
     sysm = _System(layout, config, None, flux_labels=labels)
-    state, L, report = _newton(sysm, raise_on_failure=True, start=start)
+    state, L, report = _newton(sysm, start)
     multipliers = {lab: float(val) for lab, val in zip(labels, L)}
     return state, multipliers, report
 

@@ -87,8 +87,7 @@ def tracking_cost(layout, config, target_level):
     plain divergence form."""
     g = LevelField.interpolate(layout.mesh, target_level)
     state, _ = solve_navier_stokes(
-        layout, config.replace(divergence_form=PLAIN_B), g,
-        raise_on_failure=True)
+        layout, config.replace(divergence_form=PLAIN_B), g)
     return CostSpec(TRACKING, target=state.Y)
 
 
@@ -346,8 +345,7 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
         raise ConfigurationError(
             "initial level field must be negative on the outer boundary")
 
-    state, newton = solve_navier_stokes(layout, config, initial_G,
-                                        raise_on_failure=True)
+    state, _ = solve_navier_stokes(layout, config, initial_G)
     X = OptVector(layout, state.Y.copy(), state.P.copy(),
                   initial_G.nodal_values.copy())
 

@@ -98,7 +98,7 @@ def test_criterion_3_newton_iteration_budget(coarse_setting):
     t0 = time.perf_counter()
     F = assemble_load(lay, cfg, g)
     bound = 1e-10 * (1.0 + np.abs(F).max())
-    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    state, report = solve_navier_stokes(lay, cfg, g)
     dt = time.perf_counter() - t0
     ok = report.iterations <= 5 and report.final_residual <= bound and dt < 60
     _criterion(3, "Newton budget",

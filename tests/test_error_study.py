@@ -170,12 +170,6 @@ def no_meshing(monkeypatch):
     monkeypatch.setattr(error_study, "generate_mesh", fail)
 
 
-def test_run_sweep_rejects_unknown_coefficient_mode(sweep_inputs, no_meshing):
-    with pytest.raises(ConfigurationError, match="coefficient mode"):
-        run_sweep(EPSILON_SWEEP, (0.5, 0.1), *sweep_inputs,
-                  coefficient_mode="nearest")
-
-
 @pytest.mark.parametrize("kind", [EPSILON_SWEEP, MESH_SWEEP])
 def test_run_sweep_rejects_a_spec_without_obstacles(kind, sweep_inputs,
                                                     no_meshing):

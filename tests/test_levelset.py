@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from penflow import (AssemblyConfig, ConfigurationError, LevelField,
-                     check_admissibility, compose_disks,
-                     compose_ellipses, domain_level_function,
+from penflow import (ConfigurationError, LevelField, check_admissibility,
+                     compose_disks, compose_ellipses, domain_level_function,
                      smoothed_heaviside, DomainSpec)
 
 
@@ -60,9 +59,6 @@ def test_smoothing_width_must_be_positive():
     for width in (0.0, -1.0, np.nan):
         with pytest.raises(ConfigurationError):
             smoothed_heaviside(0.5, width)
-        with pytest.raises(ConfigurationError):
-            AssemblyConfig(smoothing_width=width)
-    assert AssemblyConfig(smoothing_width=0.1).smoothing_width == 0.1
 
 
 def test_disk_composition_signed_distance():
@@ -122,11 +118,8 @@ def test_smoothing_width_whose_cube_underflows_is_rejected():
     for width in (1e-300, 1e-104):
         with pytest.raises(ConfigurationError, match="cube underflows"):
             smoothed_heaviside(0.0, width)
-        with pytest.raises(ConfigurationError, match="cube underflows"):
-            AssemblyConfig(smoothing_width=width)
     val, der = smoothed_heaviside(np.array([0.5e-100, 1e-100]), 1e-100)
     assert np.allclose(val, [0.5, 1.0]) and np.all(np.isfinite(der))
-    assert AssemblyConfig(smoothing_width=1e-100).smoothing_width == 1e-100
 
 
 def test_interpolation_matches_callable(unit_square_mesh):

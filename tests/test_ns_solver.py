@@ -39,7 +39,7 @@ def small_flow():
 
 def test_newton_converges_quickly_from_stokes_start(small_flow):
     _, lay, g, cfg = small_flow
-    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    state, report = solve_navier_stokes(lay, cfg, g)
     assert report.converged
     assert report.iterations <= 5
     norms = report.residual_norms
@@ -49,14 +49,14 @@ def test_newton_converges_quickly_from_stokes_start(small_flow):
 
 def test_reported_residual_matches_independent_evaluation(small_flow):
     _, lay, g, cfg = small_flow
-    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    state, report = solve_navier_stokes(lay, cfg, g)
     check = residual_max_norm(lay, cfg, g, state)
     assert check == report.final_residual
 
 
 def test_wall_velocity_is_exactly_zero(small_flow):
     _, lay, g, cfg = small_flow
-    state, _ = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    state, _ = solve_navier_stokes(lay, cfg, g)
     wall = lay.dirichlet_vertices
     assert np.all(state.Y[wall] == 0.0)
     assert np.all(state.Y[lay.N1 + wall] == 0.0)
@@ -65,7 +65,7 @@ def test_wall_velocity_is_exactly_zero(small_flow):
 
 def test_outer_fluxes_balance_exactly(small_flow):
     mesh, lay, g, cfg = small_flow
-    state, _ = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    state, _ = solve_navier_stokes(lay, cfg, g)
     vel = state.velocity_vertices
     total = sum(boundary_flux(mesh, vel, lab) for lab in mesh.labels())
     # the plain divergence form makes the discrete net flux vanish
@@ -77,7 +77,7 @@ def test_large_viscosity_approaches_stokes_flow(small_flow):
     cfg = AssemblyConfig(nu=200.0, eps=0.025, traction=shear_traction,
                          divergence_form=PLAIN_B)
     stokes = solve_stokes(lay, cfg, g)
-    ns, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    ns, report = solve_navier_stokes(lay, cfg, g)
     rel = np.linalg.norm(ns.Y - stokes.Y) / np.linalg.norm(stokes.Y)
     assert rel < 1e-4
     assert report.iterations <= 3
@@ -86,13 +86,13 @@ def test_large_viscosity_approaches_stokes_flow(small_flow):
 def test_nonconvergence_reports_and_raises(small_flow, monkeypatch):
     _, lay, g, cfg = small_flow
     monkeypatch.setattr(ns_solver, "_MAX_NEWTON", 1)
-    state, report = solve_navier_stokes(lay, cfg, g)
-    assert not report.converged
-    assert report.message
     with pytest.raises(NonconvergenceError) as err:
-        solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
-    assert err.value.report.iterations == 1
-    # the reference solver always raises, with its report
+        solve_navier_stokes(lay, cfg, g)
+    report = err.value.report
+    assert not report.converged
+    assert report.message and report.message == str(err.value)
+    assert report.iterations == 1
+    # the reference solver raises too, with its report
     preset = sec31_reference(0.1)
     fluid = extract_submesh(
         generate_mesh(preset.domain_spec, conform_to_obstacles=True), "Fluid")
@@ -119,21 +119,18 @@ def test_cold_start_whose_step_fails_reports_nonconvergence(monkeypatch):
 
     monkeypatch.setattr(_System, "solve", solve_once)
     with pytest.raises(NonconvergenceError) as err:
-        solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+        solve_navier_stokes(lay, cfg, g)
     report = err.value.report
     assert (report.iterations, report.start, report.krylov) == (0, "stokes",
                                                                 [0])
-    calls.clear()
-    state, report = solve_navier_stokes(lay, cfg, g)
     assert not report.converged
     assert report.message == "singular bubble block in the linear solve"
 
 
 def test_warm_start_at_the_solution_takes_no_stokes_solve(small_flow):
     _, lay, g, cfg = small_flow
-    cold, _ = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
-    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True,
-                                        start=cold)
+    cold, _ = solve_navier_stokes(lay, cfg, g)
+    state, report = solve_navier_stokes(lay, cfg, g, start=cold)
     assert report.start == "warm" and report.fallback == ""
     assert report.iterations <= 1
     # one linear solve per Newton step, none for a Stokes start
@@ -143,11 +140,9 @@ def test_warm_start_at_the_solution_takes_no_stokes_solve(small_flow):
 
 def test_warm_start_that_fails_falls_back_to_stokes(small_flow):
     _, lay, g, cfg = small_flow
-    cold, cold_report = solve_navier_stokes(lay, cfg, g,
-                                            raise_on_failure=True)
+    cold, cold_report = solve_navier_stokes(lay, cfg, g)
     far = MixedState(lay, 1e3 * cold.Y, 1e3 * cold.P)
-    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True,
-                                        start=far)
+    state, report = solve_navier_stokes(lay, cfg, g, start=far)
     assert report.start == "stokes"
     assert report.fallback.startswith("warm start: ")
     # the fallback is the Stokes-started solve, bit for bit
@@ -164,11 +159,9 @@ def test_warm_start_whose_step_fails_falls_back_to_stokes():
     lay = build_spaces(mesh)
     g = LevelField.interpolate(mesh, sec31_level())
     cfg = sec31_assembly()
-    cold, cold_report = solve_navier_stokes(lay, cfg, g,
-                                            raise_on_failure=True)
+    cold, cold_report = solve_navier_stokes(lay, cfg, g)
     start = MixedState(lay, np.full_like(cold.Y, np.nan), cold.P)
-    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True,
-                                        start=start)
+    state, report = solve_navier_stokes(lay, cfg, g, start=start)
     assert report.start == "stokes"
     assert report.fallback == ("warm start: singular bubble block in the "
                                "linear solve")
@@ -180,12 +173,9 @@ def test_warm_start_whose_step_fails_falls_back_to_stokes():
 
 def test_warm_start_from_another_eps_matches_the_cold_solve(small_flow):
     _, lay, g, cfg = small_flow
-    near, _ = solve_navier_stokes(lay, cfg.replace(eps=0.1), g,
-                                  raise_on_failure=True)
-    cold, cold_report = solve_navier_stokes(lay, cfg, g,
-                                            raise_on_failure=True)
-    state, report = solve_navier_stokes(lay, cfg, g, raise_on_failure=True,
-                                        start=near)
+    near, _ = solve_navier_stokes(lay, cfg.replace(eps=0.1), g)
+    cold, cold_report = solve_navier_stokes(lay, cfg, g)
+    state, report = solve_navier_stokes(lay, cfg, g, start=near)
     assert report.start == "warm" and report.fallback == ""
     assert report.iterations < cold_report.iterations
     assert report.final_residual <= 1e-10 * (1.0 + np.abs(
@@ -239,8 +229,7 @@ def test_reference_warm_start_matches_the_cold_solve(square_disk_conforming):
     lay = build_spaces(full)
     g = LevelField.interpolate(full, compose_disks([(0.5, 0.5)], [0.2],
                                                    signed_distance=True))
-    pen, _ = solve_navier_stokes(lay, cfg.replace(eps=0.025), g,
-                                 raise_on_failure=True)
+    pen, _ = solve_navier_stokes(lay, cfg.replace(eps=0.025), g)
     start = MixedState(build_spaces(fluid), *restrict_state(
         lay, fluid, pen.Y, pen.P))
     state, mult, report = solve_reference_flux_constrained(
@@ -320,7 +309,7 @@ def _small_eps_system(layout, eps):
     """The sec31 system at a converged Newton state with a small eps."""
     g = LevelField.interpolate(layout.mesh, sec31_level())
     cfg = sec31_assembly(eps=eps)
-    state, _ = solve_navier_stokes(layout, cfg, g, raise_on_failure=True)
+    state, _ = solve_navier_stokes(layout, cfg, g)
     return _System(layout, cfg, g), state.Y
 
 
@@ -412,8 +401,7 @@ def test_singular_saddle_system_raises_solver_error(sec31_newton):
 
 def test_newton_report_records_factor_fill(sec31_newton):
     sysm, _ = sec31_newton
-    _, report = solve_navier_stokes(sysm.layout, sysm.config, sysm.g,
-                                    raise_on_failure=True)
+    _, report = solve_navier_stokes(sysm.layout, sysm.config, sysm.g)
     # one linear solve for the Stokes start, then one per Newton step; the
     # Stokes start factors, every step solves by GMRES on that factor
     assert len(report.krylov) == report.iterations + 1
@@ -442,8 +430,7 @@ def test_pattern_is_ordered_once(flow_cell_coarse, monkeypatch):
 
     monkeypatch.setattr(ns_solver.spla, "splu", splu)
     for _ in range(2):
-        _, report = solve_navier_stokes(lay, sec31_assembly(), g,
-                                        raise_on_failure=True)
+        _, report = solve_navier_stokes(lay, sec31_assembly(), g)
         # one factor per Newton solve, in the pattern's own order
         assert report.fill == [335_591]
         assert len(report.krylov) == report.iterations + 1

@@ -1,9 +1,12 @@
-"""The README's Library example, run as a user would run it."""
+"""The README's Library example, run as a user would run it, and its config
+example, parsed as the command line parses it."""
 
 import os
 import re
 import subprocess
 import sys
+
+import penflow.cli as cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,3 +23,15 @@ def test_readme_library_example_runs():
                           "-c", blocks[0]], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_readme_config_example_parses(tmp_path):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        blocks = re.findall(r"^```ini\n(.*?)^```$", f.read(),
+                            re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    path = tmp_path / "run.ini"
+    path.write_text(blocks[0])
+    sections = cli._read_config_file(str(path))
+    for command in cli.COMMANDS:  # parsed and checked, nothing run
+        cli.RunConfig(command, sections, str(tmp_path / "out"))

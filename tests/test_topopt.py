@@ -217,7 +217,7 @@ def test_solved_flow_has_tiny_constraint_residual(fd_setting):
     g = LevelField.interpolate(lay.mesh,
                                compose_disks([(0.5, 0.5)], [0.25],
                                              signed_distance=True))
-    state, _ = solve_navier_stokes(lay, cfg, g, raise_on_failure=True)
+    state, _ = solve_navier_stokes(lay, cfg, g)
     X = OptVector(lay, state.Y, state.P, g.nodal_values)
     C = constraint_residual(X, lay, cfg)
     assert np.abs(C).max() < 1e-10
@@ -384,7 +384,7 @@ def test_descent_that_finds_no_descent_step_stalls_in_place(test1_coarse):
                 rec.divergence_inf) == (first.j_rho, first.j_h,
                                         first.constraint_inf,
                                         first.divergence_inf)
-    start, _ = solve_navier_stokes(lay, cfg, g0, raise_on_failure=True)
+    start, _ = solve_navier_stokes(lay, cfg, g0)
     assert np.array_equal(X.Y, start.Y) and np.array_equal(X.P, start.P)
     assert np.array_equal(X.G, g0.nodal_values)
     assert [s.iteration for s in snapshots] == [0, 3]
