@@ -5,10 +5,10 @@ solve-reference (body-fitted flow with per-obstacle flux constraints),
 error-study (accuracy sweeps with fitted convergence slopes), optimize
 (penalty-of-constraints steepest descent on the obstacle level field).
 
-Configs are INI-style ``key = value`` files; vector data such as the
-boundary stress is given per component as monomial triples ``coef p q``
-meaning coef * x1^p * x2^q, joined with ';'.  Exit codes: 0 success,
-2 configuration problem, 3 solver failure, 4 I/O failure.
+Configs are INI-style ``key = value`` files.  The load is the paper's: a
+named boundary stress on Gamma1 (``traction = shear``), no body force.
+Exit codes: 0 success, 2 configuration problem, 3 solver failure, 4 I/O
+failure.
 """
 
 import argparse
@@ -26,7 +26,7 @@ from .artifacts import (MANIFEST_NAME, atomic_write_text, level_csv_text,
                         svg_loglog, write_csv, write_manifest, write_vtk)
 from .errors import (ConfigurationError, DegenerateInputError, GenerationError,
                      GeometryError, NonconvergenceError, PenflowError,
-                     SolverError, UnknownLabelError)
+                     SolverError)
 from .error_study import (EPSILON_SWEEP, MESH_SWEEP, records_to_csv,
                           regression_slope, run_sweep)
 from .fem import (AssemblyConfig, PENALIZED_B, PLAIN_B, boundary_flux,
@@ -160,14 +160,10 @@ def _parse_sweep_values(text, field):
     return values
 
 
-def _entries(text):
-    """The non-blank ';'- or newline-separated entries of text, stripped."""
-    return [e.strip() for e in re.split(r"[;\n]", text) if e.strip()]
-
-
 def _parse_shapes(text, field):
     shapes = []
-    for entry in _entries(text):
+    # the non-blank ';'- or newline-separated entries, stripped
+    for entry in filter(None, map(str.strip, re.split(r"[;\n]", text))):
         parts = entry.split()
         kind, nums = parts[0].lower(), parts[1:]
         try:
@@ -188,60 +184,16 @@ def _parse_shapes(text, field):
     return tuple(shapes)
 
 
-def _parse_monomials(text, field):
-    terms = []
-    for entry in _entries(text):
-        parts = entry.split()
-        if len(parts) != 3:
-            raise ConfigurationError(
-                f"{field}: each monomial is 'coef p q', got {entry!r}")
-        try:
-            coef = float(parts[0])
-            p, q = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigurationError(f"{field}: bad monomial {entry!r}")
-        if p < 0 or q < 0:
-            raise ConfigurationError(f"{field}: exponents must be >= 0")
-        if not math.isfinite(coef):
-            raise ConfigurationError(f"{field}: coefficients must be finite")
-        terms.append((coef, p, q))
-    return terms
-
-
-def _polynomial_field(tx, ty, field):
-    """Vector field callable from per-component monomial tables, or None."""
-    terms_x = _parse_monomials(tx, f"{field}_x") if tx else []
-    terms_y = _parse_monomials(ty, f"{field}_y") if ty else []
-    if not terms_x and not terms_y:
-        return None
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for comp, terms in ((0, terms_x), (1, terms_y)):
-            for coef, p, q in terms:
-                out[..., comp] += coef * x[..., 0] ** p * x[..., 1] ** q
-        return out
-
-    return evaluate
-
-
 # Every key a config may set, with its parser and its default; any other
 # key is a typo.  A key with no value and no default here is left out, so
 # the constructor it feeds (DomainSpec, AssemblyConfig, OptConfig) applies
-# its own default.  The monomial tables stay text: _polynomial_field reads
-# each x/y pair into one vector field.
+# its own default.
 _KEYS = {
     ("mesh", "outer"): (_parse_outer, None),
     ("mesh", "h_mesh"): (_POSITIVE, None),
-    ("mesh", "obstacles"): (_parse_shapes, None),
+    ("mesh", "obstacles"): (_parse_shapes, ()),
     ("physics", "nu"): (_POSITIVE, None),
     ("physics", "traction"): (_one_of(*presets.NAMED_TRACTIONS), None),
-    ("physics", "traction_x"): (_as_text, None),
-    ("physics", "traction_y"): (_as_text, None),
-    ("physics", "traction_label"): (_as_text, None),
-    ("physics", "body_force_x"): (_as_text, None),
-    ("physics", "body_force_y"): (_as_text, None),
     ("regularization", "eps"): (_NONNEGATIVE, None),
     ("level", "shapes"): (_parse_shapes, ()),
     ("study", "kind"): (_one_of(EPSILON_SWEEP, MESH_SWEEP), EPSILON_SWEEP),
@@ -285,15 +237,19 @@ class RunConfig:
         self.out_dir = out_dir or values["output"]["dir"]
         self.level_shapes = values["level"]["shapes"]
         self.obstacles_key = "[mesh] obstacles"  # the shapes a mesh carves
-        try:
-            self.domain_spec = DomainSpec(**mesh)
-        except (GeometryError, GenerationError) as exc:
+        try:  # the outer boundary and h_mesh; the shapes are probed below
+            self.domain_spec = DomainSpec(**{**mesh, "obstacles": ()})
+        except GeometryError as exc:  # a rectangle with an empty side
+            raise ConfigurationError(f"[mesh] outer: {exc}") from exc
+        except GenerationError as exc:  # too many points; it names h_mesh
             raise ConfigurationError(f"[mesh] {exc}") from exc
-        for sec, key in (("level", "shapes"), ("cost", "target_shapes")):
+        for sec, key in (("mesh", "obstacles"), ("level", "shapes"),
+                         ("cost", "target_shapes")):
             try:  # the probe that checks the shapes where they are used
                 self.level_function(values[sec][key])
             except (GeometryError, GenerationError) as exc:
                 raise ConfigurationError(f"[{sec}] {key}: {exc}") from exc
+        self.domain_spec = DomainSpec(**mesh)  # as probed
         if command in ("solve-reference", "error-study") and \
                 not self.domain_spec.obstacles:
             if not self.level_shapes:
@@ -305,17 +261,8 @@ class RunConfig:
                 obstacles=self.level_shapes)
             self.obstacles_key = "[level] shapes"
 
-        named = physics.pop("traction", None)
-        tx, ty = (physics.pop(f"traction_{c}", None) for c in "xy")
-        if named and (tx or ty):
-            raise ConfigurationError(
-                "[physics] give either traction (named) or traction_x/_y, "
-                "not both")
-        physics["traction"] = (presets.NAMED_TRACTIONS[named] if named else
-                               _polynomial_field(tx, ty, "[physics] traction"))
-        physics["body_force"] = _polynomial_field(
-            physics.pop("body_force_x", None),
-            physics.pop("body_force_y", None), "[physics] body_force")
+        if "traction" in physics:  # the named stress on Gamma1
+            physics["traction"] = presets.NAMED_TRACTIONS[physics["traction"]]
         # descent runs need the level-dependent divergence form; the rest
         # compare against the incompressible reference, so plain
         self.assembly = AssemblyConfig(**physics, **reg, divergence_form=(
@@ -488,8 +435,6 @@ def run(command, rc: RunConfig) -> list:
         raise ConfigurationError(f"{key}: {exc}") from exc
     except GeometryError as exc:  # meshed obstacles that overlap
         raise ConfigurationError(f"{rc.obstacles_key}: {exc}") from exc
-    except UnknownLabelError as exc:  # the one label a config names
-        raise ConfigurationError(f"[physics] traction_label: {exc}") from exc
     write_manifest(rc.out_dir, names)
     return names + [MANIFEST_NAME]
 

@@ -18,7 +18,8 @@ hat_grads (3, 2, T), the bubble's as 27 sum_k fac_k grad lam_k (fac_k the
 product of the other two barycentrics), met by moments against grad_coef.
 
 The boundary value problem is the paper's: zero velocity on the clamped
-walls CLAMPED, natural conditions on every other boundary edge.
+walls CLAMPED, natural conditions on every other boundary edge, and the
+load a boundary stress on the free outer side LOADED, with no body force.
 
 Element geometry lives in one place: _geometry computes it once per mesh
 and quadrature rule and keeps it in the mesh's cache, so every layout of a
@@ -43,8 +44,10 @@ from .mesh import OBSTACLE, hat_gradients, outward_normals
 
 EXACT_REGION = "exact-region"
 
-# the clamped walls: zero velocity there, natural conditions elsewhere
+# the clamped walls: zero velocity there, natural conditions elsewhere;
+# the boundary stress acts on the one free outer side, LOADED
 CLAMPED = ("Gamma2", "Gamma3", "Gamma4")
+LOADED = "Gamma1"
 
 PENALIZED_B = "penalized"
 PLAIN_B = "plain"
@@ -168,9 +171,8 @@ class AssemblyConfig:
         nu: viscosity, positive.
         eps: penalization parameter, nonnegative.
         divergence_form: "penalized" (level-weighted) or "plain" (whole domain).
-        traction: callable x -> (..., 2) traction on the Neumann side, or None.
-        traction_label: boundary label carrying the traction.
-        body_force: callable x -> (..., 2), or None.
+        traction: callable x -> (..., 2), the boundary stress on LOADED and
+            the only load (no body force), or None.
 
     Every form is integrated by the degree-5 rule, the lowest that is exact
     for the bubble terms, and the coefficient smoothing is one width, the
@@ -178,7 +180,7 @@ class AssemblyConfig:
     """
 
     def __init__(self, nu=1.0, eps=0.025, divergence_form=PENALIZED_B,
-                 traction=None, traction_label="Gamma1", body_force=None):
+                 traction=None):
         if nu <= 0:
             raise ConfigurationError("viscosity must be positive")
         if eps < 0:
@@ -189,8 +191,6 @@ class AssemblyConfig:
         self.eps = float(eps)
         self.divergence_form = divergence_form
         self.traction = traction
-        self.traction_label = traction_label
-        self.body_force = body_force
 
     def replace(self, **changes):
         """Validated copy with the given fields changed."""
@@ -416,77 +416,56 @@ def _hat_rows(layout: SpaceLayout, s):
                        minlength=layout.V)
 
 
-def _momentum_integrand(co: CoeffData, flow, fq):
+def _momentum_integrand(co: CoeffData, flow):
     """Quadrature-point (val, grad) of the momentum rows at _flow_at_quad's
     flow, for _velocity_rows.
 
     Tested with N_a e_c they give visc grad u : grad N_a + mass u N_a
-    + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a, minus
-    loadc f N_a when body force values fq (2, T, nq) are given.  With the
-    level derivatives in place of the coefficients they give the level
-    derivative.
+    + conv/2 ((u.grad)u N_a - (u.grad N_a) u) - divc p d_c N_a; the load
+    is on the boundary alone.  With the level derivatives in place of the
+    coefficients they give the level derivative.
     """
     uq, gu, pq, ugu, uu = flow
     hc = 0.5 * co.conv
     val = co.mass * uq + hc * ugu
-    if fq is not None:
-        val -= co.loadc * fq
     grad = co.visc * gu - hc * uu
     grad[0, 0] -= co.divc * pq  # the pressure term, on the diagonal
     grad[1, 1] -= co.divc * pq
     return val, grad
 
 
-def _flow_rows(layout: SpaceLayout, coeffs: CoeffData, flow, fq, load, Y):
+def _flow_rows(layout: SpaceLayout, coeffs: CoeffData, flow, load, Y):
     """(A Y + C1(Y) Y + B^T P - load, B Y) summed per element, no matrix,
     at _flow_at_quad's flow of velocity Y, the Dirichlet rows Y itself (the
     velocity is zero there).  The divergence row of hat j is
     -divc div u lam_j; any flux rows are left to the caller."""
     divu = flow[1][0, 0] + flow[1][1, 1]
-    mom = _velocity_rows(layout, *_momentum_integrand(coeffs, flow, fq)) - load
+    mom = _velocity_rows(layout, *_momentum_integrand(coeffs, flow)) - load
     dirs = layout.dirichlet_dofs
     mom[dirs] = Y[dirs]
     return mom, _hat_rows(layout, -coeffs.divc * divu)
 
 
-def _body_force_at_quad(layout: SpaceLayout, config: AssemblyConfig):
-    """The body force (2, T, nq) at the quadrature points, or None."""
-    if config.body_force is not None:
-        xq = np.einsum("qk,tkd->tqd", layout.geometry()["lam"],
-                       layout.mesh.vertices[layout.mesh.triangles])
-        fq = config.body_force(xq)
-        return np.ascontiguousarray(np.moveaxis(fq, -1, 0), dtype=float)
-
-
-def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g,
-                  coeffs: CoeffData = None):
-    """Assemble the load vector: smoothed body force plus Neumann traction.
-
-    The traction part does not depend on g; without a body force neither
-    g nor coeffs is used.
+def assemble_load(layout: SpaceLayout, config: AssemblyConfig, g):
+    """Assemble the load vector: the traction on LOADED, the paper's
+    boundary stress.  No level field changes it, so g is not read.
     """
     mesh, N1 = layout.mesh, layout.N1
-    F = np.zeros(2 * N1)
-    fq = _body_force_at_quad(layout, config)
-    if fq is not None:
-        if coeffs is None:
-            coeffs = evaluate_coefficients(layout, config, g)
-        F += _velocity_rows(layout, val=coeffs.loadc * fq)
-    if config.traction is not None:
-        edges = mesh.edges_with_label(config.traction_label)
-        pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
-        elen = np.hypot(*(pb - pa).T)
-        s, ws = 0.5 * (_EDGE_RULE[0] + 1.0), 0.5 * _EDGE_RULE[1]
-        # psi[k, c, e] at Gauss point k; each end gets its hat's share
-        psi = np.stack([np.asarray(config.traction(pa + sk * (pb - pa)),
-                                   dtype=float).T for sk in s])
-        ends = np.stack([1.0 - s, s], axis=1)[:, :, None]
-        data = ((ws[:, None] * elen)[:, None, :] * ends)[:, None] \
-            * psi[:, :, None, :]  # (k, c, end, e)
-        idx = np.arange(2)[:, None, None] * N1 + edges.T[None]
-        F += np.bincount(np.broadcast_to(idx, data.shape).ravel(),
-                         data.ravel(), minlength=len(F))
-    return F
+    if config.traction is None:
+        return np.zeros(2 * N1)
+    edges = mesh.edges_with_label(LOADED)
+    pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
+    elen = np.hypot(*(pb - pa).T)
+    s, ws = 0.5 * (_EDGE_RULE[0] + 1.0), 0.5 * _EDGE_RULE[1]
+    # psi[k, c, e] at Gauss point k; each end gets its hat's share
+    psi = np.stack([np.asarray(config.traction(pa + sk * (pb - pa)),
+                               dtype=float).T for sk in s])
+    ends = np.stack([1.0 - s, s], axis=1)[:, :, None]
+    data = ((ws[:, None] * elen)[:, None, :] * ends)[:, None] \
+        * psi[:, :, None, :]  # (k, c, end, e)
+    idx = np.arange(2)[:, None, None] * N1 + edges.T[None]
+    return np.bincount(np.broadcast_to(idx, data.shape).ravel(),
+                       data.ravel(), minlength=2 * N1)
 
 
 # ------------------------------------------------------------------ flux

@@ -401,7 +401,15 @@ class DomainSpec:
                 pts = np.asarray(ob[1], dtype=float)
                 if len(pts) < 3:
                     raise GeometryError("polygon obstacle needs at least 3 points")
-                if _polygon_area(pts) < 0:
+                sides = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
+                if not sides.all():  # the last point to the first included
+                    raise GeometryError("polygon obstacle has two equal "
+                                        "consecutive points")
+                area = _polygon_area(pts)
+                # narrower than the clearance: a segment, not a region
+                if abs(area) <= _CLEARANCE * sides.sum():
+                    raise GeometryError("polygon obstacle encloses no area")
+                if area < 0:
                     pts = pts[::-1]
                 # sides split to h like the curves, so that no side's
                 # diametral disk holds another fixed vertex

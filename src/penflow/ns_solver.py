@@ -5,11 +5,11 @@ stationary Navier-Stokes system with smoothed obstacle penalization, and a
 body-fitted reference solver that enforces zero net flux through each
 obstacle boundary with one Lagrange multiplier per loop.  The boundary
 value problem is fem's: Dirichlet velocity rows, on the clamped walls
-fem.CLAMPED, are identity rows holding zero velocity; the Neumann side
-carries the traction from the assembly config.  The Newton residual is
-fem._flow_rows, the per-element kernel that also replaces the Dirichlet
-rows and gives the descent constraint C(X) in topopt, plus the flux and
-multiplier rows.
+fem.CLAMPED, are identity rows holding zero velocity; the free outer side
+fem.LOADED carries the assembly config's traction, the only load.  The
+Newton residual is fem._flow_rows, the per-element kernel that also
+replaces the Dirichlet rows and gives the descent constraint C(X) in
+topopt, plus the flux and multiplier rows.
 
 Linear solves never assemble the global matrix.  Each triangle's Jacobian
 block, the velocity block on both components at its vertices and bubble
@@ -203,7 +203,7 @@ class _System:
     def __init__(self, layout, config, g, flux_labels=()):
         self.layout, self.config, self.g = layout, config, g
         self.coeffs = evaluate_coefficients(layout, config, g)
-        self.F = assemble_load(layout, config, g, self.coeffs)
+        self.F = assemble_load(layout, config, g)
         self.flux_labels = tuple(flux_labels)
         self.flux_rows = np.reshape(
             [flux_row_vector(layout, lab) for lab in flux_labels],
@@ -223,7 +223,7 @@ class _System:
         quadrature points, which element_blocks takes for a step from x."""
         Y, P, L = self.split(x)
         flow = _flow_at_quad(self.layout, Y, P)
-        mom, div = _flow_rows(self.layout, self.coeffs, flow, None, self.F, Y)
+        mom, div = _flow_rows(self.layout, self.coeffs, flow, self.F, Y)
         mom += L @ self.flux_rows  # zero on the Dirichlet rows
         return np.concatenate([mom, div, self.flux_rows @ Y]), flow[:2]
 
@@ -413,7 +413,7 @@ def solve_stokes(layout: SpaceLayout, config: AssemblyConfig, g=None,
 def _newton(sysm: _System, start=None, fallback="", t0=None):
     lay, dirs = sysm.layout, sysm.layout.dirichlet_dofs
     t0 = time.perf_counter() if t0 is None else t0
-    # the load the residual keeps: a clamped wall's traction must not count
+    # the load the residual keeps, off the Dirichlet rows (LOADED's ends)
     scale = 1.0 + np.abs(np.delete(sysm.F, dirs)).max()
     tol = 1e-10 * scale
     if start is None:

@@ -13,8 +13,8 @@ geometry.  C is fem._flow_rows, Dirichlet rows included: the kernel that
 gives the Newton residual in ns_solver, so the constraint is the penalized
 state system Newton solves.  It shares its coefficient-free products with
 the adjoint's level block.  Line-search trials compute values only; level
-derivatives and gradients run at accepted points, and a tracking target
-and a body force are evaluated once per descent.  The assembled Jacobian
+derivatives and gradients run at accepted points, and the load and a
+tracking target are evaluated once per descent.  The assembled Jacobian
 serves only constraint_jacobian.
 """
 
@@ -23,10 +23,10 @@ import scipy.sparse as sp
 
 from .artifacts import csv_text
 from .errors import ConfigurationError, SolverError
-from .fem import (PLAIN_B, SpaceLayout, _body_force_at_quad, _flow_at_quad,
-                  _flow_rows, _hat_rows, _momentum_integrand, _scatter,
-                  _velocity_at_quad, _velocity_rows, assemble_bilinear,
-                  assemble_load, assemble_trilinear, evaluate_coefficients)
+from .fem import (PLAIN_B, SpaceLayout, _flow_at_quad, _flow_rows, _hat_rows,
+                  _momentum_integrand, _scatter, _velocity_at_quad,
+                  _velocity_rows, assemble_bilinear, assemble_load,
+                  assemble_trilinear, evaluate_coefficients)
 from .levelset import LevelField, check_admissibility
 from .mesh import _graph_components
 from .ns_solver import solve_navier_stokes
@@ -165,24 +165,23 @@ def obstacle_component_count(mesh, G) -> int:
 # ------------------------------------------------------------- assembly
 class _Forms:
     """Quadrature-point data of C, the costs and the one-pass gradient
-    (adjoint); component major as in fem, body force fq evaluated if absent."""
+    (adjoint); component major as in fem."""
 
-    def __init__(self, X: OptVector, layout, config, fq=None):
+    def __init__(self, X: OptVector, layout, config):
         self.layout = layout
         self.Y = X.Y
         self.g = LevelField(X.G)
         self.coeffs = evaluate_coefficients(layout, config, self.g)
         self.flow = _flow_at_quad(layout, X.Y, X.P)
         self.uq, self.gu, self.pq, self.ugu, _ = self.flow
-        self.fq = _body_force_at_quad(layout, config) if fq is None else fq
         self.divu = self.gu[0, 0] + self.gu[1, 1]
         self._cost = None  # (side, integrand e) of the last cost
 
-    def constraint(self, traction):
+    def constraint(self, load):
         """C(X) from the Newton residual's kernel: momentum rows minus the
-        traction, Y on the Dirichlet rows, then the divergence rows."""
+        load, Y on the Dirichlet rows, then the divergence rows."""
         return np.concatenate(_flow_rows(self.layout, self.coeffs, self.flow,
-                                         self.fq, traction, self.Y))
+                                         load, self.Y))
 
     def adjoint(self, c):
         """jac C^T c without assembling jac C, plus the gradient of the last
@@ -211,14 +210,12 @@ class _Forms:
         grad[1, 1] -= co.divc * qq
 
         # level block; u (x) u : grad w is u . (u.grad)w
-        d, ugu, fq = co.level, self.ugu, self.fq
+        d, ugu = co.level, self.ugu
         s = (d.mass * (uq[0] * wq[0] + uq[1] * wq[1])
              + 0.5 * d.conv * (ugu[0] * wq[0] + ugu[1] * wq[1]
                                - uq[0] * ugw[0] - uq[1] * ugw[1])
              + d.visc * np.einsum("dctq,dctq->tq", gu, gw)
              - d.divc * (self.pq * divw + qq * self.divu))
-        if fq is not None:
-            s -= d.loadc * (fq[0] * wq[0] + fq[1] * wq[1])
         if self._cost:  # 2 loadc e on the side of e, level.loadc |e|^2
             kind, e = self._cost
             (val if kind == "val" else grad)[...] += 2.0 * co.loadc * e
@@ -234,7 +231,7 @@ class _Forms:
         wa, lam, vals = geom["wa"], geom["lam"], geom["vals"]
 
         # momentum block (T, basis, comp, hat) from the level derivatives
-        val, grad = _momentum_integrand(dco, self.flow, self.fq)
+        val, grad = _momentum_integrand(dco, self.flow)
         loc = np.einsum("tq,ctq,qa,qj->tacj", wa, val, vals, lam)
         rows = geom["grad_rows"].reshape(lay.T, len(lam), 2, 4)
         loc += np.einsum("tq,dctq,tqda,qj->tacj", wa, grad, rows, lam)
@@ -276,7 +273,8 @@ def constraint_residual(X: OptVector, layout, config) -> np.ndarray:
     Momentum rows carry identity Dirichlet replacement (homogeneous data);
     divergence rows are B(G) Y with the configured divergence form.
     """
-    return _Forms(X, layout, config).constraint(_traction(layout, config))
+    return _Forms(X, layout, config).constraint(
+        assemble_load(layout, config, None))
 
 
 def constraint_jacobian(X: OptVector, layout, config):
@@ -306,16 +304,11 @@ def cost_and_gradient(X: OptVector, spec: CostSpec, layout, config):
     return value, forms.adjoint(np.zeros(layout.M))
 
 
-def _traction(layout, config):
-    """The load without its body force, which no level field changes."""
-    return assemble_load(layout, config.replace(body_force=None), None)
-
-
-def _penalized_value(X, spec, rho, layout, config, traction, target_q, fq):
+def _penalized_value(X, spec, rho, layout, config, load, target_q):
     """(J_rho, J_h, forms, C) at X: the value alone, for line-search trials."""
-    forms = _Forms(X, layout, config, fq)
+    forms = _Forms(X, layout, config)
     j_h = forms.cost(spec, target_q)
-    C = forms.constraint(traction)
+    C = forms.constraint(load)
     return j_h + 0.5 * rho * float(C @ C), j_h, forms, C
 
 
@@ -325,8 +318,8 @@ def penalized_value_and_gradient(X: OptVector, spec: CostSpec, rho,
     if rho < 0:
         raise ConfigurationError("penalty weight must be nonnegative")
     value, _, forms, C = _penalized_value(
-        X, spec, rho, layout, config, _traction(layout, config),
-        _target_at_quad(spec, layout, config), None)
+        X, spec, rho, layout, config, assemble_load(layout, config, None),
+        _target_at_quad(spec, layout, config))
     return value, forms.adjoint(rho * C)
 
 
@@ -362,8 +355,8 @@ def optimize(initial_G: LevelField, spec: CostSpec, opt: OptConfig,
             it, level, obstacle_component_count(mesh, X.G),
             check_admissibility(level, mesh), j_h))
 
-    fixed = (_traction(layout, config), _target_at_quad(spec, layout, config),
-             _body_force_at_quad(layout, config))  # no step changes them
+    fixed = (assemble_load(layout, config, None),
+             _target_at_quad(spec, layout, config))  # no step changes them
     j_rho, j_h0, forms0, C0 = _penalized_value(X, spec, opt.rho, layout,
                                                config, *fixed)
     if not np.isfinite(j_rho):

@@ -166,13 +166,8 @@ def _tiny_setting():
     mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.34))
     lay = build_spaces(mesh)
     assert lay.N <= 200
-
-    def body(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 1] ** 2, -x[..., 0]], axis=-1)
-
     cfg = AssemblyConfig(nu=1.0, eps=0.01, traction=shear_traction,
-                         body_force=body, divergence_form=PENALIZED_B)
+                         divergence_form=PENALIZED_B)
     return lay, cfg
 
 

@@ -20,8 +20,7 @@ import penflow.cli as cli
 import penflow.error_study as error_study
 from penflow import presets
 from penflow.artifacts import MANIFEST_NAME, svg_loglog, verify_manifest
-from penflow.cli import (_parse_monomials, _parse_shapes, _polynomial_field,
-                         main, preset_sections)
+from penflow.cli import _parse_shapes, main, preset_sections
 from penflow.errors import (ConfigurationError, GenerationError,
                             NonconvergenceError)
 from penflow.fem import assemble_load, build_spaces
@@ -77,19 +76,6 @@ def test_parse_shapes_accepts_all_kinds():
 def test_parse_shapes_rejects_malformed(bad):
     with pytest.raises(ConfigurationError):
         _parse_shapes(bad, "[level] shapes")
-
-
-def test_parse_monomials_and_polynomial_field():
-    terms = _parse_monomials("100 0 1; -2 1 0", "t")
-    assert terms == [(100.0, 0, 1), (-2.0, 1, 0)]
-    field = _polynomial_field("100 0 1", "3 0 0", "t")
-    out = field(np.array([[0.5, 0.2], [0.0, 1.0]]))
-    assert np.allclose(out, [[20.0, 3.0], [100.0, 3.0]])
-    assert _polynomial_field(None, None, "t") is None
-    with pytest.raises(ConfigurationError):
-        _parse_monomials("1 2", "t")
-    with pytest.raises(ConfigurationError):
-        _parse_monomials("1 -1 0", "t")
 
 
 # --------------------------------------------------------------- presets
@@ -199,12 +185,14 @@ _VALID = {
 
 # (command, {(section, key): value, or None to drop the key}, prefix):
 # one row per ConfigurationError a config can raise before any solve.  The
-# conforming, smoothing_width, divergence_form, coefficient_mode and
-# plateau_steps rows name keys that are fixed now: refused like a typo
+# conforming, smoothing_width, divergence_form, coefficient_mode,
+# plateau_steps, traction_x/_y, traction_label and body_force_x/_y rows name
+# keys that are fixed now: refused like a typo
 _RULES = [
     ("solve-penalized", {("mesh", "outer"): "0 0 1"}, "[mesh] outer"),
     ("solve-penalized", {("mesh", "outer"): "0 0 1 x"}, "[mesh] outer"),
     ("solve-penalized", {("mesh", "outer"): "1 0 0 1"}, "[mesh]"),
+    ("solve-penalized", {("mesh", "outer"): "0 0 -1 1"}, "[mesh] outer"),
     ("solve-penalized", {("mesh", "h_mesh"): "0"}, "[mesh] h_mesh"),
     ("solve-penalized", {("mesh", "h_mesh"): "abc"}, "[mesh] h_mesh"),
     ("solve-penalized", {("mesh", "h_mesh"): "inf"}, "[mesh] h_mesh"),
@@ -223,6 +211,16 @@ _RULES = [
      "[mesh] obstacles"),
     ("solve-reference", {("mesh", "obstacles"): "disk nan 0.5 0.1"},
      "[mesh] obstacles"),
+    ("solve-penalized", {("mesh", "obstacles"): "disk 0.5 0.5 -0.1"},
+     "[mesh] obstacles"),
+    # polygons with two equal consecutive points (last and first too), or
+    # with no area
+    ("solve-reference",
+     {("mesh", "obstacles"): "polygon 0.4 0.4 0.5 0.4 0.6 0.4"},
+     "[mesh] obstacles"),
+    ("solve-penalized",
+     {("mesh", "obstacles"): "polygon 0.4 0.4 0.6 0.4 0.6 0.6 0.4 0.4"},
+     "[mesh] obstacles"),
     ("solve-penalized", {("mesh", "conforming"): "maybe"},
      "unknown key 'conforming' in section [mesh]"),
     ("solve-penalized", {("level", "shapes"): "ellipse 0 0 1"},
@@ -230,21 +228,29 @@ _RULES = [
     ("solve-penalized", {("level", "shapes"): "disk 0.5 0.5 -0.1"},
      "[level] shapes"),
     ("optimize", {("level", "shapes"): "disk nan 0.5 0.1"}, "[level] shapes"),
+    ("solve-penalized",
+     {("level", "shapes"): "polygon 0.4 0.4 0.4 0.4 0.6 0.4 0.6 0.6"},
+     "[level] shapes"),
     ("solve-reference", {("mesh", "obstacles"): None,
                          ("level", "shapes"): None}, "solve-reference"),
     ("solve-penalized", {("physics", "nu"): "0"}, "[physics] nu"),
-    ("solve-penalized", {("physics", "traction_x"): "1 0 0"}, "[physics]"),
+    ("solve-penalized", {("physics", "traction_x"): "1 0 0"},
+     "unknown key 'traction_x' in section [physics]"),
     ("solve-penalized", {("physics", "traction"): "swirl"},
      "[physics] traction"),
     ("solve-penalized", {("physics", "traction"): None,
                          ("physics", "traction_x"): "1 2"},
-     "[physics] traction_x"),
+     "unknown key 'traction_x' in section [physics]"),
     ("solve-penalized", {("physics", "body_force_y"): "1 -1 0"},
-     "[physics] body_force_y"),
+     "unknown key 'body_force_y' in section [physics]"),
     ("solve-penalized", {("physics", "body_force_x"): "inf 1 1"},
-     "[physics] body_force_x"),
+     "unknown key 'body_force_x' in section [physics]"),
     ("solve-penalized", {("physics", "body_force_y"): "nan 0 0"},
-     "[physics] body_force_y"),
+     "unknown key 'body_force_y' in section [physics]"),
+    ("solve-penalized", {("physics", "traction_y"): "100 0 1"},
+     "unknown key 'traction_y' in section [physics]"),
+    ("solve-penalized", {("physics", "traction_label"): "Gamma1"},
+     "unknown key 'traction_label' in section [physics]"),
     ("solve-penalized", {("regularization", "eps"): "-0.1"},
      "[regularization] eps"),
     ("solve-penalized", {("regularization", "smoothing_width"): "0"},
@@ -272,6 +278,9 @@ _RULES = [
      "[cost] target_shapes"),
     ("optimize", {("cost", "kind"): "tracking",
                   ("cost", "target_shapes"): "ellipse nan 0.5 0.2 0.4"},
+     "[cost] target_shapes"),
+    ("optimize", {("cost", "kind"): "tracking",
+                  ("cost", "target_shapes"): "polygon 0.4 0.4 0.5 0.5 0.6 0.6"},
      "[cost] target_shapes"),
     ("optimize", {("descent", "rho"): None}, "[descent] rho"),
     ("optimize", {("descent", "rho"): "-1"}, "[descent] rho"),
@@ -348,9 +357,6 @@ _SHAPES = (["disk 0.25 0.25 0.1", "disk 0.5 0.25 0.15; disk 0.75 0 0.15",
             "ellipse 0.5 0.25 nan 0.1", "polygon 0.4 0.2 0.6 0.2 0.5 nan",
             "disk 0 0 1e12", "disk 0 0 0", "disk 0 0 -0.1", "ellipse 0 0 0.1",
             "ring 0 0 1", "disk a b c"])
-_MONOMIALS = (["1 0 0", "100 0 1", "1 0 0; -2 1 0", "1e12 0 0",
-               "1 1000000000000 0", ""],
-              ["inf 0 0", "nan 0 0", "1 -1 0", "1 0.5 0", "1 2", "x 0 0"])
 _TEXTS = {
     ("mesh", "outer"): (["flow-cell", "0 0 1 1", "-1 -1 1 1"],
                         ["1 0 0 1", "0 0 1", "0 0 nan 1", "0 0 1 x"]),
@@ -360,11 +366,6 @@ _TEXTS = {
     ("physics", "nu"): (["1", "0.5", "0.01", "1e12"],
                         ["0", "-1", "nan", "inf", "-inf", "x"]),
     ("physics", "traction"): (["shear", ""], ["swirl", "shear"]),
-    ("physics", "traction_x"): _MONOMIALS,
-    ("physics", "traction_y"): _MONOMIALS,
-    ("physics", "traction_label"): (["Gamma1", "Gamma3"], ["Nope"]),
-    ("physics", "body_force_x"): _MONOMIALS,
-    ("physics", "body_force_y"): _MONOMIALS,
     ("regularization", "eps"): (["0", "0.01", "0.5", "1e12"],
                                 ["-1", "nan", "inf", "x"]),
     ("level", "shapes"): _SHAPES,
@@ -397,10 +398,6 @@ def _configs(draw):
                 draw(st.integers(0, 2)) == 0:
             sections.setdefault(sec, {})[key] = draw(st.sampled_from(
                 bad if (sec, key) in broken else valid))
-    physics = sections.get("physics", {})
-    if ("physics", "traction") not in broken and (
-            physics.get("traction_x") or physics.get("traction_y")):
-        physics["traction"] = ""  # a named traction would clash
     return sections
 
 
@@ -457,11 +454,10 @@ def _kept_flows():
 @_pinned("solve-penalized", "sec31", "physics", "body_force_x", "inf 1 1")
 @_pinned("solve-penalized", "sec31", "regularization", "smoothing_width",
          "1e-300")
-# zero errors, which no log-log plot shows, once left records.csv behind
+# zero errors (no traction, so no flow), which no log-log plot shows, once
+# left records.csv behind
 @example(command="error-study", preset=None, sections={
     "mesh": {"h_mesh": "0.1", "obstacles": "disk 0.25 0.25 0.1"},
-    "physics": {"traction_y": "1e12 0 0", "traction_label": "Gamma3",
-                "body_force_x": "1 0 0", "body_force_y": "1 0 0"},
     "study": {"values": "0.2 0.1"}}, named=None)
 # sizes that ask for more points than a mesh may have once ended in a
 # traceback; each must exit 2 naming the key in named
@@ -524,28 +520,6 @@ def test_every_key_is_checked_whatever_the_command(tmp_path, capsys):
     assert "[descent] max_iter" in capsys.readouterr().err
 
 
-def test_unknown_traction_label_exits_2(tmp_path, capsys):
-    cfg = _write(tmp_path, "run.ini",
-                 BOX_FLOW.replace("traction = shear",
-                                  "traction = shear\ntraction_label = Nope"))
-    assert main(["solve-penalized", "--config", cfg,
-                 "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert "Nope" in err and "Gamma1" in err
-
-
-def test_unknown_traction_label_in_a_sweep_names_its_key(tmp_path, capsys):
-    cfg = _write(tmp_path, "run.ini", BOX_FLOW.replace(
-        "traction = shear", "traction = shear\ntraction_label = Nope")
-        + "[study]\nvalues = 0.1 0.05\n")
-    out = tmp_path / "out"
-    assert main(["error-study", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "penflow: config error: [physics] traction_label: sweep point "
-        "epsilon=0.1: no boundary label 'Nope'")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command, key", [
     ("solve-penalized", "mesh"), ("solve-reference", "mesh"),
     ("error-study", "mesh"), ("solve-reference", "level"),
@@ -571,8 +545,10 @@ def test_overlapping_obstacles_name_their_key(command, key, tmp_path,
 
 def test_traction_on_a_clamped_wall_exits_0_only_converged(tmp_path,
                                                          monkeypatch, capsys):
-    # the load on Gamma3's Dirichlet rows never enters the residual, so it
-    # must not loosen the Newton tolerance: exit 0 only with a converged flow
+    # the shear's load at Gamma1's ends, the corners it shares with the
+    # clamped walls, sits on Dirichlet rows and never enters the residual,
+    # so it must not loosen the Newton tolerance: exit 0 only with a
+    # converged flow
     solves = []
 
     def keep(layout, config, g, **kwargs):
@@ -584,8 +560,7 @@ def test_traction_on_a_clamped_wall_exits_0_only_converged(tmp_path,
     monkeypatch.setattr(cli, "solve_navier_stokes", keep)
     cfg = _write(tmp_path, "run.ini", "[mesh]\nh_mesh = 0.1\n"
                  "[level]\nshapes = disk 0.5 0.25 0.15\n"
-                 "[physics]\nnu = 0.01\ntraction_label = Gamma3\n"
-                 "traction_y = 1e12 0 0\nbody_force_x = 10 0 0\n")
+                 "[physics]\nnu = 0.05\ntraction = shear\n")
     code = main(["solve-penalized", "--config", cfg,
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -699,7 +674,8 @@ _FAILURES = {
     "obstacle-touches-boundary": (2, "strictly inside the outer boundary"),
     # ... also where the obstacle clears the wall by less than 1e-9 ...
     "obstacle-in-wall-margin": (
-        2, "[mesh] obstacles must lie strictly inside the outer boundary"),
+        2, "[mesh] obstacles: obstacles must lie strictly inside the outer "
+        "boundary"),
     # ... and one from the mesh generator
     "obstacles-overlap": (2, "obstacles 1 and 2 overlap"),
     "generation-error": (2, "cannot recover required edges"),

@@ -199,21 +199,25 @@ def test_load_vector_matches_dense_oracle(rng):
     mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.3))
     lay = build_spaces(mesh)
 
-    def body(x):
+    def stress(x):
         x = np.asarray(x)
         return np.stack([1.0 + x[..., 0], x[..., 1] ** 2], axis=-1)
 
-    cfg = AssemblyConfig(nu=1.0, eps=0.1, body_force=body)
-    coeffs = evaluate_coefficients(lay, cfg, None)
-    F = assemble_load(lay, cfg, None, coeffs)
+    cfg = AssemblyConfig(nu=1.0, eps=0.1, traction=stress)
+    F = assemble_load(lay, cfg, None)
+    # edge by edge of Gamma1, 5 Gauss points, the velocity interpolated
+    # between the ends (the bubbles vanish on edges): exact for stress . w
+    t, tw = np.polynomial.legendre.leggauss(5)
     for _ in range(3):
         w_vec = rng.standard_normal(2 * lay.N1)
         want = 0.0
-        for t, q, wa, vals, grads in _dense_forms(mesh, lay, coeffs):
-            pts = mesh.vertices[mesh.triangles[t]]
-            xq = vals[:3] @ pts
-            w, _ = _velocity_at(lay, w_vec, t, vals, grads)
-            want += wa * coeffs.loadc[t, q] * (body(xq) @ w)
+        for a, b in mesh.edges_with_label("Gamma1"):
+            pa, pb = mesh.vertices[a], mesh.vertices[b]
+            for s, ws in zip(0.5 * (t + 1.0), 0.5 * tw):
+                w = (1.0 - s) * w_vec[[a, lay.N1 + a]] \
+                    + s * w_vec[[b, lay.N1 + b]]
+                want += ws * np.hypot(*(pb - pa)) * (
+                    stress(pa + s * (pb - pa)) @ w)
         got = float(F @ w_vec)
         assert abs(got - want) < 1e-11 * max(1.0, abs(want))
 
@@ -227,8 +231,7 @@ def test_traction_load_on_side_has_exact_total(unit_square_mesh):
         out[..., 0] = 1.0
         return out
 
-    cfg = AssemblyConfig(nu=1.0, eps=0.1, traction=pull,
-                         traction_label="Gamma1")
+    cfg = AssemblyConfig(nu=1.0, eps=0.1, traction=pull)
     F = assemble_load(lay, cfg, None)
     comp1 = F[:lay.N1]
     # the side has unit length, so the total applied force is 1
@@ -514,17 +517,10 @@ def test_load_matches_per_edge_scatter(flow_cell_coarse_layout):
     def force(x):
         return np.stack([np.sin(3.0 * x[..., 0]), x[..., 1] ** 2], axis=-1)
 
-    cfg = AssemblyConfig(traction=force, body_force=force)
-    # reference: the body force per element, the traction per edge and point
-    geom = lay.geometry()
-    co = evaluate_coefficients(lay, cfg, g)
-    wa = geom["weights"][None, :] * geom["area"][:, None] * co.loadc
-    xq = np.einsum("qk,tkd->tqd", geom["lam"], mesh.vertices[mesh.triangles])
-    floc = np.einsum("tq,tqc,qa->tca", wa, force(xq), geom["vals"])
+    cfg = AssemblyConfig(traction=force)
+    # reference: the traction per edge and point, on Gamma1 alone
     want = np.zeros(2 * lay.N1)
-    idx = np.arange(2)[None, :, None] * lay.N1 + lay.cell_dofs[:, None, :]
-    np.add.at(want, idx.ravel(), floc.ravel())
-    edges = mesh.edges_with_label(cfg.traction_label)
+    edges = mesh.edges_with_label("Gamma1")
     pa, pb = mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]]
     elen = np.hypot(*(pb - pa).T)
     t, tw = np.polynomial.legendre.leggauss(3)

@@ -114,6 +114,23 @@ def test_domain_spec_keeps_obstacles_the_meshers_clearance_off_the_wall():
     DomainSpec(**square, obstacles=(("disk", (0.5, 0.5), 0.499999998),))
 
 
+@pytest.mark.parametrize("points, message", [
+    (((0.4, 0.4), (0.4, 0.4), (0.6, 0.4), (0.6, 0.6)), "equal consecutive"),
+    (((0.4, 0.4), (0.6, 0.4), (0.6, 0.6), (0.4, 0.4)), "equal consecutive"),
+    (((0.4, 0.4), (0.5, 0.4), (0.6, 0.4)), "no area"),
+    (((0.4, 0.4), (0.5, 0.5), (0.6, 0.6), (0.5, 0.5 + 1e-12)), "no area"),
+], ids=["repeated", "last-is-first", "collinear", "sliver"])
+def test_domain_spec_rejects_degenerate_polygons(points, message):
+    # each would divide 0/0 in polygon_signed_distance or mesh no region
+    with pytest.raises(GeometryError, match=message):
+        DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.1,
+                   obstacles=(("polygon", points),))
+    # a triangle in the same place is a region
+    DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.1,
+               obstacles=(("polygon", ((0.4, 0.4), (0.6, 0.4),
+                                       (0.6, 0.6))),))
+
+
 @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0])
 def test_domain_spec_rejects_mesh_sizes_that_are_not_positive(h):
     with pytest.raises(GeometryError, match="positive and finite"):

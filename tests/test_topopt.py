@@ -16,12 +16,6 @@ from penflow.fem import (assemble_bilinear, assemble_load,
 from penflow.presets import shear_traction
 
 
-def _body(x):
-    x = np.asarray(x)
-    return np.stack([np.full(x.shape[:-1], 0.3),
-                     np.full(x.shape[:-1], -0.2)], axis=-1)
-
-
 def _pull(x):
     x = np.asarray(x)
     out = np.zeros(x.shape)
@@ -34,7 +28,7 @@ def fd_setting():
     """A mesh small enough that dense central differences stay cheap."""
     mesh = generate_mesh(DomainSpec(outer=(0.0, 0.0, 1.0, 1.0), h_mesh=0.34))
     lay = build_spaces(mesh)
-    cfg = AssemblyConfig(nu=1.0, eps=0.01, body_force=_body, traction=_pull,
+    cfg = AssemblyConfig(nu=1.0, eps=0.01, traction=_pull,
                          divergence_form=PENALIZED_B)
     total_dofs = lay.N
     assert total_dofs <= 200
@@ -298,19 +292,15 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
     """Line-search trials evaluate the value alone; the level derivatives
     of the coefficients and the one-pass gradient (the adjoint with the
     cost's integrands, one row projection) run once per accepted point,
-    the target and the body force are evaluated once per descent, and the
-    Newton start never derives level derivatives."""
+    the target and the load are evaluated once per descent, and the Newton
+    start never derives level derivatives."""
     counts = dict.fromkeys(["values", "gradients", "rows", "target", "level",
-                            "body"], 0)
-
-    def body(x):
-        counts["body"] += 1
-        return 0.1 * _body(x)
+                            "load"], 0)
 
     mesh = generate_mesh(DomainSpec(outer="flow-cell", h_mesh=0.09))
     lay = build_spaces(mesh)
     cfg = AssemblyConfig(nu=1.0, eps=0.01, traction=shear_traction,
-                         body_force=body, divergence_form=PENALIZED_B)
+                         divergence_form=PENALIZED_B)
     g0 = LevelField.interpolate(
         mesh, compose_disks([(-0.2, 0.2), (-0.2, -0.2)], [0.1, 0.1],
                             signed_distance=True))
@@ -328,6 +318,7 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
     count(penflow.topopt, "evaluate_coefficients", "values")
     count(penflow.topopt._Forms, "adjoint", "gradients")
     count(penflow.fem.CoeffData.level, "func", "level")
+    count(penflow.topopt, "assemble_load", "load")
     for module in (penflow.fem, penflow.topopt):
         count(module, "_velocity_rows", "rows")
         count(module, "_velocity_at_quad", "target",
@@ -337,8 +328,8 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
     def newton_start(*args, **kwargs):
         result = newton(*args, **kwargs)
         assert counts["level"] == 0
-        # its residuals use _velocity_rows too, its load the body force
-        counts["rows"] = counts["body"] = 0
+        # its residuals use _velocity_rows too
+        counts["rows"] = 0
         return result
     monkeypatch.setattr(penflow.topopt, "solve_navier_stokes", newton_start)
     opt = OptConfig(rho=0.8, max_iter=8)
@@ -353,7 +344,7 @@ def test_descent_builds_gradients_only_at_accepted_steps(kind, rng,
     assert counts["rows"] == counts["values"] + counts["gradients"]
     assert counts["target"] == (kind == TRACKING)
     assert counts["level"] == 1 + accepted
-    assert counts["body"] == 1
+    assert counts["load"] == 1
 
 
 @pytest.fixture(scope="module")
